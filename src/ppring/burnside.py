@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Mapping, Union
 
 from .cyclo import Cyclotomic
-from .grp import (FiniteGroup, Subgroup, coset_table, double_coset_reps,
-                  normalizer, promote, quotient)
+from .grp import (FiniteGroup, Subgroup, conjugate_meet, coset_indices,
+                  double_coset_reps, mult_table, normalizer, promote, quotient)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                      make_generator)
@@ -84,14 +84,20 @@ def transitive(G: FiniteGroup, L: Subgroup) -> BurnsideElement:
 @lru_cache(maxsize=None)
 def mark(G: FiniteGroup, L: Subgroup, H: Subgroup) -> int:
     """The number of H-fixed points of [G/L]: cosets gL with g^-1 H g <= L."""
-    members = L.element_set
-    hgens = H.generators()
-    count = 0
-    for g in coset_table(G, L)[0]:
-        gi = g.inverse()
-        if all(gi * h * g in members for h in hgens):
-            count += 1
-    return count
+    return len(_fixed_cosets(G, L, H))
+
+
+def _fixed_cosets(G: FiniteGroup, L: Subgroup, H: Subgroup) -> list[int]:
+    """Indices of the minimal representatives g of the cosets gL fixed by H."""
+    index, table, inv = mult_table(G)
+    members = frozenset(L.indices())
+    hgens = [index[h] for h in H.generators()]
+    fixed = []
+    for g in coset_indices(G, L)[0]:
+        row = table[inv[g]]
+        if all(table[row[h]][g] in members for h in hgens):
+            fixed.append(g)
+    return fixed
 
 
 def mark_element(x: BurnsideElement, H: Subgroup) -> Fraction:
@@ -113,9 +119,7 @@ def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
             c = ca * cb
             terms: dict[Subgroup, Fraction] = {}
             for g in double_coset_reps(G, A, B):
-                gi = g.inverse()
-                conj_set = frozenset(x.conj(gi) for x in B.elements)  # g B g^-1
-                inter = Subgroup(G, A.element_set & conj_set, validate=False)
+                inter = Subgroup.from_indices(G, conjugate_meet(G, A, B, g))
                 terms[inter] = terms.get(inter, Fraction(0)) + c
             out = out + BurnsideElement(G, terms)
     return out
@@ -142,17 +146,19 @@ def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
     return BurnsideElement(G, coeffs)
 
 
-def _orbit_reps_and_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
-                                fixed: list) -> list[tuple]:
+def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
+                       fixed: list[int]) -> list[list]:
     """Orbits of H acting by left multiplication on a set of cosets of L.
 
-    ``fixed`` is a list of coset representatives; returns (rep, stabilizer
-    elements) per orbit, where the stabilizer is taken inside H.
+    ``fixed`` lists coset representatives as indices of G; returns the
+    elements of the stabilizer in H of each orbit's minimal coset.
     """
-    rep_of = coset_table(G, L)[1]
+    index, table, inv = mult_table(G)
+    rep_of = coset_indices(G, L)[1]
+    hgens = [index[h] for h in H.generators()]
     remaining = set(fixed)
     out = []
-    members = L.element_set
+    members = frozenset(L.indices())
     while remaining:
         start = min(remaining)
         orbit = {start}
@@ -160,16 +166,16 @@ def _orbit_reps_and_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
         while frontier:
             new = []
             for c in frontier:
-                for h in H.generators():
-                    d = rep_of[h * c]
+                for h in hgens:
+                    d = rep_of[table[h][c]]
                     if d not in orbit:
                         orbit.add(d)
                         new.append(d)
             frontier = new
         remaining -= orbit
-        si = start.inverse()
-        stab = [h for h in H.elements if si * h * start in members]
-        out.append((start, stab))
+        row = table[inv[start]]
+        stab = [G.elements[h] for h in H.indices() if table[row[h]][start] in members]
+        out.append(stab)
     return out
 
 
@@ -181,9 +187,9 @@ def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
     HH = promote(H)
     out = BurnsideElement.zero(HH)
     for L, c in x.coeffs.items():
-        reps = list(coset_table(G, L)[0])
+        reps = coset_indices(G, L)[0]
         terms: dict[Subgroup, Fraction] = {}
-        for _, stab in _orbit_reps_and_stabilizers(H, G, L, reps):
+        for stab in _orbit_stabilizers(H, G, L, reps):
             S = Subgroup(HH, stab, validate=False)
             terms[S] = terms.get(S, Fraction(0)) + c
         out = out + BurnsideElement(HH, terms)
@@ -211,16 +217,9 @@ def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
     H = promote(N)
     Q = quotient(H, P.reparent(H))
     out = BurnsideElement.zero(Q.group)
-    pgens = P.generators()
     for L, c in x.coeffs.items():
-        members = L.element_set
-        fixed = []
-        for g in coset_table(G, L)[0]:
-            gi = g.inverse()
-            if all(gi * u * g in members for u in pgens):
-                fixed.append(g)
         terms: dict[Subgroup, Fraction] = {}
-        for _, stab in _orbit_reps_and_stabilizers(N, G, L, fixed):
+        for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P)):
             Sbar = Q.project_subgroup(Subgroup(H, stab, validate=False))
             terms[Sbar] = terms.get(Sbar, Fraction(0)) + c
         out = out + BurnsideElement(Q.group, terms)

@@ -3,8 +3,9 @@ idempotents, plus the full verification suite and the finite-field oracle
 check.
 
 Exit codes: 0 when every requested verification passes, 1 on a verification
-failure, 2 on a usage or configuration error.  Identical configurations
-produce byte-identical reports.
+failure, 2 on a usage or configuration error, 3 on an I/O error (such as an
+unwritable ``--out``).  Identical configurations produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from . import burnside as bd
 from . import ffq, idem, species
 from .cyclo import Cyclotomic
 from .grp import (DEFAULT_ORDER_CAP, FiniteGroup, GroupError, Permutation,
-                  alternating, close_generators, cyclic, dihedral,
+                  alternating, check_prime, close_generators, cyclic, dihedral,
                   direct_product, klein_four, normalizer, promote,
                   quaternion8, quotient, symmetric)
 from .lattice import subgroup_lattice
 from .ppelem import (PPElement, brauer_elt, default_conductor, ind_elt,
-                     inf_elt, res_elt)
+                     inf_elt, is_p_power, res_elt)
 
 
 class ParseError(Exception):
@@ -53,10 +54,11 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        from .grp import _check_prime
-        _check_prime(self.p)
+        check_prime(self.p)
         if self.max_order <= 0 or self.oracle_n_cap <= 0 or self.oracle_dim_cap <= 0:
             raise ParseError("caps must be positive")
+        if self.samples < 1:
+            raise ParseError("--samples must be at least 1")
 
 
 def _named_group(name: str, max_order: int) -> FiniteGroup:
@@ -279,7 +281,7 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
                 species.equal_elements(lhs, rhs))
 
     for P in reps:
-        if not _is_p_power(P.order, p):
+        if not is_p_power(P.order, p):
             continue
         for L in reps:
             x = bd.transitive(G, L)
@@ -296,10 +298,10 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
                 ok = species.equal_elements(lhs, rhs)
             add(f"commute Brauer |P|={P.order} |L|={L.order}", ok)
 
+    ex = bd.gluck_yoshida(G, G.full_subgroup())
     for N in lat.subgroups:
         if not N.is_normal():
             continue
-        ex = bd.gluck_yoshida(G, G.full_subgroup())
         lhs = bd.fixed_point_functor(N, ex)
         NN = promote(normalizer(G, N))
         Q = quotient(NN, N.reparent(NN))
@@ -357,12 +359,6 @@ def tau_via_brauer(pair, gen) -> Cyclotomic:
         lift = pair.lift
     pair0 = species.build_pair(base, pair.p, base.trivial_subgroup(), lift)
     return species.tau_element(pair0, z)
-
-
-def _is_p_power(m: int, p: int) -> bool:
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 def cmd_verify(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
@@ -524,8 +520,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     code, text = run(config)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {config.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 3
     else:
         sys.stdout.write(text)
     return code

@@ -54,7 +54,8 @@ def _polydiv_exact(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
         if c:
             for j, cd in enumerate(den):
                 num[i + j] -= c * cd
-    assert all(c == 0 for c in num), "division was not exact"
+    if any(num):
+        raise ArithmeticError("polynomial division was not exact")
     return tuple(q)
 
 

@@ -232,7 +232,8 @@ def build_field(p: int, n: int, n_cap: int = DEFAULT_N_CAP,
         if _is_irreducible(cand, p):
             modulus = cand
             break
-    assert modulus is not None
+    if modulus is None:
+        raise RuntimeError(f"no monic irreducible polynomial of degree {m} over F_{p}")
     field = FqField(p, 1, m, modulus, (1,) + (0,) * (m - 1))  # temporary, for arithmetic
     q = p ** m
     factors = _prime_factors(q - 1)
@@ -481,5 +482,6 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
             exponent = F.theta[lam] if n > 1 else 0
             total = total + zeta_power(n, exponent) * mult
             seen_dim += mult
-    assert seen_dim == dim_quot, "lift action is not semisimple with mu_r eigenvalues"
+    if seen_dim != dim_quot:
+        raise RuntimeError("lift action is not semisimple with mu_r eigenvalues")
     return total

@@ -1,11 +1,15 @@
 """Finite permutation-group engine.
 
 Groups are fully enumerated permutation groups on ``{0..degree-1}``.  Every
-operation is brute force over the element list: at the scale this library
+operation is brute force over the whole group: at the scale this library
 targets (orders up to a few hundred) exhaustive loops are fast, exactly
-reproducible and easy to audit.  The canonical element order is lexicographic
-on image tuples, and every "choose a representative" step picks the minimum
-in that order, so all outputs are deterministic.
+reproducible and easy to audit.  The loops run on element indices against
+per-group multiplication and inverse tables (:func:`mult_table`), so a product
+is a table lookup; :class:`Permutation` objects are built only where a
+subgroup, a character or a report needs them.  The canonical element order is
+lexicographic on image tuples, which is also index order, and every "choose a
+representative" step picks the minimum in that order, so all outputs are
+deterministic.
 """
 
 from __future__ import annotations
@@ -54,8 +58,17 @@ class Permutation:
         self._hash = hash(imgs)
 
     @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Wrap an image tuple already known to be a bijection (a product or
+        inverse of valid permutations), skipping the check in ``__init__``."""
+        perm = object.__new__(cls)
+        perm.images = images
+        perm._hash = hash(images)
+        return perm
+
+    @classmethod
     def identity(cls, degree: int) -> Permutation:
-        return cls(range(degree))
+        return cls._trusted(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
@@ -79,13 +92,13 @@ class Permutation:
         if self.degree != other.degree:
             raise InvalidPermutation("degree mismatch in product")
         imgs = self.images
-        return Permutation(tuple(imgs[j] for j in other.images))
+        return Permutation._trusted(tuple(imgs[j] for j in other.images))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, n: int) -> Permutation:
         base = self if n >= 0 else self.inverse()
@@ -246,7 +259,8 @@ class Subgroup:
     closure holds by construction (conjugates, intersections, closures).
     """
 
-    __slots__ = ("parent", "elements", "element_set", "_hash", "_generators")
+    __slots__ = ("parent", "elements", "element_set", "_hash", "_generators",
+                 "_indices")
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[Permutation],
                  validate: bool = True):
@@ -254,6 +268,7 @@ class Subgroup:
         self.elements = tuple(sorted(set(elements)))
         self.element_set = frozenset(self.elements)
         self._generators: Optional[tuple[Permutation, ...]] = None
+        self._indices: Optional[tuple[int, ...]] = None
         if validate:
             if not self.elements:
                 raise NotSubgroup("a subgroup cannot be empty")
@@ -268,6 +283,20 @@ class Subgroup:
             if parent.order % len(self.elements) != 0:
                 raise NotSubgroup("order does not divide the parent order")
         self._hash = hash((parent, self.elements))
+
+    @classmethod
+    def from_indices(cls, parent: FiniteGroup, indices: Iterable[int]) -> Subgroup:
+        """The subgroup with the given parent indices, which must be sorted,
+        distinct and closed (no check is made)."""
+        H = object.__new__(cls)
+        H.parent = parent
+        H._indices = tuple(indices)
+        elements = parent.elements
+        H.elements = tuple(elements[i] for i in H._indices)
+        H.element_set = frozenset(H.elements)
+        H._generators = None
+        H._hash = hash((parent, H.elements))
+        return H
 
     @property
     def order(self) -> int:
@@ -287,33 +316,50 @@ class Subgroup:
         """Canonical form: the tuple of image tuples of the sorted elements."""
         return tuple(x.images for x in self.elements)
 
+    def indices(self) -> tuple[int, ...]:
+        """The elements as sorted indices into ``parent.elements``.
+
+        Index order is element order, so for subgroups of one parent,
+        comparing index tuples orders them as comparing :meth:`key` does.
+        """
+        if self._indices is None:
+            index = mult_table(self.parent)[0]
+            self._indices = tuple(index[x] for x in self.elements)
+        return self._indices
+
     def generators(self) -> tuple[Permutation, ...]:
         """A small generating set, found greedily in canonical order."""
         if self._generators is None:
-            gens: list[Permutation] = []
-            closed = {self.identity}
-            for x in self.elements:
-                if x not in closed:
-                    gens.append(x)
-                    closed = set(_close(self.parent.degree, gens, self.order))
+            table = mult_table(self.parent)[1]
+            gens: list[int] = []
+            closed: frozenset = frozenset((0,))
+            for i in self.indices():
+                if i not in closed:
+                    gens.append(i)
+                    closed = close_indices(table, gens)
                     if len(closed) == self.order:
                         break
-            self._generators = tuple(gens)
+            elements = self.parent.elements
+            self._generators = tuple(elements[i] for i in gens)
         return self._generators
 
     def conj(self, g: Permutation) -> Subgroup:
         """The conjugate subgroup g^-1 * H * g."""
-        gi = g.inverse()
-        return Subgroup(self.parent, [gi * x * g for x in self.elements],
-                        validate=False)
-
-    def conj_set(self, g: Permutation) -> frozenset:
-        gi = g.inverse()
-        return frozenset(gi * x * g for x in self.elements)
+        index, table, inv = mult_table(self.parent)
+        gg = index[g]
+        row = table[inv[gg]]
+        return Subgroup.from_indices(
+            self.parent, sorted(table[row[x]][gg] for x in self.indices()))
 
     def is_normal(self) -> bool:
-        return all(self.conj_set(g) == self.element_set
-                   for g in self.parent.generators)
+        index, table, inv = mult_table(self.parent)
+        members = frozenset(self.indices())
+        for g in self.parent.generators:
+            gg = index[g]
+            row = table[inv[gg]]
+            if any(table[row[x]][gg] not in members for x in members):
+                return False
+        return True
 
     def contains_subgroup(self, other: Subgroup) -> bool:
         return other.element_set <= self.element_set
@@ -346,16 +392,24 @@ def promote(H: Subgroup) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...]]:
-    """Index map and integer multiplication table of a group.
+def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Index map, integer multiplication table and inverse table of a group.
 
-    Closures inside a fixed parent run on these indices, which avoids
-    allocating permutation objects in the hottest loops (the identity sits
-    at index 0 because it is lexicographically minimal).
+    ``index[x]`` is the position of x in ``G.elements``; ``table[a][b]`` is
+    the index of ``elements[a] * elements[b]`` and ``inv[a]`` that of the
+    inverse of ``elements[a]``, so the conjugate g^-1 x g is
+    ``table[table[inv[g]][x]][g]``.  The identity sits at index 0 because it
+    is lexicographically minimal.
     """
-    index = {x: i for i, x in enumerate(G.elements)}
-    table = tuple(tuple(index[a * b] for b in G.elements) for a in G.elements)
-    return index, table
+    elements = G.elements
+    index = {x: i for i, x in enumerate(elements)}
+    by_images = {x.images: i for i, x in enumerate(elements)}
+    table = tuple(
+        tuple(by_images[tuple([a.images[j] for j in b.images])] for b in elements)
+        for a in elements
+    )
+    inv = tuple(row.index(0) for row in table)
+    return index, table, inv
 
 
 def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> frozenset:
@@ -378,9 +432,9 @@ def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> fr
 
 def subgroup_closure(G: FiniteGroup, elements: Iterable[Permutation]) -> Subgroup:
     """The subgroup of G generated by ``elements``."""
-    index, table = mult_table(G)
+    index, table, _ = mult_table(G)
     closed = close_indices(table, [index[x] for x in elements])
-    return Subgroup(G, [G.elements[i] for i in closed], validate=False)
+    return Subgroup.from_indices(G, sorted(closed))
 
 
 def _is_p_element(x: Permutation, p: int) -> bool:
@@ -390,7 +444,7 @@ def _is_p_element(x: Permutation, p: int) -> bool:
     return n == 1
 
 
-def _check_prime(p: int) -> None:
+def check_prime(p: int) -> None:
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"{p} is not prime")
 
@@ -404,7 +458,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     Sylow subgroup S containing it, then N_S(P) > P supplies the next
     element.
     """
-    _check_prime(p)
+    check_prime(p)
     P = G.trivial_subgroup()
     while True:
         N = normalizer(G, P)
@@ -419,7 +473,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 
 def p_prime_part(G: FiniteGroup, x: Permutation, p: int) -> Permutation:
     """The p'-part of x: the power of x of order the p'-part of |x|."""
-    _check_prime(p)
+    check_prime(p)
     if x not in G:
         raise NotSubgroup("element not in the group")
     n = x.order()
@@ -439,16 +493,26 @@ def p_prime_part(G: FiniteGroup, x: Permutation, p: int) -> Permutation:
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if H.parent != G:
         raise NotSubgroup("subgroup belongs to a different group")
-    target = H.element_set
-    members = [g for g in G.elements if H.conj_set(g) == target]
-    return Subgroup(G, members, validate=False)
+    index, table, inv = mult_table(G)
+    members = frozenset(H.indices())
+    hgens = [index[h] for h in H.generators()]
+    normalizing = []
+    for g in range(G.order):
+        row = table[inv[g]]
+        if all(table[row[h]][g] in members for h in hgens):
+            normalizing.append(g)
+    return Subgroup.from_indices(G, normalizing)
 
 
 @lru_cache(maxsize=None)
 def centralizer(G: FiniteGroup, x: Permutation) -> Subgroup:
     if x not in G:
         raise NotSubgroup("element not in the group")
-    return Subgroup(G, [g for g in G.elements if g * x == x * g], validate=False)
+    index, table, _ = mult_table(G)
+    xi = index[x]
+    row = table[xi]
+    return Subgroup.from_indices(
+        G, [g for g in range(G.order) if table[g][xi] == row[g]])
 
 
 class QuotientGroup:
@@ -468,29 +532,26 @@ class QuotientGroup:
         self.parent = parent
         self.kernel = kernel
 
-        coset_index: dict[Permutation, int] = {}
-        reps: list[Permutation] = []
-        for g in parent.elements:
-            if g not in coset_index:
-                idx = len(reps)
-                reps.append(g)  # minimal in its coset: all smaller elements are assigned
-                for nelt in kernel.elements:
-                    coset_index[g * nelt] = idx
-        self.cosets = tuple(reps)
+        reps, rep_of = coset_indices(parent, kernel)
+        table = mult_table(parent)[1]
+        elements = parent.elements
+        coset_of = {r: i for i, r in enumerate(reps)}
+        self.cosets = tuple(elements[r] for r in reps)
 
-        k = len(reps)
         project: dict[Permutation, Permutation] = {}
         images: set[Permutation] = set()
-        for g in parent.elements:
-            pi = Permutation(tuple(coset_index[g * reps[i]] for i in range(k)))
-            project[g] = pi
+        for g, x in enumerate(elements):
+            row = table[g]
+            pi = Permutation(tuple(coset_of[rep_of[row[r]]] for r in reps))
+            project[x] = pi
             images.add(pi)
         gens = tuple(dict.fromkeys(project[g] for g in parent.generators))
-        self.group = FiniteGroup(k, gens, images)
-        assert self.group.order * kernel.order == parent.order
+        self.group = FiniteGroup(len(reps), gens, images)
+        if self.group.order * kernel.order != parent.order:
+            raise RuntimeError("quotient order times kernel order differs from the group order")
         self._project = project
         # coset index 0 is the kernel itself, so pi(0) recovers g's coset
-        self._lift = {pi: reps[pi(0)] for pi in images}
+        self._lift = {pi: self.cosets[pi(0)] for pi in images}
         self._hash = hash((parent, kernel))
 
     def project(self, g: Permutation) -> Permutation:
@@ -524,19 +585,31 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     return QuotientGroup(G, N)
 
 
+def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
+    """Left cosets of H in G on element indices: the minimal representative
+    of each coset, in order, and the representative of every element."""
+    if H.parent != G:
+        raise NotSubgroup("subgroup belongs to a different group")
+    table = mult_table(G)[1]
+    members = H.indices()
+    rep_of = [-1] * G.order
+    reps = []
+    for g in range(G.order):
+        if rep_of[g] < 0:
+            reps.append(g)  # minimal in its coset: all smaller elements are assigned
+            row = table[g]
+            for h in members:
+                rep_of[row[h]] = g
+    return reps, rep_of
+
+
 @lru_cache(maxsize=None)
 def coset_table(G: FiniteGroup, H: Subgroup) -> tuple[tuple[Permutation, ...], dict]:
     """Left-coset transversal of H in G (minimal reps) plus element -> rep map."""
-    if H.parent != G:
-        raise NotSubgroup("subgroup belongs to a different group")
-    rep_of: dict[Permutation, Permutation] = {}
-    reps: list[Permutation] = []
-    for g in G.elements:
-        if g not in rep_of:
-            reps.append(g)
-            for h in H.elements:
-                rep_of[g * h] = g
-    return tuple(reps), rep_of
+    reps, rep_of = coset_indices(G, H)
+    elements = G.elements
+    return (tuple(elements[i] for i in reps),
+            {x: elements[r] for x, r in zip(elements, rep_of)})
 
 
 def cosets(G: FiniteGroup, H: Subgroup) -> tuple[Permutation, ...]:
@@ -544,45 +617,70 @@ def cosets(G: FiniteGroup, H: Subgroup) -> tuple[Permutation, ...]:
 
 
 def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[Permutation]:
-    """One minimal representative per double coset A g B, in canonical order."""
+    """One minimal representative per double coset A g B, in canonical order.
+
+    A g B is the union of the left cosets a g B, and the cosets covered so
+    far are whole left cosets of B, so a coset whose first element is
+    already covered is skipped without walking it.
+    """
     if A.parent != G or B.parent != G:
         raise NotSubgroup("subgroup belongs to a different group")
-    covered: set[Permutation] = set()
+    table = mult_table(G)[1]
+    a_members, b_members = A.indices(), B.indices()
+    covered = bytearray(G.order)
     reps = []
-    for g in G.elements:
-        if g in covered:
+    for g in range(G.order):
+        if covered[g]:
             continue
         reps.append(g)
-        for a in A.elements:
-            ag = a * g
-            for b in B.elements:
-                covered.add(ag * b)
-    return reps
+        for a in a_members:
+            ag = table[a][g]
+            if covered[ag]:
+                continue
+            row = table[ag]
+            for b in b_members:
+                covered[row[b]] = 1
+    return [G.elements[g] for g in reps]
+
+
+def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: Permutation) -> list[int]:
+    """Sorted indices of A cap g B g^-1, the subgroup of a Mackey term."""
+    index, table, inv = mult_table(G)
+    gg = index[g]
+    row = table[gg]
+    gi = inv[gg]
+    conj = {table[row[b]][gi] for b in B.indices()}
+    return [a for a in A.indices() if a in conj]
 
 
 def subgroup_conjugacy(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> Optional[Permutation]:
     """Some g with H1^g = H2, or None. Brute force over G."""
     if H1.order != H2.order:
         return None
-    target = H2.element_set
-    for g in G.elements:
-        if H1.conj_set(g) == target:
-            return g
+    _, table, inv = mult_table(G)
+    target = frozenset(H2.indices())
+    members = H1.indices()
+    for g in range(G.order):
+        row = table[inv[g]]
+        if all(table[row[x]][g] in target for x in members):
+            return G.elements[g]
     return None
 
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[Permutation, ...], ...]:
     """Element conjugacy classes, each sorted, ordered by minimal member."""
-    inverses = {g: g.inverse() for g in G.elements}
-    seen: set[Permutation] = set()
+    _, table, inv = mult_table(G)
+    elements = G.elements
+    seen = bytearray(G.order)
     classes = []
-    for x in G.elements:
-        if x in seen:
+    for x in range(G.order):
+        if seen[x]:
             continue
-        cls = sorted({inverses[g] * x * g for g in G.elements})
-        seen.update(cls)
-        classes.append(tuple(cls))
+        cls = sorted({table[table[inv[g]][x]][g] for g in range(G.order)})
+        for y in cls:
+            seen[y] = 1
+        classes.append(tuple(elements[y] for y in cls))
     return tuple(classes)
 
 

@@ -90,7 +90,7 @@ def _all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
     Runs on element indices against the group's multiplication table; the
     permutation-level Subgroup objects are only materialized at the end.
     """
-    _, table = mult_table(group)
+    table = mult_table(group)[1]
     cyclics = {close_indices(table, [i]) for i in range(group.order)}
     known: set[frozenset] = set(cyclics)
     frontier = list(cyclics)
@@ -105,26 +105,33 @@ def _all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
                     known.add(J)
                     new.append(J)
         frontier = new
-    subgroups = [Subgroup(group, [group.elements[i] for i in H], validate=False)
-                 for H in known]
-    return tuple(sorted(subgroups))
+    # (order, sorted indices) is the (order, key()) order of Subgroup.__lt__
+    return tuple(Subgroup.from_indices(group, members)
+                 for members in sorted((sorted(H) for H in known),
+                                       key=lambda m: (len(m), m)))
 
 
 def _conjugacy_classes(group, subgroups):
-    index = {H.element_set: H for H in subgroups}
-    seen: set[frozenset] = set()
+    """Conjugacy classes of the (sorted) subgroups, each sorted, ordered by
+    their minimal member, plus the class representative of each position."""
+    _, table, inv = mult_table(group)
+    position = {frozenset(H.indices()): i for i, H in enumerate(subgroups)}
+    seen: set[int] = set()
     classes = []
     rep_of: dict[int, Subgroup] = {}
-    position = {H: i for i, H in enumerate(subgroups)}
-    for H in subgroups:
-        if H.element_set in seen:
+    for i, H in enumerate(subgroups):
+        if i in seen:
             continue
-        members = sorted({index[frozenset(x.conj(g) for x in H.elements)]
-                          for g in group.elements})
-        seen.update(M.element_set for M in members)
-        classes.append(tuple(members))
-        for M in members:
-            rep_of[position[M]] = members[0]
+        members = H.indices()
+        conjugates = set()
+        for g in range(group.order):
+            row = table[inv[g]]
+            conjugates.add(position[frozenset(table[row[x]][g] for x in members)])
+        seen.update(conjugates)
+        cls = tuple(subgroups[j] for j in sorted(conjugates))
+        classes.append(cls)
+        for j in conjugates:
+            rep_of[j] = cls[0]
     return tuple(classes), rep_of
 
 

@@ -23,7 +23,8 @@ from typing import Mapping, Union
 
 from .cyclo import Cyclotomic, ConductorMismatch, zeta_power
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, Permutation, QuotientGroup,
-                  Subgroup, double_coset_reps, normalizer, promote, quotient)
+                  Subgroup, conjugate_meet, double_coset_reps, mult_table,
+                  normalizer, promote, quotient)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -103,9 +104,14 @@ class LinChar:
 
     def conj(self, g: Permutation) -> LinChar:
         """The character on domain^g sending x to chi(g x g^-1)."""
-        dom = self.domain.conj(g)
-        gi = g.inverse()
-        return LinChar(dom, {gi * x * g: e for x, e in self.exps.items()},
+        G = self.domain.parent
+        index, table, inv = mult_table(G)
+        gg = index[g]
+        row = table[inv[gg]]
+        moved = {table[row[x]][gg]: e
+                 for x, e in zip(self.domain.indices(), self._table)}
+        dom = Subgroup.from_indices(G, sorted(moved))
+        return LinChar(dom, {G.elements[i]: moved[i] for i in dom.indices()},
                        self.conductor, validate=False)
 
     def __mul__(self, other: LinChar) -> LinChar:
@@ -220,25 +226,34 @@ class Generator:
 
 @lru_cache(maxsize=None)
 def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -> Generator:
-    """Canonical generator: minimize (subgroup, character) over conjugation."""
+    """Canonical generator: minimize (subgroup, character) over conjugation.
+
+    The key of a conjugate is its sorted index tuple, then its exponents
+    aligned to those indices, compared as two tuples: the order of
+    ``(Subgroup.key(), LinChar.table())``.
+    """
     if subgroup.parent != group:
         raise GroupMismatch("subgroup does not live in the given group")
     if character.domain != subgroup:
         raise GroupMismatch("character domain differs from the subgroup")
-    best = None
-    best_key = None
-    for g in group.elements:
-        gi = g.inverse()
-        moved = {gi * x * g: e for x, e in character.exps.items()}
-        sub = Subgroup(group, moved.keys(), validate=False)
-        table = tuple(moved[x] for x in sub.elements)
-        key = (sub.key(), table)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (sub, moved)
-    sub, moved = best
-    return Generator(group, sub,
-                     LinChar(sub, moved, character.conductor, validate=False))
+    _, table, inv = mult_table(group)
+    members = subgroup.indices()
+    exps = character.table()
+    best_sub = best_exps = None
+    for g in range(group.order):
+        row = table[inv[g]]
+        moved = [table[row[x]][g] for x in members]
+        sub = sorted(moved)
+        if best_sub is not None and sub > best_sub:
+            continue
+        exp_of = dict(zip(moved, exps))
+        aligned = [exp_of[x] for x in sub]
+        if best_sub is None or sub < best_sub or aligned < best_exps:
+            best_sub, best_exps = sub, aligned
+    sub = Subgroup.from_indices(group, best_sub)
+    chi = LinChar(sub, dict(zip(sub.elements, best_exps)), character.conductor,
+                  validate=False)
+    return Generator(group, sub, chi)
 
 
 class PPElement:
@@ -362,13 +377,15 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: Permutation, j: int,
         raise BadIndex(f"character index {j} outside 0..{r - 1}")
     if conductor % r != 0:
         raise ConductorMismatch("lift order does not divide the conductor")
+    index, table, _ = mult_table(Q.group)
+    s = index[sbar]
     dlog = {}
-    power = Q.group.identity
+    power = 0
     for a in range(r):
         dlog[power] = a
-        power = power * sbar
+        power = table[power][s]
     step = conductor // r
-    exps = {x: (j * dlog[Q.project(x)] * step) % conductor for x in L.elements}
+    exps = {x: (j * dlog[index[Q.project(x)]] * step) % conductor for x in L.elements}
     return LinChar(L, exps, conductor, validate=False)
 
 
@@ -378,14 +395,15 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
         raise GroupMismatch("subgroup does not live in the element's group")
     G = x.group
     HH = promote(H)
+    position = {i: k for k, i in enumerate(H.indices())}  # G-index -> HH-index
     out = PPElement.zero(HH, x.p, x.conductor)
     for gen, coeff in x.terms.items():
         L = gen.subgroup
         terms: dict[Generator, Cyclotomic] = {}
         for g in double_coset_reps(G, H, L):
             gi = g.inverse()
-            conj_set = frozenset(y.conj(gi) for y in L.elements)  # g L g^-1
-            inter = Subgroup(HH, H.element_set & conj_set, validate=False)
+            inter = Subgroup.from_indices(
+                HH, [position[i] for i in conjugate_meet(G, H, L, g)])
             chi = gen.character.conj(gi).restrict(inter)
             new = make_generator(HH, inter, chi)
             terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
@@ -433,8 +451,7 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
             c = cx * cy
             for g in double_coset_reps(G, A, B):
                 gi = g.inverse()
-                conj_set = frozenset(b.conj(gi) for b in B.elements)  # g B g^-1
-                inter = Subgroup(G, A.element_set & conj_set, validate=False)
+                inter = Subgroup.from_indices(G, conjugate_meet(G, A, B, g))
                 chi = alpha.restrict(inter) * beta.conj(gi).restrict(inter)
                 new = make_generator(G, inter, chi)
                 out[new] = out.get(new, Cyclotomic.zero(n)) + c
@@ -451,7 +468,7 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
     """
     if P.parent != x.group:
         raise GroupMismatch("subgroup does not live in the element's group")
-    if not _is_p_power(P.order, x.p):
+    if not is_p_power(P.order, x.p):
         raise NotPGroup(f"subgroup order {P.order} is not a power of {x.p}")
     if P.order == 1:
         return x
@@ -473,7 +490,8 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
     return PPElement(Q.group, x.p, n, terms)
 
 
-def _is_p_power(m: int, p: int) -> bool:
+def is_p_power(m: int, p: int) -> bool:
+    """True iff m is a power of p (including p^0 = 1)."""
     while m % p == 0:
         m //= p
     return m == 1

@@ -27,10 +27,10 @@ from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, zeta_power
 from .grp import (FiniteGroup, Permutation, Subgroup, centralizer,
-                  conjugacy_classes, cosets, normalizer, p_prime_part, promote,
-                  quotient, subgroup_closure)
+                  conjugacy_classes, cosets, mult_table, normalizer,
+                  p_prime_part, promote, quotient, subgroup_closure)
 from .lattice import subgroup_lattice
-from .ppelem import Generator, GroupMismatch, PPElement, _is_p_power
+from .ppelem import Generator, GroupMismatch, PPElement, is_p_power
 
 
 class SpeciesPair:
@@ -83,7 +83,7 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: Permutation) -> Specie
     """Assemble a species pair from a p-subgroup and a p'-order lift."""
     if P.parent != G:
         raise GroupMismatch("subgroup does not live in the group")
-    if not _is_p_power(P.order, p):
+    if not is_p_power(P.order, p):
         raise ValueError(f"subgroup order {P.order} is not a power of {p}")
     if math.gcd(lift.order(), p) != 1:
         raise ValueError("lift does not have p'-order")
@@ -95,15 +95,19 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: Permutation) -> Specie
     Q = quotient(H, P.reparent(H))
     sbar = Q.project(lift)
     s_order = sbar.order()
-    assert lift.order() == s_order  # a p'-lift has exactly the order of its image
+    if lift.order() != s_order:
+        raise RuntimeError("a p'-lift must have exactly the order of its image")
     centralizer_order = centralizer(Q.group, sbar).order
-    lift_inv = lift.inverse()
-    stab = Subgroup(
-        G,
-        [g for g in N.elements if lift.conj(g) * lift_inv in P.element_set],
-        validate=False,
-    )
-    assert stab.order == P.order * centralizer_order
+    index, table, inv = mult_table(G)
+    t = index[lift]
+    t_inv = inv[t]
+    members = frozenset(P.indices())
+    # g stabilizes the pair when g^-1 t g lies in the coset P t
+    stab = Subgroup.from_indices(G, [
+        g for g in N.indices()
+        if table[table[table[inv[g]][t]][g]][t_inv] in members])
+    if stab.order != P.order * centralizer_order:
+        raise RuntimeError("pair stabilizer order differs from |P| * |centralizer|")
     return SpeciesPair(G, p, P, lift, ps, s_order, stab, centralizer_order)
 
 
@@ -118,7 +122,7 @@ def enumerate_pairs(G: FiniteGroup, p: int) -> tuple[SpeciesPair, ...]:
     lat = subgroup_lattice(G)
     pairs = []
     for P in lat.class_reps():
-        if not _is_p_power(P.order, p):
+        if not is_p_power(P.order, p):
             continue
         N = normalizer(G, P)
         H = promote(N)
@@ -138,12 +142,16 @@ def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
         raise GroupMismatch("pairs live over different groups")
     if a.P.order != b.P.order or a.s_order != b.s_order:
         return False
-    target = b.P.element_set
-    b_inv = b.lift.inverse()
-    for g in a.group.elements:
-        if a.P.conj_set(g) != target:
+    index, table, inv = mult_table(a.group)
+    target = frozenset(b.P.indices())
+    members = a.P.indices()
+    t = index[a.lift]
+    b_inv = inv[index[b.lift]]
+    for g in range(a.group.order):
+        row = table[inv[g]]
+        if any(table[row[x]][g] not in target for x in members):
             continue
-        if a.lift.conj(g) * b_inv in target:
+        if table[table[row[t]][g]][b_inv] in target:
             return True
     return False
 
@@ -157,19 +165,19 @@ def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
     if n % pair.s_order != 0 or n % pair.p == 0:
         raise ConductorMismatch("conductor incompatible with the pair")
     L = gen.subgroup
-    chi = gen.character
-    members = L.element_set
-    pgens = pair.P.generators()
-    t = pair.lift
+    index, table, inv = mult_table(pair.group)
+    exp_of = dict(zip(L.indices(), gen.character.table()))
+    pgens = [index[u] for u in pair.P.generators()]
+    t = index[pair.lift]
     counts: dict[int, int] = {}
-    for g in cosets(pair.group, L):
-        gi = g.inverse()
-        if any(gi * u * g not in members for u in pgens):
+    for rep in cosets(pair.group, L):
+        g = index[rep]
+        row = table[inv[g]]
+        if any(table[row[u]][g] not in exp_of for u in pgens):
             continue  # coset line not P-fixed
-        x = gi * t * g
-        if x not in members:
+        e = exp_of.get(table[row[t]][g])
+        if e is None:
             continue  # line moved by the lift: no trace contribution
-        e = chi.value(x)
         counts[e] = counts.get(e, 0) + 1
     total = Cyclotomic.zero(n)
     for e, c in counts.items():

@@ -124,6 +124,24 @@ class TestMain:
         assert "all_ok: True" in capsys.readouterr().out
         assert main(["pairs", "--group", "nope"]) == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_exit_2(self, samples, capsys):
+        code = main(["oracle-check", "--group", "C2", "--p", "3",
+                     "--samples", samples])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_unwritable_out_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "report.json"
+        code = main(["pairs", "--group", "C2", "--p", "2", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate", "--group", "C2"])

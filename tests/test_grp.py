@@ -2,16 +2,16 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ppring.grp import (InvalidPermutation, OrderCapExceeded,
                         Permutation, Subgroup, alternating, centralizer,
-                        close_generators, conjugacy_classes, cyclic, dihedral,
-                        direct_product, double_coset_reps, klein_four,
-                        normalizer, p_prime_part, promote, quaternion8,
-                        quotient, subgroup_closure, subgroup_conjugacy,
-                        symmetric, sylow)
+                        close_generators, conjugacy_classes, conjugate_meet,
+                        cyclic, dihedral, direct_product, double_coset_reps,
+                        klein_four, normalizer, p_prime_part, promote,
+                        quaternion8, quotient, subgroup_closure,
+                        subgroup_conjugacy, symmetric, sylow)
 
 
 def brute_closure(degree, gens):
@@ -330,3 +330,74 @@ def test_generated_groups_satisfy_lagrange(imga, imgb):
     G = close_generators(5, [Permutation(imga), Permutation(imgb)], max_order=384)
     H = subgroup_closure(G, [Permutation(imga)])
     assert G.order % H.order == 0
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy.combinatorics on generated groups
+
+def sympy_group(G):
+    comb = pytest.importorskip("sympy.combinatorics")
+    gens = [comb.Permutation(list(g.images)) for g in G.generators]
+    return comb.PermutationGroup(gens or [comb.Permutation(list(range(G.degree)))])
+
+
+@st.composite
+def generated_groups(draw):
+    """A permutation group of degree <= 6 under the order cap, from 1 to 3
+    generators."""
+    degree = draw(st.integers(min_value=1, max_value=6))
+    gens = draw(st.lists(st.permutations(list(range(degree))), min_size=1, max_size=3))
+    try:
+        return close_generators(degree, [Permutation(g) for g in gens], max_order=384)
+    except OrderCapExceeded:
+        reject()
+
+
+def prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_groups())
+def test_order_classes_and_sylow_agree_with_sympy(G):
+    theirs = sympy_group(G)
+    assert G.order == theirs.order()
+    assert len(conjugacy_classes(G)) == len(theirs.conjugacy_classes())
+    for p in prime_divisors(G.order):
+        assert sylow(G, p).order == theirs.sylow_subgroup(p).order()
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_groups(), st.data())
+def test_normalizer_and_centralizer_orders_agree_with_sympy(G, data):
+    elements = st.sampled_from(G.elements)
+    x = data.draw(elements)
+    H = subgroup_closure(G, data.draw(st.lists(elements, min_size=1, max_size=2)))
+    theirs = sympy_group(G)
+    comb = pytest.importorskip("sympy.combinatorics")
+    as_sympy = {g: comb.Permutation(list(g.images)) for g in G.elements}
+    cyclic_x = comb.PermutationGroup([as_sympy[x]])
+    assert centralizer(G, x).order == theirs.centralizer(cyclic_x).order()
+    # |N_G(H)| = |G| / (number of conjugates of H), conjugating in sympy
+    members = frozenset(as_sympy[h] for h in H.elements)
+    conjugates = {frozenset(h ^ g for h in members) for g in theirs.elements}
+    assert normalizer(G, H).order * len(conjugates) == G.order
+
+
+@settings(max_examples=30, deadline=None)
+@given(generated_groups(), st.data())
+def test_double_cosets_partition_generated_groups(G, data):
+    elements = st.sampled_from(G.elements)
+    A = subgroup_closure(G, data.draw(st.lists(elements, max_size=2)))
+    B = subgroup_closure(G, data.draw(st.lists(elements, max_size=2)))
+    covered = set()
+    total = 0
+    for g in double_coset_reps(G, A, B):
+        double_coset = {a * g * b for a in A.elements for b in B.elements}
+        assert not double_coset & covered
+        meet = [G.elements[i] for i in conjugate_meet(G, A, B, g)]
+        assert meet == [a for a in A.elements if a.conj(g) in B.element_set]
+        covered |= double_coset
+        total += len(double_coset)
+    assert total == G.order
+    assert covered == G.element_set

@@ -2,8 +2,8 @@ from itertools import combinations
 
 import pytest
 
-from ppring.grp import (alternating, cyclic, dihedral, quaternion8,
-                        symmetric)
+from ppring.grp import (alternating, cyclic, dihedral, direct_product,
+                        quaternion8, symmetric)
 from ppring.lattice import NotComparable, subgroup_lattice
 
 
@@ -51,6 +51,18 @@ class TestAllSubgroups:
         lat = subgroup_lattice(symmetric(4))
         assert len(lat.subgroups) == 30
         assert len(lat.conjugacy_classes()) == 11
+
+    @pytest.mark.parametrize("build,subgroups,classes", [
+        (lambda: alternating(5), 59, 9),
+        (lambda: symmetric(5), 156, 19),
+        # abelian: every subgroup is its own class
+        (lambda: direct_product(direct_product(cyclic(2), cyclic(2)),
+                                direct_product(cyclic(2), cyclic(2))), 67, 67),
+    ])
+    def test_classical_counts(self, build, subgroups, classes):
+        lat = subgroup_lattice(build())
+        assert len(lat.subgroups) == subgroups
+        assert len(lat.conjugacy_classes()) == classes
 
     def test_contains_extremes_and_conjugates(self):
         G = alternating(4)

@@ -2,9 +2,10 @@ import pytest
 
 from ppring.cyclo import Cyclotomic
 from ppring.grp import (Permutation, Subgroup, alternating, cyclic, dihedral,
-                        promote, quotient, subgroup_closure, symmetric, sylow)
+                        direct_product, promote, quotient, subgroup_closure,
+                        symmetric, sylow)
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import (BadIndex, LinChar, NotPGroup, PPElement,
+from ppring.ppelem import (BadIndex, Generator, LinChar, NotPGroup, PPElement,
                            brauer_elt, char_pullback, default_conductor,
                            ind_elt, inf_elt, linear_characters, make_generator,
                            res_elt, tensor_elt)
@@ -20,6 +21,22 @@ def gen_of(G, p, sub_elems, exps=None, n=None):
 
 def single(G, p, gen):
     return PPElement.from_generator(p, gen)
+
+
+def reference_make_generator(group, subgroup, character):
+    """Permutation-level canonical form: conjugate by every g and keep the
+    minimal (Subgroup.key(), exponents aligned to the sorted elements)."""
+    best = best_key = None
+    for g in group.elements:
+        gi = g.inverse()
+        moved = {gi * x * g: e for x, e in character.exps.items()}
+        sub = Subgroup(group, moved.keys(), validate=False)
+        key = (sub.key(), tuple(moved[x] for x in sub.elements))
+        if best_key is None or key < best_key:
+            best_key, best = key, (sub, moved)
+    sub, moved = best
+    return Generator(group, sub,
+                     LinChar(sub, moved, character.conductor, validate=False))
 
 
 class TestLinChar:
@@ -330,6 +347,29 @@ class TestResInfComposite:
                     rhs = rhs + PPElement.from_generator(
                         p, make_generator(LL, pre, chi2)).scale(coeff)
                 assert equal_elements(lhs, rhs)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("build,n", [
+        (lambda: symmetric(4), 3),
+        (lambda: direct_product(dihedral(8), cyclic(2)), 1),
+        (lambda: direct_product(dihedral(8), cyclic(2)), 4),
+        # A5 at conductor 15 has conjugates whose sorted (index, exponent)
+        # pairs order differently from (indices, exponents): the two tuples
+        # must be compared one after the other
+        (lambda: alternating(5), 15),
+    ])
+    def test_table_version_matches_permutation_reference(self, build, n):
+        G = build()
+        checked = 0
+        for L in subgroup_lattice(G).subgroups:
+            for chi in linear_characters(L, n):
+                ref = reference_make_generator(G, L, chi)
+                got = make_generator(G, L, chi)
+                assert got == ref
+                assert got.character.table() == ref.character.table()
+                checked += 1
+        assert checked >= len(subgroup_lattice(G).subgroups)
 
 
 class TestPPElementPlumbing:
