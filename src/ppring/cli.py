@@ -4,8 +4,8 @@ check.
 
 Exit codes: 0 when every requested verification passes, 1 on a verification
 failure, 2 on a usage or configuration error, 3 on an I/O error (such as an
-unwritable ``--out``).  Identical configurations produce byte-identical
-reports.
+unwritable ``--out``).  Errors go to stderr and write no report.
+Identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -501,6 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["json", "csv", "pretty"])
     parser.add_argument("--max-order", type=int, default=DEFAULT_ORDER_CAP)
     parser.add_argument("--oracle-n-cap", type=int, default=ffq.DEFAULT_N_CAP)
+    parser.add_argument("--oracle-dim-cap", type=int, default=ffq.DEFAULT_DIM_CAP)
     parser.add_argument("--samples", type=int, default=50)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write the report to a file")
@@ -513,12 +514,16 @@ def main(argv: list[str] | None = None) -> int:
         config = RunConfig(
             command=args.command, group=args.group, p=args.p, fmt=args.fmt,
             max_order=args.max_order, oracle_n_cap=args.oracle_n_cap,
-            samples=args.samples, seed=args.seed, out=args.out,
+            oracle_dim_cap=args.oracle_dim_cap, samples=args.samples,
+            seed=args.seed, out=args.out,
         )
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     code, text = run(config)
+    if code == 2:
+        sys.stderr.write(text)
+        return code
     if config.out:
         try:
             with open(config.out, "w", encoding="utf-8") as fh:

@@ -1,14 +1,27 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Elements are stored as rational coefficient vectors of length phi(n),
-reduced modulo the n-th cyclotomic polynomial, so equality is plain
-coefficient equality.  There is no floating point anywhere.
+An element is a polynomial in zeta_n of degree below phi(n), reduced modulo
+the n-th cyclotomic polynomial Phi_n (the power-basis canonical form).  It
+is stored as a tuple ``num`` of phi(n) integer numerators over one positive
+integer denominator ``den``, in lowest terms: ``gcd(den, *num) == 1``, so
+zero is stored with ``den == 1``.  Every value therefore has exactly one
+representation, and equality and hashing compare ``(conductor, num, den)``.
+
+All arithmetic is on Python ints.  Addition adds numerators over a common
+denominator and needs no polynomial reduction; multiplication convolves the
+numerators and reduces modulo the monic integer Phi_n; both then divide out
+the gcd.  At phi(n) == 1 (conductors 1 and 2) an element is one rational
+and multiplication is a single product.  Fractions appear only at the
+edge: parsing input coefficients, the read-only ``coeffs`` view used for
+printing and JSON, ``from_rational``, ``as_rational`` and ``from_json``.
+There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -78,109 +91,179 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return _polydiv_exact(num, den)
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a rational polynomial modulo Phi_n to length phi(n)."""
-    phi = euler_phi(n)
+@lru_cache(maxsize=None)
+def _reduction_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the nonzero (degree, coefficient) terms of Phi_n below its
+    leading one, so that x^phi = -sum(c * x^j) modulo Phi_n."""
     mod = cyclotomic_polynomial(n)
-    for i in range(len(coeffs) - 1, phi - 1, -1):
-        c = coeffs[i]
+    phi = len(mod) - 1
+    return phi, tuple((j, c) for j, c in enumerate(mod[:phi]) if c)
+
+
+def _reduce(num: list[int], n: int) -> list[int]:
+    """Reduce an integer polynomial modulo the monic Phi_n to length phi(n)."""
+    phi, terms = _reduction_terms(n)
+    for i in range(len(num) - 1, phi - 1, -1):
+        c = num[i]
         if c:
-            for j, cm in enumerate(mod):
-                coeffs[i - phi + j] -= c * cm
-    coeffs = coeffs[:phi]
-    coeffs += [Fraction(0)] * (phi - len(coeffs))
-    return tuple(coeffs)
+            base = i - phi
+            for j, cm in terms:
+                num[base + j] -= c * cm
+    del num[phi:]
+    num += [0] * (phi - len(num))
+    return num
+
+
+def _lowest(num, den: int) -> tuple[tuple[int, ...], int]:
+    """Numerators and denominator num/den with their common factor removed;
+    a zero numerator vector gets denominator 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return tuple(c // g for c in num), den // g
+    return tuple(num), den
+
+
+def _operand(n: int, other) -> tuple[tuple[int, ...], int] | None:
+    """Numerators and denominator of a Cyclotomic or rational operand; a
+    rational has a single numerator, its constant term."""
+    if isinstance(other, Cyclotomic):
+        if other.conductor != n:
+            raise ConductorMismatch(f"conductors differ: {n} vs {other.conductor}")
+        return other.num, other.den
+    if isinstance(other, int):
+        return (other,), 1
+    if isinstance(other, Fraction):
+        return (other.numerator,), other.denominator
+    return None
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n) in reduced canonical form."""
+    """An element of Q(zeta_n) in reduced canonical form: integer
+    numerators ``num`` over the positive denominator ``den``, in lowest
+    terms."""
 
-    __slots__ = ("conductor", "coeffs", "_hash")
+    __slots__ = ("conductor", "num", "den", "_hash")
 
     def __init__(self, conductor: int, coeffs: Sequence[Rational]):
+        values = [Fraction(c) for c in coeffs]
+        den = lcm(*(v.denominator for v in values))
+        num = _reduce([v.numerator * (den // v.denominator) for v in values],
+                      conductor)
         self.conductor = conductor
-        self.coeffs = _reduce([Fraction(c) for c in coeffs], conductor)
-        self._hash = hash((conductor, self.coeffs))
+        self.num, self.den = _lowest(num, den)
+        self._hash = None
+
+    @classmethod
+    def _new(cls, n: int, num: tuple[int, ...], den: int) -> Cyclotomic:
+        """An element from numerators and denominator already in canonical
+        form, without the parsing of ``__init__``."""
+        self = object.__new__(cls)
+        self.conductor = n
+        self.num = num
+        self.den = den
+        self._hash = None
+        return self
 
     @classmethod
     def zero(cls, n: int) -> Cyclotomic:
-        return cls(n, [])
+        return _zero(n)
 
     @classmethod
     def one(cls, n: int) -> Cyclotomic:
-        return cls(n, [1])
+        return zeta_power(n, 0)
 
     @classmethod
     def from_rational(cls, n: int, value: Rational) -> Cyclotomic:
-        return cls(n, [Fraction(value)])
+        value = Fraction(value)
+        phi = _reduction_terms(n)[0]
+        return cls._new(n, (value.numerator,) + (0,) * (phi - 1), value.denominator)
 
-    def _coerce(self, other) -> "Cyclotomic":
-        if isinstance(other, Cyclotomic):
-            if other.conductor != self.conductor:
-                raise ConductorMismatch(
-                    f"conductors differ: {self.conductor} vs {other.conductor}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.conductor, other)
-        return NotImplemented
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, zeta, ..., zeta^(phi-1) as rationals."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def _add(self, other, sign: int):
+        n = self.conductor
+        operand = _operand(n, other)
+        if operand is None:
+            return NotImplemented
+        onum, oden = operand
+        num, den = self.num, self.den
+        if oden != den:
+            num = [c * oden for c in num]
+            onum = [c * den for c in onum]
+            den *= oden
+        if len(onum) == 1:
+            out = list(num)
+            out[0] += onum[0] if sign > 0 else -onum[0]
+        elif sign > 0:
+            out = [a + b for a, b in zip(num, onum)]
+        else:
+            out = [a - b for a, b in zip(num, onum)]
+        return Cyclotomic._new(n, *_lowest(out, den))
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Cyclotomic(self.conductor,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.conductor, [-a for a in self.coeffs])
+        return Cyclotomic._new(self.conductor, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._add(other, 1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.conductor, [a * other for a in self.coeffs])
-        other = self._coerce(other)
-        if other is NotImplemented:
+        n = self.conductor
+        operand = _operand(n, other)
+        if operand is None:
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Cyclotomic(self.conductor, out)
+        onum, oden = operand
+        a = self.num
+        den = self.den * oden
+        if len(onum) == 1:
+            b = onum[0]
+            return Cyclotomic._new(n, *_lowest([c * b for c in a], den))
+        nonzero = [(j, b) for j, b in enumerate(onum) if b]
+        out = [0] * (len(a) + len(onum) - 1)
+        for i, c in enumerate(a):
+            if c:
+                for j, b in nonzero:
+                    out[i + j] += c * b
+        return Cyclotomic._new(n, *_lowest(_reduce(out, n), den))
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
 
     def as_rational(self) -> Fraction | None:
         """The value as a rational number, or None if it is irrational."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.conductor, other)
-        if not isinstance(other, Cyclotomic):
+        if isinstance(other, Cyclotomic):
+            return (self.conductor == other.conductor and self.den == other.den
+                    and self.num == other.num)
+        operand = _operand(self.conductor, other)
+        if operand is None:
             return NotImplemented
-        return self.conductor == other.conductor and self.coeffs == other.coeffs
+        (value,), den = operand
+        return self.den == den and self.num[0] == value and not any(self.num[1:])
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.conductor, self.num, self.den))
         return self._hash
 
     def __repr__(self) -> str:
@@ -211,7 +294,14 @@ class Cyclotomic:
         return cls(data["conductor"], [Fraction(c) for c in data["coeffs"]])
 
 
+@lru_cache(maxsize=None)
+def _zero(n: int) -> Cyclotomic:
+    return Cyclotomic._new(n, (0,) * _reduction_terms(n)[0], 1)
+
+
+@lru_cache(maxsize=None)
 def zeta_power(n: int, k: int) -> Cyclotomic:
     """The canonical representative of zeta_n^k."""
-    k %= n
-    return Cyclotomic(n, [0] * k + [1])
+    if n < 1:
+        raise ValueError("conductor must be positive")
+    return Cyclotomic._new(n, tuple(_reduce([0] * (k % n) + [1], n)), 1)

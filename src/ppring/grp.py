@@ -73,10 +73,14 @@ class Permutation:
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
         images = list(range(degree))
+        seen: set[int] = set()
         for cycle in cycles:
             for point in cycle:
                 if not (0 <= point < degree):
                     raise InvalidPermutation(f"point {point} outside 0..{degree - 1}")
+                if point in seen:
+                    raise InvalidPermutation(f"point {point} appears twice in the cycles")
+                seen.add(point)
             for i, point in enumerate(cycle):
                 images[point] = cycle[(i + 1) % len(cycle)]
         return cls(images)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ppring import ffq
 from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
                         parse_group_spec, run)
 from ppring.grp import OrderCapExceeded
@@ -141,6 +142,44 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert str(out) in captured.err
+
+    @pytest.mark.parametrize("generators", ["[[[0, 1], [0, 1]]]", "[[[0, 0, 1]]]"])
+    def test_repeated_cycle_points_exit_2(self, generators, capsys):
+        spec = f'{{"degree": 3, "generators": {generators}}}'
+        assert main(["lattice", "--group", spec, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "appears twice" in captured.err
+
+    def test_tiny_dim_cap_exit_2(self, capsys):
+        code = main(["oracle-check", "--group", "S3", "--p", "3", "--samples", "5",
+                     "--seed", "3", "--oracle-dim-cap", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimension 3 exceeds the oracle cap 1\n"
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_non_positive_dim_cap_exit_2(self, cap, capsys):
+        code = main(["oracle-check", "--group", "S3", "--p", "3",
+                     "--oracle-dim-cap", cap])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_default_dim_cap_leaves_oracle_report_unchanged(self, capsys):
+        argv = ["oracle-check", "--group", "S3", "--p", "3", "--samples", "5",
+                "--seed", "3", "--format", "json"]
+        _, library = run(RunConfig(command="oracle-check", group="S3", p=3,
+                                   fmt="json", samples=5, seed=3))
+        reports = []
+        for extra in ([], ["--oracle-dim-cap", str(ffq.DEFAULT_DIM_CAP)]):
+            assert main(argv + extra) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports == [library, library]
+        assert json.loads(library)["all_agree"]
 
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):

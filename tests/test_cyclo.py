@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,86 @@ from hypothesis import strategies as st
 
 from ppring.cyclo import (Cyclotomic, ConductorMismatch, cyclotomic_polynomial,
                           euler_phi, zeta_power)
+
+
+class FractionCyclotomic:
+    """The earlier implementation of Cyclotomic on a tuple of Fractions,
+    reduced modulo Phi_n after every operation: a test-only reference for
+    the integer-numerator form."""
+
+    def __init__(self, n, coeffs):
+        phi = euler_phi(n)
+        mod = cyclotomic_polynomial(n)
+        coeffs = [Fraction(c) for c in coeffs]
+        for i in range(len(coeffs) - 1, phi - 1, -1):
+            c = coeffs[i]
+            if c:
+                for j, cm in enumerate(mod):
+                    coeffs[i - phi + j] -= c * cm
+        coeffs = coeffs[:phi]
+        self.conductor = n
+        self.coeffs = tuple(coeffs + [Fraction(0)] * (phi - len(coeffs)))
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCyclotomic):
+            return other
+        return FractionCyclotomic(self.conductor, [other])
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return FractionCyclotomic(self.conductor,
+                                  [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.conductor, [-a for a in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionCyclotomic(self.conductor, out)
+
+    __rmul__ = __mul__
+
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def is_one(self):
+        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+
+    def as_rational(self):
+        if any(c != 0 for c in self.coeffs[1:]):
+            return None
+        return self.coeffs[0]
+
+    def __str__(self):
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                term = f"{mag}z^{i}" if i > 1 else f"{mag}z"
+                if not parts:
+                    parts.append(("-" if c < 0 else "") + term)
+                else:
+                    parts.append(("- " if c < 0 else "+ ") + term)
+        return " ".join(parts) if parts else "0"
+
+    def to_json(self):
+        return {"conductor": self.conductor, "coeffs": [str(c) for c in self.coeffs]}
 
 
 class TestCyclotomicPolynomial:
@@ -118,3 +199,74 @@ def test_ring_axioms(n, ca, cb, cc):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
+
+
+def assert_matches_reference(value, ref):
+    """``value`` agrees with the Fraction reference at every edge, and its
+    numerators and denominator are in the canonical lowest-terms form."""
+    n = ref.conductor
+    assert value.conductor == n
+    assert len(value.num) == euler_phi(n) and value.den > 0
+    assert gcd(value.den, *value.num) == 1
+    assert value.coeffs == ref.coeffs
+    assert str(value) == str(ref)
+    assert value.to_json() == ref.to_json()
+    assert value.is_zero() == ref.is_zero()
+    assert value.is_one() == ref.is_one()
+    assert value.as_rational() == ref.as_rational()
+    parsed = Cyclotomic(n, ref.coeffs)
+    assert value == parsed and hash(value) == hash(parsed)
+
+
+rational = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_matches_fraction_reference(data):
+    n = data.draw(st.integers(min_value=1, max_value=30), label="n")
+    coeffs = st.lists(rational, max_size=min(2 * euler_phi(n), 12))
+    ca = data.draw(coeffs, label="a")
+    cb = data.draw(coeffs, label="b")
+    q = data.draw(rational, label="q")
+    a, b = Cyclotomic(n, ca), Cyclotomic(n, cb)
+    ra, rb = FractionCyclotomic(n, ca), FractionCyclotomic(n, cb)
+    cases = [
+        (a, ra), (b, rb), (-a, -ra),
+        (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+        (a + q, ra + q), (q + a, q + ra), (a - q, ra - q), (q - a, q - ra),
+        (a * q, ra * q), (q * a, q * ra),
+        (a * b - b * a, ra * rb - rb * ra), ((a + q) * (b - q), (ra + q) * (rb - q)),
+    ]
+    for value, ref in cases:
+        assert_matches_reference(value, ref)
+    assert (a == b) == (ra.coeffs == rb.coeffs)
+    assert (a == q) == (ra.coeffs == FractionCyclotomic(n, [q]).coeffs)
+    assert (a - b == Cyclotomic.zero(n)) == (a == b)
+
+
+class TestEqualValuesHashEqual:
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 20])
+    def test_unreduced_input_and_from_rational(self, n):
+        a = Cyclotomic(n, [Fraction(2, 4)])
+        b = Cyclotomic.from_rational(n, Fraction(1, 2))
+        assert a == b and hash(a) == hash(b)
+        assert (a.num[0], a.den) == (1, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 20])
+    def test_zero_by_cancellation(self, n):
+        x = zeta_power(n, 1) * Fraction(2, 3) + Fraction(5, 7)
+        z = x - x
+        zero = Cyclotomic.zero(n)
+        assert z == zero and hash(z) == hash(zero)
+        assert z.den == 1 and z.is_zero()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 20])
+    def test_halves_sum_to_one(self, n):
+        half = Cyclotomic.from_rational(n, Fraction(1, 2))
+        one = Cyclotomic.one(n)
+        assert half + half == one and hash(half + half) == hash(one)
+        assert (half + half).is_one() and (half * 2).is_one()

@@ -57,6 +57,20 @@ class TestPermutation:
         assert g == Permutation.from_cycles(6, g.cycles())
         assert g.order() == 6
 
+    @pytest.mark.parametrize("cycles", [
+        [(0, 1), (0, 1)],      # two cycles share both points
+        [(0, 1), (1, 2)],      # two cycles share one point
+        [(0, 0, 1)],           # one cycle repeats a point
+        [(2,), (2,)],          # a fixed point given twice
+    ])
+    def test_from_cycles_rejects_repeated_points(self, cycles):
+        with pytest.raises(InvalidPermutation, match="appears twice"):
+            Permutation.from_cycles(3, cycles)
+
+    def test_from_cycles_accepts_disjoint_cycles_and_fixed_points(self):
+        g = Permutation.from_cycles(5, [(0, 1), (2,), (3, 4)])
+        assert g.images == (1, 0, 2, 4, 3)
+
 
 class TestCloseGenerators:
     def test_empty_generating_set(self):
