@@ -6,9 +6,9 @@ from .grp import (FiniteGroup, InvalidPermutation, NotNormal, NotSubgroup,
                   OrderCapExceeded, Permutation, QuotientGroup, Subgroup,
                   alternating, centralizer, close_generators, cyclic, dihedral,
                   direct_product, double_coset_reps, klein_four, normalizer,
-                  p_prime_part, promote, quaternion8, quotient,
+                  normalizer_quotient, p_prime_part, promote, quaternion8, quotient,
                   subgroup_conjugacy, symmetric, sylow)
-from .lattice import SubgroupLattice, all_subgroups, moebius, subgroup_lattice
+from .lattice import SubgroupLattice, subgroup_lattice
 from .ppelem import (Generator, LinChar, PPElement, brauer_elt, char_pullback,
                      default_conductor, ind_elt, inf_elt, linear_characters,
                      make_generator, res_elt, tensor_elt)

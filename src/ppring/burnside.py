@@ -16,7 +16,8 @@ from typing import Mapping, Union
 
 from .cyclo import Cyclotomic
 from .grp import (FiniteGroup, Subgroup, conjugate_meet, coset_indices,
-                  double_coset_reps, mult_table, normalizer, promote, quotient)
+                  double_coset_reps, mult_table, normalizer, normalizer_quotient,
+                  promote)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                      make_generator)
@@ -89,15 +90,11 @@ def mark(G: FiniteGroup, L: Subgroup, H: Subgroup) -> int:
 
 def _fixed_cosets(G: FiniteGroup, L: Subgroup, H: Subgroup) -> list[int]:
     """Indices of the minimal representatives g of the cosets gL fixed by H."""
-    index, table, inv = mult_table(G)
+    index, _, _, conj = mult_table(G)
     members = frozenset(L.indices())
     hgens = [index[h] for h in H.generators()]
-    fixed = []
-    for g in coset_indices(G, L)[0]:
-        row = table[inv[g]]
-        if all(table[row[h]][g] in members for h in hgens):
-            fixed.append(g)
-    return fixed
+    return [g for g in coset_indices(G, L)[0]
+            if all(conj[g][h] in members for h in hgens)]
 
 
 def mark_element(x: BurnsideElement, H: Subgroup) -> Fraction:
@@ -153,7 +150,7 @@ def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
     ``fixed`` lists coset representatives as indices of G; returns the
     elements of the stabilizer in H of each orbit's minimal coset.
     """
-    index, table, inv = mult_table(G)
+    index, table, _, conj = mult_table(G)
     rep_of = coset_indices(G, L)[1]
     hgens = [index[h] for h in H.generators()]
     remaining = set(fixed)
@@ -173,8 +170,8 @@ def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
                         new.append(d)
             frontier = new
         remaining -= orbit
-        row = table[inv[start]]
-        stab = [G.elements[h] for h in H.indices() if table[row[h]][start] in members]
+        row = conj[start]
+        stab = [G.elements[h] for h in H.indices() if row[h] in members]
         out.append(stab)
     return out
 
@@ -214,13 +211,12 @@ def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
         raise GroupMismatch("subgroup over a different group")
     G = x.group
     N = normalizer(G, P)
-    H = promote(N)
-    Q = quotient(H, P.reparent(H))
+    Q = normalizer_quotient(G, P)
     out = BurnsideElement.zero(Q.group)
     for L, c in x.coeffs.items():
         terms: dict[Subgroup, Fraction] = {}
         for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P)):
-            Sbar = Q.project_subgroup(Subgroup(H, stab, validate=False))
+            Sbar = Q.project_subgroup(Subgroup(Q.parent, stab, validate=False))
             terms[Sbar] = terms.get(Sbar, Fraction(0)) + c
         out = out + BurnsideElement(Q.group, terms)
     return out

@@ -23,11 +23,11 @@ from . import ffq, idem, species
 from .cyclo import Cyclotomic
 from .grp import (DEFAULT_ORDER_CAP, FiniteGroup, GroupError, Permutation,
                   alternating, check_prime, close_generators, cyclic, dihedral,
-                  direct_product, klein_four, normalizer, promote,
-                  quaternion8, quotient, symmetric)
+                  direct_product, is_p_power, klein_four, normalizer_quotient,
+                  promote, quaternion8, quotient, symmetric)
 from .lattice import subgroup_lattice
 from .ppelem import (PPElement, brauer_elt, default_conductor, ind_elt,
-                     inf_elt, is_p_power, res_elt)
+                     inf_elt, res_elt)
 
 
 class ParseError(Exception):
@@ -291,8 +291,7 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
                 # the Brauer morphism at the trivial subgroup is the identity,
                 # while the fixed-point functor lands over the regular
                 # realization G/1; inflate back along the isomorphism
-                N = normalizer(G, P)
-                Q = quotient(promote(N), P.reparent(promote(N)))
+                Q = normalizer_quotient(G, P)
                 ok = species.equal_elements(inf_elt(lhs, Q), rhs)
             else:
                 ok = species.equal_elements(lhs, rhs)
@@ -303,8 +302,7 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
         if not N.is_normal():
             continue
         lhs = bd.fixed_point_functor(N, ex)
-        NN = promote(normalizer(G, N))
-        Q = quotient(NN, N.reparent(NN))
+        Q = normalizer_quotient(G, N)
         rhs = bd.gluck_yoshida(Q.group, Q.group.full_subgroup())
         add(f"fixed points of top idempotent |N|={N.order}", lhs == rhs)
     return checks

@@ -296,19 +296,19 @@ class FqModule:
 
 
 def _mat_mul(F: FqField, a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
+    """Row times matrix: each row of the product accumulates x * b[t] over the
+    nonzero entries x = a[i][t] of the row of a."""
+    zero = F.zero()
+    m = len(b[0]) if b else 0
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = F.zero()
-            for t in range(k):
-                if a[i][t] != F.zero():
-                    acc = F.add(acc, F.mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
+    for a_row in a:
+        acc = [zero] * m
+        for x, b_row in zip(a_row, b):
+            if x != zero:
+                for j, y in enumerate(b_row):
+                    if y != zero:
+                        acc[j] = F.add(acc[j], F.mul(x, y))
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -324,9 +324,10 @@ def _mat_vec(F: FqField, a, v):
 
 
 def _dot(F: FqField, row, v):
-    acc = F.zero()
+    zero = F.zero()
+    acc = zero
     for x, y in zip(row, v):
-        if x != F.zero() and y != F.zero():
+        if x != zero and y != zero:
             acc = F.add(acc, F.mul(x, y))
     return acc
 

@@ -4,12 +4,14 @@ Groups are fully enumerated permutation groups on ``{0..degree-1}``.  Every
 operation is brute force over the whole group: at the scale this library
 targets (orders up to a few hundred) exhaustive loops are fast, exactly
 reproducible and easy to audit.  The loops run on element indices against
-per-group multiplication and inverse tables (:func:`mult_table`), so a product
-is a table lookup; :class:`Permutation` objects are built only where a
-subgroup, a character or a report needs them.  The canonical element order is
-lexicographic on image tuples, which is also index order, and every "choose a
-representative" step picks the minimum in that order, so all outputs are
-deterministic.
+per-group multiplication, inverse and conjugation tables (:func:`mult_table`),
+so a product or a conjugate is a table lookup; :class:`Permutation` objects are
+built only where a subgroup, a character or a report needs them.  This module
+is the only one that knows the conjugation convention (g^-1 x g, read from
+``conj[g][x]``) and how N_G(P)/P is formed (:func:`normalizer_quotient`).  The
+canonical element order is lexicographic on image tuples, which is also index
+order, and every "choose a representative" step picks the minimum in that
+order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -349,24 +351,18 @@ class Subgroup:
 
     def conj(self, g: Permutation) -> Subgroup:
         """The conjugate subgroup g^-1 * H * g."""
-        index, table, inv = mult_table(self.parent)
-        gg = index[g]
-        row = table[inv[gg]]
-        return Subgroup.from_indices(
-            self.parent, sorted(table[row[x]][gg] for x in self.indices()))
+        index, _, _, conj = mult_table(self.parent)
+        row = conj[index[g]]
+        return Subgroup.from_indices(self.parent, sorted(row[x] for x in self.indices()))
 
     def is_normal(self) -> bool:
-        index, table, inv = mult_table(self.parent)
+        index, _, _, conj = mult_table(self.parent)
         members = frozenset(self.indices())
         for g in self.parent.generators:
-            gg = index[g]
-            row = table[inv[gg]]
-            if any(table[row[x]][gg] not in members for x in members):
+            row = conj[index[g]]
+            if any(row[x] not in members for x in members):
                 return False
         return True
-
-    def contains_subgroup(self, other: Subgroup) -> bool:
-        return other.element_set <= self.element_set
 
     def reparent(self, group: FiniteGroup) -> Subgroup:
         """The same element set viewed inside another (super)group."""
@@ -396,14 +392,15 @@ def promote(H: Subgroup) -> FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Index map, integer multiplication table and inverse table of a group.
+def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...],
+                                          tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Index map, integer multiplication, inverse and conjugation tables.
 
     ``index[x]`` is the position of x in ``G.elements``; ``table[a][b]`` is
-    the index of ``elements[a] * elements[b]`` and ``inv[a]`` that of the
-    inverse of ``elements[a]``, so the conjugate g^-1 x g is
-    ``table[table[inv[g]][x]][g]``.  The identity sits at index 0 because it
-    is lexicographically minimal.
+    the index of ``elements[a] * elements[b]``, ``inv[a]`` that of the
+    inverse of ``elements[a]`` and ``conj[g][x]`` that of the conjugate
+    g^-1 x g, so ``conj[inv[g]]`` conjugates the other way (g x g^-1).  The
+    identity sits at index 0 because it is lexicographically minimal.
     """
     elements = G.elements
     index = {x: i for i, x in enumerate(elements)}
@@ -413,7 +410,8 @@ def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...], tuple
         for a in elements
     )
     inv = tuple(row.index(0) for row in table)
-    return index, table, inv
+    conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(len(elements)))
+    return index, table, inv, conj
 
 
 def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> frozenset:
@@ -436,16 +434,16 @@ def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> fr
 
 def subgroup_closure(G: FiniteGroup, elements: Iterable[Permutation]) -> Subgroup:
     """The subgroup of G generated by ``elements``."""
-    index, table, _ = mult_table(G)
+    index, table = mult_table(G)[:2]
     closed = close_indices(table, [index[x] for x in elements])
     return Subgroup.from_indices(G, sorted(closed))
 
 
-def _is_p_element(x: Permutation, p: int) -> bool:
-    n = x.order()
-    while n % p == 0:
-        n //= p
-    return n == 1
+def is_p_power(m: int, p: int) -> bool:
+    """True iff m is a power of p (including p^0 = 1)."""
+    while m % p == 0:
+        m //= p
+    return m == 1
 
 
 def check_prime(p: int) -> None:
@@ -467,7 +465,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     while True:
         N = normalizer(G, P)
         x = next(
-            (y for y in N.elements if y not in P.element_set and _is_p_element(y, p)),
+            (y for y in N.elements if y not in P.element_set and is_p_power(y.order(), p)),
             None,
         )
         if x is None:
@@ -497,22 +495,18 @@ def p_prime_part(G: FiniteGroup, x: Permutation, p: int) -> Permutation:
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if H.parent != G:
         raise NotSubgroup("subgroup belongs to a different group")
-    index, table, inv = mult_table(G)
+    index, _, _, conj = mult_table(G)
     members = frozenset(H.indices())
     hgens = [index[h] for h in H.generators()]
-    normalizing = []
-    for g in range(G.order):
-        row = table[inv[g]]
-        if all(table[row[h]][g] in members for h in hgens):
-            normalizing.append(g)
-    return Subgroup.from_indices(G, normalizing)
+    return Subgroup.from_indices(
+        G, [g for g in range(G.order) if all(conj[g][h] in members for h in hgens)])
 
 
 @lru_cache(maxsize=None)
 def centralizer(G: FiniteGroup, x: Permutation) -> Subgroup:
     if x not in G:
         raise NotSubgroup("element not in the group")
-    index, table, _ = mult_table(G)
+    index, table = mult_table(G)[:2]
     xi = index[x]
     row = table[xi]
     return Subgroup.from_indices(
@@ -589,6 +583,13 @@ def quotient(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
     return QuotientGroup(G, N)
 
 
+@lru_cache(maxsize=None)
+def normalizer_quotient(G: FiniteGroup, P: Subgroup) -> QuotientGroup:
+    """N_G(P)/P; its ``parent`` is the normalizer promoted to a group."""
+    H = promote(normalizer(G, P))
+    return quotient(H, P.reparent(H))
+
+
 def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
     """Left cosets of H in G on element indices: the minimal representative
     of each coset, in order, and the representative of every element."""
@@ -614,10 +615,6 @@ def coset_table(G: FiniteGroup, H: Subgroup) -> tuple[tuple[Permutation, ...], d
     elements = G.elements
     return (tuple(elements[i] for i in reps),
             {x: elements[r] for x, r in zip(elements, rep_of)})
-
-
-def cosets(G: FiniteGroup, H: Subgroup) -> tuple[Permutation, ...]:
-    return coset_table(G, H)[0]
 
 
 def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[Permutation]:
@@ -649,24 +646,22 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[Permutat
 
 def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: Permutation) -> list[int]:
     """Sorted indices of A cap g B g^-1, the subgroup of a Mackey term."""
-    index, table, inv = mult_table(G)
-    gg = index[g]
-    row = table[gg]
-    gi = inv[gg]
-    conj = {table[row[b]][gi] for b in B.indices()}
-    return [a for a in A.indices() if a in conj]
+    index, _, inv, conj = mult_table(G)
+    row = conj[inv[index[g]]]
+    conjugate = {row[b] for b in B.indices()}
+    return [a for a in A.indices() if a in conjugate]
 
 
 def subgroup_conjugacy(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> Optional[Permutation]:
     """Some g with H1^g = H2, or None. Brute force over G."""
     if H1.order != H2.order:
         return None
-    _, table, inv = mult_table(G)
+    conj = mult_table(G)[3]
     target = frozenset(H2.indices())
     members = H1.indices()
     for g in range(G.order):
-        row = table[inv[g]]
-        if all(table[row[x]][g] in target for x in members):
+        row = conj[g]
+        if all(row[x] in target for x in members):
             return G.elements[g]
     return None
 
@@ -674,14 +669,14 @@ def subgroup_conjugacy(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> Optional[P
 @lru_cache(maxsize=None)
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[Permutation, ...], ...]:
     """Element conjugacy classes, each sorted, ordered by minimal member."""
-    _, table, inv = mult_table(G)
+    conj = mult_table(G)[3]
     elements = G.elements
     seen = bytearray(G.order)
     classes = []
     for x in range(G.order):
         if seen[x]:
             continue
-        cls = sorted({table[table[inv[g]][x]][g] for g in range(G.order)})
+        cls = sorted({row[x] for row in conj})
         for y in cls:
             seen[y] = 1
         classes.append(tuple(elements[y] for y in cls))

@@ -27,13 +27,9 @@ class SubgroupLattice:
         self.bottom = self.subgroups[0]
         self._index = {H: i for i, H in enumerate(self.subgroups)}
         # below[i] = bitmask of the subgroups contained in subgroup i
-        self._below = []
-        for H in self.subgroups:
-            mask = 0
-            for j, K in enumerate(self.subgroups):
-                if K.element_set <= H.element_set:
-                    mask |= 1 << j
-            self._below.append(mask)
+        members = [frozenset(H.indices()) for H in self.subgroups]
+        self._below = [sum(1 << j for j, K in enumerate(members) if K <= H)
+                       for H in members]
         self._mu: dict[tuple[int, int], int] = {}
         self._classes, self._rep_of = _conjugacy_classes(group, self.subgroups)
 
@@ -114,7 +110,7 @@ def _all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
 def _conjugacy_classes(group, subgroups):
     """Conjugacy classes of the (sorted) subgroups, each sorted, ordered by
     their minimal member, plus the class representative of each position."""
-    _, table, inv = mult_table(group)
+    conj = mult_table(group)[3]
     position = {frozenset(H.indices()): i for i, H in enumerate(subgroups)}
     seen: set[int] = set()
     classes = []
@@ -123,10 +119,7 @@ def _conjugacy_classes(group, subgroups):
         if i in seen:
             continue
         members = H.indices()
-        conjugates = set()
-        for g in range(group.order):
-            row = table[inv[g]]
-            conjugates.add(position[frozenset(table[row[x]][g] for x in members)])
+        conjugates = {position[frozenset(row[x] for x in members)] for row in conj}
         seen.update(conjugates)
         cls = tuple(subgroups[j] for j in sorted(conjugates))
         classes.append(cls)
@@ -139,12 +132,3 @@ def _conjugacy_classes(group, subgroups):
 def subgroup_lattice(G: FiniteGroup) -> SubgroupLattice:
     """The lattice of all subgroups of G, cached per group."""
     return SubgroupLattice(G)
-
-
-def all_subgroups(G: FiniteGroup) -> SubgroupLattice:
-    """Spec-facing alias for :func:`subgroup_lattice`."""
-    return subgroup_lattice(G)
-
-
-def moebius(lat: SubgroupLattice, A: Subgroup, B: Subgroup) -> int:
-    return lat.moebius(A, B)

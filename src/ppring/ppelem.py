@@ -23,8 +23,8 @@ from typing import Mapping, Union
 
 from .cyclo import Cyclotomic, ConductorMismatch, zeta_power
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, Permutation, QuotientGroup,
-                  Subgroup, conjugate_meet, double_coset_reps, mult_table,
-                  normalizer, promote, quotient)
+                  Subgroup, conjugate_meet, double_coset_reps, is_p_power,
+                  mult_table, normalizer, normalizer_quotient, promote, quotient)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -105,11 +105,9 @@ class LinChar:
     def conj(self, g: Permutation) -> LinChar:
         """The character on domain^g sending x to chi(g x g^-1)."""
         G = self.domain.parent
-        index, table, inv = mult_table(G)
-        gg = index[g]
-        row = table[inv[gg]]
-        moved = {table[row[x]][gg]: e
-                 for x, e in zip(self.domain.indices(), self._table)}
+        index, _, _, conj = mult_table(G)
+        row = conj[index[g]]
+        moved = {row[x]: e for x, e in zip(self.domain.indices(), self._table)}
         dom = Subgroup.from_indices(G, sorted(moved))
         return LinChar(dom, {G.elements[i]: moved[i] for i in dom.indices()},
                        self.conductor, validate=False)
@@ -236,13 +234,12 @@ def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -
         raise GroupMismatch("subgroup does not live in the given group")
     if character.domain != subgroup:
         raise GroupMismatch("character domain differs from the subgroup")
-    _, table, inv = mult_table(group)
+    conj = mult_table(group)[3]
     members = subgroup.indices()
     exps = character.table()
     best_sub = best_exps = None
-    for g in range(group.order):
-        row = table[inv[g]]
-        moved = [table[row[x]][g] for x in members]
+    for row in conj:
+        moved = [row[x] for x in members]
         sub = sorted(moved)
         if best_sub is not None and sub > best_sub:
             continue
@@ -377,7 +374,7 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: Permutation, j: int,
         raise BadIndex(f"character index {j} outside 0..{r - 1}")
     if conductor % r != 0:
         raise ConductorMismatch("lift order does not divide the conductor")
-    index, table, _ = mult_table(Q.group)
+    index, table = mult_table(Q.group)[:2]
     s = index[sbar]
     dlog = {}
     power = 0
@@ -472,10 +469,8 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
         raise NotPGroup(f"subgroup order {P.order} is not a power of {x.p}")
     if P.order == 1:
         return x
-    N = normalizer(x.group, P)
-    y = res_elt(x, N)
-    H = promote(N)
-    Q = quotient(H, P.reparent(H))
+    y = res_elt(x, normalizer(x.group, P))
+    Q = normalizer_quotient(x.group, P)
     n = x.conductor
     terms: dict[Generator, Cyclotomic] = {}
     for gen, coeff in y.terms.items():
@@ -488,10 +483,3 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
         new = make_generator(Q.group, Lbar, chi)
         terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
     return PPElement(Q.group, x.p, n, terms)
-
-
-def is_p_power(m: int, p: int) -> bool:
-    """True iff m is a power of p (including p^0 = 1)."""
-    while m % p == 0:
-        m //= p
-    return m == 1

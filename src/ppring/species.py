@@ -27,10 +27,11 @@ from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, zeta_power
 from .grp import (FiniteGroup, Permutation, Subgroup, centralizer,
-                  conjugacy_classes, cosets, mult_table, normalizer,
-                  p_prime_part, promote, quotient, subgroup_closure)
+                  conjugacy_classes, coset_indices, is_p_power, mult_table,
+                  normalizer, normalizer_quotient, p_prime_part, subgroup_closure)
 from .lattice import subgroup_lattice
-from .ppelem import Generator, GroupMismatch, PPElement, is_p_power
+from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
+                     make_generator)
 
 
 class SpeciesPair:
@@ -91,21 +92,19 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: Permutation) -> Specie
     if lift not in N:
         raise ValueError("lift does not normalize the subgroup")
     ps = subgroup_closure(G, P.elements + (lift,))
-    H = promote(N)
-    Q = quotient(H, P.reparent(H))
+    Q = normalizer_quotient(G, P)
     sbar = Q.project(lift)
     s_order = sbar.order()
     if lift.order() != s_order:
         raise RuntimeError("a p'-lift must have exactly the order of its image")
     centralizer_order = centralizer(Q.group, sbar).order
-    index, table, inv = mult_table(G)
+    index, table, inv, conj = mult_table(G)
     t = index[lift]
     t_inv = inv[t]
     members = frozenset(P.indices())
     # g stabilizes the pair when g^-1 t g lies in the coset P t
     stab = Subgroup.from_indices(G, [
-        g for g in N.indices()
-        if table[table[table[inv[g]][t]][g]][t_inv] in members])
+        g for g in N.indices() if table[conj[g][t]][t_inv] in members])
     if stab.order != P.order * centralizer_order:
         raise RuntimeError("pair stabilizer order differs from |P| * |centralizer|")
     return SpeciesPair(G, p, P, lift, ps, s_order, stab, centralizer_order)
@@ -124,14 +123,12 @@ def enumerate_pairs(G: FiniteGroup, p: int) -> tuple[SpeciesPair, ...]:
     for P in lat.class_reps():
         if not is_p_power(P.order, p):
             continue
-        N = normalizer(G, P)
-        H = promote(N)
-        Q = quotient(H, P.reparent(H))
+        Q = normalizer_quotient(G, P)
         for cls in conjugacy_classes(Q.group):
             s = cls[0]
             if math.gcd(s.order(), p) != 1:
                 continue
-            lift = p_prime_part(H, Q.lift(s), p)
+            lift = p_prime_part(Q.parent, Q.lift(s), p)
             pairs.append(build_pair(G, p, P, lift))
     return tuple(sorted(pairs, key=SpeciesPair.sort_key))
 
@@ -142,16 +139,15 @@ def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
         raise GroupMismatch("pairs live over different groups")
     if a.P.order != b.P.order or a.s_order != b.s_order:
         return False
-    index, table, inv = mult_table(a.group)
+    index, table, inv, conj = mult_table(a.group)
     target = frozenset(b.P.indices())
     members = a.P.indices()
     t = index[a.lift]
     b_inv = inv[index[b.lift]]
     for g in range(a.group.order):
-        row = table[inv[g]]
-        if any(table[row[x]][g] not in target for x in members):
+        if any(conj[g][x] not in target for x in members):
             continue
-        if table[table[row[t]][g]][b_inv] in target:
+        if table[conj[g][t]][b_inv] in target:
             return True
     return False
 
@@ -165,17 +161,16 @@ def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
     if n % pair.s_order != 0 or n % pair.p == 0:
         raise ConductorMismatch("conductor incompatible with the pair")
     L = gen.subgroup
-    index, table, inv = mult_table(pair.group)
+    index, _, _, conj = mult_table(pair.group)
     exp_of = dict(zip(L.indices(), gen.character.table()))
     pgens = [index[u] for u in pair.P.generators()]
     t = index[pair.lift]
     counts: dict[int, int] = {}
-    for rep in cosets(pair.group, L):
-        g = index[rep]
-        row = table[inv[g]]
-        if any(table[row[u]][g] not in exp_of for u in pgens):
+    for g in coset_indices(pair.group, L)[0]:
+        row = conj[g]
+        if any(row[u] not in exp_of for u in pgens):
             continue  # coset line not P-fixed
-        e = exp_of.get(table[row[t]][g])
+        e = exp_of.get(row[t])
         if e is None:
             continue  # line moved by the lift: no trace contribution
         counts[e] = counts.get(e, 0) + 1
@@ -238,7 +233,6 @@ def equal_elements(x: PPElement, y: PPElement) -> bool:
 def standard_generators(G: FiniteGroup, p: int, conductor: int) -> tuple[Generator, ...]:
     """The canonical monomial spanning set: one generator per conjugacy class
     of (subgroup, linear character) pairs at the given conductor."""
-    from .ppelem import linear_characters, make_generator
     lat = subgroup_lattice(G)
     seen: dict[Generator, None] = {}
     for L in lat.class_reps():

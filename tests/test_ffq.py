@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from ppring.cyclo import Cyclotomic
-from ppring.ffq import CapExceeded, build_field, oracle_tau, realize_generator
+from ppring.ffq import (CapExceeded, _mat_mul, build_field, oracle_tau,
+                       realize_generator)
 from ppring.grp import cyclic, dihedral, symmetric, sylow
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (LinChar, default_conductor, linear_characters,
@@ -67,6 +70,25 @@ class TestBuildField:
                 assert F.mul(a, b) == F.mul(b, a)
                 if a != F.zero():
                     assert F.mul(a, F.inv(a)) == F.one()
+
+
+    def test_mat_mul_matches_entrywise_definition(self):
+        F = build_field(2, 3)
+        elems = list(F.elements())
+        rng = random.Random(0)
+        # half the entries zero, as in the sparse action matrices
+        a = [[rng.choice(elems[:1] * 3 + elems[1:]) for _ in range(5)] for _ in range(4)]
+        b = [[rng.choice(elems[:1] * 3 + elems[1:]) for _ in range(3)] for _ in range(5)]
+        expected = []
+        for i in range(4):
+            row = []
+            for j in range(3):
+                acc = F.zero()
+                for t in range(5):
+                    acc = F.add(acc, F.mul(a[i][t], b[t][j]))
+                row.append(acc)
+            expected.append(tuple(row))
+        assert _mat_mul(F, a, b) == tuple(expected)
 
 
 class TestRealizeGenerator:

@@ -1,0 +1,83 @@
+"""Pinned sha256 digests of the JSON report of every CLI command.
+
+Reports are deterministic, so any change to the program that is meant to
+keep its results must keep these digests.  ``oracle-check`` runs with
+``--samples 20 --seed 0``.
+"""
+
+import hashlib
+
+import pytest
+
+from ppring.cli import COMMANDS, RunConfig, run
+
+CASES = [("S4", 2), ("S4", 3), ("D8", 2), ("A4", 3)]
+
+DIGESTS = {
+    "burnside S4 p=2":
+        "3f563692137841d57cdb7986f9f4009abaec790aa8cd6bb26521ad7349b0fc69",
+    "idempotents S4 p=2":
+        "ff27f6e531928dd2f4262cef8502a5c4ef11b72288e1ae3d7c1536cf6cb17b45",
+    "lattice S4 p=2":
+        "a7181603303c17e45d636c4b0c3675ef85002ff7357048de5a267a50a6ecfadb",
+    "oracle-check S4 p=2":
+        "506d5a2f200ecbe4cae674247a775c0ff5f3f68bd37d48db2880715eec3b96bb",
+    "pairs S4 p=2":
+        "dc76c566fb16787a88e2c34eecda08e87dd260ac0dd36755dfe1a436ef741a00",
+    "species-table S4 p=2":
+        "418420a11a05b09f30b314b693448c14583db6663f0ede91ddef36b91744d6b5",
+    "verify S4 p=2":
+        "fd3b3e1d83ac95f861e0e564a81490b55aad3e33a6e16989745f5a6864b8ac68",
+    "burnside S4 p=3":
+        "3f563692137841d57cdb7986f9f4009abaec790aa8cd6bb26521ad7349b0fc69",
+    "idempotents S4 p=3":
+        "c768dedba42142073900eea6d176b9839d84d3d879625061d61821969ee3b885",
+    "lattice S4 p=3":
+        "a7181603303c17e45d636c4b0c3675ef85002ff7357048de5a267a50a6ecfadb",
+    "oracle-check S4 p=3":
+        "bc981e57e2d4ee0129dad1fa29971b27d0c8658111b5019e1d56f9221b9847fd",
+    "pairs S4 p=3":
+        "b50fd002ce4f8db8123c762f8183b8aef90c51e6bd3dd0c9eacdc7d2c53fd518",
+    "species-table S4 p=3":
+        "4d3838d7be8a565ed008a331a5842ad8d1845554b0625de3a68c29a985f1eff0",
+    "verify S4 p=3":
+        "cfdf83738f3fefd8fa7f20a8196efaf624fec23034dfa6c77a27051a5aea4781",
+    "burnside D8 p=2":
+        "69fc38066475607e32604c7b3bd57d216336ea080df5dd72363614bbcc028ca4",
+    "idempotents D8 p=2":
+        "c70cab8357ffcec49cd1c14d8653f5977bac1758fc7cf9334635810d4f168e94",
+    "lattice D8 p=2":
+        "023832083db0266e628df5dc56ab18ed25667d0f2360770913e0ab38abadfa52",
+    "oracle-check D8 p=2":
+        "446e79229aaa8ddf898731703fb5c1321a4bcfb57049bf5b62cd1a30b3f0a311",
+    "pairs D8 p=2":
+        "f153daec6395620b429eba64c44a6084948b0b0af7204117d2b1aef76dfda933",
+    "species-table D8 p=2":
+        "734b31ba5f67da2365cb02cb6e76bbe6f951298f4dac229409efc31eb78cb783",
+    "verify D8 p=2":
+        "7e2af0e19f762d6e229faa8fbc1c008ef82a088f999c38caca6eef73e36051ae",
+    "burnside A4 p=3":
+        "3f1c78eb8ee702b27208e6de4d386ce50ba1e57296c7aea32d3017de3d52960a",
+    "idempotents A4 p=3":
+        "03f854d79ce01e2c8f7ece45f872046d26afffb083f13422d395c651b1bab304",
+    "lattice A4 p=3":
+        "6ff06ee55b951d6447e540c0ea220ae66e965b90955271125643f33a1d018587",
+    "oracle-check A4 p=3":
+        "2f1e2ebe1a9961f553793eb647c94de670652e2a3dc3572eef495995a17ac9b0",
+    "pairs A4 p=3":
+        "b79f0e4666f292cd0ab76cf90a202db04f6ffe449532acdcf1b5b1e356ff0439",
+    "species-table A4 p=3":
+        "24f4c245ae1420e63c9a2f1340c166f44cb636d12226316bd0394034a57ec307",
+    "verify A4 p=3":
+        "a7c247cc753fae8a98614f8d9f5300a6ce46810f90d53d5d1c59ff4b8ca019a6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("group,p", CASES, ids=[f"{g}-p{p}" for g, p in CASES])
+def test_report_digest(command, group, p):
+    code, text = run(RunConfig(command=command, group=group, p=p, fmt="json",
+                               samples=20, seed=0))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        DIGESTS[f"{command} {group} p={p}"]

@@ -9,9 +9,11 @@ from ppring.grp import (InvalidPermutation, OrderCapExceeded,
                         Permutation, Subgroup, alternating, centralizer,
                         close_generators, conjugacy_classes, conjugate_meet,
                         cyclic, dihedral, direct_product, double_coset_reps,
-                        klein_four, normalizer, p_prime_part, promote,
+                        is_p_power, klein_four, mult_table, normalizer,
+                        normalizer_quotient, p_prime_part, promote,
                         quaternion8, quotient, subgroup_closure,
                         subgroup_conjugacy, symmetric, sylow)
+from ppring.lattice import subgroup_lattice
 
 
 def brute_closure(degree, gens):
@@ -241,6 +243,28 @@ class TestNormalizerCentralizer:
         C = centralizer(G, x)
         assert C.order == 3
         assert all(g * x == x * g for g in C.elements)
+
+
+class TestConjugationTable:
+    @pytest.mark.parametrize("build", [lambda: symmetric(4),
+                                       lambda: direct_product(dihedral(8), cyclic(2))],
+                             ids=["S4", "D8xC2"])
+    def test_matches_permutation_conj(self, build):
+        G = build()
+        conj = mult_table(G)[3]
+        for gi, g in enumerate(G.elements):
+            assert [G.elements[i] for i in conj[gi]] == [x.conj(g) for x in G.elements]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_normalizer_quotient_order(self, p):
+        G = symmetric(4)
+        for P in subgroup_lattice(G).class_reps():
+            if not is_p_power(P.order, p):
+                continue
+            N = normalizer(G, P)
+            Q = normalizer_quotient(G, P)
+            assert Q.parent == promote(N)
+            assert Q.group.order == N.order // P.order
 
 
 class TestQuotient:
