@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 
 from .cyclo import Cyclotomic, zeta_power
-from .grp import Permutation, Subgroup, coset_table, promote
+from .grp import Permutation, Subgroup, coset_indices, mult_table, promote
 from .lattice import subgroup_lattice
 from .ppelem import Generator
 from .species import SpeciesPair
@@ -256,16 +256,14 @@ def build_field(p: int, n: int, n_cap: int = DEFAULT_N_CAP,
 class FqModule:
     """A monomial matrix realization of a generator over a finite field."""
 
-    __slots__ = ("field", "group", "dimension", "_transversal", "_rep_of",
-                 "_subgroup", "_character", "_cache")
+    __slots__ = ("field", "group", "dimension", "_reps", "_rep_of", "_exp_of", "_cache")
 
     def __init__(self, field: FqField, gen: Generator):
         self.field = field
         self.group = gen.group
-        self._subgroup = gen.subgroup
-        self._character = gen.character
-        self._transversal, self._rep_of = coset_table(gen.group, gen.subgroup)
-        self.dimension = len(self._transversal)
+        self._reps, self._rep_of = coset_indices(gen.group, gen.subgroup)
+        self._exp_of = dict(zip(gen.subgroup.indices(), gen.character.table()))
+        self.dimension = len(self._reps)
         self._cache: dict[Permutation, tuple] = {}
         # spot-check the homomorphism property on generator pairs
         for a in self.group.generators:
@@ -278,15 +276,15 @@ class FqModule:
         if g not in self._cache:
             F = self.field
             d = self.dimension
-            index = {c: i for i, c in enumerate(self._transversal)}
+            index, table, inv = mult_table(self.group)[:3]
+            row = table[index[g]]
+            position = {c: i for i, c in enumerate(self._reps)}
             rows = [[F.zero()] * d for _ in range(d)]
-            for i, ci in enumerate(self._transversal):
-                gc = g * ci
+            for i, ci in enumerate(self._reps):
+                gc = row[ci]
                 cj = self._rep_of[gc]
-                j = index[cj]
-                ell = cj.inverse() * gc
-                e = self._character.value(ell)
-                rows[j][i] = F.pow(F.zeta, e) if F.n > 1 else F.one()
+                e = self._exp_of[table[inv[cj]][gc]]  # chi(c_j^-1 g c_i)
+                rows[position[cj]][i] = F.pow(F.zeta, e) if F.n > 1 else F.one()
             self._cache[g] = tuple(tuple(r) for r in rows)
         return self._cache[g]
 
@@ -393,7 +391,7 @@ def _maximal_proper_subgroups(P: Subgroup) -> list[Subgroup]:
     proper = [H for H in lat.subgroups if H.order < lat.top.order]
     out = []
     for H in proper:
-        if not any(H is not K and H.element_set < K.element_set for K in proper):
+        if not any(H is not K and lat.leq(H, K) for K in proper):
             out.append(H)
     return out
 
@@ -430,10 +428,9 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     PP = promote(pair.P)
     for Qsub in _maximal_proper_subgroups(pair.P):
         QP = Qsub.reparent(PP)
-        reps = coset_table(PP, QP)[0]
         tr = None
-        for x in reps:
-            mat = module.action(x)
+        for x in coset_indices(PP, QP)[0]:
+            mat = module.action(PP.elements[x])
             tr = mat if tr is None else _mat_add(F, tr, mat)
         for v in fixed_space(Qsub):
             trace_vectors.append(_mat_vec(F, tr, v))

@@ -6,7 +6,7 @@ targets (orders up to a few hundred) exhaustive loops are fast, exactly
 reproducible and easy to audit.  The loops run on element indices against
 per-group multiplication, inverse and conjugation tables (:func:`mult_table`),
 so a product or a conjugate is a table lookup; :class:`Permutation` objects are
-built only where a subgroup, a character or a report needs them.  This module
+built only where a subgroup or a report needs them.  This module
 is the only one that knows the conjugation convention (g^-1 x g, read from
 ``conj[g][x]``) and how N_G(P)/P is formed (:func:`normalizer_quotient`).  The
 canonical element order is lexicographic on image tuples, which is also index
@@ -234,6 +234,8 @@ class FiniteGroup:
         return Subgroup(self, self.elements, validate=False)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FiniteGroup):
             return NotImplemented
         return self.degree == other.degree and self.elements == other.elements
@@ -516,11 +518,14 @@ def centralizer(G: FiniteGroup, x: Permutation) -> Subgroup:
 class QuotientGroup:
     """G/N realized as a permutation group on the left cosets of N.
 
-    ``project`` maps a parent element to the coset permutation it induces;
-    ``lift`` returns the minimal representative of the corresponding coset.
+    The quotient map is held as two index tuples: ``proj[g]`` is the index in
+    ``group.elements`` of the image of the parent element with index g, and
+    ``lifts[q]`` is the parent index of the minimal representative of the
+    coset that quotient element q stands for.  ``project`` and ``lift`` are
+    their :class:`Permutation` views.
     """
 
-    __slots__ = ("parent", "kernel", "cosets", "group", "_project", "_lift", "_hash")
+    __slots__ = ("parent", "kernel", "group", "proj", "lifts", "_hash")
 
     def __init__(self, parent: FiniteGroup, kernel: Subgroup):
         if kernel.parent != parent:
@@ -531,43 +536,42 @@ class QuotientGroup:
         self.kernel = kernel
 
         reps, rep_of = coset_indices(parent, kernel)
-        table = mult_table(parent)[1]
-        elements = parent.elements
+        index, table = mult_table(parent)[:2]
         coset_of = {r: i for i, r in enumerate(reps)}
-        self.cosets = tuple(elements[r] for r in reps)
-
-        project: dict[Permutation, Permutation] = {}
-        images: set[Permutation] = set()
-        for g, x in enumerate(elements):
-            row = table[g]
-            pi = Permutation(tuple(coset_of[rep_of[row[r]]] for r in reps))
-            project[x] = pi
-            images.add(pi)
-        gens = tuple(dict.fromkeys(project[g] for g in parent.generators))
-        self.group = FiniteGroup(len(reps), gens, images)
+        # g and gk (k in the kernel) permute the cosets alike: one permutation
+        # per coset, that of its representative
+        perms = [Permutation(tuple(coset_of[rep_of[table[g][r]]] for r in reps))
+                 for g in reps]
+        gens = tuple(dict.fromkeys(perms[coset_of[rep_of[index[g]]]]
+                                   for g in parent.generators))
+        self.group = FiniteGroup(len(reps), gens, perms)
         if self.group.order * kernel.order != parent.order:
             raise RuntimeError("quotient order times kernel order differs from the group order")
-        self._project = project
-        # coset index 0 is the kernel itself, so pi(0) recovers g's coset
-        self._lift = {pi: self.cosets[pi(0)] for pi in images}
+        position = {pi: q for q, pi in enumerate(self.group.elements)}
+        at = [position[pi] for pi in perms]  # coset number -> quotient index
+        self.proj = tuple(at[coset_of[r]] for r in rep_of)
+        self.lifts = tuple(r for _, r in sorted(zip(at, reps)))
         self._hash = hash((parent, kernel))
 
     def project(self, g: Permutation) -> Permutation:
-        return self._project[g]
+        return self.group.elements[self.proj[mult_table(self.parent)[0][g]]]
 
     def lift(self, q: Permutation) -> Permutation:
-        return self._lift[q]
+        return self.parent.elements[self.lifts[mult_table(self.group)[0][q]]]
 
     def project_subgroup(self, H: Subgroup) -> Subgroup:
         """Image in the quotient of a subgroup of the parent."""
-        return Subgroup(self.group, {self._project[h] for h in H.elements}, validate=False)
+        if H.parent != self.parent:
+            raise NotSubgroup("subgroup does not live in the parent group")
+        return Subgroup.from_indices(self.group, sorted({self.proj[h] for h in H.indices()}))
 
     def preimage(self, S: Subgroup) -> Subgroup:
         """Full preimage in the parent of a subgroup of the quotient."""
         if S.parent != self.group:
             raise NotSubgroup("subgroup does not live in the quotient group")
-        members = [g for g in self.parent.elements if self._project[g] in S.element_set]
-        return Subgroup(self.parent, members, validate=False)
+        members = frozenset(S.indices())
+        return Subgroup.from_indices(
+            self.parent, [g for g, q in enumerate(self.proj) if q in members])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientGroup):
@@ -606,15 +610,6 @@ def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
             for h in members:
                 rep_of[row[h]] = g
     return reps, rep_of
-
-
-@lru_cache(maxsize=None)
-def coset_table(G: FiniteGroup, H: Subgroup) -> tuple[tuple[Permutation, ...], dict]:
-    """Left-coset transversal of H in G (minimal reps) plus element -> rep map."""
-    reps, rep_of = coset_indices(G, H)
-    elements = G.elements
-    return (tuple(elements[i] for i in reps),
-            {x: elements[r] for x, r in zip(elements, rep_of)})
 
 
 def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[Permutation]:

@@ -83,8 +83,8 @@ def cyclic_idempotent(C: FiniteGroup, t: Permutation, p: int,
     full = C.full_subgroup()
     terms = {}
     for j in range(r):
-        chi = LinChar(full, {y: (j * powers[y] * step) % conductor
-                             for y in C.elements}, conductor, validate=False)
+        chi = LinChar.from_table(full, [(j * powers[y] * step) % conductor
+                                        for y in C.elements], conductor)
         g = make_generator(C, full, chi)
         coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
         terms[g] = terms.get(g, Cyclotomic.zero(conductor)) + coeff

@@ -19,9 +19,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
-from .cyclo import Cyclotomic, ConductorMismatch, zeta_power
+from .cyclo import Cyclotomic, ConductorMismatch
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, Permutation, QuotientGroup,
                   Subgroup, conjugate_meet, double_coset_reps, is_p_power,
                   mult_table, normalizer, normalizer_quotient, promote, quotient)
@@ -56,76 +56,89 @@ def default_conductor(G: FiniteGroup, p: int) -> int:
 class LinChar:
     """A linear character of a subgroup with values in mu_n, stored as exponents.
 
-    The table maps each element x of the domain to e(x) with chi(x) =
-    zeta_n^e(x).  When the conductor n is prime to p, the homomorphism
-    property forces every p-element to exponent 0, which keeps the class
-    closed under the whole calculus.
+    The table holds the exponent e(x), chi(x) = zeta_n^e(x), of each element
+    x of the domain, aligned with ``domain.indices()``; elements sort alike
+    under every parent, so the table survives ``reparent``.  When n is prime
+    to p, the homomorphism property forces every p-element to exponent 0,
+    which keeps the class closed under the whole calculus.
     """
 
-    __slots__ = ("domain", "exps", "conductor", "_table", "_hash")
+    __slots__ = ("domain", "conductor", "_table", "_hash")
 
-    def __init__(self, domain: Subgroup, exps: Mapping[Permutation, int],
+    def __init__(self, domain: Subgroup, mapping: Mapping[Permutation, int],
                  conductor: int, validate: bool = True):
+        if validate and set(mapping) != domain.element_set:
+            raise ValueError("character table does not match the domain")
         self.domain = domain
         self.conductor = conductor
-        self.exps = {x: exps[x] % conductor for x in domain.elements}
-        if validate:
-            if set(exps) != set(domain.elements):
-                raise ValueError("character table does not match the domain")
-            for a in domain.elements:
-                for b in domain.elements:
-                    if (self.exps[a] + self.exps[b]) % conductor != self.exps[a * b]:
-                        raise ValueError("table is not a homomorphism")
-        self._table = tuple(self.exps[x] for x in domain.elements)
+        self._table = tuple(mapping[x] % conductor for x in domain.elements)
         self._hash = hash((domain, self._table, conductor))
+        if validate:
+            table = mult_table(domain.parent)[1]
+            exp_of = dict(zip(domain.indices(), self._table))
+            if any((ea + eb) % conductor != exp_of[table[a][b]]
+                   for a, ea in exp_of.items() for b, eb in exp_of.items()):
+                raise ValueError("table is not a homomorphism")
+
+    @classmethod
+    def from_table(cls, domain: Subgroup, table: Iterable[int], conductor: int) -> LinChar:
+        """The character with exponents ``table``, aligned with ``domain.indices()``
+        and reduced mod the conductor (no check is made)."""
+        chi = object.__new__(cls)
+        chi.domain = domain
+        chi.conductor = conductor
+        chi._table = tuple(table)
+        chi._hash = hash((domain, chi._table, conductor))
+        return chi
 
     @classmethod
     def trivial(cls, domain: Subgroup, conductor: int) -> LinChar:
-        return cls(domain, {x: 0 for x in domain.elements}, conductor, validate=False)
+        return cls.from_table(domain, (0,) * domain.order, conductor)
 
     def table(self) -> tuple[int, ...]:
         """Exponents aligned with the sorted element list of the domain."""
         return self._table
 
-    def value(self, x: Permutation) -> int:
-        return self.exps[x]
+    @property
+    def exps(self) -> dict[Permutation, int]:
+        """The table keyed by the elements of the domain."""
+        return dict(zip(self.domain.elements, self._table))
 
-    def cyclo_value(self, x: Permutation) -> Cyclotomic:
-        return zeta_power(self.conductor, self.exps[x])
+    def value(self, x: Permutation) -> int:
+        return self._table[self.domain.elements.index(x)]
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self._table)
 
     def restrict(self, sub: Subgroup) -> LinChar:
-        if not sub.element_set <= self.domain.element_set:
+        exp_of = dict(zip(self.domain.indices(), self._table))
+        if sub.parent != self.domain.parent or not exp_of.keys() >= set(sub.indices()):
             raise NotSubgroup("restriction target is not contained in the domain")
-        return LinChar(sub, {x: self.exps[x] for x in sub.elements},
-                       self.conductor, validate=False)
+        return LinChar.from_table(sub, [exp_of[x] for x in sub.indices()], self.conductor)
 
     def conj(self, g: Permutation) -> LinChar:
         """The character on domain^g sending x to chi(g x g^-1)."""
         G = self.domain.parent
         index, _, _, conj = mult_table(G)
         row = conj[index[g]]
-        moved = {row[x]: e for x, e in zip(self.domain.indices(), self._table)}
-        dom = Subgroup.from_indices(G, sorted(moved))
-        return LinChar(dom, {G.elements[i]: moved[i] for i in dom.indices()},
-                       self.conductor, validate=False)
+        moved = sorted(zip([row[x] for x in self.domain.indices()], self._table))
+        return LinChar.from_table(Subgroup.from_indices(G, [x for x, _ in moved]),
+                                  [e for _, e in moved], self.conductor)
 
     def __mul__(self, other: LinChar) -> LinChar:
         if other.domain != self.domain:
             raise GroupMismatch("character domains differ")
         if other.conductor != self.conductor:
             raise ConductorMismatch("character conductors differ")
-        return LinChar(self.domain,
-                       {x: self.exps[x] + other.exps[x] for x in self.domain.elements},
-                       self.conductor, validate=False)
+        n = self.conductor
+        return LinChar.from_table(
+            self.domain, [(a + b) % n for a, b in zip(self._table, other._table)], n)
 
     def reparent(self, sub: Subgroup) -> LinChar:
         """The same table on the same element set inside another parent group."""
         if sub.element_set != self.domain.element_set:
             raise NotSubgroup("reparent target has a different element set")
-        return LinChar(sub, self.exps, self.conductor, validate=False)
+        return LinChar.from_table(sub, self._table, self.conductor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinChar):
@@ -248,9 +261,7 @@ def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -
         if best_sub is None or sub < best_sub or aligned < best_exps:
             best_sub, best_exps = sub, aligned
     sub = Subgroup.from_indices(group, best_sub)
-    chi = LinChar(sub, dict(zip(sub.elements, best_exps)), character.conductor,
-                  validate=False)
-    return Generator(group, sub, chi)
+    return Generator(group, sub, LinChar.from_table(sub, best_exps, character.conductor))
 
 
 class PPElement:
@@ -332,13 +343,9 @@ class PPElement:
     def to_json(self) -> list[dict]:
         out = []
         for gen, coeff in self.sorted_terms():
-            sub = gen.subgroup
-            index = {x: i for i, x in enumerate(sub.elements)}
             out.append({
-                "subgroup": [list(g.images) for g in sub.generators()],
-                "character": {str(index[x]): e for x, e in
-                              sorted(gen.character.exps.items(),
-                                     key=lambda kv: index[kv[0]])},
+                "subgroup": [list(g.images) for g in gen.subgroup.generators()],
+                "character": {str(i): e for i, e in enumerate(gen.character.table())},
                 "coeff": coeff.to_json(),
             })
         return out
@@ -382,8 +389,8 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: Permutation, j: int,
         dlog[power] = a
         power = table[power][s]
     step = conductor // r
-    exps = {x: (j * dlog[index[Q.project(x)]] * step) % conductor for x in L.elements}
-    return LinChar(L, exps, conductor, validate=False)
+    return LinChar.from_table(
+        L, [(j * dlog[Q.proj[x]] * step) % conductor for x in L.indices()], conductor)
 
 
 def res_elt(x: PPElement, H: Subgroup) -> PPElement:
@@ -398,11 +405,10 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
         L = gen.subgroup
         terms: dict[Generator, Cyclotomic] = {}
         for g in double_coset_reps(G, H, L):
-            gi = g.inverse()
-            inter = Subgroup.from_indices(
-                HH, [position[i] for i in conjugate_meet(G, H, L, g)])
-            chi = gen.character.conj(gi).restrict(inter)
-            new = make_generator(HH, inter, chi)
+            meet = conjugate_meet(G, H, L, g)
+            chi = gen.character.conj(g.inverse()).restrict(Subgroup.from_indices(G, meet))
+            inter = Subgroup.from_indices(HH, [position[i] for i in meet])
+            new = make_generator(HH, inter, chi.reparent(inter))
             terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
         out = out + PPElement(HH, x.p, x.conductor, terms)
     return out
@@ -428,8 +434,9 @@ def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
     terms: dict[Generator, Cyclotomic] = {}
     for gen, coeff in x.terms.items():
         pre = Q.preimage(gen.subgroup)
-        exps = {g: gen.character.value(Q.project(g)) for g in pre.elements}
-        chi = LinChar(pre, exps, x.conductor, validate=False)
+        exp_of = dict(zip(gen.subgroup.indices(), gen.character.table()))
+        chi = LinChar.from_table(pre, [exp_of[Q.proj[g]] for g in pre.indices()],
+                                 x.conductor)
         new = make_generator(G, pre, chi)
         terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
     return PPElement(G, x.p, x.conductor, terms)
@@ -478,8 +485,8 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
         if not P.element_set <= L.element_set:
             continue
         Lbar = Q.project_subgroup(L)
-        exps = {Q.project(l): gen.character.value(l) for l in L.elements}
-        chi = LinChar(Lbar, exps, n, validate=False)
+        exp_of = {Q.proj[l]: e for l, e in zip(L.indices(), gen.character.table())}
+        chi = LinChar.from_table(Lbar, [exp_of[q] for q in Lbar.indices()], n)
         new = make_generator(Q.group, Lbar, chi)
         terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
     return PPElement(Q.group, x.p, n, terms)

@@ -91,7 +91,43 @@ class TestBuildField:
         assert _mat_mul(F, a, b) == tuple(expected)
 
 
+def reference_action(F, gen, g):
+    """Permutation-level matrix of g on Ind_L^G: the coset of c_i goes to that
+    of c_j with scalar chi(c_j^-1 g c_i), over minimal coset representatives."""
+    L, chi = gen.subgroup, gen.character
+    transversal, rep_of = [], {}
+    for x in gen.group.elements:
+        if x not in rep_of:  # the first element met is minimal in its coset
+            transversal.append(x)
+            for h in L.elements:
+                rep_of[x * h] = x
+    d = len(transversal)
+    rows = [[F.zero()] * d for _ in range(d)]
+    for i, ci in enumerate(transversal):
+        cj = rep_of[g * ci]
+        rows[transversal.index(cj)][i] = F.pow(F.zeta, chi.value(cj.inverse() * g * ci))
+    return tuple(tuple(r) for r in rows)
+
+
 class TestRealizeGenerator:
+    @pytest.mark.parametrize("build,p,n", [(lambda: symmetric(4), 2, 3),
+                                           (lambda: dihedral(20), 2, 5)],
+                             ids=["S4-n3", "D20-n5"])
+    def test_action_matches_permutation_reference(self, build, p, n):
+        G = build()
+        F = build_field(p, n)
+        checked = 0
+        for L in subgroup_lattice(G).class_reps():
+            for chi in linear_characters(L, n):
+                if chi.is_trivial():
+                    continue
+                gen = make_generator(G, L, chi)
+                module = realize_generator(gen, F)
+                for g in G.elements:
+                    assert module.action(g) == reference_action(F, gen, g)
+                checked += 1
+        assert checked >= 4
+
     def test_trivial_generator(self):
         G = symmetric(3)
         n = default_conductor(G, 3)
@@ -169,7 +205,7 @@ class TestOracleTau:
                 assert oracle_tau(pair, gen, F) == tau_generator(pair, gen)
 
     def test_brauer_quotient_dimension_equals_fixed_line_count(self):
-        from ppring.grp import coset_table
+        from ppring.grp import coset_indices
         G = dihedral(8)
         p = 2
         n = default_conductor(G, p)
@@ -181,7 +217,7 @@ class TestOracleTau:
                 # combinatorial count of P-fixed lines
                 members = gen.subgroup.element_set
                 lines = sum(
-                    1 for g in coset_table(G, gen.subgroup)[0]
+                    1 for g in (G.elements[i] for i in coset_indices(G, gen.subgroup)[0])
                     if all(u.conj(g) in members for u in pair.P.generators()))
                 # oracle dimension: evaluate at s = 1 by summing multiplicities
                 value = oracle_tau(

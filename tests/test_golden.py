@@ -11,7 +11,7 @@ import pytest
 
 from ppring.cli import COMMANDS, RunConfig, run
 
-CASES = [("S4", 2), ("S4", 3), ("D8", 2), ("A4", 3)]
+CASES = [("S4", 2), ("S4", 3), ("D8", 2), ("A4", 3), ("D20", 2), ("A5", 5)]
 
 DIGESTS = {
     "burnside S4 p=2":
@@ -70,6 +70,34 @@ DIGESTS = {
         "24f4c245ae1420e63c9a2f1340c166f44cb636d12226316bd0394034a57ec307",
     "verify A4 p=3":
         "a7c247cc753fae8a98614f8d9f5300a6ce46810f90d53d5d1c59ff4b8ca019a6",
+    "burnside D20 p=2":
+        "be60595a0bef4082c0bd20bbede6a1c7b51b0d18728e0b60d1cbbb70f35761d0",
+    "idempotents D20 p=2":
+        "f81f799f55e7d360d77daacedc4eed7eb147e580273b772411b3035f7b8ad03f",
+    "lattice D20 p=2":
+        "35efd94ae3517d50c019cb0f10a7be2d200a960e8374b551ef36355fb16b9ad2",
+    "oracle-check D20 p=2":
+        "38b85afdab49af3a963c8f0828457d876399ebbf5b5db28a6102f01d36e15597",
+    "pairs D20 p=2":
+        "69e1faac5d0efbc596617c69be75573a7c8528b553c086e96a906033b9452730",
+    "species-table D20 p=2":
+        "1c8cb8d0203ee3cd6537d4072d319cee3e8b3c7eb0730cb1a4005d1d1a6e333c",
+    "verify D20 p=2":
+        "fb40dea9289ed1414a7effacbf5d7d6e242839718a931e017a6f3d77b148d403",
+    "burnside A5 p=5":
+        "58ba2b8bd9b1d7d42a0eb8807a43ff6514aa11b8ac50ab72cd2cb6d9aae8597b",
+    "idempotents A5 p=5":
+        "fbf53f58321cc25d2a9d9a582bccdfd97986bc102fdd87a6e5b6b1babf978473",
+    "lattice A5 p=5":
+        "aa8ae5d7a062ff744eacb8d942e064d5e56ac8461f2f6a16c7cea44aff1ed26f",
+    "oracle-check A5 p=5":
+        "a4ca003db7becc0dce8e30d4d799e8d120ca49cc2a56ac2f8bfcc692c0573810",
+    "pairs A5 p=5":
+        "e4d5e303f14cb3ffbe359085757185aaef9c14790ec947ebdd8cd66a922dec60",
+    "species-table A5 p=5":
+        "2bd032229b8e1c7e8317942c9c46b71541bcc586bd40d3f708df4a1e4698d81c",
+    "verify A5 p=5":
+        "566952422831f9f06e358d3058c11c2ca54782622d08163d8e19b8d82d4bec07",
 }
 
 

@@ -293,6 +293,28 @@ class TestQuotient:
             for b in G.elements:
                 assert Q.project(a * b) == Q.project(a) * Q.project(b)
 
+    @pytest.mark.parametrize("build,order", [(lambda: symmetric(4), 4),
+                                             (lambda: symmetric(4), 12),
+                                             (lambda: dihedral(8), 2)],
+                             ids=["S4/V4", "S4/A4", "D8/Z"])
+    def test_index_tables(self, build, order):
+        G = build()
+        normal = [H for H in subgroup_lattice(G).subgroups
+                  if H.order == order and H.is_normal()]
+        assert len(normal) == 1  # V4 and A4 in S4, the centre of D8
+        N = normal[0]
+        Q = quotient(G, N)
+        table, qtable = mult_table(G)[1], mult_table(Q.group)[1]
+        for a in range(G.order):
+            for b in range(G.order):
+                assert Q.proj[table[a][b]] == qtable[Q.proj[a]][Q.proj[b]]
+        fibers = {}
+        for g, q in enumerate(Q.proj):
+            fibers.setdefault(q, []).append(g)
+        assert sorted(fibers) == list(range(Q.group.order))
+        assert tuple(fibers[0]) == N.indices()
+        assert Q.lifts == tuple(min(fibers[q]) for q in range(Q.group.order))
+
     def test_lift_section(self):
         G = cyclic(6)
         Q = quotient(G, sylow(G, 2))

@@ -1,9 +1,9 @@
 import pytest
 
 from ppring.cyclo import Cyclotomic
-from ppring.grp import (Permutation, Subgroup, alternating, cyclic, dihedral,
-                        direct_product, promote, quotient, subgroup_closure,
-                        symmetric, sylow)
+from ppring.grp import (NotSubgroup, Permutation, Subgroup, alternating, cyclic,
+                        dihedral, direct_product, promote, quotient,
+                        subgroup_closure, symmetric, sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (BadIndex, Generator, LinChar, NotPGroup, PPElement,
                            brauer_elt, char_pullback, default_conductor,
@@ -69,6 +69,39 @@ class TestLinChar:
         assert moved.domain.element_set == frozenset(x.conj(g) for x in L.elements)
         for x in L.elements:
             assert moved.value(x.conj(g)) == chi.value(x)
+
+    def test_table_round_trip_on_s4(self):
+        G = symmetric(4)
+        count = 0
+        for L in subgroup_lattice(G).subgroups:
+            for chi in linear_characters(L, 3):
+                mapping = dict(zip(L.elements, chi.table()))
+                assert LinChar.from_table(L, chi.table(), 3) == chi
+                built = LinChar(L, mapping, 3)
+                assert built == chi
+                assert built.exps == mapping
+                assert LinChar(L, {x: e + 3 for x, e in mapping.items()}, 3) == chi
+                assert all(chi.value(x) == e for x, e in mapping.items())
+                count += 1
+        assert count > len(subgroup_lattice(G).subgroups)  # some are nontrivial
+
+    def test_restrict_needs_a_subgroup_of_the_domain(self):
+        G = symmetric(3)
+        C2 = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        chi = linear_characters(C2, 2)[1]
+        sign = linear_characters(G.full_subgroup(), 2)[1]
+        assert sign.restrict(C2) == chi
+        assert chi.restrict(G.trivial_subgroup()).table() == (0,)
+        with pytest.raises(NotSubgroup):
+            chi.restrict(sylow(G, 3))
+        with pytest.raises(NotSubgroup):
+            chi.restrict(G.full_subgroup())
+        # its indices in its own parent are indices of the domain too
+        foreign = C2.reparent(promote(C2))
+        with pytest.raises(NotSubgroup):
+            sign.restrict(foreign)
+        with pytest.raises(NotSubgroup):
+            chi.restrict(foreign)
 
 
 def quernion_free_a4():
