@@ -386,13 +386,16 @@ def cmd_oracle_check(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
         got = ffq.oracle_tau(q, gen, F, config.oracle_dim_cap)
         agree = expected == got
         ok = ok and agree
-        results.append({
+        sample = {
             "pair": q.label(),
             "generator_subgroup_order": gen.subgroup.order,
             "character": list(gen.character.table()),
             "value": str(expected),
             "agree": agree,
-        })
+        }
+        if not agree:
+            sample["oracle_value"] = str(got)
+        results.append(sample)
     return ok, {
         "p": config.p,
         "field": {"p": F.p, "m": F.m, "n": F.n},

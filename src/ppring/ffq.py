@@ -7,6 +7,11 @@ proper subgroups of P, and reads the species value off the eigenvalue
 multiplicities of the lift's action on the quotient, transported to complex
 roots of unity through a tabulated discrete logarithm.
 
+Field elements are ints 0..q-1, the base-p codes of their coefficient
+tuples.  Fields with q <= TABLE_MAX_Q multiply, invert and add through
+exp/log/Zech tables built once per field; larger fields, such as F_(2^28),
+multiply and reduce coefficient polynomials on the same codes.
+
 It shares no code with the combinatorial fixed-line formula in
 :mod:`ppring.species`; agreement between the two is one of the central
 checks of the test suite.
@@ -14,6 +19,7 @@ checks of the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .cyclo import Cyclotomic, zeta_power
@@ -24,6 +30,10 @@ from .species import SpeciesPair
 
 DEFAULT_N_CAP = 32
 DEFAULT_DIM_CAP = 200
+# Fields up to this size run on exp/log/Zech tables, larger ones on polynomials:
+# building the tables takes q polynomial products, longer than most oracle runs
+# in a larger field.
+TABLE_MAX_Q = 1 << 16
 
 
 class CapExceeded(Exception):
@@ -123,80 +133,149 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-class FqField:
-    """The field F_(p^m) with a distinguished root of unity of exact order n.
+def _digits(code: int, p: int) -> tuple[int, ...]:
+    """The coefficient tuple (low to high, no trailing zeros) of a field code."""
+    out = []
+    while code:
+        code, d = divmod(code, p)
+        out.append(d)
+    return tuple(out)
 
-    ``theta`` tabulates the discrete logarithm base that root: it maps each
-    n-th root of unity in the field to the exponent of the corresponding
-    complex root zeta_n.  Elements are coefficient tuples of length m over
-    F_p with respect to the chosen irreducible modulus.
+
+def _code(digits, p: int) -> int:
+    code = 0
+    for d in reversed(digits):
+        code = code * p + d
+    return code
+
+
+class FqField:
+    """The field F_(p^m) with a distinguished root of unity zeta of exact order n.
+
+    An element is an int in 0..q-1: the base-p code sum c_i p^i of its
+    coefficients c_0, ..., c_(m-1) over F_p with respect to the irreducible
+    ``modulus``, so 0 and 1 are the field's zero and one and ``elements()``
+    is counter order.  ``generator`` is the generator g of the multiplicative
+    group that ``build_field`` chose, zeta = g^((q-1)/n), and ``theta`` maps
+    each n-th root of unity zeta^j to j, the exponent of the corresponding
+    complex root zeta_n.
+
+    For q <= TABLE_MAX_Q the arithmetic reads tables built once from g: exp
+    and log, and the Zech logarithms zech[k] = log(1 + g^k) (Huber, IEEE
+    Trans. Inf. Theory 36, 1990), so that a product adds logs mod q-1 and
+    g^a + g^b = g^(a + zech[b - a]).  Larger fields, whose tables would cost
+    more to build than an oracle run takes, multiply and reduce the
+    coefficient polynomials.
     """
 
-    __slots__ = ("p", "n", "m", "q", "modulus", "zeta", "theta")
+    __slots__ = ("p", "n", "m", "q", "modulus", "generator", "zeta", "theta",
+                 "_exp", "_log", "_zech", "_neg")
 
     def __init__(self, p: int, n: int, m: int, modulus: tuple[int, ...],
-                 zeta: tuple[int, ...]):
+                 generator: int):
         self.p = p
         self.n = n
         self.m = m
-        self.q = p ** m
+        self.q = q = p ** m
         self.modulus = modulus
-        self.zeta = zeta
-        self.theta = {}
-        x = self.one()
-        for j in range(n):
-            if x in self.theta:
-                raise ValueError("root of unity has order smaller than n")
-            self.theta[x] = j
-            x = self.mul(x, zeta)
-        if x != self.one():
-            raise ValueError("root of unity does not have order n")
+        self.generator = generator
+        if (q - 1) % n:
+            raise ValueError(f"F_{q} has no root of unity of order {n}")
+        step = (q - 1) // n
+        self._exp = self._log = self._zech = self._neg = None
+        if q <= TABLE_MAX_Q:
+            self._build_tables()
+        self.zeta = self.pow(generator, step)
+        if self._exp is not None:
+            self.theta = {self._exp[j * step]: j for j in range(n)}
+        else:
+            self.theta = {}
+            x = 1
+            for j in range(n):
+                if x in self.theta:
+                    raise ValueError("root of unity has order smaller than n")
+                self.theta[x] = j
+                x = self.mul(x, self.zeta)
+            if x != 1:
+                raise ValueError("root of unity does not have order n")
 
-    def zero(self):
-        return (0,) * self.m
+    def _build_tables(self) -> None:
+        p, q = self.p, self.q
+        # exp has 2(q-1) entries, so a sum of two logs indexes it unreduced
+        exp = [0] * (2 * q - 2)
+        log = [0] * q
+        g = _digits(self.generator, p)
+        power = (1,)
+        for k in range(q - 1):
+            x = _code(power, p)
+            exp[k] = exp[k + q - 1] = x
+            log[x] = k
+            power = _pmod(_pmul(power, g, p), self.modulus, p)
+        if sorted(exp[:q - 1]) != list(range(1, q)):
+            raise ValueError("the generator does not generate the multiplicative group")
+        # 1 + x adds 1 to the constant digit mod p; None marks 1 + x = 0
+        zech = []
+        for x in exp[:q - 1]:
+            y = x + 1 if x % p < p - 1 else x + 1 - p
+            zech.append(log[y] if y else None)
+        half = 0 if p == 2 else (q - 1) // 2  # -1 = g^half
+        neg = [0] + [exp[log[x] + half] for x in range(1, q)]
+        self._exp, self._log, self._zech, self._neg = exp, log, zech, neg
 
-    def one(self):
-        return (1,) + (0,) * (self.m - 1)
+    def zero(self) -> int:
+        return 0
 
-    def from_int(self, c: int):
-        return (c % self.p,) + (0,) * (self.m - 1)
+    def one(self) -> int:
+        return 1
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def add(self, a: int, b: int) -> int:
+        if not (a and b):
+            return a or b
+        log = self._log
+        if log is None:
+            p = self.p
+            return _code(_padd(_digits(a, p), _digits(b, p), p), p)
+        la = log[a]
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q-1
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
 
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+    def neg(self, a: int) -> int:
+        if self._neg is not None:
+            return self._neg[a]
+        p = self.p
+        return _code(tuple(-d % p for d in _digits(a, p)), p)
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
-    def mul(self, a, b):
-        prod = _pmod(_pmul(_ptrim(a), _ptrim(b), self.p), self.modulus, self.p)
-        return prod + (0,) * (self.m - len(prod))
+    def mul(self, a: int, b: int) -> int:
+        if not (a and b):
+            return 0
+        log = self._log
+        if log is None:
+            p = self.p
+            return _code(_pmod(_pmul(_digits(a, p), _digits(b, p), p), self.modulus, p), p)
+        return self._exp[log[a] + log[b]]
 
-    def inv(self, a):
-        return self.pow(a, self.q - 2)
+    def inv(self, a: int) -> int:
+        return self.pow(a, -1)
 
-    def pow(self, a, e):
-        result = self.one()
-        base = a
+    def pow(self, a: int, e: int) -> int:
+        """a^e for any integer e, where 0^0 = 1 and 0^e = 0 for e > 0."""
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("0 has no inverse")
+            return 0 if e else 1
         e %= self.q - 1
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if self._log is None:
+            p = self.p
+            return _code(_ppowmod(_digits(a, p), e, self.modulus, p), p)
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
-    def elements(self):
-        """All field elements in deterministic (base-p counter) order."""
-        for code in range(self.q):
-            digits = []
-            c = code
-            for _ in range(self.m):
-                digits.append(c % self.p)
-                c //= self.p
-            yield tuple(digits)
+    def elements(self) -> range:
+        """All field elements in counter order."""
+        return range(self.q)
 
     def __repr__(self) -> str:
         return f"FqField(p={self.p}, m={self.m}, n={self.n})"
@@ -209,60 +288,48 @@ def build_field(p: int, n: int, n_cap: int = DEFAULT_N_CAP,
     m is the multiplicative order of p mod n; the modulus is the first
     irreducible monic polynomial of degree m in counter order, and the
     distinguished n-th root of unity is g^((q-1)/n) for the
-    ``generator_index``-th generator g of the multiplicative group.
+    ``generator_index``-th generator g of the multiplicative group in
+    counter order.
     """
     if math.gcd(p, n) != 1:
         raise ValueError("n must be prime to p")
     if n > n_cap:
         raise CapExceeded(f"conductor {n} exceeds the oracle cap {n_cap}")
-    if n == 1:
-        field = FqField(p, 1, 1, (0, 1), (1,))
-        return field
     m = 1
-    while pow(p, m, n) != 1:
+    while (p ** m - 1) % n:
         m += 1
     modulus = None
     for code in range(p ** m):
-        digits = []
-        c = code
-        for _ in range(m):
-            digits.append(c % p)
-            c //= p
-        cand = tuple(digits) + (1,)
+        digits = _digits(code, p)
+        cand = digits + (0,) * (m - len(digits)) + (1,)
         if _is_irreducible(cand, p):
             modulus = cand
             break
     if modulus is None:
         raise RuntimeError(f"no monic irreducible polynomial of degree {m} over F_{p}")
-    field = FqField(p, 1, m, modulus, (1,) + (0,) * (m - 1))  # temporary, for arithmetic
     q = p ** m
     factors = _prime_factors(q - 1)
-    found = 0
-    gen = None
-    for x in field.elements():
-        if x == field.zero():
-            continue
-        if all(field.pow(x, (q - 1) // ell) != field.one() for ell in factors):
-            if found == generator_index:
-                gen = x
-                break
-            found += 1
+    generators = (x for x in range(1, q)
+                  if all(_ppowmod(_digits(x, p), (q - 1) // ell, modulus, p) != (1,)
+                         for ell in factors))
+    gen = next(itertools.islice(generators, generator_index, None), None)
     if gen is None:
         raise ValueError(f"fewer than {generator_index + 1} generators found")
-    zeta = field.pow(gen, (q - 1) // n)
-    return FqField(p, n, m, modulus, zeta)
+    return FqField(p, n, m, modulus, gen)
 
 
 class FqModule:
     """A monomial matrix realization of a generator over a finite field."""
 
-    __slots__ = ("field", "group", "dimension", "_reps", "_rep_of", "_exp_of", "_cache")
+    __slots__ = ("field", "group", "dimension", "zeta_powers", "_reps", "_rep_of",
+                 "_exp_of", "_cache")
 
     def __init__(self, field: FqField, gen: Generator):
         self.field = field
         self.group = gen.group
         self._reps, self._rep_of = coset_indices(gen.group, gen.subgroup)
         self._exp_of = dict(zip(gen.subgroup.indices(), gen.character.table()))
+        self.zeta_powers = sorted(field.theta, key=field.theta.get)  # zeta^0, zeta^1, ...
         self.dimension = len(self._reps)
         self._cache: dict[Permutation, tuple] = {}
         # spot-check the homomorphism property on generator pairs
@@ -274,84 +341,84 @@ class FqModule:
     def action(self, g: Permutation) -> tuple:
         """The matrix of g: coset c_i goes to c_j with scalar chi(c_j^-1 g c_i)."""
         if g not in self._cache:
-            F = self.field
             d = self.dimension
             index, table, inv = mult_table(self.group)[:3]
             row = table[index[g]]
             position = {c: i for i, c in enumerate(self._reps)}
-            rows = [[F.zero()] * d for _ in range(d)]
+            rows = [[0] * d for _ in range(d)]
             for i, ci in enumerate(self._reps):
                 gc = row[ci]
                 cj = self._rep_of[gc]
                 e = self._exp_of[table[inv[cj]][gc]]  # chi(c_j^-1 g c_i)
-                rows[position[cj]][i] = F.pow(F.zeta, e) if F.n > 1 else F.one()
+                rows[position[cj]][i] = self.zeta_powers[e]
             self._cache[g] = tuple(tuple(r) for r in rows)
         return self._cache[g]
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra over FqField
+# dense linear algebra over FqField; entries are field codes, so a zero entry
+# is the falsy int 0
 
 
 def _mat_mul(F: FqField, a, b):
     """Row times matrix: each row of the product accumulates x * b[t] over the
     nonzero entries x = a[i][t] of the row of a."""
-    zero = F.zero()
+    add, mul = F.add, F.mul
     m = len(b[0]) if b else 0
     out = []
     for a_row in a:
-        acc = [zero] * m
+        acc = [0] * m
         for x, b_row in zip(a_row, b):
-            if x != zero:
+            if x:
                 for j, y in enumerate(b_row):
-                    if y != zero:
-                        acc[j] = F.add(acc[j], F.mul(x, y))
+                    if y:
+                        acc[j] = add(acc[j], mul(x, y))
         out.append(tuple(acc))
     return tuple(out)
 
 
 def _mat_add(F: FqField, a, b):
-    return tuple(tuple(F.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    add = F.add
+    return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _mat_vec(F: FqField, a, v):
-    return tuple(
-        _dot(F, row, v)
-        for row in a
-    )
+    """a v, summed over the nonzero entries of v only."""
+    add, mul = F.add, F.mul
+    support = [(t, y) for t, y in enumerate(v) if y]
+    out = []
+    for row in a:
+        acc = 0
+        for t, y in support:
+            x = row[t]
+            if x:
+                acc = add(acc, mul(x, y))
+        out.append(acc)
+    return tuple(out)
 
 
-def _dot(F: FqField, row, v):
-    zero = F.zero()
-    acc = zero
-    for x, y in zip(row, v):
-        if x != zero and y != zero:
-            acc = F.add(acc, F.mul(x, y))
-    return acc
-
-
-def _identity(F: FqField, d):
-    return tuple(tuple(F.one() if i == j else F.zero() for j in range(d))
-                 for i in range(d))
+def _identity(d):
+    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
 def _rref(F: FqField, rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
+    mul, sub = F.mul, F.sub
     rows = [list(r) for r in rows]
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != F.zero()), None)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != F.zero():
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+        scale = F.inv(rows[r][c])
+        pivot = rows[r] = [mul(scale, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            factor = row[c]
+            if i != r and factor:
+                rows[i] = [sub(x, mul(factor, y)) if y else x for x, y in zip(row, pivot)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -362,16 +429,16 @@ def _rref(F: FqField, rows):
 def _nullspace(F: FqField, mat, ncols):
     """Basis of the right null space of a matrix (rows of length ncols)."""
     if not mat:
-        return [tuple(F.one() if i == j else F.zero() for j in range(ncols))
-                for i in range(ncols)]
+        return list(_identity(ncols))
     rows, pivots = _rref(F, mat)
     free = [c for c in range(ncols) if c not in pivots]
+    neg = F.neg
     basis = []
     for fc in free:
-        v = [F.zero()] * ncols
-        v[fc] = F.one()
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in zip(rows, pivots):
-            v[pc] = F.neg(r[fc])
+            v[pc] = neg(r[fc])
         basis.append(tuple(v))
     return basis
 
@@ -412,8 +479,8 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     if d > dim_cap:
         raise CapExceeded(f"dimension {d} exceeds the oracle cap {dim_cap}")
     n = gen.character.conductor
-    ident = _identity(F, d)
-    neg_ident = tuple(tuple(F.neg(x) for x in row) for row in ident)
+    mul, sub = F.mul, F.sub
+    neg_ident = tuple(tuple(F.neg(x) for x in row) for row in _identity(d))
 
     def fixed_space(S: Subgroup):
         rows = []
@@ -449,8 +516,8 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
         cw = list(cw)
         for row, pc in zip(t_rows, t_pivots):
             factor = cw[pc]
-            if factor != F.zero():
-                cw = [F.sub(x, F.mul(factor, y)) for x, y in zip(cw, row)]
+            if factor:
+                cw = [sub(x, mul(factor, y)) if y else x for x, y in zip(cw, row)]
         return cw
 
     quot_idx = [i for i in range(k) if i not in t_pivots]
@@ -470,15 +537,14 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     total = Cyclotomic.zero(n)
     seen_dim = 0
     for j in range(r):
-        lam = F.pow(F.zeta, j * (n // r)) if n > 1 else F.one()
+        lam = module.zeta_powers[j * (n // r)]
         shifted = tuple(
-            tuple(F.sub(A[a][b], lam) if a == b else A[a][b] for b in range(dim_quot))
+            tuple(sub(A[a][b], lam) if a == b else A[a][b] for b in range(dim_quot))
             for a in range(dim_quot)
         )
         mult = len(_nullspace(F, list(shifted), dim_quot))
         if mult:
-            exponent = F.theta[lam] if n > 1 else 0
-            total = total + zeta_power(n, exponent) * mult
+            total = total + zeta_power(n, F.theta[lam]) * mult
             seen_dim += mult
     if seen_dim != dim_quot:
         raise RuntimeError("lift action is not semisimple with mu_r eigenvalues")

@@ -205,12 +205,6 @@ class SpeciesVector:
     def __iter__(self):
         return iter(zip(self.pairs, self.values))
 
-    def value_at(self, pair: SpeciesPair) -> Cyclotomic:
-        for q, v in zip(self.pairs, self.values):
-            if q == pair:
-                return v
-        raise KeyError(pair)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{q.label()}: {v}" for q, v in self)
         return f"SpeciesVector({body})"

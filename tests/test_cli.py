@@ -80,6 +80,27 @@ class TestCommands:
         assert code == 0
         assert json.loads(text)["all_agree"]
 
+    def test_oracle_disagreement_carries_both_values(self, monkeypatch):
+        oracle_tau = ffq.oracle_tau
+        values = []
+
+        def first_sample_wrong(pair, gen, F, dim_cap):
+            value = oracle_tau(pair, gen, F, dim_cap)
+            values.append(value)
+            return value + 1 if len(values) == 1 else value
+
+        monkeypatch.setattr(ffq, "oracle_tau", first_sample_wrong)
+        code, text = run(RunConfig(command="oracle-check", group="S3", p=3,
+                                   fmt="json", samples=5, seed=3))
+        assert code == 1
+        report = json.loads(text)
+        assert not report["all_agree"]
+        failing, *passing = report["samples"]
+        assert not failing["agree"]
+        assert failing["value"] == str(values[0])
+        assert failing["oracle_value"] == str(values[0] + 1)
+        assert passing and all(s["agree"] and "oracle_value" not in s for s in passing)
+
     def test_burnside_csv(self):
         code, text = run(RunConfig(command="burnside", group="S3", fmt="csv"))
         assert code == 0

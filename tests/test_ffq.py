@@ -3,13 +3,168 @@ import random
 import pytest
 
 from ppring.cyclo import Cyclotomic
-from ppring.ffq import (CapExceeded, _mat_mul, build_field, oracle_tau,
-                       realize_generator)
+from ppring.ffq import (TABLE_MAX_Q, CapExceeded, FqField, _is_irreducible,
+                       _mat_mul, _pmod, _pmul, _prime_factors, _ptrim,
+                       build_field, oracle_tau, realize_generator)
 from ppring.grp import cyclic, dihedral, symmetric, sylow
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (LinChar, default_conductor, linear_characters,
                            make_generator)
 from ppring.species import enumerate_pairs, standard_generators, tau_generator
+
+
+class TupleField:
+    """The earlier implementation of FqField on coefficient tuples, with every
+    product reduced modulo the polynomial: a test-only reference for the int
+    codes and their exp/log/Zech tables."""
+
+    def __init__(self, p, n, m, modulus, zeta):
+        self.p = p
+        self.n = n
+        self.m = m
+        self.q = p ** m
+        self.modulus = modulus
+        self.zeta = zeta
+        self.theta = {}
+        x = self.one()
+        for j in range(n):
+            assert x not in self.theta
+            self.theta[x] = j
+            x = self.mul(x, zeta)
+        assert x == self.one()
+
+    def one(self):
+        return (1,) + (0,) * (self.m - 1)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        prod = _pmod(_pmul(_ptrim(a), _ptrim(b), self.p), self.modulus, self.p)
+        return prod + (0,) * (self.m - len(prod))
+
+    def inv(self, a):
+        return self.pow(a, self.q - 2)
+
+    def pow(self, a, e):
+        result = self.one()
+        base = a
+        e %= self.q - 1
+        while e:
+            if e & 1:
+                result = self.mul(result, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return result
+
+    def element(self, code):
+        """The coefficient tuple whose base-p code is ``code``."""
+        return coefficients(code, self.p, self.m)
+
+    def code(self, a):
+        return sum(d * self.p ** i for i, d in enumerate(a))
+
+
+def coefficients(code, p, m):
+    digits = []
+    for _ in range(m):
+        code, d = divmod(code, p)
+        digits.append(d)
+    return tuple(digits)
+
+
+def tuple_field(p, n, generator_index=0):
+    """The earlier build_field (n > 1) on TupleField; returns the field and
+    the code of the multiplicative generator it chose."""
+    m = 1
+    while pow(p, m, n) != 1:
+        m += 1
+    modulus = next(cand for cand in (coefficients(c, p, m) + (1,) for c in range(p ** m))
+                   if _is_irreducible(cand, p))
+    F = TupleField(p, 1, m, modulus, (1,) + (0,) * (m - 1))
+    q = p ** m
+    factors = _prime_factors(q - 1)
+    found = 0
+    for code in range(1, q):
+        x = F.element(code)
+        if all(F.pow(x, (q - 1) // ell) != F.one() for ell in factors):
+            if found == generator_index:
+                return TupleField(p, n, m, modulus, F.pow(x, (q - 1) // n)), code
+            found += 1
+    raise ValueError("too few generators")
+
+
+# (p, n) for F_4, F_8, F_9, F_16, F_25, F_27 and F_81
+TABLE_FIELDS = [(2, 3), (2, 7), (3, 4), (2, 15), (5, 3), (3, 13), (3, 5)]
+# F_(2^18) and F_(7^10), above TABLE_MAX_Q
+POLYNOMIAL_FIELDS = [(2, 19), (7, 11)]
+
+
+class TestAgainstTupleReference:
+    @pytest.mark.parametrize("p,n", TABLE_FIELDS + POLYNOMIAL_FIELDS)
+    @pytest.mark.parametrize("generator_index", [0, 1])
+    def test_same_field_elements(self, p, n, generator_index):
+        F = build_field(p, n, generator_index=generator_index)
+        R, generator = tuple_field(p, n, generator_index)
+        assert (F.m, F.q, F.modulus) == (R.m, R.q, R.modulus)
+        assert F.generator == generator
+        assert F.zeta == R.code(R.zeta)
+        assert F.theta == {R.code(x): j for x, j in R.theta.items()}
+        assert (F.q <= TABLE_MAX_Q) == ((p, n) in TABLE_FIELDS)
+
+    @pytest.mark.parametrize("p,n", TABLE_FIELDS)
+    def test_arithmetic_on_every_pair(self, p, n):
+        F = build_field(p, n)
+        R, _ = tuple_field(p, n)
+        q = F.q
+        elems = [R.element(c) for c in range(q)]
+        assert list(F.elements()) == [R.code(x) for x in elems]
+        for a, x in enumerate(elems):
+            assert F.neg(a) == R.code(R.neg(x))
+            if a:
+                assert F.inv(a) == R.code(R.inv(x))
+            for b, y in enumerate(elems):
+                assert F.add(a, b) == R.code(R.add(x, y))
+                assert F.sub(a, b) == R.code(R.sub(x, y))
+                assert F.mul(a, b) == R.code(R.mul(x, y))
+                if a:
+                    e = b - q // 2  # negative exponents too
+                    assert F.pow(a, e) == R.code(R.pow(x, e))
+
+    @pytest.mark.parametrize("p,n", POLYNOMIAL_FIELDS)
+    def test_arithmetic_on_random_samples(self, p, n):
+        F = build_field(p, n)
+        R, _ = tuple_field(p, n)
+        rng = random.Random(p * 100 + n)
+        for _ in range(40):
+            a, b = rng.randrange(1, F.q), rng.randrange(F.q)
+            x, y = R.element(a), R.element(b)
+            e = rng.randrange(-F.q, F.q)
+            assert F.add(a, b) == R.code(R.add(x, y))
+            assert F.sub(a, b) == R.code(R.sub(x, y))
+            assert F.neg(a) == R.code(R.neg(x))
+            assert F.mul(a, b) == R.code(R.mul(x, y))
+            assert F.inv(a) == R.code(R.inv(x))
+            assert F.pow(a, e) == R.code(R.pow(x, e))
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 19)])
+    def test_rejects_a_non_generator(self, p, n):
+        F = build_field(p, n)
+        with pytest.raises(ValueError):
+            FqField(p, n, F.m, F.modulus, 1)
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (2, 19)])
+    def test_zero(self, p, n):
+        F = build_field(p, n)
+        assert F.pow(0, 0) == 1 and F.pow(0, 5) == 0 and F.pow(0, F.q - 1) == 0
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
 
 
 class TestBuildField:
@@ -21,7 +176,7 @@ class TestBuildField:
     def test_p3_n2(self):
         F = build_field(3, 2)
         assert F.m == 1 and F.q == 3
-        assert F.zeta == (2,)  # -1 is the only element of order 2
+        assert F.zeta == 2  # -1 is the only element of order 2
 
     def test_p2_n1(self):
         F = build_field(2, 1)

@@ -2,7 +2,9 @@
 
 Reports are deterministic, so any change to the program that is meant to
 keep its results must keep these digests.  ``oracle-check`` runs with
-``--samples 20 --seed 0``.
+``--samples 20 --seed 0``.  ``LARGE_FIELD_DIGESTS`` pins ``oracle-check`` over
+fields too large for the log tables of :mod:`ppring.ffq`, with
+``--samples 5 --seed 0``.
 """
 
 import hashlib
@@ -109,3 +111,20 @@ def test_report_digest(command, group, p):
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         DIGESTS[f"{command} {group} p={p}"]
+
+
+# F_(7^10) and F_(2^18): the oracle's polynomial arithmetic path.
+LARGE_FIELD_DIGESTS = {
+    ("C11", 7): "9b67c1bb9462d1b16ea451fe2a30183399870c27c2db94108541bf47f70850ec",
+    ("C19", 2): "f28713f641d082bcc62a9dffb49b734858fe64a9a3c79a2ec89a6509d6997b7d",
+}
+
+
+@pytest.mark.parametrize("group,p", sorted(LARGE_FIELD_DIGESTS),
+                         ids=[f"{g}-p{p}" for g, p in sorted(LARGE_FIELD_DIGESTS)])
+def test_large_field_oracle_digest(group, p):
+    code, text = run(RunConfig(command="oracle-check", group=group, p=p, fmt="json",
+                               samples=5, seed=0))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        LARGE_FIELD_DIGESTS[(group, p)]
