@@ -153,11 +153,22 @@ class TestAgainstTupleReference:
             assert F.inv(a) == R.code(R.inv(x))
             assert F.pow(a, e) == R.code(R.pow(x, e))
 
-    @pytest.mark.parametrize("p,n", [(3, 4), (2, 19)])
-    def test_rejects_a_non_generator(self, p, n):
-        F = build_field(p, n)
-        with pytest.raises(ValueError):
-            FqField(p, n, F.m, F.modulus, 1)
+    def test_table_field_rejects_a_non_generator(self):
+        F = build_field(3, 4)
+        with pytest.raises(ValueError, match="does not generate"):
+            FqField(3, 4, F.m, F.modulus, F.pow(F.generator, 2))
+
+    def test_polynomial_field_checks_only_the_order_of_zeta(self):
+        # the polynomial path never checks the generator, only that zeta has
+        # exact order n; build_field is what picks a true generator there
+        F = build_field(2, 19)
+        with pytest.raises(ValueError, match="order smaller than n"):
+            FqField(2, 19, F.m, F.modulus, 1)
+        # g^3 does not generate F_(2^18)^*, whose order 3^3 * 7 * 19 * 73
+        # is divisible by 3, yet its zeta g^(3(q-1)/19) still has order 19
+        G = FqField(2, 19, F.m, F.modulus, F.pow(F.generator, 3))
+        assert G.zeta == F.pow(F.zeta, 3)
+        assert sorted(G.theta) == sorted(F.theta)
 
     @pytest.mark.parametrize("p,n", [(3, 4), (2, 19)])
     def test_zero(self, p, n):
