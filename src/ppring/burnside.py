@@ -68,7 +68,7 @@ class BurnsideElement:
         return self.group == other.group and self.coeffs == other.coeffs
 
     def sorted_terms(self) -> list[tuple[Subgroup, Fraction]]:
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].order, kv[0].key()))
+        return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -90,11 +90,11 @@ def mark(G: FiniteGroup, L: Subgroup, H: Subgroup) -> int:
 
 def _fixed_cosets(G: FiniteGroup, L: Subgroup, H: Subgroup) -> list[int]:
     """Indices of the minimal representatives g of the cosets gL fixed by H."""
-    index, _, _, conj = mult_table(G)
-    members = frozenset(L.indices())
-    hgens = [index[h] for h in H.generators()]
+    conj = mult_table(G)[3]
+    mask = L.mask
+    hgens = H.generators()
     return [g for g in coset_indices(G, L)[0]
-            if all(conj[g][h] in members for h in hgens)]
+            if all(mask >> conj[g][h] & 1 for h in hgens)]
 
 
 def mark_element(x: BurnsideElement, H: Subgroup) -> Fraction:
@@ -144,18 +144,18 @@ def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
 
 
 def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
-                       fixed: list[int]) -> list[list]:
+                       fixed: list[int]) -> list[list[int]]:
     """Orbits of H acting by left multiplication on a set of cosets of L.
 
-    ``fixed`` lists coset representatives as indices of G; returns the
-    elements of the stabilizer in H of each orbit's minimal coset.
+    ``fixed`` lists coset representatives as indices of G; returns, as
+    indices of G, the stabilizer in H of each orbit's minimal coset.
     """
-    index, table, _, conj = mult_table(G)
+    _, table, _, conj = mult_table(G)
     rep_of = coset_indices(G, L)[1]
-    hgens = [index[h] for h in H.generators()]
+    hgens = H.generators()
     remaining = set(fixed)
     out = []
-    members = frozenset(L.indices())
+    mask = L.mask
     while remaining:
         start = min(remaining)
         orbit = {start}
@@ -171,8 +171,7 @@ def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
             frontier = new
         remaining -= orbit
         row = conj[start]
-        stab = [G.elements[h] for h in H.indices() if row[h] in members]
-        out.append(stab)
+        out.append([h for h in H.indices if mask >> row[h] & 1])
     return out
 
 
@@ -182,12 +181,13 @@ def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
         raise GroupMismatch("subgroup over a different group")
     G = x.group
     HH = promote(H)
+    position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
     out = BurnsideElement.zero(HH)
     for L, c in x.coeffs.items():
         reps = coset_indices(G, L)[0]
         terms: dict[Subgroup, Fraction] = {}
         for stab in _orbit_stabilizers(H, G, L, reps):
-            S = Subgroup(HH, stab, validate=False)
+            S = Subgroup.from_indices(HH, [position[h] for h in stab])
             terms[S] = terms.get(S, Fraction(0)) + c
         out = out + BurnsideElement(HH, terms)
     return out
@@ -195,7 +195,7 @@ def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
 
 def burnside_ind(x: BurnsideElement, G: FiniteGroup) -> BurnsideElement:
     """Induction to G: the induced transitive set [H/S] becomes [G/S]."""
-    if G.degree != x.group.degree or not x.group.element_set <= G.element_set:
+    if not G.contains_group(x.group):
         raise GroupMismatch("the element's group is not a subgroup of the target")
     coeffs = {S.reparent(G): c for S, c in x.coeffs.items()}
     return BurnsideElement(G, coeffs)
@@ -212,11 +212,13 @@ def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
     G = x.group
     N = normalizer(G, P)
     Q = normalizer_quotient(G, P)
+    position = {i: k for k, i in enumerate(N.indices)}  # G-index -> Q.parent-index
     out = BurnsideElement.zero(Q.group)
     for L, c in x.coeffs.items():
         terms: dict[Subgroup, Fraction] = {}
         for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P)):
-            Sbar = Q.project_subgroup(Subgroup(Q.parent, stab, validate=False))
+            Sbar = Q.project_subgroup(
+                Subgroup.from_indices(Q.parent, [position[h] for h in stab]))
             terms[Sbar] = terms.get(Sbar, Fraction(0)) + c
         out = out + BurnsideElement(Q.group, terms)
     return out

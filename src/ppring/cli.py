@@ -4,7 +4,9 @@ check.
 
 Exit codes: 0 when every requested verification passes, 1 on a verification
 failure, 2 on a usage or configuration error, 3 on an I/O error (such as an
-unwritable ``--out``).  Errors go to stderr and write no report.
+unwritable ``--out``) and 4 on an internal error (an unexpected exception,
+reported as one ``error: internal: ...`` line naming where it was raised).  Errors go to stderr and
+write no report.
 Identical configurations produce byte-identical reports.
 """
 
@@ -14,8 +16,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
+import traceback
 from dataclasses import dataclass
 
 from . import burnside as bd
@@ -120,8 +124,9 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGro
 
 
 def _subgroup_json(H) -> dict:
+    elements = H.parent.elements
     return {"order": H.order,
-            "generators": [list(g.images) for g in H.generators()]}
+            "generators": [list(elements[g].images) for g in H.generators()]}
 
 
 def _pair_json(q) -> dict:
@@ -149,12 +154,8 @@ def cmd_lattice(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
     lat = subgroup_lattice(G)
     rows = []
     for H in lat.subgroups:
-        rows.append({
-            "order": H.order,
-            "generators": [list(g.images) for g in H.generators()],
-            "normal": H.is_normal(),
-            "mu_to_top": lat.moebius(H, lat.top),
-        })
+        rows.append({**_subgroup_json(H), "normal": H.is_normal(),
+                     "mu_to_top": lat.moebius(H, lat.top)})
     return True, {
         "group_order": G.order,
         "subgroup_count": len(lat.subgroups),
@@ -521,7 +522,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    code, text = run(config)
+    try:
+        code, text = run(config)
+    except Exception as exc:  # a fault of the program must not read as exit 1
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"error: internal: {type(exc).__name__}: {exc} "
+              f"(at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return 4
     if code == 2:
         sys.stderr.write(text)
         return code

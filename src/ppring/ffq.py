@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import lru_cache
 
 from .cyclo import Cyclotomic, zeta_power
 from .grp import Permutation, Subgroup, coset_indices, mult_table, promote
@@ -328,7 +329,7 @@ class FqModule:
         self.field = field
         self.group = gen.group
         self._reps, self._rep_of = coset_indices(gen.group, gen.subgroup)
-        self._exp_of = dict(zip(gen.subgroup.indices(), gen.character.table()))
+        self._exp_of = dict(zip(gen.subgroup.indices, gen.character.table()))
         self.zeta_powers = sorted(field.theta, key=field.theta.get)  # zeta^0, zeta^1, ...
         self.dimension = len(self._reps)
         self._cache: dict[Permutation, tuple] = {}
@@ -447,7 +448,9 @@ def _nullspace(F: FqField, mat, ncols):
 # the oracle
 
 
+@lru_cache(maxsize=None)
 def realize_generator(gen: Generator, F: FqField) -> FqModule:
+    """The module of a generator over F, built once per (generator, field)."""
     if gen.character.conductor != F.n:
         raise ValueError("realize the generator at the field's own conductor")
     return FqModule(F, gen)
@@ -474,10 +477,10 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     """
     if gen.group != pair.group:
         raise ValueError("pair and generator over different groups")
-    module = realize_generator(gen, F)
-    d = module.dimension
+    d = gen.dimension
     if d > dim_cap:
         raise CapExceeded(f"dimension {d} exceeds the oracle cap {dim_cap}")
+    module = realize_generator(gen, F)
     n = gen.character.conductor
     mul, sub = F.mul, F.sub
     neg_ident = tuple(tuple(F.neg(x) for x in row) for row in _identity(d))
@@ -485,7 +488,7 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     def fixed_space(S: Subgroup):
         rows = []
         for u in S.generators():
-            diff = _mat_add(F, module.action(u), neg_ident)
+            diff = _mat_add(F, module.action(S.parent.elements[u]), neg_ident)
             rows.extend(diff)
         return _nullspace(F, rows, d)
 
@@ -493,10 +496,9 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     # image of the relative traces inside the fixed space
     trace_vectors = []
     PP = promote(pair.P)
-    for Qsub in _maximal_proper_subgroups(pair.P):
-        QP = Qsub.reparent(PP)
+    for Qsub in _maximal_proper_subgroups(pair.P):  # subgroups of PP
         tr = None
-        for x in coset_indices(PP, QP)[0]:
+        for x in coset_indices(PP, Qsub)[0]:
             mat = module.action(PP.elements[x])
             tr = mat if tr is None else _mat_add(F, tr, mat)
         for v in fixed_space(Qsub):

@@ -5,13 +5,16 @@ operation is brute force over the whole group: at the scale this library
 targets (orders up to a few hundred) exhaustive loops are fast, exactly
 reproducible and easy to audit.  The loops run on element indices against
 per-group multiplication, inverse and conjugation tables (:func:`mult_table`),
-so a product or a conjugate is a table lookup; :class:`Permutation` objects are
-built only where a subgroup or a report needs them.  This module
+so a product or a conjugate is a table lookup.  A subgroup is an index set:
+the sorted indices of its elements in ``parent.elements`` plus the same set
+as an int bitmask.  :class:`Permutation` objects appear only where a group is
+parsed or a report is written; :meth:`FiniteGroup.subgroup` is the checked
+edge from permutations to a subgroup.  This module
 is the only one that knows the conjugation convention (g^-1 x g, read from
 ``conj[g][x]``) and how N_G(P)/P is formed (:func:`normalizer_quotient`).  The
 canonical element order is lexicographic on image tuples, which is also index
-order, and every "choose a representative" step picks the minimum in that
-order, so all outputs are deterministic.
+order under every parent, and every "choose a representative" step picks the
+minimum in that order, so all outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -197,14 +200,14 @@ class FiniteGroup:
     itself trusts that ``elements`` is closed.
     """
 
-    __slots__ = ("degree", "generators", "elements", "element_set", "order", "_hash")
+    __slots__ = ("degree", "generators", "elements", "_index", "order", "_hash")
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: Sequence[Permutation]):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(sorted(elements))
-        self.element_set = frozenset(self.elements)
+        self._index = {x: i for i, x in enumerate(self.elements)}
         self.order = len(self.elements)
         self._hash = hash((degree, self.elements))
 
@@ -213,7 +216,7 @@ class FiniteGroup:
         return self.elements[0]  # the identity is lexicographically minimal
 
     def __contains__(self, x: Permutation) -> bool:
-        return x in self.element_set
+        return x in self._index
 
     def __iter__(self):
         return iter(self.elements)
@@ -224,14 +227,35 @@ class FiniteGroup:
     def exponent(self) -> int:
         return math.lcm(*(x.order() for x in self.elements))
 
-    def subgroup(self, elements: Iterable[Permutation], validate: bool = True) -> Subgroup:
-        return Subgroup(self, elements, validate=validate)
+    def contains_group(self, other: FiniteGroup) -> bool:
+        """True iff every element of ``other`` lies in this group."""
+        return other.degree == self.degree and all(g in self for g in other.generators)
+
+    def subgroup(self, elements: Iterable[Permutation]) -> Subgroup:
+        """The subgroup with exactly the given elements, checked against the
+        multiplication table; raises :class:`NotSubgroup` if they are not one."""
+        index = self._index
+        try:
+            members = sorted({index[x] for x in elements})
+        except KeyError:
+            raise NotSubgroup("elements not contained in the parent group") from None
+        if not members:
+            raise NotSubgroup("a subgroup cannot be empty")
+        if members[0] != 0:
+            raise NotSubgroup("identity missing")
+        if len(close_indices(mult_table(self)[1], members)) != len(members):
+            raise NotSubgroup("not closed under product")
+        return Subgroup.from_indices(self, members)
+
+    def closure(self, elements: Iterable[Permutation]) -> Subgroup:
+        """The subgroup generated by the given elements of this group."""
+        return subgroup_closure(self, [self._index[x] for x in elements])
 
     def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(self, [self.identity], validate=False)
+        return Subgroup.from_indices(self, (0,))
 
     def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, self.elements, validate=False)
+        return Subgroup.from_indices(self, range(self.order))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -261,36 +285,19 @@ def close_generators(degree: int, gens: Sequence[Permutation],
 
 
 class Subgroup:
-    """A subgroup of a :class:`FiniteGroup`, stored as its sorted element list.
+    """A subgroup of a :class:`FiniteGroup`, stored as an index set.
 
-    ``validate=False`` skips the closure check; internal callers use it when
-    closure holds by construction (conjugates, intersections, closures).
+    ``indices`` is the sorted tuple of the positions of its elements in
+    ``parent.elements`` and ``mask`` the same set as an int bitmask (bit i is
+    set iff element i belongs), the one membership form.  Index order is
+    element order under every parent, so sorting subgroups of one parent by
+    ``(order, indices)`` sorts them by their element lists, and ``reparent``
+    keeps the order of the indices.  :meth:`from_indices` is the constructor
+    and trusts its input; :meth:`FiniteGroup.subgroup` is the checked edge
+    from permutations.
     """
 
-    __slots__ = ("parent", "elements", "element_set", "_hash", "_generators",
-                 "_indices")
-
-    def __init__(self, parent: FiniteGroup, elements: Iterable[Permutation],
-                 validate: bool = True):
-        self.parent = parent
-        self.elements = tuple(sorted(set(elements)))
-        self.element_set = frozenset(self.elements)
-        self._generators: Optional[tuple[Permutation, ...]] = None
-        self._indices: Optional[tuple[int, ...]] = None
-        if validate:
-            if not self.elements:
-                raise NotSubgroup("a subgroup cannot be empty")
-            if not self.element_set <= parent.element_set:
-                raise NotSubgroup("elements not contained in the parent group")
-            if parent.identity not in self.element_set:
-                raise NotSubgroup("identity missing")
-            for a in self.elements:
-                for b in self.elements:
-                    if a * b not in self.element_set:
-                        raise NotSubgroup(f"not closed under product: {a!r} * {b!r}")
-            if parent.order % len(self.elements) != 0:
-                raise NotSubgroup("order does not divide the parent order")
-        self._hash = hash((parent, self.elements))
+    __slots__ = ("parent", "indices", "mask", "_hash", "_generators")
 
     @classmethod
     def from_indices(cls, parent: FiniteGroup, indices: Iterable[int]) -> Subgroup:
@@ -298,99 +305,80 @@ class Subgroup:
         distinct and closed (no check is made)."""
         H = object.__new__(cls)
         H.parent = parent
-        H._indices = tuple(indices)
-        elements = parent.elements
-        H.elements = tuple(elements[i] for i in H._indices)
-        H.element_set = frozenset(H.elements)
+        H.indices = indices = tuple(indices)
+        mask = 0
+        for i in indices:
+            mask |= 1 << i
+        H.mask = mask
         H._generators = None
-        H._hash = hash((parent, H.elements))
+        H._hash = hash((parent, indices))
         return H
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     @property
-    def identity(self) -> Permutation:
-        return self.parent.identity
+    def elements(self) -> tuple[Permutation, ...]:
+        """The elements as permutations, in index order (a derived view)."""
+        elements = self.parent.elements
+        return tuple(elements[i] for i in self.indices)
 
     def __contains__(self, x: Permutation) -> bool:
-        return x in self.element_set
+        i = self.parent._index.get(x)
+        return i is not None and self.mask >> i & 1 == 1
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical form: the tuple of image tuples of the sorted elements."""
-        return tuple(x.images for x in self.elements)
-
-    def indices(self) -> tuple[int, ...]:
-        """The elements as sorted indices into ``parent.elements``.
-
-        Index order is element order, so for subgroups of one parent,
-        comparing index tuples orders them as comparing :meth:`key` does.
-        """
-        if self._indices is None:
-            index = mult_table(self.parent)[0]
-            self._indices = tuple(index[x] for x in self.elements)
-        return self._indices
-
-    def generators(self) -> tuple[Permutation, ...]:
-        """A small generating set, found greedily in canonical order."""
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set as parent indices, found greedily in index
+        order."""
         if self._generators is None:
             table = mult_table(self.parent)[1]
             gens: list[int] = []
             closed: frozenset = frozenset((0,))
-            for i in self.indices():
+            for i in self.indices:
                 if i not in closed:
                     gens.append(i)
                     closed = close_indices(table, gens)
                     if len(closed) == self.order:
                         break
-            elements = self.parent.elements
-            self._generators = tuple(elements[i] for i in gens)
+            self._generators = tuple(gens)
         return self._generators
-
-    def conj(self, g: Permutation) -> Subgroup:
-        """The conjugate subgroup g^-1 * H * g."""
-        index, _, _, conj = mult_table(self.parent)
-        row = conj[index[g]]
-        return Subgroup.from_indices(self.parent, sorted(row[x] for x in self.indices()))
 
     def is_normal(self) -> bool:
         index, _, _, conj = mult_table(self.parent)
-        members = frozenset(self.indices())
-        for g in self.parent.generators:
-            row = conj[index[g]]
-            if any(row[x] not in members for x in members):
-                return False
-        return True
+        return all(self.mask >> conj[index[g]][x] & 1
+                   for g in self.parent.generators for x in self.indices)
 
     def reparent(self, group: FiniteGroup) -> Subgroup:
-        """The same element set viewed inside another (super)group."""
-        if group.degree != self.parent.degree or not self.element_set <= group.element_set:
-            raise NotSubgroup("element set does not embed in the target group")
-        return Subgroup(group, self.elements, validate=False)
+        """The same element set viewed inside another group that contains it."""
+        index = group._index
+        try:
+            return Subgroup.from_indices(group, [index[x] for x in self.elements])
+        except KeyError:
+            raise NotSubgroup("element set does not embed in the target group") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.parent == other.parent and self.elements == other.elements
+        return self.mask == other.mask and self.parent == other.parent
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: Subgroup) -> bool:
-        return (self.order, self.key()) < (other.order, other.key())
+        return (self.order, self.indices) < (other.order, other.indices)
 
     def __repr__(self) -> str:
-        return f"Subgroup(order={self.order}, gens={list(self.generators())!r})"
+        elements = self.parent.elements
+        gens = [elements[i] for i in self.generators()]
+        return f"Subgroup(order={self.order}, gens={gens!r})"
 
 
 @lru_cache(maxsize=None)
 def promote(H: Subgroup) -> FiniteGroup:
     """View a subgroup as a finite group in its own right (same degree)."""
-    return FiniteGroup(H.parent.degree, H.generators(), H.elements)
+    elements = H.parent.elements
+    return FiniteGroup(H.parent.degree, [elements[i] for i in H.generators()], H.elements)
 
 
 @lru_cache(maxsize=None)
@@ -405,7 +393,7 @@ def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...],
     identity sits at index 0 because it is lexicographically minimal.
     """
     elements = G.elements
-    index = {x: i for i, x in enumerate(elements)}
+    index = G._index
     by_images = {x.images: i for i, x in enumerate(elements)}
     table = tuple(
         tuple(by_images[tuple([a.images[j] for j in b.images])] for b in elements)
@@ -434,11 +422,9 @@ def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> fr
     return frozenset(closed)
 
 
-def subgroup_closure(G: FiniteGroup, elements: Iterable[Permutation]) -> Subgroup:
-    """The subgroup of G generated by ``elements``."""
-    index, table = mult_table(G)[:2]
-    closed = close_indices(table, [index[x] for x in elements])
-    return Subgroup.from_indices(G, sorted(closed))
+def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+    """The subgroup of G generated by the elements with the given indices."""
+    return Subgroup.from_indices(G, sorted(close_indices(mult_table(G)[1], seed)))
 
 
 def is_p_power(m: int, p: int) -> bool:
@@ -463,16 +449,15 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     element.
     """
     check_prime(p)
+    elements = G.elements
     P = G.trivial_subgroup()
     while True:
         N = normalizer(G, P)
-        x = next(
-            (y for y in N.elements if y not in P.element_set and is_p_power(y.order(), p)),
-            None,
-        )
+        x = next((y for y in N.indices
+                  if not P.mask >> y & 1 and is_p_power(elements[y].order(), p)), None)
         if x is None:
             return P
-        P = subgroup_closure(G, P.elements + (x,))
+        P = subgroup_closure(G, P.generators() + (x,))
 
 
 def p_prime_part(G: FiniteGroup, x: Permutation, p: int) -> Permutation:
@@ -497,11 +482,11 @@ def p_prime_part(G: FiniteGroup, x: Permutation, p: int) -> Permutation:
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     if H.parent != G:
         raise NotSubgroup("subgroup belongs to a different group")
-    index, _, _, conj = mult_table(G)
-    members = frozenset(H.indices())
-    hgens = [index[h] for h in H.generators()]
+    conj = mult_table(G)[3]
+    mask = H.mask
+    hgens = H.generators()
     return Subgroup.from_indices(
-        G, [g for g in range(G.order) if all(conj[g][h] in members for h in hgens)])
+        G, [g for g in range(G.order) if all(mask >> conj[g][h] & 1 for h in hgens)])
 
 
 @lru_cache(maxsize=None)
@@ -563,15 +548,15 @@ class QuotientGroup:
         """Image in the quotient of a subgroup of the parent."""
         if H.parent != self.parent:
             raise NotSubgroup("subgroup does not live in the parent group")
-        return Subgroup.from_indices(self.group, sorted({self.proj[h] for h in H.indices()}))
+        return Subgroup.from_indices(self.group, sorted({self.proj[h] for h in H.indices}))
 
     def preimage(self, S: Subgroup) -> Subgroup:
         """Full preimage in the parent of a subgroup of the quotient."""
         if S.parent != self.group:
             raise NotSubgroup("subgroup does not live in the quotient group")
-        members = frozenset(S.indices())
+        mask = S.mask
         return Subgroup.from_indices(
-            self.parent, [g for g, q in enumerate(self.proj) if q in members])
+            self.parent, [g for g, q in enumerate(self.proj) if mask >> q & 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuotientGroup):
@@ -600,7 +585,7 @@ def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
     if H.parent != G:
         raise NotSubgroup("subgroup belongs to a different group")
     table = mult_table(G)[1]
-    members = H.indices()
+    members = H.indices
     rep_of = [-1] * G.order
     reps = []
     for g in range(G.order):
@@ -622,7 +607,7 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[Permutat
     if A.parent != G or B.parent != G:
         raise NotSubgroup("subgroup belongs to a different group")
     table = mult_table(G)[1]
-    a_members, b_members = A.indices(), B.indices()
+    a_members, b_members = A.indices, B.indices
     covered = bytearray(G.order)
     reps = []
     for g in range(G.order):
@@ -643,8 +628,8 @@ def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: Permutation) -> 
     """Sorted indices of A cap g B g^-1, the subgroup of a Mackey term."""
     index, _, inv, conj = mult_table(G)
     row = conj[inv[index[g]]]
-    conjugate = {row[b] for b in B.indices()}
-    return [a for a in A.indices() if a in conjugate]
+    conjugate = {row[b] for b in B.indices}
+    return [a for a in A.indices if a in conjugate]
 
 
 def subgroup_conjugacy(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> Optional[Permutation]:
@@ -652,11 +637,11 @@ def subgroup_conjugacy(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> Optional[P
     if H1.order != H2.order:
         return None
     conj = mult_table(G)[3]
-    target = frozenset(H2.indices())
-    members = H1.indices()
+    target = H2.mask
+    members = H1.indices
     for g in range(G.order):
         row = conj[g]
-        if all(row[x] in target for x in members):
+        if all(target >> row[x] & 1 for x in members):
             return G.elements[g]
     return None
 
@@ -682,9 +667,16 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[Permutation, ...], ...]:
 # named constructors
 
 
+def _check_order(order: int, max_order: int) -> None:
+    """Refuse a named group from its known order, before building anything."""
+    if order > max_order:
+        raise OrderCapExceeded(f"group order {order} exceeds the order cap {max_order}")
+
+
 def cyclic(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
+    _check_order(n, max_order)
     gen = Permutation(tuple((i + 1) % n for i in range(n)))
     return close_generators(n, [gen] if n > 1 else [], max_order)
 
@@ -719,6 +711,7 @@ def dihedral(order: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Dihedral group of the given (even) order."""
     if order < 2 or order % 2 != 0:
         raise ValueError("dihedral order must be even and at least 2")
+    _check_order(order, max_order)
     n = order // 2
     if n == 1:
         return cyclic(2, max_order)
@@ -743,6 +736,7 @@ def klein_four(max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def direct_product(G: FiniteGroup, H: FiniteGroup,
                    max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Direct product acting on the disjoint union of the two point sets."""
+    _check_order(G.order * H.order, max_order)
     d = G.degree + H.degree
     gens = [Permutation(g.images + tuple(range(G.degree, d))) for g in G.generators]
     gens += [Permutation(tuple(range(G.degree)) + tuple(G.degree + i for i in h.images))

@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .burnside import gluck_yoshida, linearize
 from .cyclo import Cyclotomic, zeta_power
-from .grp import (FiniteGroup, Permutation, Subgroup, promote, quotient,
-                  subgroup_closure, sylow)
+from .grp import (FiniteGroup, Permutation, Subgroup, close_indices, mult_table,
+                  promote, quotient, sylow)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, char_pullback,
                      default_conductor, ind_elt, inf_elt, make_generator,
@@ -83,8 +83,7 @@ def cyclic_idempotent(C: FiniteGroup, t: Permutation, p: int,
     full = C.full_subgroup()
     terms = {}
     for j in range(r):
-        chi = LinChar.from_table(full, [(j * powers[y] * step) % conductor
-                                        for y in C.elements], conductor)
+        chi = LinChar(full, [j * powers[y] * step for y in C.elements], conductor)
         g = make_generator(C, full, chi)
         coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
         terms[g] = terms.get(g, Cyclotomic.zero(conductor)) + coeff
@@ -137,22 +136,22 @@ def idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair,
     r = pair.s_order
     H = promote(pair.ps)
     PH = P.reparent(H)
+    table = mult_table(H)[1]
     lat = subgroup_lattice(H)
     denom = P.order * r * pair.centralizer_order
     step = n // r
     terms: dict = {}
     for L in lat.subgroups:
-        join = subgroup_closure(H, PH.elements + L.elements)
-        if join.order != H.order:
+        if len(close_indices(table, PH.generators() + L.generators())) != H.order:
             continue  # the condition PL = <Ps>
         mu = lat.moebius(L, lat.top)
         if mu == 0:
             continue
         weight = Fraction(L.order * mu, denom)
+        LG = L.reparent(G)
         for j in range(r):
-            chi = char_pullback(H, PH, t, j, L, n)
-            LG = L.reparent(G)
-            g = make_generator(G, LG, chi.reparent(LG))
+            chi = LinChar(LG, char_pullback(H, PH, t, j, L, n).table(), n)
+            g = make_generator(G, LG, chi)
             coeff = zeta_power(n, (-j) % r * step) * weight
             terms[g] = terms.get(g, Cyclotomic.zero(n)) + coeff
     return PPElement(G, p, n, terms)
@@ -221,8 +220,7 @@ def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair,
     lhs = ind_elt(idempotent_theorem(HH, p, hpair, n), G)
     as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
     big = as_g.stabilizer
-    small = big.element_set & H.element_set
-    c = Fraction(big.order, len(small))
+    c = Fraction(big.order, (big.mask & H.mask).bit_count())
     rep = next(q for q in enumerate_pairs(G, p) if pairs_conjugate(q, as_g))
     rhs = idempotent_theorem(G, p, rep, n).scale(c)
     return equal_elements(lhs, rhs)

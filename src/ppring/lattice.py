@@ -27,9 +27,9 @@ class SubgroupLattice:
         self.bottom = self.subgroups[0]
         self._index = {H: i for i, H in enumerate(self.subgroups)}
         # below[i] = bitmask of the subgroups contained in subgroup i
-        members = [frozenset(H.indices()) for H in self.subgroups]
-        self._below = [sum(1 << j for j, K in enumerate(members) if K <= H)
-                       for H in members]
+        masks = [H.mask for H in self.subgroups]
+        self._below = [sum(1 << j for j, K in enumerate(masks) if not K & ~H)
+                       for H in masks]
         self._mu: dict[tuple[int, int], int] = {}
         self._classes, self._rep_of = _conjugacy_classes(group, self.subgroups)
 
@@ -101,7 +101,7 @@ def _all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
                     known.add(J)
                     new.append(J)
         frontier = new
-    # (order, sorted indices) is the (order, key()) order of Subgroup.__lt__
+    # the (order, indices) order of Subgroup.__lt__
     return tuple(Subgroup.from_indices(group, members)
                  for members in sorted((sorted(H) for H in known),
                                        key=lambda m: (len(m), m)))
@@ -111,15 +111,15 @@ def _conjugacy_classes(group, subgroups):
     """Conjugacy classes of the (sorted) subgroups, each sorted, ordered by
     their minimal member, plus the class representative of each position."""
     conj = mult_table(group)[3]
-    position = {frozenset(H.indices()): i for i, H in enumerate(subgroups)}
+    position = {H.mask: i for i, H in enumerate(subgroups)}
     seen: set[int] = set()
     classes = []
     rep_of: dict[int, Subgroup] = {}
     for i, H in enumerate(subgroups):
         if i in seen:
             continue
-        members = H.indices()
-        conjugates = {position[frozenset(row[x] for x in members)] for row in conj}
+        members = H.indices
+        conjugates = {position[sum(1 << row[x] for x in members)] for row in conj}
         seen.update(conjugates)
         cls = tuple(subgroups[j] for j in sorted(conjugates))
         classes.append(cls)

@@ -57,43 +57,25 @@ class LinChar:
     """A linear character of a subgroup with values in mu_n, stored as exponents.
 
     The table holds the exponent e(x), chi(x) = zeta_n^e(x), of each element
-    x of the domain, aligned with ``domain.indices()``; elements sort alike
-    under every parent, so the table survives ``reparent``.  When n is prime
+    x of the domain, aligned with ``domain.indices`` and reduced mod the
+    conductor; elements sort alike under every parent, so the table also
+    fits the domain reparented to another group.  The constructor makes no
+    homomorphism check (:meth:`check_homomorphism` does).  When n is prime
     to p, the homomorphism property forces every p-element to exponent 0,
     which keeps the class closed under the whole calculus.
     """
 
     __slots__ = ("domain", "conductor", "_table", "_hash")
 
-    def __init__(self, domain: Subgroup, mapping: Mapping[Permutation, int],
-                 conductor: int, validate: bool = True):
-        if validate and set(mapping) != domain.element_set:
-            raise ValueError("character table does not match the domain")
+    def __init__(self, domain: Subgroup, table: Iterable[int], conductor: int):
         self.domain = domain
         self.conductor = conductor
-        self._table = tuple(mapping[x] % conductor for x in domain.elements)
+        self._table = tuple(e % conductor for e in table)
         self._hash = hash((domain, self._table, conductor))
-        if validate:
-            table = mult_table(domain.parent)[1]
-            exp_of = dict(zip(domain.indices(), self._table))
-            if any((ea + eb) % conductor != exp_of[table[a][b]]
-                   for a, ea in exp_of.items() for b, eb in exp_of.items()):
-                raise ValueError("table is not a homomorphism")
-
-    @classmethod
-    def from_table(cls, domain: Subgroup, table: Iterable[int], conductor: int) -> LinChar:
-        """The character with exponents ``table``, aligned with ``domain.indices()``
-        and reduced mod the conductor (no check is made)."""
-        chi = object.__new__(cls)
-        chi.domain = domain
-        chi.conductor = conductor
-        chi._table = tuple(table)
-        chi._hash = hash((domain, chi._table, conductor))
-        return chi
 
     @classmethod
     def trivial(cls, domain: Subgroup, conductor: int) -> LinChar:
-        return cls.from_table(domain, (0,) * domain.order, conductor)
+        return cls(domain, (0,) * domain.order, conductor)
 
     def table(self) -> tuple[int, ...]:
         """Exponents aligned with the sorted element list of the domain."""
@@ -110,35 +92,38 @@ class LinChar:
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self._table)
 
+    def check_homomorphism(self) -> None:
+        """Raise ValueError unless the table is a homomorphism on the domain."""
+        table = mult_table(self.domain.parent)[1]
+        n = self.conductor
+        exp_of = dict(zip(self.domain.indices, self._table))
+        if len(self._table) != self.domain.order or any(
+                (ea + eb) % n != exp_of[table[a][b]]
+                for a, ea in exp_of.items() for b, eb in exp_of.items()):
+            raise ValueError("table is not a homomorphism")
+
     def restrict(self, sub: Subgroup) -> LinChar:
-        exp_of = dict(zip(self.domain.indices(), self._table))
-        if sub.parent != self.domain.parent or not exp_of.keys() >= set(sub.indices()):
+        if sub.parent != self.domain.parent or sub.mask & ~self.domain.mask:
             raise NotSubgroup("restriction target is not contained in the domain")
-        return LinChar.from_table(sub, [exp_of[x] for x in sub.indices()], self.conductor)
+        exp_of = dict(zip(self.domain.indices, self._table))
+        return LinChar(sub, [exp_of[x] for x in sub.indices], self.conductor)
 
     def conj(self, g: Permutation) -> LinChar:
         """The character on domain^g sending x to chi(g x g^-1)."""
         G = self.domain.parent
         index, _, _, conj = mult_table(G)
         row = conj[index[g]]
-        moved = sorted(zip([row[x] for x in self.domain.indices()], self._table))
-        return LinChar.from_table(Subgroup.from_indices(G, [x for x, _ in moved]),
-                                  [e for _, e in moved], self.conductor)
+        moved = sorted(zip([row[x] for x in self.domain.indices], self._table))
+        return LinChar(Subgroup.from_indices(G, [x for x, _ in moved]),
+                       [e for _, e in moved], self.conductor)
 
     def __mul__(self, other: LinChar) -> LinChar:
         if other.domain != self.domain:
             raise GroupMismatch("character domains differ")
         if other.conductor != self.conductor:
             raise ConductorMismatch("character conductors differ")
-        n = self.conductor
-        return LinChar.from_table(
-            self.domain, [(a + b) % n for a, b in zip(self._table, other._table)], n)
-
-    def reparent(self, sub: Subgroup) -> LinChar:
-        """The same table on the same element set inside another parent group."""
-        if sub.element_set != self.domain.element_set:
-            raise NotSubgroup("reparent target has a different element set")
-        return LinChar.from_table(sub, self._table, self.conductor)
+        return LinChar(self.domain, [a + b for a, b in zip(self._table, other._table)],
+                       self.conductor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinChar):
@@ -157,44 +142,40 @@ def linear_characters(L: Subgroup, conductor: int) -> tuple[LinChar, ...]:
     """All linear characters of L with values in mu_conductor.
 
     Characters are built by assigning admissible exponents to a generating
-    set and propagating along products; inconsistent assignments are
-    discarded.
+    set and propagating them along the multiplication table; inconsistent
+    assignments are discarded.  A consistent propagation is a homomorphism,
+    which :meth:`LinChar.check_homomorphism` confirms for every result.
     """
     n = conductor
     gens = L.generators()
     if not gens:
         return (LinChar.trivial(L, n),)
+    table = mult_table(L.parent)[1]
+    elements = L.parent.elements
     choices = []
     for g in gens:
-        d = math.gcd(n, g.order())
+        d = math.gcd(n, elements[g].order())
         choices.append([(n // d) * k for k in range(d)])
     out = []
     for assignment in product(*choices):
-        table = {L.identity: 0}
-        frontier = [L.identity]
-        ok = True
-        while frontier and ok:
-            new = []
-            for x in frontier:
-                for g, e in zip(gens, assignment):
-                    y = x * g
-                    ey = (table[x] + e) % n
-                    if y in table:
-                        if table[y] != ey:
-                            ok = False
-                            break
-                    else:
-                        table[y] = ey
-                        new.append(y)
-                if not ok:
-                    break
-            frontier = new
-        if not ok or len(table) != L.order:
-            continue
-        try:
-            out.append(LinChar(L, table, n, validate=True))
-        except ValueError:
-            continue
+        exp_of = {0: 0}
+        reached = [0]
+        consistent = True
+        for x in reached:  # breadth first: the loop also visits what it appends
+            row, ex = table[x], exp_of[x]
+            for g, e in zip(gens, assignment):
+                y, ey = row[g], (ex + e) % n
+                if y not in exp_of:
+                    exp_of[y] = ey
+                    reached.append(y)
+                elif exp_of[y] != ey:
+                    consistent = False
+            if not consistent:
+                break
+        if consistent:
+            chi = LinChar(L, [exp_of[x] for x in L.indices], n)
+            chi.check_homomorphism()
+            out.append(chi)
     return tuple(sorted(out, key=lambda c: c.table()))
 
 
@@ -219,7 +200,7 @@ class Generator:
         return self.group.order // self.subgroup.order
 
     def sort_key(self):
-        return (self.subgroup.order, self.subgroup.key(), self.character.table())
+        return (self.subgroup.order, self.subgroup.indices, self.character.table())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Generator):
@@ -241,14 +222,14 @@ def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -
 
     The key of a conjugate is its sorted index tuple, then its exponents
     aligned to those indices, compared as two tuples: the order of
-    ``(Subgroup.key(), LinChar.table())``.
+    ``(Subgroup.indices, LinChar.table())``.
     """
     if subgroup.parent != group:
         raise GroupMismatch("subgroup does not live in the given group")
     if character.domain != subgroup:
         raise GroupMismatch("character domain differs from the subgroup")
     conj = mult_table(group)[3]
-    members = subgroup.indices()
+    members = subgroup.indices
     exps = character.table()
     best_sub = best_exps = None
     for row in conj:
@@ -261,7 +242,7 @@ def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -
         if best_sub is None or sub < best_sub or aligned < best_exps:
             best_sub, best_exps = sub, aligned
     sub = Subgroup.from_indices(group, best_sub)
-    return Generator(group, sub, LinChar.from_table(sub, best_exps, character.conductor))
+    return Generator(group, sub, LinChar(sub, best_exps, character.conductor))
 
 
 class PPElement:
@@ -342,9 +323,10 @@ class PPElement:
 
     def to_json(self) -> list[dict]:
         out = []
+        elements = self.group.elements
         for gen, coeff in self.sorted_terms():
             out.append({
-                "subgroup": [list(g.images) for g in gen.subgroup.generators()],
+                "subgroup": [list(elements[g].images) for g in gen.subgroup.generators()],
                 "character": {str(i): e for i, e in enumerate(gen.character.table())},
                 "coeff": coeff.to_json(),
             })
@@ -389,8 +371,7 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: Permutation, j: int,
         dlog[power] = a
         power = table[power][s]
     step = conductor // r
-    return LinChar.from_table(
-        L, [(j * dlog[Q.proj[x]] * step) % conductor for x in L.indices()], conductor)
+    return LinChar(L, [j * dlog[Q.proj[x]] * step for x in L.indices], conductor)
 
 
 def res_elt(x: PPElement, H: Subgroup) -> PPElement:
@@ -399,29 +380,33 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
         raise GroupMismatch("subgroup does not live in the element's group")
     G = x.group
     HH = promote(H)
-    position = {i: k for k, i in enumerate(H.indices())}  # G-index -> HH-index
-    out = PPElement.zero(HH, x.p, x.conductor)
+    n = x.conductor
+    index, _, _, conj = mult_table(G)
+    position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
+    out = PPElement.zero(HH, x.p, n)
     for gen, coeff in x.terms.items():
         L = gen.subgroup
+        exp_of = dict(zip(L.indices, gen.character.table()))
         terms: dict[Generator, Cyclotomic] = {}
         for g in double_coset_reps(G, H, L):
+            # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
             meet = conjugate_meet(G, H, L, g)
-            chi = gen.character.conj(g.inverse()).restrict(Subgroup.from_indices(G, meet))
+            row = conj[index[g]]
             inter = Subgroup.from_indices(HH, [position[i] for i in meet])
-            new = make_generator(HH, inter, chi.reparent(inter))
-            terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
+            new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
+            terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
         out = out + PPElement(HH, x.p, x.conductor, terms)
     return out
 
 
 def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
     """Induction to G: by transitivity a generator just changes ambient group."""
-    if G.degree != x.group.degree or not x.group.element_set <= G.element_set:
+    if not G.contains_group(x.group):
         raise NotSubgroup("the element's group is not a subgroup of the target")
     terms: dict[Generator, Cyclotomic] = {}
     for gen, coeff in x.terms.items():
         sub = gen.subgroup.reparent(G)
-        new = make_generator(G, sub, gen.character.reparent(sub))
+        new = make_generator(G, sub, LinChar(sub, gen.character.table(), x.conductor))
         terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
     return PPElement(G, x.p, x.conductor, terms)
 
@@ -434,9 +419,8 @@ def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
     terms: dict[Generator, Cyclotomic] = {}
     for gen, coeff in x.terms.items():
         pre = Q.preimage(gen.subgroup)
-        exp_of = dict(zip(gen.subgroup.indices(), gen.character.table()))
-        chi = LinChar.from_table(pre, [exp_of[Q.proj[g]] for g in pre.indices()],
-                                 x.conductor)
+        exp_of = dict(zip(gen.subgroup.indices, gen.character.table()))
+        chi = LinChar(pre, [exp_of[Q.proj[g]] for g in pre.indices], x.conductor)
         new = make_generator(G, pre, chi)
         terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
     return PPElement(G, x.p, x.conductor, terms)
@@ -479,14 +463,15 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
     y = res_elt(x, normalizer(x.group, P))
     Q = normalizer_quotient(x.group, P)
     n = x.conductor
+    kernel = Q.kernel.mask  # P inside N_G(P), the group y lives over
     terms: dict[Generator, Cyclotomic] = {}
     for gen, coeff in y.terms.items():
         L = gen.subgroup
-        if not P.element_set <= L.element_set:
+        if kernel & ~L.mask:
             continue
         Lbar = Q.project_subgroup(L)
-        exp_of = {Q.proj[l]: e for l, e in zip(L.indices(), gen.character.table())}
-        chi = LinChar.from_table(Lbar, [exp_of[q] for q in Lbar.indices()], n)
+        exp_of = {Q.proj[l]: e for l, e in zip(L.indices, gen.character.table())}
+        chi = LinChar(Lbar, [exp_of[q] for q in Lbar.indices], n)
         new = make_generator(Q.group, Lbar, chi)
         terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
     return PPElement(Q.group, x.p, n, terms)

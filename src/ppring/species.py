@@ -61,7 +61,7 @@ class SpeciesPair:
         self._hash = hash((group, p, P, lift))
 
     def sort_key(self):
-        return (self.P.order, self.P.key(), self.s_order, self.lift.images)
+        return (self.P.order, self.P.indices, self.s_order, self.lift.images)
 
     def label(self) -> str:
         return f"(|P|={self.P.order}, s={self.lift!r})"
@@ -91,20 +91,20 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: Permutation) -> Specie
     N = normalizer(G, P)
     if lift not in N:
         raise ValueError("lift does not normalize the subgroup")
-    ps = subgroup_closure(G, P.elements + (lift,))
+    index, table, inv, conj = mult_table(G)
+    t = index[lift]
+    ps = subgroup_closure(G, P.generators() + (t,))
     Q = normalizer_quotient(G, P)
     sbar = Q.project(lift)
     s_order = sbar.order()
     if lift.order() != s_order:
         raise RuntimeError("a p'-lift must have exactly the order of its image")
     centralizer_order = centralizer(Q.group, sbar).order
-    index, table, inv, conj = mult_table(G)
-    t = index[lift]
     t_inv = inv[t]
-    members = frozenset(P.indices())
+    mask = P.mask
     # g stabilizes the pair when g^-1 t g lies in the coset P t
     stab = Subgroup.from_indices(G, [
-        g for g in N.indices() if table[conj[g][t]][t_inv] in members])
+        g for g in N.indices if mask >> table[conj[g][t]][t_inv] & 1])
     if stab.order != P.order * centralizer_order:
         raise RuntimeError("pair stabilizer order differs from |P| * |centralizer|")
     return SpeciesPair(G, p, P, lift, ps, s_order, stab, centralizer_order)
@@ -140,14 +140,15 @@ def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
     if a.P.order != b.P.order or a.s_order != b.s_order:
         return False
     index, table, inv, conj = mult_table(a.group)
-    target = frozenset(b.P.indices())
-    members = a.P.indices()
+    target = b.P.mask
+    members = a.P.indices
     t = index[a.lift]
     b_inv = inv[index[b.lift]]
     for g in range(a.group.order):
-        if any(conj[g][x] not in target for x in members):
+        row = conj[g]
+        if any(not target >> row[x] & 1 for x in members):
             continue
-        if table[conj[g][t]][b_inv] in target:
+        if target >> table[row[t]][b_inv] & 1:
             return True
     return False
 
@@ -162,8 +163,8 @@ def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
         raise ConductorMismatch("conductor incompatible with the pair")
     L = gen.subgroup
     index, _, _, conj = mult_table(pair.group)
-    exp_of = dict(zip(L.indices(), gen.character.table()))
-    pgens = [index[u] for u in pair.P.generators()]
+    exp_of = dict(zip(L.indices, gen.character.table()))
+    pgens = pair.P.generators()
     t = index[pair.lift]
     counts: dict[int, int] = {}
     for g in coset_indices(pair.group, L)[0]:

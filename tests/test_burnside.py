@@ -6,7 +6,7 @@ from ppring.burnside import (BurnsideElement, burnside_ind, burnside_product,
                              burnside_res, fixed_point_functor, gluck_yoshida,
                              linearize, mark, mark_element, transitive)
 from ppring.grp import (Permutation, cyclic, normalizer, promote, quotient,
-                        subgroup_closure, symmetric, sylow)
+                        symmetric, sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import default_conductor, ind_elt, res_elt
 from ppring.species import equal_elements
@@ -21,12 +21,12 @@ class TestMark:
 
     def test_s3_c2_on_c2(self):
         G = symmetric(3)
-        C2 = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        C2 = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         assert mark(G, C2, C2) == 1
 
     def test_s3_c3_sees_no_transposition(self):
         G = symmetric(3)
-        C2 = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        C2 = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         assert mark(G, sylow(G, 3), C2) == 0
 
     def test_regular_set_marks(self):

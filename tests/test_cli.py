@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from ppring import ffq
+from ppring import ffq, species
 from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
                         parse_group_spec, run)
 from ppring.grp import OrderCapExceeded
@@ -201,6 +202,26 @@ class TestMain:
             reports.append(capsys.readouterr().out)
         assert reports == [library, library]
         assert json.loads(library)["all_agree"]
+
+    @pytest.mark.parametrize("group,order", [("C3000000", 3000000),
+                                             ("D6000000", 6000000),
+                                             ("C300xC300", 90000)])
+    def test_named_group_over_the_order_cap_exit_2(self, group, order, capsys):
+        assert main(["pairs", "--group", group]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: group order {order} exceeds the order cap 384\n"
+
+    def test_internal_error_exit_4(self, monkeypatch, capsys):
+        def broken(G, p):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(species, "enumerate_pairs", broken)
+        assert main(["pairs", "--group", "C2", "--p", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: internal: RuntimeError: injected fault "
+                            r"\(at test_cli\.py:\d+\)\n", captured.err)
 
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):

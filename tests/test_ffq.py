@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+from ppring import ffq
+from ppring.cli import RunConfig, run
+
 from ppring.cyclo import Cyclotomic
 from ppring.ffq import (TABLE_MAX_Q, CapExceeded, FqField, _is_irreducible,
                        _mat_mul, _pmod, _pmul, _prime_factors, _ptrim,
@@ -348,15 +351,38 @@ class TestOracleTau:
         gen = make_generator(G, T, LinChar.trivial(T, 1))
         assert oracle_tau(pair, gen, F).is_zero()
 
-    def test_dim_cap(self):
+    def test_dim_cap(self, monkeypatch):
+        def refuse(field, gen):
+            raise AssertionError("the module was built before the cap was checked")
+
         G = symmetric(3)
         n = default_conductor(G, 3)
         F = build_field(3, n)
         pair = enumerate_pairs(G, 3)[0]
         T = G.trivial_subgroup()
         gen = make_generator(G, T, LinChar.trivial(T, n))
-        with pytest.raises(CapExceeded):
-            oracle_tau(pair, gen, F, dim_cap=2)
+        ffq.realize_generator.cache_clear()
+        monkeypatch.setattr(ffq, "FqModule", refuse)
+        with pytest.raises(CapExceeded, match="dimension 6 exceeds the oracle cap 5"):
+            oracle_tau(pair, gen, F, dim_cap=5)
+
+    def test_one_module_per_generator_and_field(self, monkeypatch):
+        built = []
+
+        class Counted(ffq.FqModule):
+            def __init__(self, field, gen):
+                built.append((gen, field))
+                super().__init__(field, gen)
+
+        ffq.realize_generator.cache_clear()
+        monkeypatch.setattr(ffq, "FqModule", Counted)
+        try:
+            code, _ = run(RunConfig(command="oracle-check", group="S3", p=3,
+                                    fmt="json", samples=40, seed=0))
+        finally:
+            ffq.realize_generator.cache_clear()
+        assert code == 0
+        assert 1 < len(built) == len(set(built)) < 40
 
     @pytest.mark.parametrize("build,p", [
         (lambda: cyclic(6), 2), (lambda: symmetric(3), 3),
@@ -381,10 +407,10 @@ class TestOracleTau:
             for L in lat.class_reps():
                 gen = make_generator(G, L, LinChar.trivial(L, n))
                 # combinatorial count of P-fixed lines
-                members = gen.subgroup.element_set
+                members = frozenset(gen.subgroup.elements)
                 lines = sum(
                     1 for g in (G.elements[i] for i in coset_indices(G, gen.subgroup)[0])
-                    if all(u.conj(g) in members for u in pair.P.generators()))
+                    if all(u.conj(g) in members for u in pair.P.elements))
                 # oracle dimension: evaluate at s = 1 by summing multiplicities
                 value = oracle_tau(
                     build_pair_dim(G, p, pair), gen, F)

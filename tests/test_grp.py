@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ppring.grp import (InvalidPermutation, OrderCapExceeded,
-                        Permutation, Subgroup, alternating, centralizer,
+from ppring import grp
+from ppring.grp import (InvalidPermutation, NotSubgroup, OrderCapExceeded,
+                        Permutation, alternating, centralizer,
                         close_generators, conjugacy_classes, conjugate_meet,
                         cyclic, dihedral, direct_product, double_coset_reps,
                         is_p_power, klein_four, mult_table, normalizer,
@@ -95,9 +96,24 @@ class TestCloseGenerators:
         again = close_generators(3, list(G.elements))
         assert again.elements == G.elements
 
-    def test_order_cap(self):
+    def test_order_cap(self, monkeypatch):
         with pytest.raises(OrderCapExceeded):
             close_generators(5, list(symmetric(5).generators), max_order=100)
+        # named groups are refused from their known order, before anything is built
+        C300 = cyclic(300)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        monkeypatch.setattr(grp, "close_generators", refuse)
+        # the small cases come first: without the check they fail here, before
+        # cyclic(10 ** 9) could build a degree-10^9 permutation
+        for build in (lambda: cyclic(1000), lambda: cyclic(12, max_order=10),
+                      lambda: dihedral(1000), lambda: direct_product(C300, C300),
+                      lambda: cyclic(10 ** 9), lambda: dihedral(2 * 10 ** 9)):
+            with pytest.raises(OrderCapExceeded, match="exceeds the order cap"):
+                build()
 
     def test_deterministic_element_order(self):
         G = symmetric(3)
@@ -138,14 +154,25 @@ class TestSubgroup:
         G = symmetric(3)
         H = G.subgroup([G.identity, Permutation.from_cycles(3, [(0, 1)])])
         assert G.order % H.order == 0
-        with pytest.raises(Exception):
-            G.subgroup([Permutation.from_cycles(3, [(0, 1)])])  # no identity
+        t = Permutation.from_cycles(3, [(0, 1)])
+        c = Permutation.from_cycles(3, [(0, 1, 2)])
+        A4 = alternating(4)
+        for group, elements, message in [
+            (G, [t], "identity missing"),
+            (G, [], "cannot be empty"),
+            (G, [G.identity, c], "not closed"),
+            (G, [G.identity, t, Permutation.from_cycles(3, [(1, 2)])], "not closed"),
+            (G, [G.identity, Permutation.from_cycles(4, [(0, 1)])], "not contained"),
+            (A4, [A4.identity, Permutation.from_cycles(4, [(0, 1)])], "not contained"),
+        ]:
+            with pytest.raises(NotSubgroup, match=message):
+                group.subgroup(elements)
 
     def test_generators_regenerate(self):
         G = symmetric(4)
         H = sylow(G, 2)
         K = subgroup_closure(G, H.generators())
-        assert K.element_set == H.element_set
+        assert frozenset(K.elements) == frozenset(H.elements)
 
     def test_promote_keeps_elements(self):
         G = symmetric(3)
@@ -186,7 +213,7 @@ class TestSylow:
         S = sylow(G, p)
         assert S.order == part
         assert all(set(x.conj(g) for x in S.elements) <= set(G.elements)
-                   for g in S.generators())
+                   for g in S.elements)
 
 
 class TestPPrimePart:
@@ -229,13 +256,13 @@ class TestNormalizerCentralizer:
 
     def test_self_normalizing_transposition(self):
         G = symmetric(3)
-        H = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         N = normalizer(G, H)
-        assert N.element_set == H.element_set
+        assert frozenset(N.elements) == frozenset(H.elements)
         # oracle: conjugate the subgroup by every element
         expected = {g for g in G.elements
                     if {x.conj(g) for x in H.elements} == set(H.elements)}
-        assert N.element_set == expected
+        assert frozenset(N.elements) == expected
 
     def test_centralizer_three_cycle(self):
         G = symmetric(3)
@@ -312,7 +339,7 @@ class TestQuotient:
         for g, q in enumerate(Q.proj):
             fibers.setdefault(q, []).append(g)
         assert sorted(fibers) == list(range(Q.group.order))
-        assert tuple(fibers[0]) == N.indices()
+        assert tuple(fibers[0]) == N.indices
         assert Q.lifts == tuple(min(fibers[q]) for q in range(Q.group.order))
 
     def test_lift_section(self):
@@ -324,7 +351,7 @@ class TestQuotient:
     def test_not_normal_rejected(self):
         from ppring.grp import NotNormal
         G = symmetric(3)
-        H = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         with pytest.raises(NotNormal):
             quotient(G, H)
 
@@ -366,8 +393,8 @@ class TestSubgroupConjugacy:
 
     def test_conjugate_order_two_subgroups(self):
         G = symmetric(3)
-        H1 = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
-        H2 = subgroup_closure(G, [Permutation.from_cycles(3, [(1, 2)])])
+        H1 = G.closure([Permutation.from_cycles(3, [(0, 1)])])
+        H2 = G.closure([Permutation.from_cycles(3, [(1, 2)])])
         g = subgroup_conjugacy(G, H1, H2)
         assert g is not None
         assert {x.conj(g) for x in H1.elements} == set(H2.elements)
@@ -388,7 +415,7 @@ class TestConjugacyClasses:
 @given(st.permutations(list(range(5))), st.permutations(list(range(5))))
 def test_generated_groups_satisfy_lagrange(imga, imgb):
     G = close_generators(5, [Permutation(imga), Permutation(imgb)], max_order=384)
-    H = subgroup_closure(G, [Permutation(imga)])
+    H = G.closure([Permutation(imga)])
     assert G.order % H.order == 0
 
 
@@ -432,7 +459,7 @@ def test_order_classes_and_sylow_agree_with_sympy(G):
 def test_normalizer_and_centralizer_orders_agree_with_sympy(G, data):
     elements = st.sampled_from(G.elements)
     x = data.draw(elements)
-    H = subgroup_closure(G, data.draw(st.lists(elements, min_size=1, max_size=2)))
+    H = G.closure(data.draw(st.lists(elements, min_size=1, max_size=2)))
     theirs = sympy_group(G)
     comb = pytest.importorskip("sympy.combinatorics")
     as_sympy = {g: comb.Permutation(list(g.images)) for g in G.elements}
@@ -448,16 +475,44 @@ def test_normalizer_and_centralizer_orders_agree_with_sympy(G, data):
 @given(generated_groups(), st.data())
 def test_double_cosets_partition_generated_groups(G, data):
     elements = st.sampled_from(G.elements)
-    A = subgroup_closure(G, data.draw(st.lists(elements, max_size=2)))
-    B = subgroup_closure(G, data.draw(st.lists(elements, max_size=2)))
+    A = G.closure(data.draw(st.lists(elements, max_size=2)))
+    B = G.closure(data.draw(st.lists(elements, max_size=2)))
     covered = set()
     total = 0
     for g in double_coset_reps(G, A, B):
         double_coset = {a * g * b for a in A.elements for b in B.elements}
         assert not double_coset & covered
         meet = [G.elements[i] for i in conjugate_meet(G, A, B, g)]
-        assert meet == [a for a in A.elements if a.conj(g) in B.element_set]
+        assert meet == [a for a in A.elements if a.conj(g) in B]
         covered |= double_coset
         total += len(double_coset)
     assert total == G.order
-    assert covered == G.element_set
+    assert covered == frozenset(G.elements)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric(4),
+    lambda: direct_product(dihedral(8), cyclic(2)),
+    lambda: alternating(5),
+], ids=["S4", "D8xC2", "A5"])
+def test_index_order_is_element_order(build):
+    """Sorting subgroups by (order, indices) sorts them by (order, image
+    tuples), in G and for the copies reparented into every N_G(P)."""
+    G = build()
+    lat = subgroup_lattice(G)
+
+    def check(subgroups):
+        by_indices = sorted(subgroups, key=lambda H: (H.order, H.indices))
+        by_images = sorted(subgroups,
+                           key=lambda H: (H.order, [x.images for x in H.elements]))
+        assert by_indices == by_images == sorted(subgroups)
+
+    check(lat.subgroups)
+    for P in lat.subgroups:
+        N = normalizer(G, P)
+        NN = promote(N)
+        inside = [H for H in lat.subgroups if not H.mask & ~N.mask]
+        copies = [H.reparent(NN) for H in inside]
+        assert [H.elements for H in copies] == [H.elements for H in inside]
+        assert all(list(H.indices) == sorted(H.indices) for H in copies)
+        check(copies)

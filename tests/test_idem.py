@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ppring.cyclo import Cyclotomic, zeta_power
-from ppring.grp import (Permutation, cyclic, dihedral, promote,
-                        subgroup_closure, symmetric, sylow)
+from ppring.grp import (Permutation, cyclic, dihedral, promote, symmetric,
+                        sylow)
 from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, cyclic_idempotent,
                          delta_property, idempotent_normal_case,
                          idempotent_report, idempotent_theorem,
@@ -183,7 +183,7 @@ class TestDeltaAndPartition:
             F = idempotent_theorem(G, p, q)
             for r, v in species_vector(F):
                 subconj = any(
-                    frozenset(x.conj(g) for x in r.P.elements) <= q.P.element_set
+                    frozenset(x.conj(g) for x in r.P.elements) <= frozenset(q.P.elements)
                     for g in G.elements)
                 if not subconj:
                     assert v.is_zero()
@@ -232,17 +232,17 @@ class TestInductionLaw:
         hpair = next(q for q in enumerate_pairs(promote(H), p) if q.P.order == 3)
         as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
         assert as_g.stabilizer.order == 6
-        assert len(as_g.stabilizer.element_set & H.element_set) == 3
+        assert len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements)) == 3
         assert verify_induction(G, p, H, hpair)
 
     def test_s3_from_transposition_subgroup(self):
         G = symmetric(3)
         p = 3
-        H = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         hpair = next(q for q in enumerate_pairs(promote(H), p) if q.s_order == 2)
         as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
         assert Fraction(as_g.stabilizer.order,
-                        len(as_g.stabilizer.element_set & H.element_set)) == 1
+                        len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements))) == 1
         assert verify_induction(G, p, H, hpair)
 
 

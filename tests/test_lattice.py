@@ -45,7 +45,7 @@ class TestAllSubgroups:
     def test_matches_brute_force(self, build):
         G = build()
         lat = subgroup_lattice(G)
-        assert {H.element_set for H in lat.subgroups} == brute_force_subgroups(G)
+        assert {frozenset(H.elements) for H in lat.subgroups} == brute_force_subgroups(G)
 
     def test_s4_classical_count(self):
         lat = subgroup_lattice(symmetric(4))
@@ -67,9 +67,9 @@ class TestAllSubgroups:
     def test_contains_extremes_and_conjugates(self):
         G = alternating(4)
         lat = subgroup_lattice(G)
-        sets = {H.element_set for H in lat.subgroups}
+        sets = {frozenset(H.elements) for H in lat.subgroups}
         assert frozenset([G.identity]) in sets
-        assert G.element_set in sets
+        assert frozenset(G.elements) in sets
         for H in lat.subgroups:
             for g in G.elements:
                 assert frozenset(x.conj(g) for x in H.elements) in sets
@@ -119,7 +119,7 @@ class TestMoebius:
     def test_conjugation_invariance(self):
         G = symmetric(4)
         lat = subgroup_lattice(G)
-        index = {H.element_set: H for H in lat.subgroups}
+        index = {frozenset(H.elements): H for H in lat.subgroups}
         for A in lat.subgroups:
             for B in lat.subgroups:
                 if not lat.leq(A, B) or B.order > 8:

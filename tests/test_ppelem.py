@@ -1,9 +1,8 @@
 import pytest
 
 from ppring.cyclo import Cyclotomic
-from ppring.grp import (NotSubgroup, Permutation, Subgroup, alternating, cyclic,
-                        dihedral, direct_product, promote, quotient,
-                        subgroup_closure, symmetric, sylow)
+from ppring.grp import (NotSubgroup, Permutation, alternating, cyclic, dihedral,
+                        direct_product, promote, quotient, symmetric, sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (BadIndex, Generator, LinChar, NotPGroup, PPElement,
                            brauer_elt, char_pullback, default_conductor,
@@ -14,8 +13,12 @@ from ppring.species import (enumerate_pairs, equal_elements, tau_element)
 
 def gen_of(G, p, sub_elems, exps=None, n=None):
     n = default_conductor(G, p) if n is None else n
-    L = subgroup_closure(G, sub_elems)
-    chi = LinChar.trivial(L, n) if exps is None else LinChar(L, exps, n)
+    L = G.closure(sub_elems)
+    if exps is None:
+        chi = LinChar.trivial(L, n)
+    else:
+        chi = LinChar(L, [exps[x] for x in L.elements], n)
+        chi.check_homomorphism()
     return make_generator(G, L, chi)
 
 
@@ -25,27 +28,27 @@ def single(G, p, gen):
 
 def reference_make_generator(group, subgroup, character):
     """Permutation-level canonical form: conjugate by every g and keep the
-    minimal (Subgroup.key(), exponents aligned to the sorted elements)."""
+    minimal (image tuples of the sorted elements, exponents aligned to them)."""
     best = best_key = None
     for g in group.elements:
         gi = g.inverse()
         moved = {gi * x * g: e for x, e in character.exps.items()}
-        sub = Subgroup(group, moved.keys(), validate=False)
-        key = (sub.key(), tuple(moved[x] for x in sub.elements))
+        sub = group.subgroup(moved.keys())
+        key = (tuple(x.images for x in sub.elements), tuple(moved[x] for x in sub.elements))
         if best_key is None or key < best_key:
             best_key, best = key, (sub, moved)
     sub, moved = best
     return Generator(group, sub,
-                     LinChar(sub, moved, character.conductor, validate=False))
+                     LinChar(sub, [moved[x] for x in sub.elements], character.conductor))
 
 
 class TestLinChar:
     def test_homomorphism_enforced(self):
         G = cyclic(2)
         L = G.full_subgroup()
-        flip = next(x for x in G.elements if not x.is_identity())
+        LinChar(L, (0, 1), 2).check_homomorphism()
         with pytest.raises(ValueError):
-            LinChar(L, {G.identity: 1, flip: 0}, 2)
+            LinChar(L, (1, 0), 2).check_homomorphism()  # chi(1) = -1
 
     def test_p_elements_killed_automatically(self):
         # a homomorphism into mu_n with n odd must kill elements of order 2
@@ -62,11 +65,11 @@ class TestLinChar:
 
     def test_conj_moves_domain(self):
         G = symmetric(3)
-        L = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        L = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         chi = linear_characters(L, 2)[1]
         g = Permutation.from_cycles(3, [(0, 1, 2)])
         moved = chi.conj(g)
-        assert moved.domain.element_set == frozenset(x.conj(g) for x in L.elements)
+        assert frozenset(moved.domain.elements) == frozenset(x.conj(g) for x in L.elements)
         for x in L.elements:
             assert moved.value(x.conj(g)) == chi.value(x)
 
@@ -76,18 +79,18 @@ class TestLinChar:
         for L in subgroup_lattice(G).subgroups:
             for chi in linear_characters(L, 3):
                 mapping = dict(zip(L.elements, chi.table()))
-                assert LinChar.from_table(L, chi.table(), 3) == chi
-                built = LinChar(L, mapping, 3)
+                built = LinChar(L, [mapping[x] for x in L.elements], 3)
+                built.check_homomorphism()
                 assert built == chi
                 assert built.exps == mapping
-                assert LinChar(L, {x: e + 3 for x, e in mapping.items()}, 3) == chi
+                assert LinChar(L, [mapping[x] + 3 for x in L.elements], 3) == chi
                 assert all(chi.value(x) == e for x, e in mapping.items())
                 count += 1
         assert count > len(subgroup_lattice(G).subgroups)  # some are nontrivial
 
     def test_restrict_needs_a_subgroup_of_the_domain(self):
         G = symmetric(3)
-        C2 = subgroup_closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        C2 = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         chi = linear_characters(C2, 2)[1]
         sign = linear_characters(G.full_subgroup(), 2)[1]
         assert sign.restrict(C2) == chi
@@ -189,9 +192,9 @@ class TestInduction:
     def test_transitivity(self):
         G = symmetric(4)
         p = 2
-        H = promote(subgroup_closure(G, [Permutation.from_cycles(4, [(0, 1, 2)]),
+        H = promote(G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
                                          Permutation.from_cycles(4, [(0, 1)])]))
-        K = promote(subgroup_closure(G, [Permutation.from_cycles(4, [(0, 1, 2)])]))
+        K = promote(G.closure([Permutation.from_cycles(4, [(0, 1, 2)])]))
         n = default_conductor(G, p)
         chi = linear_characters(K.full_subgroup(), n)[1]
         x = PPElement.from_generator(p, make_generator(K, K.full_subgroup(), chi))
@@ -321,12 +324,12 @@ class TestMackeyCoherence:
         G = symmetric(4)
         p = 2
         n = default_conductor(G, p)
-        H = subgroup_closure(G, [Permutation.from_cycles(4, [(0, 1, 2)]),
+        H = G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
                                  Permutation.from_cycles(4, [(0, 1)])])
         K = sylow(G, 2)
         HH = promote(H)
         chi = linear_characters(
-            subgroup_closure(HH, [Permutation.from_cycles(4, [(0, 1, 2)])]), n)[1]
+            HH.closure([Permutation.from_cycles(4, [(0, 1, 2)])]), n)[1]
         gen = make_generator(HH, chi.domain, chi)
         x = PPElement.from_generator(p, gen)
         got = res_elt(ind_elt(x, G), K)
@@ -337,11 +340,10 @@ class TestMackeyCoherence:
         expected = PPElement.zero(KK, p, n)
         for g in double_coset_reps(G, K, L):
             gi = g.inverse()
-            inter = Subgroup(KK,
-                             K.element_set & frozenset(y.conj(gi) for y in L.elements),
-                             validate=False)
-            table = {u: gen.character.value(u.conj(g)) for u in inter.elements}
-            chi2 = LinChar(inter, table, n)
+            inter = KK.subgroup(
+                frozenset(K.elements) & frozenset(y.conj(gi) for y in L.elements))
+            chi2 = LinChar(inter, [gen.character.value(u.conj(g)) for u in inter.elements], n)
+            chi2.check_homomorphism()
             expected = expected + PPElement.from_generator(
                 p, make_generator(KK, inter, chi2))
         assert equal_elements(got, expected)
@@ -370,13 +372,9 @@ class TestResInfComposite:
                 LL = promote(L)
                 rhs = PPElement.zero(LL, p, n)
                 for gen, coeff in z.terms.items():
-                    members = gen.subgroup.element_set
-                    pre = Subgroup(LL,
-                                   [l for l in L.elements if Q.project(l) in members],
-                                   validate=False)
-                    table = {l: gen.character.value(Q.project(l))
-                             for l in pre.elements}
-                    chi2 = LinChar(pre, table, n, validate=False)
+                    pre = LL.subgroup(l for l in L.elements if Q.project(l) in gen.subgroup)
+                    chi2 = LinChar(pre, [gen.character.value(Q.project(l))
+                                         for l in pre.elements], n)
                     rhs = rhs + PPElement.from_generator(
                         p, make_generator(LL, pre, chi2)).scale(coeff)
                 assert equal_elements(lhs, rhs)

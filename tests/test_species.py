@@ -28,7 +28,7 @@ class TestEnumeratePairs:
         for G, p in [(symmetric(4), 2), (dihedral(12), 2), (dihedral(12), 3)]:
             for q in enumerate_pairs(G, p):
                 assert math.gcd(q.lift.order(), p) == 1
-                assert frozenset(x.conj(q.lift) for x in q.P.elements) == q.P.element_set
+                assert frozenset(x.conj(q.lift) for x in q.P.elements) == frozenset(q.P.elements)
 
     def test_ses_invariant(self):
         for G, p in [(symmetric(4), 2), (quotient_testcase(), 2)]:
