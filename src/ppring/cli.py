@@ -19,7 +19,6 @@ import json
 import os
 import random
 import sys
-import traceback
 from dataclasses import dataclass
 
 from . import burnside as bd
@@ -525,9 +524,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, text = run(config)
     except Exception as exc:  # a fault of the program must not read as exit 1
-        where = traceback.extract_tb(exc.__traceback__)[-1]
-        print(f"error: internal: {type(exc).__name__}: {exc} "
-              f"(at {os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        tb = exc.__traceback__
+        while tb.tb_next is not None:  # the frame that raised
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
+        print(f"error: internal: {type(exc).__name__}: {exc} (at {where})", file=sys.stderr)
         return 4
     if code == 2:
         sys.stderr.write(text)
