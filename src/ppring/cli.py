@@ -5,8 +5,8 @@ check.
 Exit codes: 0 when every requested verification passes, 1 on a verification
 failure, 2 on a usage or configuration error, 3 on an I/O error (such as an
 unwritable ``--out``) and 4 on an internal error (an unexpected exception,
-reported as one ``error: internal: ...`` line naming where it was raised).  Errors go to stderr and
-write no report.
+reported as one ``error: internal: ...`` line naming where it was raised).
+Errors go to stderr and write no report.
 Identical configurations produce byte-identical reports.
 """
 

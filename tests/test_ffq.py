@@ -4,7 +4,6 @@ import pytest
 
 from ppring import ffq
 from ppring.cli import RunConfig, run
-
 from ppring.cyclo import Cyclotomic
 from ppring.ffq import (TABLE_MAX_Q, CapExceeded, FqField, _is_irreducible,
                        _mat_mul, _pmod, _pmul, _prime_factors, _ptrim,

@@ -193,7 +193,7 @@ class TestInduction:
         G = symmetric(4)
         p = 2
         H = promote(G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
-                                         Permutation.from_cycles(4, [(0, 1)])]))
+                               Permutation.from_cycles(4, [(0, 1)])]))
         K = promote(G.closure([Permutation.from_cycles(4, [(0, 1, 2)])]))
         n = default_conductor(G, p)
         chi = linear_characters(K.full_subgroup(), n)[1]
@@ -325,7 +325,7 @@ class TestMackeyCoherence:
         p = 2
         n = default_conductor(G, p)
         H = G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
-                                 Permutation.from_cycles(4, [(0, 1)])])
+                       Permutation.from_cycles(4, [(0, 1)])])
         K = sylow(G, 2)
         HH = promote(H)
         chi = linear_characters(
