@@ -7,7 +7,7 @@ from .grp import (FiniteGroup, InvalidPermutation, NotNormal, NotSubgroup,
                   alternating, centralizer, close_generators, cyclic, dihedral,
                   direct_product, double_coset_reps, klein_four, normalizer,
                   normalizer_quotient, p_prime_part, promote, quaternion8, quotient,
-                  subgroup_conjugacy, symmetric, sylow)
+                  symmetric, sylow)
 from .lattice import SubgroupLattice, subgroup_lattice
 from .ppelem import (Generator, LinChar, PPElement, brauer_elt, char_pullback,
                      default_conductor, ind_elt, inf_elt, linear_characters,

@@ -150,7 +150,7 @@ def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
     ``fixed`` lists coset representatives as indices of G; returns, as
     indices of G, the stabilizer in H of each orbit's minimal coset.
     """
-    _, table, _, conj = mult_table(G)
+    table, _, conj = mult_table(G)[1:4]
     rep_of = coset_indices(G, L)[1]
     hgens = H.generators()
     remaining = set(fixed)

@@ -131,7 +131,7 @@ def _subgroup_json(H) -> dict:
 def _pair_json(q) -> dict:
     return {
         "P": _subgroup_json(q.P),
-        "lift": list(q.lift.images),
+        "lift": list(q.group.elements[q.lift].images),
         "s_order": q.s_order,
         "ps_order": q.ps.order,
         "stabilizer_order": q.stabilizer.order,
@@ -336,7 +336,8 @@ def tau_via_restriction(pair, gen) -> Cyclotomic:
     H = promote(pair.ps)
     x = PPElement.from_generator(pair.p, gen)
     y = res_elt(x, pair.ps)
-    sub_pair = species.build_pair(H, pair.p, pair.P.reparent(H), pair.lift)
+    lift = pair.ps.indices.index(pair.lift)  # the lift in H
+    sub_pair = species.build_pair(H, pair.p, pair.P.reparent(H), lift)
     return species.tau_element(sub_pair, y)
 
 
@@ -345,16 +346,16 @@ def tau_via_brauer(pair, gen) -> Cyclotomic:
     H = promote(pair.ps)
     x = PPElement.from_generator(pair.p, gen)
     y = res_elt(x, pair.ps)
+    lift = pair.ps.indices.index(pair.lift)  # the lift in H
     if pair.P.order > 1:
         PH = pair.P.reparent(H)
         Q = quotient(H, PH)
         z = brauer_elt(y, PH)
         base = Q.group
-        lift = Q.project(pair.lift)
+        lift = Q.proj[lift]
     else:
         z = y
         base = H
-        lift = pair.lift
     pair0 = species.build_pair(base, pair.p, base.trivial_subgroup(), lift)
     return species.tau_element(pair0, z)
 
@@ -512,16 +513,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command, group=args.group, p=args.p, fmt=args.fmt,
-            max_order=args.max_order, oracle_n_cap=args.oracle_n_cap,
-            oracle_dim_cap=args.oracle_dim_cap, samples=args.samples,
-            seed=args.seed, out=args.out,
-        )
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            config = RunConfig(
+                command=args.command, group=args.group, p=args.p, fmt=args.fmt,
+                max_order=args.max_order, oracle_n_cap=args.oracle_n_cap,
+                oracle_dim_cap=args.oracle_dim_cap, samples=args.samples,
+                seed=args.seed, out=args.out,
+            )
+        except (ParseError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         code, text = run(config)
     except Exception as exc:  # a fault of the program must not read as exit 1
         tb = exc.__traceback__

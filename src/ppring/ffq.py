@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, zeta_power
-from .grp import Permutation, Subgroup, coset_indices, mult_table, promote
+from .grp import Subgroup, coset_indices, mult_table, promote
 from .lattice import subgroup_lattice
 from .ppelem import Generator
 from .species import SpeciesPair
@@ -332,19 +332,22 @@ class FqModule:
         self._exp_of = dict(zip(gen.subgroup.indices, gen.character.table()))
         self.zeta_powers = sorted(field.theta, key=field.theta.get)  # zeta^0, zeta^1, ...
         self.dimension = len(self._reps)
-        self._cache: dict[Permutation, tuple] = {}
+        self._cache: dict[int, tuple] = {}
         # spot-check the homomorphism property on generator pairs
-        for a in self.group.generators:
-            for b in self.group.generators:
-                if _mat_mul(field, self.action(a), self.action(b)) != self.action(a * b):
+        index, table = mult_table(self.group)[:2]
+        gens = [index[g] for g in self.group.generators]
+        for a in gens:
+            for b in gens:
+                if _mat_mul(field, self.action(a), self.action(b)) != self.action(table[a][b]):
                     raise ValueError("matrix action fails the homomorphism check")
 
-    def action(self, g: Permutation) -> tuple:
-        """The matrix of g: coset c_i goes to c_j with scalar chi(c_j^-1 g c_i)."""
+    def action(self, g: int) -> tuple:
+        """The matrix of the element with index g: coset c_i goes to c_j with
+        scalar chi(c_j^-1 g c_i)."""
         if g not in self._cache:
             d = self.dimension
-            index, table, inv = mult_table(self.group)[:3]
-            row = table[index[g]]
+            table, inv = mult_table(self.group)[1:3]
+            row = table[g]
             position = {c: i for i, c in enumerate(self._reps)}
             rows = [[0] * d for _ in range(d)]
             for i, ci in enumerate(self._reps):
@@ -485,23 +488,24 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     mul, sub = F.mul, F.sub
     neg_ident = tuple(tuple(F.neg(x) for x in row) for row in _identity(d))
 
-    def fixed_space(S: Subgroup):
+    def fixed_space(gens):
+        """The common fixed space of the elements of G with indices gens."""
         rows = []
-        for u in S.generators():
-            diff = _mat_add(F, module.action(S.parent.elements[u]), neg_ident)
-            rows.extend(diff)
+        for u in gens:
+            rows.extend(_mat_add(F, module.action(u), neg_ident))
         return _nullspace(F, rows, d)
 
-    fixed_p = fixed_space(pair.P)
+    fixed_p = fixed_space(pair.P.generators())
     # image of the relative traces inside the fixed space
     trace_vectors = []
     PP = promote(pair.P)
+    in_g = pair.P.indices  # element k of PP is element in_g[k] of G
     for Qsub in _maximal_proper_subgroups(pair.P):  # subgroups of PP
         tr = None
         for x in coset_indices(PP, Qsub)[0]:
-            mat = module.action(PP.elements[x])
+            mat = module.action(in_g[x])
             tr = mat if tr is None else _mat_add(F, tr, mat)
-        for v in fixed_space(Qsub):
+        for v in fixed_space([in_g[u] for u in Qsub.generators()]):
             trace_vectors.append(_mat_vec(F, tr, v))
 
     # coordinates of the fixed space: its rref basis rows have unit pivots

@@ -4,24 +4,30 @@ Groups are fully enumerated permutation groups on ``{0..degree-1}``.  Every
 operation is brute force over the whole group: at the scale this library
 targets (orders up to a few hundred) exhaustive loops are fast, exactly
 reproducible and easy to audit.  The loops run on element indices against
-per-group multiplication, inverse and conjugation tables (:func:`mult_table`),
-so a product or a conjugate is a table lookup.  A subgroup is an index set:
-the sorted indices of its elements in ``parent.elements`` plus the same set
-as an int bitmask.  :class:`Permutation` objects appear only where a group is
-parsed or a report is written; :meth:`FiniteGroup.subgroup` is the checked
-edge from permutations to a subgroup.  This module
-is the only one that knows the conjugation convention (g^-1 x g, read from
-``conj[g][x]``) and how N_G(P)/P is formed (:func:`normalizer_quotient`).  The
-canonical element order is lexicographic on image tuples, which is also index
-order under every parent, and every "choose a representative" step picks the
-minimum in that order, so all outputs are deterministic.
+per-group multiplication, inverse, conjugation and order tables
+(:func:`mult_table`).  An element is an int, its index in ``G.elements``, in
+every function that takes or returns one.  A subgroup is an index set: the
+sorted indices of its elements in ``parent.elements`` plus the same set as an
+int bitmask.  :class:`Permutation` objects appear only where a group is
+parsed or constructed (:func:`close_generators`, the named constructors,
+:meth:`FiniteGroup.subgroup` and :meth:`FiniteGroup.closure`, :func:`promote`,
+the coset action in :class:`QuotientGroup`) and where a report is written.
+An index means something only in its own group, and index order is element
+order under every parent, so element k of ``promote(H)`` is element
+``H.indices[k]`` of ``H.parent``, and a parent index i in H is element
+``H.indices.index(i)`` of ``promote(H)``: the two ways an element moves.
+This module is the only one that knows the conjugation convention (g^-1 x g,
+read from ``conj[g][x]``) and how N_G(P)/P is formed (:func:`normalizer_quotient`).
+The canonical element order is lexicographic on image tuples, and every
+"choose a representative" step picks the minimum in that order, so all
+outputs are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 384
 
@@ -225,7 +231,7 @@ class FiniteGroup:
         return self.order
 
     def exponent(self) -> int:
-        return math.lcm(*(x.order() for x in self.elements))
+        return math.lcm(*mult_table(self)[4])
 
     def contains_group(self, other: FiniteGroup) -> bool:
         """True iff every element of ``other`` lies in this group."""
@@ -324,9 +330,8 @@ class Subgroup:
         elements = self.parent.elements
         return tuple(elements[i] for i in self.indices)
 
-    def __contains__(self, x: Permutation) -> bool:
-        i = self.parent._index.get(x)
-        return i is not None and self.mask >> i & 1 == 1
+    def __contains__(self, x: int) -> bool:
+        return self.mask >> x & 1 == 1
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set as parent indices, found greedily in index
@@ -345,7 +350,7 @@ class Subgroup:
         return self._generators
 
     def is_normal(self) -> bool:
-        index, _, _, conj = mult_table(self.parent)
+        index, _, _, conj = mult_table(self.parent)[:4]
         return all(self.mask >> conj[index[g]][x] & 1
                    for g in self.parent.generators for x in self.indices)
 
@@ -383,13 +388,15 @@ def promote(H: Subgroup) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...],
-                                          tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Index map, integer multiplication, inverse and conjugation tables.
+                                          tuple[int, ...], tuple[tuple[int, ...], ...],
+                                          tuple[int, ...]]:
+    """Index map, integer multiplication, inverse, conjugation and order tables.
 
-    ``index[x]`` is the position of x in ``G.elements``; ``table[a][b]`` is
-    the index of ``elements[a] * elements[b]``, ``inv[a]`` that of the
-    inverse of ``elements[a]`` and ``conj[g][x]`` that of the conjugate
-    g^-1 x g, so ``conj[inv[g]]`` conjugates the other way (g x g^-1).  The
+    ``index[x]`` is the position of the permutation x in ``G.elements``;
+    ``table[a][b]`` is the index of ``elements[a] * elements[b]``, ``inv[a]``
+    that of the inverse of ``elements[a]``, ``conj[g][x]`` that of the
+    conjugate g^-1 x g, so ``conj[inv[g]]`` conjugates the other way
+    (g x g^-1), and ``orders[a]`` is the order of ``elements[a]``.  The
     identity sits at index 0 because it is lexicographically minimal.
     """
     elements = G.elements
@@ -401,7 +408,13 @@ def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...],
     )
     inv = tuple(row.index(0) for row in table)
     conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(len(elements)))
-    return index, table, inv, conj
+    orders = []
+    for a, row in enumerate(table):
+        x, k = a, 1
+        while x:
+            x, k = row[x], k + 1
+        orders.append(k)
+    return index, table, inv, conj, tuple(orders)
 
 
 def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> frozenset:
@@ -435,7 +448,7 @@ def is_p_power(m: int, p: int) -> bool:
 
 
 def check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
 
 
@@ -449,33 +462,29 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     element.
     """
     check_prime(p)
-    elements = G.elements
+    orders = mult_table(G)[4]
     P = G.trivial_subgroup()
     while True:
         N = normalizer(G, P)
         x = next((y for y in N.indices
-                  if not P.mask >> y & 1 and is_p_power(elements[y].order(), p)), None)
+                  if not P.mask >> y & 1 and is_p_power(orders[y], p)), None)
         if x is None:
             return P
         P = subgroup_closure(G, P.generators() + (x,))
 
 
-def p_prime_part(G: FiniteGroup, x: Permutation, p: int) -> Permutation:
+def p_prime_part(G: FiniteGroup, x: int, p: int) -> int:
     """The p'-part of x: the power of x of order the p'-part of |x|."""
     check_prime(p)
-    if x not in G:
+    if not 0 <= x < G.order:
         raise NotSubgroup("element not in the group")
-    n = x.order()
-    a = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        a += 1
-    if a == 0:
-        return x
-    if m == 1:
-        return G.identity
-    return x ** (p ** a * pow(p ** a, -1, m))
+    table, _, _, orders = mult_table(G)[1:]
+    n = orders[x]
+    q = math.gcd(n, p ** n)  # the p-part of n; x^e has e = 0 mod q, 1 mod n/q
+    y = 0
+    for _ in range(q * pow(q, -1, n // q) % n):
+        y = table[y][x]
+    return y
 
 
 @lru_cache(maxsize=None)
@@ -490,14 +499,13 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 
 
 @lru_cache(maxsize=None)
-def centralizer(G: FiniteGroup, x: Permutation) -> Subgroup:
-    if x not in G:
+def centralizer(G: FiniteGroup, x: int) -> Subgroup:
+    if not 0 <= x < G.order:
         raise NotSubgroup("element not in the group")
-    index, table = mult_table(G)[:2]
-    xi = index[x]
-    row = table[xi]
+    table = mult_table(G)[1]
+    row = table[x]
     return Subgroup.from_indices(
-        G, [g for g in range(G.order) if table[g][xi] == row[g]])
+        G, [g for g in range(G.order) if table[g][x] == row[g]])
 
 
 class QuotientGroup:
@@ -506,8 +514,7 @@ class QuotientGroup:
     The quotient map is held as two index tuples: ``proj[g]`` is the index in
     ``group.elements`` of the image of the parent element with index g, and
     ``lifts[q]`` is the parent index of the minimal representative of the
-    coset that quotient element q stands for.  ``project`` and ``lift`` are
-    their :class:`Permutation` views.
+    coset that quotient element q stands for.
     """
 
     __slots__ = ("parent", "kernel", "group", "proj", "lifts", "_hash")
@@ -537,12 +544,6 @@ class QuotientGroup:
         self.proj = tuple(at[coset_of[r]] for r in rep_of)
         self.lifts = tuple(r for _, r in sorted(zip(at, reps)))
         self._hash = hash((parent, kernel))
-
-    def project(self, g: Permutation) -> Permutation:
-        return self.group.elements[self.proj[mult_table(self.parent)[0][g]]]
-
-    def lift(self, q: Permutation) -> Permutation:
-        return self.parent.elements[self.lifts[mult_table(self.group)[0][q]]]
 
     def project_subgroup(self, H: Subgroup) -> Subgroup:
         """Image in the quotient of a subgroup of the parent."""
@@ -597,8 +598,9 @@ def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
     return reps, rep_of
 
 
-def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[Permutation]:
-    """One minimal representative per double coset A g B, in canonical order.
+def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:
+    """The index of one minimal representative per double coset A g B, in
+    canonical order.
 
     A g B is the union of the left cosets a g B, and the cosets covered so
     far are whole left cosets of B, so a coset whose first element is
@@ -621,36 +623,22 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[Permutat
             row = table[ag]
             for b in b_members:
                 covered[row[b]] = 1
-    return [G.elements[g] for g in reps]
+    return reps
 
 
-def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: Permutation) -> list[int]:
+def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: int) -> list[int]:
     """Sorted indices of A cap g B g^-1, the subgroup of a Mackey term."""
-    index, _, inv, conj = mult_table(G)
-    row = conj[inv[index[g]]]
+    inv, conj = mult_table(G)[2:4]
+    row = conj[inv[g]]
     conjugate = {row[b] for b in B.indices}
     return [a for a in A.indices if a in conjugate]
 
 
-def subgroup_conjugacy(G: FiniteGroup, H1: Subgroup, H2: Subgroup) -> Optional[Permutation]:
-    """Some g with H1^g = H2, or None. Brute force over G."""
-    if H1.order != H2.order:
-        return None
-    conj = mult_table(G)[3]
-    target = H2.mask
-    members = H1.indices
-    for g in range(G.order):
-        row = conj[g]
-        if all(target >> row[x] & 1 for x in members):
-            return G.elements[g]
-    return None
-
-
 @lru_cache(maxsize=None)
-def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[Permutation, ...], ...]:
-    """Element conjugacy classes, each sorted, ordered by minimal member."""
+def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """Element conjugacy classes as index tuples, each sorted, ordered by
+    minimal member."""
     conj = mult_table(G)[3]
-    elements = G.elements
     seen = bytearray(G.order)
     classes = []
     for x in range(G.order):
@@ -659,7 +647,7 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[Permutation, ...], ...]:
         cls = sorted({row[x] for row in conj})
         for y in cls:
             seen[y] = 1
-        classes.append(tuple(elements[y] for y in cls))
+        classes.append(tuple(cls))
     return tuple(classes)
 
 

@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .burnside import gluck_yoshida, linearize
 from .cyclo import Cyclotomic, zeta_power
-from .grp import (FiniteGroup, Permutation, Subgroup, close_indices, mult_table,
-                  promote, quotient, sylow)
+from .grp import (FiniteGroup, Subgroup, close_indices, mult_table, promote,
+                  quotient, sylow)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, char_pullback,
                      default_conductor, ind_elt, inf_elt, make_generator,
@@ -55,9 +55,10 @@ class IdempotentReport:
     routes_agree: bool
 
 
-def cyclic_idempotent(C: FiniteGroup, t: Permutation, p: int,
+def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
                       conductor: int) -> PPElement:
-    """The primitive idempotent of a cyclic p'-group attached to the element t:
+    """The primitive idempotent of a cyclic p'-group attached to the element
+    with index t:
 
         (1/|C|) * sum over characters phi of phi(t^-1) * [k_phi],
 
@@ -66,24 +67,25 @@ def cyclic_idempotent(C: FiniteGroup, t: Permutation, p: int,
     r = C.order
     if r % p == 0:
         raise NotPPrime(f"group order {r} is divisible by {p}")
-    gen = next((x for x in C.elements if x.order() == r), None)
-    if gen is None:
+    _, table, _, _, orders = mult_table(C)
+    if r not in orders:
         raise NotCyclic("group has no element of full order")
-    if t not in C:
+    gen = orders.index(r)
+    if not 0 <= t < r:
         raise GroupMismatch("element does not belong to the group")
     if conductor % r != 0:
         raise ValueError("group order must divide the conductor")
     step = conductor // r
-    powers = {}
-    x = C.identity
+    powers = [0] * r
+    x = 0
     for a in range(r):
         powers[x] = a
-        x = x * gen
+        x = table[x][gen]
     b = powers[t]
     full = C.full_subgroup()
     terms = {}
     for j in range(r):
-        chi = LinChar(full, [j * powers[y] * step for y in C.elements], conductor)
+        chi = LinChar(full, [j * a * step for a in powers], conductor)
         g = make_generator(C, full, chi)
         coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
         terms[g] = terms.get(g, Cyclotomic.zero(conductor)) + coeff
@@ -96,11 +98,12 @@ def top_E(G: FiniteGroup, p: int, conductor: int | None = None) -> PPElement:
     return linearize(gluck_yoshida(G, G.full_subgroup()), p, n)
 
 
-def idempotent_normal_case(H: FiniteGroup, s_lift: Permutation, p: int,
+def idempotent_normal_case(H: FiniteGroup, s_lift: int, p: int,
                            conductor: int | None = None) -> PPElement:
     """The idempotent of a group with normal Sylow p-subgroup and cyclic
-    p'-quotient generated by the image of ``s_lift``: the product of the
-    linearized top Burnside idempotent with the inflated cyclic idempotent.
+    p'-quotient generated by the image of the element with index ``s_lift``:
+    the product of the linearized top Burnside idempotent with the inflated
+    cyclic idempotent.
     """
     n = default_conductor(H, p) if conductor is None else conductor
     P = sylow(H, p)
@@ -108,10 +111,10 @@ def idempotent_normal_case(H: FiniteGroup, s_lift: Permutation, p: int,
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     Q = quotient(H, P)
     C = Q.group
-    if math.gcd(s_lift.order(), p) != 1 or s_lift not in H:
+    if not 0 <= s_lift < H.order or math.gcd(mult_table(H)[4][s_lift], p) != 1:
         raise ShapeMismatch("lift is not a p'-element of the group")
-    sbar = Q.project(s_lift)
-    if sbar.order() != C.order:
+    sbar = Q.proj[s_lift]
+    if mult_table(C)[4][sbar] != C.order:
         raise ShapeMismatch("quotient is not cyclic generated by the lift's image")
     f = cyclic_idempotent(C, sbar, p, n)
     return tensor_elt(top_E(H, p, n), inf_elt(f, Q))
@@ -132,7 +135,7 @@ def idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair,
         raise GroupMismatch("pair does not belong to the (group, prime) computation")
     n = default_conductor(G, p) if conductor is None else conductor
     P = pair.P
-    t = pair.lift
+    t = pair.ps.indices.index(pair.lift)  # the lift in H = promote(<Ps>)
     r = pair.s_order
     H = promote(pair.ps)
     PH = P.reparent(H)
@@ -166,7 +169,7 @@ def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair,
         raise GroupMismatch("pair does not belong to the (group, prime) computation")
     n = default_conductor(G, p) if conductor is None else conductor
     H = promote(pair.ps)
-    f = idempotent_normal_case(H, pair.lift, p, n)
+    f = idempotent_normal_case(H, pair.ps.indices.index(pair.lift), p, n)
     return ind_elt(f, G).scale(Fraction(pair.s_order, pair.centralizer_order))
 
 
@@ -203,7 +206,7 @@ def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair,
     HH = promote(H)
     rhs = PPElement.zero(HH, p, n)
     for hp in enumerate_pairs(HH, p):
-        as_g = build_pair(G, p, hp.P.reparent(G), hp.lift)
+        as_g = build_pair(G, p, hp.P.reparent(G), H.indices[hp.lift])
         if pairs_conjugate(as_g, pair):
             rhs = rhs + idempotent_theorem(HH, p, hp, n)
     return equal_elements(lhs, rhs)
@@ -218,7 +221,7 @@ def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair,
     if hpair.group != HH:
         raise GroupMismatch("pair does not live over the subgroup")
     lhs = ind_elt(idempotent_theorem(HH, p, hpair, n), G)
-    as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
+    as_g = build_pair(G, p, hpair.P.reparent(G), H.indices[hpair.lift])
     big = as_g.stabilizer
     c = Fraction(big.order, (big.mask & H.mask).bit_count())
     rep = next(q for q in enumerate_pairs(G, p) if pairs_conjugate(q, as_g))
@@ -236,7 +239,7 @@ def verify_E_decomposition(H: FiniteGroup, p: int,
     if not P.is_normal():
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     C = quotient(H, P).group
-    if not any(x.order() == C.order for x in C.elements):
+    if C.order not in mult_table(C)[4]:
         raise ShapeMismatch("quotient is not cyclic")
     E = top_E(H, p, n)
     vec = species_vector(E)

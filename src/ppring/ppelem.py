@@ -22,9 +22,9 @@ from itertools import product
 from typing import Iterable, Mapping, Union
 
 from .cyclo import Cyclotomic, ConductorMismatch
-from .grp import (FiniteGroup, NotNormal, NotSubgroup, Permutation, QuotientGroup,
-                  Subgroup, conjugate_meet, double_coset_reps, is_p_power,
-                  mult_table, normalizer, normalizer_quotient, promote, quotient)
+from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, Subgroup,
+                  conjugate_meet, double_coset_reps, is_p_power, mult_table,
+                  normalizer, normalizer_quotient, promote, quotient)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -58,9 +58,10 @@ class LinChar:
 
     The table holds the exponent e(x), chi(x) = zeta_n^e(x), of each element
     x of the domain, aligned with ``domain.indices`` and reduced mod the
-    conductor; elements sort alike under every parent, so the table also
-    fits the domain reparented to another group.  The constructor makes no
-    homomorphism check (:meth:`check_homomorphism` does).  When n is prime
+    conductor; it is the one form of the character.  Elements sort alike
+    under every parent, so the table also fits the domain reparented to
+    another group.  The constructor makes no homomorphism check
+    (:meth:`check_homomorphism` does).  When n is prime
     to p, the homomorphism property forces every p-element to exponent 0,
     which keeps the class closed under the whole calculus.
     """
@@ -81,14 +82,6 @@ class LinChar:
         """Exponents aligned with the sorted element list of the domain."""
         return self._table
 
-    @property
-    def exps(self) -> dict[Permutation, int]:
-        """The table keyed by the elements of the domain."""
-        return dict(zip(self.domain.elements, self._table))
-
-    def value(self, x: Permutation) -> int:
-        return self._table[self.domain.elements.index(x)]
-
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self._table)
 
@@ -108,11 +101,11 @@ class LinChar:
         exp_of = dict(zip(self.domain.indices, self._table))
         return LinChar(sub, [exp_of[x] for x in sub.indices], self.conductor)
 
-    def conj(self, g: Permutation) -> LinChar:
-        """The character on domain^g sending x to chi(g x g^-1)."""
+    def conj(self, g: int) -> LinChar:
+        """The character on domain^g sending x to chi(g x g^-1), for the
+        parent element with index g."""
         G = self.domain.parent
-        index, _, _, conj = mult_table(G)
-        row = conj[index[g]]
+        row = mult_table(G)[3][g]
         moved = sorted(zip([row[x] for x in self.domain.indices], self._table))
         return LinChar(Subgroup.from_indices(G, [x for x, _ in moved]),
                        [e for _, e in moved], self.conductor)
@@ -150,11 +143,10 @@ def linear_characters(L: Subgroup, conductor: int) -> tuple[LinChar, ...]:
     gens = L.generators()
     if not gens:
         return (LinChar.trivial(L, n),)
-    table = mult_table(L.parent)[1]
-    elements = L.parent.elements
+    _, table, _, _, orders = mult_table(L.parent)
     choices = []
     for g in gens:
-        d = math.gcd(n, elements[g].order())
+        d = math.gcd(n, orders[g])
         choices.append([(n // d) * k for k in range(d)])
     out = []
     for assignment in product(*choices):
@@ -345,26 +337,25 @@ def _as_cyclo(c: Scalar, n: int) -> Cyclotomic:
 # the calculus on generators
 
 
-def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: Permutation, j: int,
+def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: int, j: int,
                   L: Subgroup, conductor: int) -> LinChar:
     """Restriction to L of the j-th power character of H/P pulled back to H.
 
     H must have normal subgroup P with cyclic quotient generated by the
-    image of ``s_lift``; the resulting character sends x to
-    zeta_r^(j*a(x)) where the image of x is the a(x)-th power of the image
-    of ``s_lift``, embedded at the given conductor.
+    image of the element of H with index ``s_lift``; the resulting character
+    sends x to zeta_r^(j*a(x)) where the image of x is the a(x)-th power of
+    the image of ``s_lift``, embedded at the given conductor.
     """
     Q = quotient(H, P)
-    sbar = Q.project(s_lift)
-    r = sbar.order()
+    s = Q.proj[s_lift]
+    _, table, _, _, orders = mult_table(Q.group)
+    r = orders[s]
     if r != Q.group.order:
         raise NotNormal("quotient is not cyclic generated by the image of the lift")
     if not 0 <= j < max(r, 1):
         raise BadIndex(f"character index {j} outside 0..{r - 1}")
     if conductor % r != 0:
         raise ConductorMismatch("lift order does not divide the conductor")
-    index, table = mult_table(Q.group)[:2]
-    s = index[sbar]
     dlog = {}
     power = 0
     for a in range(r):
@@ -381,7 +372,7 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
     G = x.group
     HH = promote(H)
     n = x.conductor
-    index, _, _, conj = mult_table(G)
+    conj = mult_table(G)[3]
     position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
     out = PPElement.zero(HH, x.p, n)
     for gen, coeff in x.terms.items():
@@ -391,7 +382,7 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
         for g in double_coset_reps(G, H, L):
             # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
             meet = conjugate_meet(G, H, L, g)
-            row = conj[index[g]]
+            row = conj[g]
             inter = Subgroup.from_indices(HH, [position[i] for i in meet])
             new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
             terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
@@ -431,6 +422,7 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
     x._compatible(y)
     G = x.group
     n = x.conductor
+    inv = mult_table(G)[2]
     out: dict[Generator, Cyclotomic] = {}
     for genx, cx in x.terms.items():
         A, alpha = genx.subgroup, genx.character
@@ -438,9 +430,8 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
             B, beta = geny.subgroup, geny.character
             c = cx * cy
             for g in double_coset_reps(G, A, B):
-                gi = g.inverse()
                 inter = Subgroup.from_indices(G, conjugate_meet(G, A, B, g))
-                chi = alpha.restrict(inter) * beta.conj(gi).restrict(inter)
+                chi = alpha.restrict(inter) * beta.conj(inv[g]).restrict(inter)
                 new = make_generator(G, inter, chi)
                 out[new] = out.get(new, Cyclotomic.zero(n)) + c
     return PPElement(G, x.p, n, out)

@@ -26,9 +26,9 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, zeta_power
-from .grp import (FiniteGroup, Permutation, Subgroup, centralizer,
-                  conjugacy_classes, coset_indices, is_p_power, mult_table,
-                  normalizer, normalizer_quotient, p_prime_part, subgroup_closure)
+from .grp import (FiniteGroup, Subgroup, centralizer, conjugacy_classes,
+                  coset_indices, is_p_power, mult_table, normalizer,
+                  normalizer_quotient, p_prime_part, subgroup_closure)
 from .lattice import subgroup_lattice
 from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
                      make_generator)
@@ -37,8 +37,9 @@ from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
 class SpeciesPair:
     """A canonical pair (P, s), with s stored as a p'-order lift in N_G(P).
 
-    The lift determines s (its image in N_G(P)/P) and makes every species
-    value a concrete sum of character values, with no coset choices left.
+    ``lift`` is the index of that lift in ``group.elements``; it determines
+    s (its image in N_G(P)/P) and makes every species value a concrete sum
+    of character values, with no coset choices left.
     Derived data is precomputed: the subgroup generated by P and the lift,
     the order of s, the pair stabilizer and the centralizer order of s in
     N_G(P)/P.  These satisfy |stabilizer| = |P| * |centralizer|.
@@ -47,7 +48,7 @@ class SpeciesPair:
     __slots__ = ("group", "p", "P", "lift", "ps", "s_order", "stabilizer",
                  "centralizer_order", "_hash")
 
-    def __init__(self, group: FiniteGroup, p: int, P: Subgroup, lift: Permutation,
+    def __init__(self, group: FiniteGroup, p: int, P: Subgroup, lift: int,
                  ps: Subgroup, s_order: int, stabilizer: Subgroup,
                  centralizer_order: int):
         self.group = group
@@ -61,10 +62,10 @@ class SpeciesPair:
         self._hash = hash((group, p, P, lift))
 
     def sort_key(self):
-        return (self.P.order, self.P.indices, self.s_order, self.lift.images)
+        return (self.P.order, self.P.indices, self.s_order, self.lift)
 
     def label(self) -> str:
-        return f"(|P|={self.P.order}, s={self.lift!r})"
+        return f"(|P|={self.P.order}, s={self.group.elements[self.lift]!r})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpeciesPair):
@@ -80,31 +81,31 @@ class SpeciesPair:
 
 
 @lru_cache(maxsize=None)
-def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: Permutation) -> SpeciesPair:
-    """Assemble a species pair from a p-subgroup and a p'-order lift."""
+def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: int) -> SpeciesPair:
+    """Assemble a species pair from a p-subgroup and the index of a p'-order
+    lift."""
     if P.parent != G:
         raise GroupMismatch("subgroup does not live in the group")
     if not is_p_power(P.order, p):
         raise ValueError(f"subgroup order {P.order} is not a power of {p}")
-    if math.gcd(lift.order(), p) != 1:
+    _, table, inv, conj, orders = mult_table(G)
+    if math.gcd(orders[lift], p) != 1:
         raise ValueError("lift does not have p'-order")
     N = normalizer(G, P)
     if lift not in N:
         raise ValueError("lift does not normalize the subgroup")
-    index, table, inv, conj = mult_table(G)
-    t = index[lift]
-    ps = subgroup_closure(G, P.generators() + (t,))
-    Q = normalizer_quotient(G, P)
-    sbar = Q.project(lift)
-    s_order = sbar.order()
-    if lift.order() != s_order:
+    ps = subgroup_closure(G, P.generators() + (lift,))
+    Q = normalizer_quotient(G, P)  # Q.parent is promote(N)
+    sbar = Q.proj[N.indices.index(lift)]
+    s_order = mult_table(Q.group)[4][sbar]
+    if orders[lift] != s_order:
         raise RuntimeError("a p'-lift must have exactly the order of its image")
     centralizer_order = centralizer(Q.group, sbar).order
-    t_inv = inv[t]
+    lift_inv = inv[lift]
     mask = P.mask
-    # g stabilizes the pair when g^-1 t g lies in the coset P t
+    # g stabilizes the pair when g^-1 lift g lies in the coset P lift
     stab = Subgroup.from_indices(G, [
-        g for g in N.indices if mask >> table[conj[g][t]][t_inv] & 1])
+        g for g in N.indices if mask >> table[conj[g][lift]][lift_inv] & 1])
     if stab.order != P.order * centralizer_order:
         raise RuntimeError("pair stabilizer order differs from |P| * |centralizer|")
     return SpeciesPair(G, p, P, lift, ps, s_order, stab, centralizer_order)
@@ -123,13 +124,15 @@ def enumerate_pairs(G: FiniteGroup, p: int) -> tuple[SpeciesPair, ...]:
     for P in lat.class_reps():
         if not is_p_power(P.order, p):
             continue
-        Q = normalizer_quotient(G, P)
+        Q = normalizer_quotient(G, P)  # Q.parent is promote(N_G(P))
+        N = normalizer(G, P)
+        orders = mult_table(Q.group)[4]
         for cls in conjugacy_classes(Q.group):
             s = cls[0]
-            if math.gcd(s.order(), p) != 1:
+            if math.gcd(orders[s], p) != 1:
                 continue
-            lift = p_prime_part(Q.parent, Q.lift(s), p)
-            pairs.append(build_pair(G, p, P, lift))
+            lift = p_prime_part(Q.parent, Q.lifts[s], p)
+            pairs.append(build_pair(G, p, P, N.indices[lift]))
     return tuple(sorted(pairs, key=SpeciesPair.sort_key))
 
 
@@ -139,11 +142,11 @@ def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
         raise GroupMismatch("pairs live over different groups")
     if a.P.order != b.P.order or a.s_order != b.s_order:
         return False
-    index, table, inv, conj = mult_table(a.group)
+    table, inv, conj = mult_table(a.group)[1:4]
     target = b.P.mask
     members = a.P.indices
-    t = index[a.lift]
-    b_inv = inv[index[b.lift]]
+    t = a.lift
+    b_inv = inv[b.lift]
     for g in range(a.group.order):
         row = conj[g]
         if any(not target >> row[x] & 1 for x in members):
@@ -162,10 +165,10 @@ def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
     if n % pair.s_order != 0 or n % pair.p == 0:
         raise ConductorMismatch("conductor incompatible with the pair")
     L = gen.subgroup
-    index, _, _, conj = mult_table(pair.group)
+    conj = mult_table(pair.group)[3]
     exp_of = dict(zip(L.indices, gen.character.table()))
     pgens = pair.P.generators()
-    t = index[pair.lift]
+    t = pair.lift
     counts: dict[int, int] = {}
     for g in coset_indices(pair.group, L)[0]:
         row = conj[g]

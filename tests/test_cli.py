@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ppring import ffq, species
+from ppring import cli, ffq, species
 from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
                         parse_group_spec, run)
 from ppring.grp import OrderCapExceeded
@@ -217,6 +217,24 @@ class TestMain:
             raise RuntimeError("injected fault")
 
         monkeypatch.setattr(species, "enumerate_pairs", broken)
+        assert main(["pairs", "--group", "C2", "--p", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: internal: RuntimeError: injected fault "
+                            r"\(at test_cli\.py:\d+\)\n", captured.err)
+
+    def test_huge_p_exit_2(self, capsys):
+        p = 10 ** 400
+        assert main(["pairs", "--group", "S4", "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p} is not prime\n"
+
+    def test_internal_error_in_options_exit_4(self, monkeypatch, capsys):
+        def broken(p):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, "check_prime", broken)
         assert main(["pairs", "--group", "C2", "--p", "2"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -8,7 +8,7 @@ from ppring.cyclo import Cyclotomic
 from ppring.ffq import (TABLE_MAX_Q, CapExceeded, FqField, _is_irreducible,
                        _mat_mul, _pmod, _pmul, _prime_factors, _ptrim,
                        build_field, oracle_tau, realize_generator)
-from ppring.grp import cyclic, dihedral, symmetric, sylow
+from ppring.grp import cyclic, dihedral, mult_table, symmetric, sylow
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (LinChar, default_conductor, linear_characters,
                            make_generator)
@@ -263,6 +263,7 @@ def reference_action(F, gen, g):
     """Permutation-level matrix of g on Ind_L^G: the coset of c_i goes to that
     of c_j with scalar chi(c_j^-1 g c_i), over minimal coset representatives."""
     L, chi = gen.subgroup, gen.character
+    value = dict(zip(L.elements, chi.table()))
     transversal, rep_of = [], {}
     for x in gen.group.elements:
         if x not in rep_of:  # the first element met is minimal in its coset
@@ -273,7 +274,7 @@ def reference_action(F, gen, g):
     rows = [[F.zero()] * d for _ in range(d)]
     for i, ci in enumerate(transversal):
         cj = rep_of[g * ci]
-        rows[transversal.index(cj)][i] = F.pow(F.zeta, chi.value(cj.inverse() * g * ci))
+        rows[transversal.index(cj)][i] = F.pow(F.zeta, value[cj.inverse() * g * ci])
     return tuple(tuple(r) for r in rows)
 
 
@@ -291,8 +292,8 @@ class TestRealizeGenerator:
                     continue
                 gen = make_generator(G, L, chi)
                 module = realize_generator(gen, F)
-                for g in G.elements:
-                    assert module.action(g) == reference_action(F, gen, g)
+                for i, g in enumerate(G.elements):
+                    assert module.action(i) == reference_action(F, gen, g)
                 checked += 1
         assert checked >= 4
 
@@ -305,7 +306,7 @@ class TestRealizeGenerator:
         mod = realize_generator(gen, F)
         assert mod.dimension == 1
         for g in G.generators:
-            assert mod.action(g) == ((F.one(),),)
+            assert mod.action(mult_table(G)[0][g]) == ((F.one(),),)
 
     def test_regular_c2(self):
         G = cyclic(2)
@@ -314,7 +315,7 @@ class TestRealizeGenerator:
         gen = make_generator(G, T, LinChar.trivial(T, 1))
         mod = realize_generator(gen, F)
         assert mod.dimension == 2
-        flip = next(x for x in G.elements if not x.is_identity())
+        flip = next(i for i, x in enumerate(G.elements) if not x.is_identity())
         m = mod.action(flip)
         assert m == ((F.zero(), F.one()), (F.one(), F.zero()))
 
@@ -323,11 +324,11 @@ class TestRealizeGenerator:
         F = build_field(2, 3)
         s = next(x for x in G.elements if x.order() == 3)
         chi = next(c for c in linear_characters(G.full_subgroup(), 3)
-                   if c.value(s) == 1)
+                   if dict(zip(c.domain.elements, c.table()))[s] == 1)
         gen = make_generator(G, G.full_subgroup(), chi)
         mod = realize_generator(gen, F)
         assert mod.dimension == 1
-        assert mod.action(s)[0][0] in (F.zeta, F.mul(F.zeta, F.zeta))
+        assert mod.action(mult_table(G)[0][s])[0][0] in (F.zeta, F.mul(F.zeta, F.zeta))
 
 
 class TestOracleTau:
@@ -432,4 +433,4 @@ class TestOracleTau:
 def build_pair_dim(G, p, pair):
     """The pair (P, 1) over the same P, probing plain Brauer-quotient dimension."""
     from ppring.species import build_pair
-    return build_pair(G, p, pair.P, G.identity)
+    return build_pair(G, p, pair.P, 0)  # index 0 is the identity

@@ -4,14 +4,24 @@ Reports are deterministic, so any change to the program that is meant to
 keep its results must keep these digests.  ``oracle-check`` runs with
 ``--samples 20 --seed 0``.  ``LARGE_FIELD_DIGESTS`` pins ``oracle-check`` over
 fields too large for the log tables of :mod:`ppring.ffq`, with
-``--samples 5 --seed 0``.
+``--samples 5 --seed 0``.  Under ``python -O``, which strips ``assert``
+statements, the reports stay the same: the program checks its invariants
+with raised exceptions only.
 """
 
+import ast
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ppring
 from ppring.cli import COMMANDS, RunConfig, run
+
+PACKAGE = Path(ppring.__file__).resolve().parent
 
 CASES = [("S4", 2), ("S4", 3), ("D8", 2), ("A4", 3), ("D20", 2), ("A5", 5)]
 
@@ -128,3 +138,19 @@ def test_large_field_oracle_digest(group, p):
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         LARGE_FIELD_DIGESTS[(group, p)]
+
+
+def test_optimized_mode_keeps_the_verify_digest():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "ppring.cli", "verify", "--group", "S4",
+         "--p", "2", "--format", "json"],
+        env=env, capture_output=True, check=True).stdout
+    assert hashlib.sha256(out).hexdigest() == DIGESTS["verify S4 p=2"]
+
+
+def test_no_assert_statement_in_the_package():
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} has assert statements at lines {lines}"

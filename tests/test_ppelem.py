@@ -2,7 +2,8 @@ import pytest
 
 from ppring.cyclo import Cyclotomic
 from ppring.grp import (NotSubgroup, Permutation, alternating, cyclic, dihedral,
-                        direct_product, promote, quotient, symmetric, sylow)
+                        direct_product, mult_table, promote, quotient, symmetric,
+                        sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (BadIndex, Generator, LinChar, NotPGroup, PPElement,
                            brauer_elt, char_pullback, default_conductor,
@@ -22,6 +23,11 @@ def gen_of(G, p, sub_elems, exps=None, n=None):
     return make_generator(G, L, chi)
 
 
+def exps(chi):
+    """The exponent table of a character keyed by the elements of its domain."""
+    return dict(zip(chi.domain.elements, chi.table()))
+
+
 def single(G, p, gen):
     return PPElement.from_generator(p, gen)
 
@@ -32,7 +38,7 @@ def reference_make_generator(group, subgroup, character):
     best = best_key = None
     for g in group.elements:
         gi = g.inverse()
-        moved = {gi * x * g: e for x, e in character.exps.items()}
+        moved = {gi * x * g: e for x, e in exps(character).items()}
         sub = group.subgroup(moved.keys())
         key = (tuple(x.images for x in sub.elements), tuple(moved[x] for x in sub.elements))
         if best_key is None or key < best_key:
@@ -56,7 +62,7 @@ class TestLinChar:
         chars = linear_characters(G.full_subgroup(), 3)
         assert len(chars) == 3
         invol = next(x for x in G.elements if x.order() == 2)
-        assert all(chi.value(invol) == 0 for chi in chars)
+        assert all(exps(chi)[invol] == 0 for chi in chars)
 
     def test_character_counts(self):
         assert len(linear_characters(cyclic(6).full_subgroup(), 6)) == 6
@@ -68,10 +74,10 @@ class TestLinChar:
         L = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         chi = linear_characters(L, 2)[1]
         g = Permutation.from_cycles(3, [(0, 1, 2)])
-        moved = chi.conj(g)
+        moved = chi.conj(mult_table(G)[0][g])
         assert frozenset(moved.domain.elements) == frozenset(x.conj(g) for x in L.elements)
         for x in L.elements:
-            assert moved.value(x.conj(g)) == chi.value(x)
+            assert exps(moved)[x.conj(g)] == exps(chi)[x]
 
     def test_table_round_trip_on_s4(self):
         G = symmetric(4)
@@ -82,9 +88,8 @@ class TestLinChar:
                 built = LinChar(L, [mapping[x] for x in L.elements], 3)
                 built.check_homomorphism()
                 assert built == chi
-                assert built.exps == mapping
+                assert exps(built) == mapping
                 assert LinChar(L, [mapping[x] + 3 for x in L.elements], 3) == chi
-                assert all(chi.value(x) == e for x, e in mapping.items())
                 count += 1
         assert count > len(subgroup_lattice(G).subgroups)  # some are nontrivial
 
@@ -115,30 +120,30 @@ class TestCharPullback:
     def test_trivial_index(self):
         G = cyclic(6)
         P = sylow(G, 2)
-        s = next(x for x in G.elements if x.order() == 3)
+        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
         chi = char_pullback(G, P, s, 0, G.full_subgroup(), 3)
         assert chi.is_trivial()
 
     def test_identity_pullback_on_c3(self):
         G = cyclic(3)
         P = G.trivial_subgroup()
-        s = next(x for x in G.elements if x.order() == 3)
+        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
         chi = char_pullback(G, P, s, 1, G.full_subgroup(), 3)
-        assert chi.value(s) == 1  # s maps to zeta_3
+        assert chi.table()[s] == 1  # s maps to zeta_3
 
     def test_c6_mod_c2(self):
         G = cyclic(6)
         P = sylow(G, 2)
-        s = next(x for x in G.elements if x.order() == 3)
+        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
         chi = char_pullback(G, P, s, 1, G.full_subgroup(), 3)
-        invol = next(x for x in G.elements if x.order() == 2)
-        assert chi.value(invol) == 0  # kills the involution
-        orders = {x: chi.value(x) for x in G.elements}
+        invol = next(i for i, x in enumerate(G.elements) if x.order() == 2)
+        assert chi.table()[invol] == 0  # kills the involution
+        orders = exps(chi)
         assert sorted(orders.values()) == [0, 0, 1, 1, 2, 2]
 
     def test_bad_index(self):
         G = cyclic(3)
-        s = next(x for x in G.elements if x.order() == 3)
+        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
         with pytest.raises(BadIndex):
             char_pullback(G, G.trivial_subgroup(), s, 3, G.full_subgroup(), 3)
 
@@ -232,7 +237,7 @@ class TestInflation:
         (gen, _), = y.terms.items()
         assert gen.subgroup.order == 6
         assert not gen.character.is_trivial()
-        assert all(gen.character.value(u) == 0 for u in P.elements)
+        assert all(exps(gen.character)[u] == 0 for u in P.elements)
 
     def test_trivial_generator_inflates_to_trivial(self):
         G = symmetric(3)
@@ -338,11 +343,11 @@ class TestMackeyCoherence:
         KK = promote(K)
         L = gen.subgroup.reparent(G)
         expected = PPElement.zero(KK, p, n)
-        for g in double_coset_reps(G, K, L):
+        for g in (G.elements[i] for i in double_coset_reps(G, K, L)):
             gi = g.inverse()
             inter = KK.subgroup(
                 frozenset(K.elements) & frozenset(y.conj(gi) for y in L.elements))
-            chi2 = LinChar(inter, [gen.character.value(u.conj(g)) for u in inter.elements], n)
+            chi2 = LinChar(inter, [exps(gen.character)[u.conj(g)] for u in inter.elements], n)
             chi2.check_homomorphism()
             expected = expected + PPElement.from_generator(
                 p, make_generator(KK, inter, chi2))
@@ -360,6 +365,11 @@ class TestResInfComposite:
             pytest.skip("needs a nontrivial normal p-subgroup")
         n = default_conductor(H, p)
         Q = quotient(H, P)
+        index = mult_table(H)[0]
+
+        def project(x):
+            return Q.group.elements[Q.proj[index[x]]]
+
         lat = subgroup_lattice(H)
         for chi in linear_characters(Q.group.full_subgroup(), n):
             x = PPElement.from_generator(
@@ -372,8 +382,9 @@ class TestResInfComposite:
                 LL = promote(L)
                 rhs = PPElement.zero(LL, p, n)
                 for gen, coeff in z.terms.items():
-                    pre = LL.subgroup(l for l in L.elements if Q.project(l) in gen.subgroup)
-                    chi2 = LinChar(pre, [gen.character.value(Q.project(l))
+                    pre = LL.subgroup(l for l in L.elements
+                                      if project(l) in gen.subgroup.elements)
+                    chi2 = LinChar(pre, [exps(gen.character)[project(l)]
                                          for l in pre.elements], n)
                     rhs = rhs + PPElement.from_generator(
                         p, make_generator(LL, pre, chi2)).scale(coeff)

@@ -1,7 +1,7 @@
 import random
 
 from ppring.cyclo import Cyclotomic
-from ppring.grp import (Permutation, cyclic, dihedral, p_prime_part,
+from ppring.grp import (Permutation, cyclic, dihedral, mult_table, p_prime_part,
                         symmetric, sylow)
 from ppring.ppelem import (LinChar, PPElement, default_conductor,
                            linear_characters, make_generator, tensor_elt)
@@ -27,8 +27,9 @@ class TestEnumeratePairs:
         import math
         for G, p in [(symmetric(4), 2), (dihedral(12), 2), (dihedral(12), 3)]:
             for q in enumerate_pairs(G, p):
-                assert math.gcd(q.lift.order(), p) == 1
-                assert frozenset(x.conj(q.lift) for x in q.P.elements) == frozenset(q.P.elements)
+                lift = G.elements[q.lift]
+                assert math.gcd(lift.order(), p) == 1
+                assert frozenset(x.conj(lift) for x in q.P.elements) == frozenset(q.P.elements)
 
     def test_ses_invariant(self):
         for G, p in [(symmetric(4), 2), (quotient_testcase(), 2)]:
@@ -54,8 +55,9 @@ class TestPairsConjugate:
 
     def test_transpositions_conjugate(self):
         G = symmetric(3)
-        t1 = Permutation.from_cycles(3, [(0, 1)])
-        t2 = Permutation.from_cycles(3, [(1, 2)])
+        index = mult_table(G)[0]
+        t1 = index[Permutation.from_cycles(3, [(0, 1)])]
+        t2 = index[Permutation.from_cycles(3, [(1, 2)])]
         a = build_pair(G, 3, G.trivial_subgroup(), t1)
         b = build_pair(G, 3, G.trivial_subgroup(), t2)
         assert pairs_conjugate(a, b)
@@ -128,8 +130,9 @@ class TestSpeciesProperties:
         G = symmetric(3)
         p = 3
         n = default_conductor(G, p)
-        t1 = Permutation.from_cycles(3, [(0, 1)])
-        t2 = Permutation.from_cycles(3, [(1, 2)])
+        index = mult_table(G)[0]
+        t1 = index[Permutation.from_cycles(3, [(0, 1)])]
+        t2 = index[Permutation.from_cycles(3, [(1, 2)])]
         a = build_pair(G, p, G.trivial_subgroup(), t1)
         b = build_pair(G, p, G.trivial_subgroup(), t2)
         for gen in standard_generators(G, p, n):
@@ -140,9 +143,10 @@ class TestSpeciesProperties:
         p = 2
         n = default_conductor(G, p)
         gens = standard_generators(G, p, n)
+        table = mult_table(G)[1]
         for q in enumerate_pairs(G, p):
-            for u in q.P.elements:
-                alt = p_prime_part(G, q.lift * u, p)
+            for u in q.P.indices:
+                alt = p_prime_part(G, table[q.lift][u], p)
                 if alt == q.lift:
                     continue
                 other = build_pair(G, p, q.P, alt)
