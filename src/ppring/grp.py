@@ -447,9 +447,37 @@ def is_p_power(m: int, p: int) -> bool:
     return m == 1
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide primality exactly
+# below PRIME_TEST_BOUND, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+    """Raise ValueError unless p is prime: deterministic Miller-Rabin on the
+    first 13 primes as bases.  A p at or above PRIME_TEST_BOUND that none of
+    the bases divides is refused, since the test is not exact there."""
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES if a < p):
         raise ValueError(f"{p} is not prime")
+    if p in _PRIME_BASES:
+        return
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"{p} is too large: primality is decided only below "
+                         f"{PRIME_TEST_BOUND}")
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"{p} is not prime")
 
 
 @lru_cache(maxsize=None)

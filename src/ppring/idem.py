@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .burnside import gluck_yoshida, linearize
 from .cyclo import Cyclotomic, zeta_power
@@ -129,11 +130,18 @@ def idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair,
 
     where chi is phi seen through the quotient <Ps> -> <s> and restricted
     to L, C is the centralizer of s in N_G(P)/P, and mu is the Moebius
-    function of the subgroup poset of <Ps>.
+    function of the subgroup poset of <Ps>.  Each idempotent is computed
+    once per (G, p, pair, conductor) and shared: a :class:`PPElement` is never
+    mutated.
     """
     if pair.group != G or pair.p != p:
         raise GroupMismatch("pair does not belong to the (group, prime) computation")
     n = default_conductor(G, p) if conductor is None else conductor
+    return _idempotent_theorem(G, p, pair, n)
+
+
+@lru_cache(maxsize=None)
+def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PPElement:
     P = pair.P
     t = pair.ps.indices.index(pair.lift)  # the lift in H = promote(<Ps>)
     r = pair.s_order

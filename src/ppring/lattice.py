@@ -1,4 +1,13 @@
-"""Subgroup lattices and the Moebius function of the subgroup poset."""
+"""Subgroup lattices and the Moebius function of the subgroup poset.
+
+A lattice is built once per group (:func:`subgroup_lattice`) by a search
+over conjugacy classes rather than over subgroups: every cyclic subgroup is
+found once, and only one representative of each class is extended, by its
+join with each cyclic subgroup it does not contain.  A new join enters with
+all of its conjugates, read off the group's conjugation table, so the same
+pass yields the conjugacy classes of subgroups.  :func:`_all_subgroups`
+says why the search finds every subgroup.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ class SubgroupLattice:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self.subgroups = _all_subgroups(group)
+        self.subgroups, self._classes = _all_subgroups(group)
         self.top = self.subgroups[-1]
         self.bottom = self.subgroups[0]
         self._index = {H: i for i, H in enumerate(self.subgroups)}
@@ -31,7 +40,7 @@ class SubgroupLattice:
         self._below = [sum(1 << j for j, K in enumerate(masks) if not K & ~H)
                        for H in masks]
         self._mu: dict[tuple[int, int], int] = {}
-        self._classes, self._rep_of = _conjugacy_classes(group, self.subgroups)
+        self._rep_of = {self._index[H]: cls[0] for cls in self._classes for H in cls}
 
     def index(self, H: Subgroup) -> int:
         try:
@@ -80,52 +89,53 @@ class SubgroupLattice:
         return self._rep_of[self.index(H)]
 
 
-def _all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup: seed with cyclic subgroups, close under pairwise join.
+def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
+                                                tuple[tuple[Subgroup, ...], ...]]:
+    """Every subgroup, sorted by ``(order, indices)``, and the conjugacy
+    classes of the subgroups, each sorted and ordered by its minimal member.
 
-    Runs on element indices against the group's multiplication table; the
-    permutation-level Subgroup objects are only materialized at the end.
+    The search extends one representative per conjugacy class (after
+    Neubueser's cyclic extension).  Each cyclic subgroup is found once, with
+    one generator.  A representative H with generators h is joined with <c>
+    for every cyclic generator c outside H, by closing h + (c,).  A join not
+    yet known is a new class: it and all of its conjugates are entered at
+    once, and the join becomes the representative that is extended in turn.
+
+    The search is complete.  A subgroup K is a chain of joins
+    <c_1> v ... v <c_k>, each step strictly larger.  If the class of
+    K_i = <c_1, ..., c_i> has representative K_i^g, then K_(i+1)^g is the
+    join of K_i^g with the cyclic subgroup <c_(i+1)^g>, which the search
+    forms; so the class of K_(i+1) is entered, and by induction that of K.
     """
-    table = mult_table(group)[1]
-    cyclics = {close_indices(table, [i]) for i in range(group.order)}
-    known: set[frozenset] = set(cyclics)
-    frontier = list(cyclics)
-    while frontier:
-        new = []
-        for H in frontier:
-            for C in cyclics:
-                if C <= H:
-                    continue
-                J = close_indices(table, H | C)
-                if J not in known:
-                    known.add(J)
-                    new.append(J)
-        frontier = new
-    # the (order, indices) order of Subgroup.__lt__
-    return tuple(Subgroup.from_indices(group, members)
-                 for members in sorted((sorted(H) for H in known),
-                                       key=lambda m: (len(m), m)))
+    _, table, _, conj, _ = mult_table(group)
+    cyclics: dict[frozenset, int] = {}
+    for i in range(group.order):
+        cyclics.setdefault(close_indices(table, (i,)), i)
+    known: set[frozenset] = set()
+    classes: list[set[frozenset]] = []
+    reps: list[tuple[frozenset, tuple[int, ...]]] = []
 
-
-def _conjugacy_classes(group, subgroups):
-    """Conjugacy classes of the (sorted) subgroups, each sorted, ordered by
-    their minimal member, plus the class representative of each position."""
-    conj = mult_table(group)[3]
-    position = {H.mask: i for i, H in enumerate(subgroups)}
-    seen: set[int] = set()
-    classes = []
-    rep_of: dict[int, Subgroup] = {}
-    for i, H in enumerate(subgroups):
-        if i in seen:
-            continue
-        members = H.indices
-        conjugates = {position[sum(1 << row[x] for x in members)] for row in conj}
-        seen.update(conjugates)
-        cls = tuple(subgroups[j] for j in sorted(conjugates))
+    def enter(J: frozenset, gens: tuple[int, ...]) -> None:
+        cls = {frozenset([row[x] for x in J]) for row in conj}
+        known.update(cls)
         classes.append(cls)
-        for j in conjugates:
-            rep_of[j] = cls[0]
-    return tuple(classes), rep_of
+        reps.append((J, gens))
+
+    for C, c in cyclics.items():
+        if C not in known:
+            enter(C, (c,))
+    for H, gens in reps:  # reps grows while it is walked
+        for c in cyclics.values():
+            if c not in H:
+                J = close_indices(table, gens + (c,))
+                if J not in known:
+                    enter(J, gens + (c,))
+    # the (order, indices) order of Subgroup.__lt__
+    ordered = sorted((sorted(H) for H in known), key=lambda m: (len(m), m))
+    position = {frozenset(m): k for k, m in enumerate(ordered)}
+    subgroups = tuple(Subgroup.from_indices(group, m) for m in ordered)
+    members = sorted(sorted(position[H] for H in cls) for cls in classes)
+    return subgroups, tuple(tuple(subgroups[k] for k in cls) for cls in members)
 
 
 @lru_cache(maxsize=None)

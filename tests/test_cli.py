@@ -1,12 +1,13 @@
 import json
 import re
+import time
 
 import pytest
 
 from ppring import cli, ffq, species
 from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
                         parse_group_spec, run)
-from ppring.grp import OrderCapExceeded
+from ppring.grp import PRIME_TEST_BOUND, OrderCapExceeded
 
 
 class TestParseGroupSpec:
@@ -229,6 +230,28 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {p} is not prime\n"
+
+    def test_large_prime_p_exit_0_quickly(self, capsys):
+        start = time.perf_counter()
+        p = 2 ** 61 - 1
+        assert main(["pairs", "--group", "C2", "--p", str(p), "--format", "json"]) == 0
+        assert time.perf_counter() - start < 5
+        assert json.loads(capsys.readouterr().out)["p"] == p
+
+    @pytest.mark.parametrize("p", [561, 3215031751])
+    def test_pseudoprime_p_exit_2(self, p, capsys):
+        assert main(["pairs", "--group", "C2", "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {p} is not prime\n"
+
+    def test_p_above_the_prime_test_bound_exit_2(self, capsys):
+        p = 2 ** 89 - 1  # prime, but above the bound of the primality test
+        assert main(["pairs", "--group", "C2", "--p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {p} is too large: primality is decided "
+                                f"only below {PRIME_TEST_BOUND}\n")
 
     def test_internal_error_in_options_exit_4(self, monkeypatch, capsys):
         def broken(p):

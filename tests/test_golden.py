@@ -4,7 +4,8 @@ Reports are deterministic, so any change to the program that is meant to
 keep its results must keep these digests.  ``oracle-check`` runs with
 ``--samples 20 --seed 0``.  ``LARGE_FIELD_DIGESTS`` pins ``oracle-check`` over
 fields too large for the log tables of :mod:`ppring.ffq`, with
-``--samples 5 --seed 0``.  Under ``python -O``, which strips ``assert``
+``--samples 5 --seed 0``.  ``LATTICE_DIGESTS`` pins the ``lattice`` report
+of two larger groups, S5 (156 subgroups) and S4xC2 (98).  Under ``python -O``, which strips ``assert``
 statements, the reports stay the same: the program checks its invariants
 with raised exceptions only.
 """
@@ -138,6 +139,20 @@ def test_large_field_oracle_digest(group, p):
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
         LARGE_FIELD_DIGESTS[(group, p)]
+
+
+LATTICE_DIGESTS = {
+    ("S5", 3): "a435e11b888536aa9e268d78506827349f7f71c5a114d1fcafc91b3e46823ac9",
+    ("S4xC2", 2): "c519c246b9fb24a01b89ad4eb90337148e868c56d1efb5bf17cc95d16d6ba7a6",
+}
+
+
+@pytest.mark.parametrize("group,p", sorted(LATTICE_DIGESTS),
+                         ids=[f"{g}-p{p}" for g, p in sorted(LATTICE_DIGESTS)])
+def test_large_lattice_digest(group, p):
+    code, text = run(RunConfig(command="lattice", group=group, p=p, fmt="json"))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LATTICE_DIGESTS[(group, p)]
 
 
 def test_optimized_mode_keeps_the_verify_digest():

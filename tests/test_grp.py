@@ -6,11 +6,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ppring import grp
-from ppring.grp import (InvalidPermutation, NotSubgroup, OrderCapExceeded,
-                        Permutation, alternating, centralizer,
-                        close_generators, conjugacy_classes, conjugate_meet,
-                        cyclic, dihedral, direct_product, double_coset_reps,
-                        is_p_power, klein_four, mult_table, normalizer,
+from ppring.grp import (PRIME_TEST_BOUND, InvalidPermutation, NotSubgroup,
+                        OrderCapExceeded, Permutation, alternating,
+                        centralizer, check_prime, close_generators,
+                        conjugacy_classes, conjugate_meet, cyclic, dihedral,
+                        direct_product, double_coset_reps, is_p_power,
+                        klein_four, mult_table, normalizer,
                         normalizer_quotient, p_prime_part, promote,
                         quaternion8, quotient, subgroup_closure,
                         symmetric, sylow)
@@ -395,6 +396,36 @@ class TestConjugacyClasses:
         G = symmetric(3)
         sizes = sorted(len(c) for c in conjugacy_classes(G))
         assert sizes == [1, 2, 3]
+
+
+class TestCheckPrime:
+    def test_agrees_with_trial_division_below_10_4(self):
+        for n in range(10 ** 4):
+            prime = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+            try:
+                check_prime(n)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == prime, n
+
+    @pytest.mark.parametrize("p", [10 ** 9 + 7, 2 ** 31 - 1, 2 ** 61 - 1])
+    def test_large_primes_accepted(self, p):
+        check_prime(p)
+
+    @pytest.mark.parametrize("n", [561, 3215031751])
+    def test_pseudoprimes_rejected(self, n):
+        # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+        # the bases 2, 3, 5 and 7.
+        with pytest.raises(ValueError, match=f"^{n} is not prime$"):
+            check_prime(n)
+
+    @pytest.mark.parametrize("n", [PRIME_TEST_BOUND, 2 ** 89 - 1])
+    def test_at_or_above_the_bound_refused(self, n):
+        # the bound itself is a strong pseudoprime to all 13 bases
+        with pytest.raises(ValueError, match=f"^{n} is too large: primality is "
+                                             f"decided only below {PRIME_TEST_BOUND}$"):
+            check_prime(n)
 
 
 @settings(max_examples=25, deadline=None)

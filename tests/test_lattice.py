@@ -1,10 +1,13 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, reject, settings
 
-from ppring.grp import (alternating, cyclic, dihedral, direct_product,
-                        quaternion8, symmetric)
+from ppring.cli import parse_group_spec
+from ppring.grp import (alternating, close_indices, cyclic, dihedral,
+                        direct_product, mult_table, quaternion8, symmetric)
 from ppring.lattice import NotComparable, subgroup_lattice
+from test_grp import generated_groups
 
 
 def brute_force_subgroups(G):
@@ -24,6 +27,81 @@ def brute_force_subgroups(G):
             if all(a * b in subset for a in subset for b in subset):
                 found.add(subset)
     return found
+
+
+def reference_subgroups(G):
+    """The earlier search, a test-only reference: join every new subgroup
+    with every cyclic subgroup, closing the union of both element sets, until
+    nothing new appears.  Returns sorted index lists in (order, indices)
+    order."""
+    table = mult_table(G)[1]
+    cyclics = {close_indices(table, [i]) for i in range(G.order)}
+    known = set(cyclics)
+    frontier = list(cyclics)
+    while frontier:
+        new = []
+        for H in frontier:
+            for C in cyclics:
+                if C <= H:
+                    continue
+                J = close_indices(table, H | C)
+                if J not in known:
+                    known.add(J)
+                    new.append(J)
+        frontier = new
+    return sorted((sorted(H) for H in known), key=lambda m: (len(m), m))
+
+
+def reference_classes(G, subgroups):
+    """Conjugacy classes as sorted position lists, ordered by their minimal
+    member, found by conjugating each subgroup by every element."""
+    conj = mult_table(G)[3]
+    position = {frozenset(m): i for i, m in enumerate(subgroups)}
+    classes, seen = [], set()
+    for i, m in enumerate(subgroups):
+        if i not in seen:
+            cls = sorted({position[frozenset(row[x] for x in m)] for row in conj})
+            seen.update(cls)
+            classes.append(cls)
+    return classes
+
+
+def reference_moebius_to_top(subgroups):
+    """mu(H, G) at each position: mu(G, G) = 1 and mu(H, G) is minus the sum
+    of mu(K, G) over the K strictly above H, which all sit later in the
+    list."""
+    sets = [frozenset(m) for m in subgroups]
+    mu = [1] * len(sets)
+    for i in reversed(range(len(sets) - 1)):
+        mu[i] = -sum(mu[j] for j in range(i + 1, len(sets)) if sets[i] < sets[j])
+    return mu
+
+
+def assert_matches_reference(G):
+    lat = subgroup_lattice(G)
+    ref = reference_subgroups(G)
+    assert [list(H.indices) for H in lat.subgroups] == ref
+    assert all(H.parent == G for H in lat.subgroups)
+    classes = reference_classes(G, ref)
+    assert [[lat.index(H) for H in cls] for cls in lat.conjugacy_classes()] == classes
+    assert [lat.index(H) for H in lat.class_reps()] == [cls[0] for cls in classes]
+    for cls in classes:
+        for i in cls:
+            assert lat.index(lat.rep_of(lat.subgroups[i])) == cls[0]
+    assert [lat.moebius(H, lat.top) for H in lat.subgroups] == reference_moebius_to_top(ref)
+
+
+class TestAgainstReferenceSearch:
+    @pytest.mark.parametrize("name", ["S4", "A5", "S5", "D8xC2", "Q8xC2", "S4xC2"])
+    def test_named(self, name):
+        assert_matches_reference(parse_group_spec(name))
+
+    @settings(max_examples=20, deadline=None)
+    @given(generated_groups())
+    def test_generated(self, G):
+        if G.order > 120:
+            reject()
+        assert_matches_reference(G)
 
 
 class TestAllSubgroups:
@@ -58,6 +136,7 @@ class TestAllSubgroups:
         # abelian: every subgroup is its own class
         (lambda: direct_product(direct_product(cyclic(2), cyclic(2)),
                                 direct_product(cyclic(2), cyclic(2))), 67, 67),
+        (lambda: direct_product(symmetric(4), symmetric(3)), 372, 70),
     ])
     def test_classical_counts(self, build, subgroups, classes):
         lat = subgroup_lattice(build())
