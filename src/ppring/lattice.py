@@ -102,7 +102,8 @@ def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
     once, and the join becomes the representative that is extended in turn.
 
     The search is complete.  A subgroup K is a chain of joins
-    <c_1> v ... v <c_k>, each step strictly larger.  If the class of
+    <c_1> v ... v <c_k>, each step strictly larger.  The class of <c_1> is
+    entered with the cyclic subgroups.  If the class of
     K_i = <c_1, ..., c_i> has representative K_i^g, then K_(i+1)^g is the
     join of K_i^g with the cyclic subgroup <c_(i+1)^g>, which the search
     forms; so the class of K_(i+1) is entered, and by induction that of K.
@@ -131,9 +132,9 @@ def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
                 if J not in known:
                     enter(J, gens + (c,))
     # the (order, indices) order of Subgroup.__lt__
-    ordered = sorted((sorted(H) for H in known), key=lambda m: (len(m), m))
-    position = {frozenset(m): k for k, m in enumerate(ordered)}
-    subgroups = tuple(Subgroup.from_indices(group, m) for m in ordered)
+    ordered = sorted(known, key=lambda H: (len(H), sorted(H)))
+    position = {H: k for k, H in enumerate(ordered)}
+    subgroups = tuple(Subgroup.from_indices(group, sorted(H)) for H in ordered)
     members = sorted(sorted(position[H] for H in cls) for cls in classes)
     return subgroups, tuple(tuple(subgroups[k] for k in cls) for cls in members)
 

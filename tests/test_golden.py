@@ -5,9 +5,9 @@ keep its results must keep these digests.  ``oracle-check`` runs with
 ``--samples 20 --seed 0``.  ``LARGE_FIELD_DIGESTS`` pins ``oracle-check`` over
 fields too large for the log tables of :mod:`ppring.ffq`, with
 ``--samples 5 --seed 0``.  ``LATTICE_DIGESTS`` pins the ``lattice`` report
-of two larger groups, S5 (156 subgroups) and S4xC2 (98).  Under ``python -O``, which strips ``assert``
-statements, the reports stay the same: the program checks its invariants
-with raised exceptions only.
+of two larger groups, S5 (156 subgroups) and S4xC2 (98).  Under
+``python -O``, which strips ``assert`` statements, the reports stay the
+same: the program checks its invariants with raised exceptions only.
 """
 
 import ast
