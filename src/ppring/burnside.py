@@ -110,16 +110,14 @@ def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     if a.group != b.group:
         raise GroupMismatch("elements over different groups")
     G = a.group
-    out = BurnsideElement.zero(G)
+    terms: dict[Subgroup, Fraction] = {}
     for A, ca in a.coeffs.items():
         for B, cb in b.coeffs.items():
             c = ca * cb
-            terms: dict[Subgroup, Fraction] = {}
             for g in double_coset_reps(G, A, B):
                 inter = Subgroup.from_indices(G, conjugate_meet(G, A, B, g))
                 terms[inter] = terms.get(inter, Fraction(0)) + c
-            out = out + BurnsideElement(G, terms)
-    return out
+    return BurnsideElement(G, terms)
 
 
 def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
@@ -182,15 +180,13 @@ def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
     G = x.group
     HH = promote(H)
     position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
-    out = BurnsideElement.zero(HH)
+    terms: dict[Subgroup, Fraction] = {}
     for L, c in x.coeffs.items():
         reps = coset_indices(G, L)[0]
-        terms: dict[Subgroup, Fraction] = {}
         for stab in _orbit_stabilizers(H, G, L, reps):
             S = Subgroup.from_indices(HH, [position[h] for h in stab])
             terms[S] = terms.get(S, Fraction(0)) + c
-        out = out + BurnsideElement(HH, terms)
-    return out
+    return BurnsideElement(HH, terms)
 
 
 def burnside_ind(x: BurnsideElement, G: FiniteGroup) -> BurnsideElement:
@@ -213,15 +209,13 @@ def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
     N = normalizer(G, P)
     Q = normalizer_quotient(G, P)
     position = {i: k for k, i in enumerate(N.indices)}  # G-index -> Q.parent-index
-    out = BurnsideElement.zero(Q.group)
+    terms: dict[Subgroup, Fraction] = {}
     for L, c in x.coeffs.items():
-        terms: dict[Subgroup, Fraction] = {}
         for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P)):
             Sbar = Q.project_subgroup(
                 Subgroup.from_indices(Q.parent, [position[h] for h in stab]))
             terms[Sbar] = terms.get(Sbar, Fraction(0)) + c
-        out = out + BurnsideElement(Q.group, terms)
-    return out
+    return BurnsideElement(Q.group, terms)
 
 
 def linearize(x: BurnsideElement, p: int, conductor: int | None = None) -> PPElement:

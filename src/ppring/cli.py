@@ -1,6 +1,7 @@
 """Command-line front end: reports on pairs, lattices, marks, species and
 idempotents, plus the full verification suite and the finite-field oracle
-check.
+check.  This module parses arguments and formats reports; the library
+computes them (the suites behind ``verify`` live in :mod:`ppring.idem`).
 
 Exit codes: 0 when every requested verification passes, 1 on a verification
 failure, 2 on a usage or configuration error, 3 on an I/O error (such as an
@@ -23,14 +24,11 @@ from dataclasses import dataclass
 
 from . import burnside as bd
 from . import ffq, idem, species
-from .cyclo import Cyclotomic
 from .grp import (DEFAULT_ORDER_CAP, FiniteGroup, GroupError, Permutation,
                   alternating, check_prime, close_generators, cyclic, dihedral,
-                  direct_product, is_p_power, klein_four, normalizer_quotient,
-                  promote, quaternion8, quotient, symmetric)
+                  direct_product, klein_four, quaternion8, symmetric)
 from .lattice import subgroup_lattice
-from .ppelem import (PPElement, brauer_elt, default_conductor, ind_elt,
-                     inf_elt, res_elt)
+from .ppelem import default_conductor
 
 
 class ParseError(Exception):
@@ -217,151 +215,8 @@ def cmd_idempotents(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
     return ok, {"p": config.p, "idempotents": reports, "all_ok": ok}
 
 
-def identity_suite(G: FiniteGroup, p: int) -> list[dict]:
-    """Every identity the library verifies, for one (group, prime) run."""
-    n = default_conductor(G, p)
-    lat = subgroup_lattice(G)
-    pairs = species.enumerate_pairs(G, p)
-    checks: list[dict] = []
-
-    def add(name: str, ok: bool):
-        checks.append({"check": name, "ok": bool(ok)})
-
-    for q in pairs:
-        rep = idem.idempotent_report(G, p, q)
-        add(f"delta {q.label()}", rep.delta_ok)
-        add(f"routes {q.label()}", rep.routes_agree)
-    add("partition of unity", idem.partition_of_unity(G, p))
-
-    for H in lat.class_reps():
-        for q in pairs:
-            add(f"restriction law |H|={H.order} {q.label()}",
-                idem.verify_restriction(G, p, H, q, n))
-        for hq in species.enumerate_pairs(promote(H), p):
-            add(f"induction law |H|={H.order} {hq.label()}",
-                idem.verify_induction(G, p, H, hq, n))
-
-    checks.extend(burnside_suite(G, p))
-    checks.extend(factorization_suite(G, p))
-    return checks
-
-
-def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
-    """Marks-delta, idempotency, commutation squares and fixed-point checks."""
-    n = default_conductor(G, p)
-    lat = subgroup_lattice(G)
-    reps = lat.class_reps()
-    checks: list[dict] = []
-
-    def add(name: str, ok: bool):
-        checks.append({"check": name, "ok": bool(ok)})
-
-    for H in reps:
-        e = bd.gluck_yoshida(G, H)
-        delta_ok = all(
-            bd.mark_element(e, K) == (1 if lat.rep_of(K) == lat.rep_of(H) else 0)
-            for K in reps
-        )
-        add(f"marks delta |H|={H.order}", delta_ok)
-        add(f"idempotency |H|={H.order}", bd.burnside_product(e, e) == e)
-
-    for H in reps:
-        for L in reps:
-            x = bd.transitive(G, L)
-            lhs = bd.linearize(bd.burnside_res(x, H), p, n)
-            rhs = res_elt(bd.linearize(x, p, n), H)
-            add(f"commute res |H|={H.order} |L|={L.order}",
-                species.equal_elements(lhs, rhs))
-        HH = promote(H)
-        for S in subgroup_lattice(HH).class_reps():
-            y = bd.transitive(HH, S)
-            lhs = bd.linearize(bd.burnside_ind(y, G), p, n)
-            rhs = ind_elt(bd.linearize(y, p, n), G)
-            add(f"commute ind |H|={H.order} |S|={S.order}",
-                species.equal_elements(lhs, rhs))
-
-    for P in reps:
-        if not is_p_power(P.order, p):
-            continue
-        for L in reps:
-            x = bd.transitive(G, L)
-            lhs = bd.linearize(bd.fixed_point_functor(P, x), p, n)
-            rhs = brauer_elt(bd.linearize(x, p, n), P)
-            if P.order == 1:
-                # the Brauer morphism at the trivial subgroup is the identity,
-                # while the fixed-point functor lands over the regular
-                # realization G/1; inflate back along the isomorphism
-                Q = normalizer_quotient(G, P)
-                ok = species.equal_elements(inf_elt(lhs, Q), rhs)
-            else:
-                ok = species.equal_elements(lhs, rhs)
-            add(f"commute Brauer |P|={P.order} |L|={L.order}", ok)
-
-    ex = bd.gluck_yoshida(G, G.full_subgroup())
-    for N in lat.subgroups:
-        if not N.is_normal():
-            continue
-        lhs = bd.fixed_point_functor(N, ex)
-        Q = normalizer_quotient(G, N)
-        rhs = bd.gluck_yoshida(Q.group, Q.group.full_subgroup())
-        add(f"fixed points of top idempotent |N|={N.order}", lhs == rhs)
-    return checks
-
-
-def factorization_suite(G: FiniteGroup, p: int) -> list[dict]:
-    """The two factorizations of a species through restriction and the
-    Brauer morphism, checked cell by cell."""
-    n = default_conductor(G, p)
-    checks: list[dict] = []
-    pairs = species.enumerate_pairs(G, p)
-    gens = species.standard_generators(G, p, n)
-    for q in pairs:
-        ok_res = all(
-            species.tau_generator(q, gen) == tau_via_restriction(q, gen)
-            for gen in gens
-        )
-        checks.append({"check": f"species restriction factorization {q.label()}",
-                       "ok": ok_res})
-        ok_brauer = all(
-            species.tau_generator(q, gen) == tau_via_brauer(q, gen)
-            for gen in gens
-        )
-        checks.append({"check": f"species Brauer factorization {q.label()}",
-                       "ok": ok_brauer})
-    return checks
-
-
-def tau_via_restriction(pair, gen) -> Cyclotomic:
-    """tau computed after restriction to the subgroup generated by the pair."""
-    H = promote(pair.ps)
-    x = PPElement.from_generator(pair.p, gen)
-    y = res_elt(x, pair.ps)
-    lift = pair.ps.indices.index(pair.lift)  # the lift in H
-    sub_pair = species.build_pair(H, pair.p, pair.P.reparent(H), lift)
-    return species.tau_element(sub_pair, y)
-
-
-def tau_via_brauer(pair, gen) -> Cyclotomic:
-    """tau computed through the Brauer morphism at P and the quotient species."""
-    H = promote(pair.ps)
-    x = PPElement.from_generator(pair.p, gen)
-    y = res_elt(x, pair.ps)
-    lift = pair.ps.indices.index(pair.lift)  # the lift in H
-    if pair.P.order > 1:
-        PH = pair.P.reparent(H)
-        Q = quotient(H, PH)
-        z = brauer_elt(y, PH)
-        base = Q.group
-        lift = Q.proj[lift]
-    else:
-        z = y
-        base = H
-    pair0 = species.build_pair(base, pair.p, base.trivial_subgroup(), lift)
-    return species.tau_element(pair0, z)
-
-
 def cmd_verify(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
-    checks = identity_suite(G, config.p)
+    checks = idem.identity_suite(G, config.p)
     ok = all(c["ok"] for c in checks)
     return ok, {
         "p": config.p,
@@ -469,7 +324,7 @@ def _format_pretty(config: RunConfig, report: dict) -> str:
             lines.append(f"{pad}{obj}")
 
     walk(report)
-    return "\n".join(line for line in lines if line is not None) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def run(config: RunConfig) -> tuple[int, str]:

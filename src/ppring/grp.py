@@ -17,7 +17,9 @@ order under every parent, so element k of ``promote(H)`` is element
 ``H.indices[k]`` of ``H.parent``, and a parent index i in H is element
 ``H.indices.index(i)`` of ``promote(H)``: the two ways an element moves.
 This module is the only one that knows the conjugation convention (g^-1 x g,
-read from ``conj[g][x]``) and how N_G(P)/P is formed (:func:`normalizer_quotient`).
+read from ``conj[g][x]``) and how G/N and N_G(P)/P are formed
+(:class:`QuotientGroup`, :func:`normalizer_quotient`): G/1 is G itself, so
+N_G(1)/1 is G and shares its tables and its lattice.
 The canonical element order is lexicographic on image tuples, and every
 "choose a representative" step picks the minimum in that order, so all
 outputs are deterministic.
@@ -537,12 +539,14 @@ def centralizer(G: FiniteGroup, x: int) -> Subgroup:
 
 
 class QuotientGroup:
-    """G/N realized as a permutation group on the left cosets of N.
+    """G/N realized as a permutation group on the left cosets of N, except
+    that G/1 is G itself.
 
     The quotient map is held as two index tuples: ``proj[g]`` is the index in
     ``group.elements`` of the image of the parent element with index g, and
     ``lifts[q]`` is the parent index of the minimal representative of the
-    coset that quotient element q stands for.
+    coset that quotient element q stands for.  For the trivial kernel both
+    are the identity ``tuple(range(|G|))``.
     """
 
     __slots__ = ("parent", "kernel", "group", "proj", "lifts", "_hash")
@@ -554,6 +558,11 @@ class QuotientGroup:
             raise NotNormal("kernel is not normal")
         self.parent = parent
         self.kernel = kernel
+        self._hash = hash((parent, kernel))
+        if kernel.order == 1:
+            self.group = parent
+            self.proj = self.lifts = tuple(range(parent.order))
+            return
 
         reps, rep_of = coset_indices(parent, kernel)
         index, table = mult_table(parent)[:2]
@@ -571,7 +580,6 @@ class QuotientGroup:
         at = [position[pi] for pi in perms]  # coset number -> quotient index
         self.proj = tuple(at[coset_of[r]] for r in rep_of)
         self.lifts = tuple(r for _, r in sorted(zip(at, reps)))
-        self._hash = hash((parent, kernel))
 
     def project_subgroup(self, H: Subgroup) -> Subgroup:
         """Image in the quotient of a subgroup of the parent."""

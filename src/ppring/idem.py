@@ -13,6 +13,12 @@ Two independent routes are provided for the idempotent attached to a pair
 
 The verification helpers check the restriction and induction laws for
 idempotents and the decomposition of the linearized top Burnside idempotent.
+The suites assemble every identity the library verifies for one (group,
+prime) run into a list of named checks: :func:`identity_suite` runs the
+idempotent checks and the two suites below it, :func:`burnside_suite` the
+Burnside-ring checks and their commutation with linearization, and
+:func:`factorization_suite` the species factorizations through restriction
+(:func:`tau_via_restriction`) and the Brauer morphism (:func:`tau_via_brauer`).
 """
 
 from __future__ import annotations
@@ -22,16 +28,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .burnside import gluck_yoshida, linearize
+from .burnside import (burnside_ind, burnside_product, burnside_res,
+                       fixed_point_functor, gluck_yoshida, linearize,
+                       mark_element, transitive)
 from .cyclo import Cyclotomic, zeta_power
-from .grp import (FiniteGroup, Subgroup, close_indices, mult_table, promote,
-                  quotient, sylow)
+from .grp import (FiniteGroup, Subgroup, close_indices, is_p_power, mult_table,
+                  normalizer_quotient, promote, quotient, sylow)
 from .lattice import subgroup_lattice
-from .ppelem import (GroupMismatch, LinChar, PPElement, char_pullback,
-                     default_conductor, ind_elt, inf_elt, make_generator,
-                     res_elt, tensor_elt)
+from .ppelem import (GroupMismatch, LinChar, PPElement, brauer_elt,
+                     char_pullback, default_conductor, ind_elt, inf_elt,
+                     make_generator, res_elt, tensor_elt)
 from .species import (SpeciesPair, build_pair, enumerate_pairs, equal_elements,
-                      pairs_conjugate, species_vector)
+                      pairs_conjugate, species_vector, standard_generators,
+                      tau_element, tau_generator)
 
 
 class NotCyclic(Exception):
@@ -267,3 +276,126 @@ def partition_of_unity(G: FiniteGroup, p: int,
     for pair in enumerate_pairs(G, p):
         total = total + idempotent_theorem(G, p, pair, n)
     return equal_elements(total, PPElement.one(G, p, n))
+
+
+# ---------------------------------------------------------------------------
+# verification suites
+
+
+def _check(name: str, ok: bool) -> dict:
+    return {"check": name, "ok": bool(ok)}
+
+
+def identity_suite(G: FiniteGroup, p: int) -> list[dict]:
+    """Every identity the library verifies, for one (group, prime) run."""
+    n = default_conductor(G, p)
+    lat = subgroup_lattice(G)
+    pairs = enumerate_pairs(G, p)
+    checks: list[dict] = []
+    for q in pairs:
+        rep = idempotent_report(G, p, q)
+        checks.append(_check(f"delta {q.label()}", rep.delta_ok))
+        checks.append(_check(f"routes {q.label()}", rep.routes_agree))
+    checks.append(_check("partition of unity", partition_of_unity(G, p)))
+
+    for H in lat.class_reps():
+        for q in pairs:
+            checks.append(_check(f"restriction law |H|={H.order} {q.label()}",
+                                 verify_restriction(G, p, H, q, n)))
+        for hq in enumerate_pairs(promote(H), p):
+            checks.append(_check(f"induction law |H|={H.order} {hq.label()}",
+                                 verify_induction(G, p, H, hq, n)))
+
+    checks.extend(burnside_suite(G, p))
+    checks.extend(factorization_suite(G, p))
+    return checks
+
+
+def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
+    """Marks-delta, idempotency, commutation squares and fixed-point checks."""
+    n = default_conductor(G, p)
+    lat = subgroup_lattice(G)
+    reps = lat.class_reps()
+    checks: list[dict] = []
+    for H in reps:
+        e = gluck_yoshida(G, H)
+        delta_ok = all(
+            mark_element(e, K) == (1 if lat.rep_of(K) == lat.rep_of(H) else 0)
+            for K in reps
+        )
+        checks.append(_check(f"marks delta |H|={H.order}", delta_ok))
+        checks.append(_check(f"idempotency |H|={H.order}",
+                             burnside_product(e, e) == e))
+
+    for H in reps:
+        for L in reps:
+            x = transitive(G, L)
+            lhs = linearize(burnside_res(x, H), p, n)
+            rhs = res_elt(linearize(x, p, n), H)
+            checks.append(_check(f"commute res |H|={H.order} |L|={L.order}",
+                                 equal_elements(lhs, rhs)))
+        HH = promote(H)
+        for S in subgroup_lattice(HH).class_reps():
+            y = transitive(HH, S)
+            lhs = linearize(burnside_ind(y, G), p, n)
+            rhs = ind_elt(linearize(y, p, n), G)
+            checks.append(_check(f"commute ind |H|={H.order} |S|={S.order}",
+                                 equal_elements(lhs, rhs)))
+
+    for P in reps:
+        if not is_p_power(P.order, p):
+            continue
+        for L in reps:
+            x = transitive(G, L)
+            lhs = linearize(fixed_point_functor(P, x), p, n)
+            rhs = brauer_elt(linearize(x, p, n), P)
+            checks.append(_check(f"commute Brauer |P|={P.order} |L|={L.order}",
+                                 equal_elements(lhs, rhs)))
+
+    ex = gluck_yoshida(G, G.full_subgroup())
+    for N in lat.subgroups:
+        if not N.is_normal():
+            continue
+        lhs = fixed_point_functor(N, ex)
+        Q = normalizer_quotient(G, N)
+        rhs = gluck_yoshida(Q.group, Q.group.full_subgroup())
+        checks.append(_check(f"fixed points of top idempotent |N|={N.order}",
+                             lhs == rhs))
+    return checks
+
+
+def factorization_suite(G: FiniteGroup, p: int) -> list[dict]:
+    """The two factorizations of a species through restriction and the
+    Brauer morphism, checked cell by cell."""
+    n = default_conductor(G, p)
+    checks: list[dict] = []
+    gens = standard_generators(G, p, n)
+    for q in enumerate_pairs(G, p):
+        ok_res = all(tau_generator(q, gen) == tau_via_restriction(q, gen)
+                     for gen in gens)
+        checks.append(_check(f"species restriction factorization {q.label()}", ok_res))
+        ok_brauer = all(tau_generator(q, gen) == tau_via_brauer(q, gen)
+                        for gen in gens)
+        checks.append(_check(f"species Brauer factorization {q.label()}", ok_brauer))
+    return checks
+
+
+def tau_via_restriction(pair: SpeciesPair, gen) -> Cyclotomic:
+    """tau computed after restriction to the subgroup generated by the pair."""
+    H = promote(pair.ps)
+    y = res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
+    lift = pair.ps.indices.index(pair.lift)  # the lift in H
+    sub_pair = build_pair(H, pair.p, pair.P.reparent(H), lift)
+    return tau_element(sub_pair, y)
+
+
+def tau_via_brauer(pair: SpeciesPair, gen) -> Cyclotomic:
+    """tau computed through the Brauer morphism at P and the quotient species."""
+    H = promote(pair.ps)
+    y = res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
+    lift = pair.ps.indices.index(pair.lift)  # the lift in H
+    PH = pair.P.reparent(H)
+    Q = quotient(H, PH)
+    base = Q.group
+    pair0 = build_pair(base, pair.p, base.trivial_subgroup(), Q.proj[lift])
+    return tau_element(pair0, brauer_elt(y, PH))

@@ -374,11 +374,10 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
     n = x.conductor
     conj = mult_table(G)[3]
     position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
-    out = PPElement.zero(HH, x.p, n)
+    terms: dict[Generator, Cyclotomic] = {}
     for gen, coeff in x.terms.items():
         L = gen.subgroup
         exp_of = dict(zip(L.indices, gen.character.table()))
-        terms: dict[Generator, Cyclotomic] = {}
         for g in double_coset_reps(G, H, L):
             # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
             meet = conjugate_meet(G, H, L, g)
@@ -386,8 +385,7 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
             inter = Subgroup.from_indices(HH, [position[i] for i in meet])
             new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
             terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
-        out = out + PPElement(HH, x.p, x.conductor, terms)
-    return out
+    return PPElement(HH, x.p, n, terms)
 
 
 def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:

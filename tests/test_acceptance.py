@@ -11,12 +11,12 @@ import time
 
 import pytest
 
-from ppring.cli import burnside_suite, factorization_suite
 from ppring.grp import (alternating, cyclic, dihedral, promote, quaternion8,
                         symmetric)
-from ppring.idem import (delta_property, idempotent_theorem,
-                         idempotent_via_reduction, partition_of_unity,
-                         verify_induction, verify_restriction)
+from ppring.idem import (burnside_suite, delta_property, factorization_suite,
+                         idempotent_theorem, idempotent_via_reduction,
+                         partition_of_unity, verify_induction,
+                         verify_restriction)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (PPElement, brauer_elt, default_conductor,
                            tensor_elt)

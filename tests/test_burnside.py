@@ -96,6 +96,7 @@ class TestFixedPointFunctor:
         assert sorted(c for c in y.coeffs.values()) == \
             sorted(c for c in x.coeffs.values())
         assert sorted(L.order for L in y.coeffs) == sorted(L.order for L in x.coeffs)
+        assert y == x
 
     def test_s3_mod_c3_transitive_set(self):
         G = symmetric(3)

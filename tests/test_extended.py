@@ -3,9 +3,9 @@ elementary abelian and composite cyclic structures."""
 
 import pytest
 
-from ppring.cli import identity_suite, parse_group_spec
+from ppring.cli import parse_group_spec
 from ppring.grp import alternating, cyclic, symmetric
-from ppring.idem import (delta_property, idempotent_theorem,
+from ppring.idem import (delta_property, identity_suite, idempotent_theorem,
                          idempotent_via_reduction, partition_of_unity,
                          verify_E_decomposition)
 from ppring.species import enumerate_pairs, equal_elements

@@ -348,6 +348,13 @@ class TestQuotient:
         assert tuple(fibers[0]) == N.indices
         assert Q.lifts == tuple(min(fibers[q]) for q in range(Q.group.order))
 
+    def test_trivial_kernel_is_the_group(self):
+        G = symmetric(4)
+        Q = quotient(G, G.trivial_subgroup())
+        assert Q.group == G
+        assert Q.proj == Q.lifts == tuple(range(G.order))
+        assert normalizer_quotient(G, G.trivial_subgroup()).group == G
+
     def test_lift_section(self):
         G = cyclic(6)
         Q = quotient(G, sylow(G, 2))
