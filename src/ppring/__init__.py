@@ -23,4 +23,15 @@ from .idem import (IdempotentReport, cyclic_idempotent, idempotent_normal_case,
                    verify_E_decomposition, verify_induction, verify_restriction)
 from .ffq import FqField, FqModule, build_field, oracle_tau, realize_generator
 
+from . import burnside, cyclo, ffq, grp, idem, lattice, ppelem, species
+
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package: each ``functools.lru_cache`` bound
+    at module level, public or private."""
+    for module in (burnside, cyclo, ffq, grp, idem, lattice, ppelem, species):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                obj.cache_clear()

@@ -105,8 +105,21 @@ def mark_element(x: BurnsideElement, H: Subgroup) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=None)
+def _transitive_product(G: FiniteGroup, A: Subgroup,
+                        B: Subgroup) -> tuple[tuple[Subgroup, int], ...]:
+    """[G/A].[G/B] = sum over A\\G/B of [G/(A cap gBg^-1)], as (class
+    representative, multiplicity) pairs."""
+    lat = subgroup_lattice(G)
+    counts: dict[Subgroup, int] = {}
+    for g in double_coset_reps(G, A, B):
+        rep = lat.rep_of(Subgroup.from_indices(G, conjugate_meet(G, A, B, g)))
+        counts[rep] = counts.get(rep, 0) + 1
+    return tuple(counts.items())
+
+
 def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
-    """Bilinear extension of [G/A].[G/B] = sum over A\\G/B of [G/(A cap gBg^-1)]."""
+    """Bilinear extension of the product of transitive G-sets."""
     if a.group != b.group:
         raise GroupMismatch("elements over different groups")
     G = a.group
@@ -114,9 +127,8 @@ def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     for A, ca in a.coeffs.items():
         for B, cb in b.coeffs.items():
             c = ca * cb
-            for g in double_coset_reps(G, A, B):
-                inter = Subgroup.from_indices(G, conjugate_meet(G, A, B, g))
-                terms[inter] = terms.get(inter, Fraction(0)) + c
+            for rep, m in _transitive_product(G, A, B):
+                terms[rep] = terms.get(rep, Fraction(0)) + c * m
     return BurnsideElement(G, terms)
 
 

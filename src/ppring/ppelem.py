@@ -365,27 +365,38 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: int, j: int,
     return LinChar(L, [j * dlog[Q.proj[x]] * step for x in L.indices], conductor)
 
 
-def res_elt(x: PPElement, H: Subgroup) -> PPElement:
-    """Restriction to H, by the Mackey double-coset expansion."""
-    if H.parent != x.group:
-        raise GroupMismatch("subgroup does not live in the element's group")
-    G = x.group
+@lru_cache(maxsize=None)
+def _res_gen(gen: Generator, H: Subgroup) -> tuple[tuple[Generator, int], ...]:
+    """Restriction of one generator to H, by the Mackey double-coset
+    expansion, as (generator over promote(H), multiplicity) pairs."""
+    G = gen.group
     HH = promote(H)
-    n = x.conductor
+    n = gen.character.conductor
     conj = mult_table(G)[3]
     position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
+    L = gen.subgroup
+    exp_of = dict(zip(L.indices, gen.character.table()))
+    counts: dict[Generator, int] = {}
+    for g in double_coset_reps(G, H, L):
+        # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
+        meet = conjugate_meet(G, H, L, g)
+        row = conj[g]
+        inter = Subgroup.from_indices(HH, [position[i] for i in meet])
+        new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
+        counts[new] = counts.get(new, 0) + 1
+    return tuple(counts.items())
+
+
+def res_elt(x: PPElement, H: Subgroup) -> PPElement:
+    """Restriction to H, linear over the Mackey expansion of each generator."""
+    if H.parent != x.group:
+        raise GroupMismatch("subgroup does not live in the element's group")
+    n = x.conductor
     terms: dict[Generator, Cyclotomic] = {}
     for gen, coeff in x.terms.items():
-        L = gen.subgroup
-        exp_of = dict(zip(L.indices, gen.character.table()))
-        for g in double_coset_reps(G, H, L):
-            # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
-            meet = conjugate_meet(G, H, L, g)
-            row = conj[g]
-            inter = Subgroup.from_indices(HH, [position[i] for i in meet])
-            new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
-            terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
-    return PPElement(HH, x.p, n, terms)
+        for new, m in _res_gen(gen, H):
+            terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff * m
+    return PPElement(promote(H), x.p, n, terms)
 
 
 def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:

@@ -15,6 +15,14 @@ and cycles of length greater than one have root-of-unity eigenvalue packets
 summing to zero.  The finite-field oracle in :mod:`ppring.ffq` checks this
 formula by literal linear algebra.
 
+The fixed-line sum of a generator is kept as (exponent, count) terms, one
+per root of unity it meets.  The value of an element is accumulated late
+(after Breuer, AAECC 1997): each term of the element adds its numerators
+times the count, rotated by the exponent, into one integer vector in
+Z[x]/(x^n - 1) over the common denominator of its coefficients.  Since
+Phi_n divides x^n - 1, one reduction modulo Phi_n at the end gives the
+same canonical value as reducing after every term.
+
 The species vectors separate elements, which is what makes
 :func:`equal_elements` a sound equality oracle for the spanning-set
 representation.
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .cyclo import Cyclotomic, ConductorMismatch, zeta_power
+from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce, zeta_power
 from .grp import (FiniteGroup, Subgroup, centralizer, conjugacy_classes,
                   coset_indices, is_p_power, mult_table, normalizer,
                   normalizer_quotient, p_prime_part, subgroup_closure)
@@ -156,14 +164,19 @@ def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
     return False
 
 
-@lru_cache(maxsize=None)
-def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
-    """Species value of a monomial generator at a pair, by the fixed-line sum."""
-    if gen.group != pair.group:
-        raise GroupMismatch("generator over a different group")
-    n = gen.character.conductor
+def _check_pair(pair: SpeciesPair, group: FiniteGroup, n: int) -> None:
+    """Raise unless values over ``group`` at conductor n can be taken at the
+    pair: same group, n divisible by the order of s and prime to p."""
+    if group != pair.group:
+        raise GroupMismatch("value taken over a different group than the pair")
     if n % pair.s_order != 0 or n % pair.p == 0:
         raise ConductorMismatch("conductor incompatible with the pair")
+
+
+@lru_cache(maxsize=None)
+def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...]:
+    """The fixed-line sum of a generator at a pair as (exponent, count)
+    terms: the value is the sum of count * zeta_n^exponent."""
     L = gen.subgroup
     conj = mult_table(pair.group)[3]
     exp_of = dict(zip(L.indices, gen.character.table()))
@@ -178,18 +191,35 @@ def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
         if e is None:
             continue  # line moved by the lift: no trace contribution
         counts[e] = counts.get(e, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=None)
+def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
+    """Species value of a monomial generator at a pair, by the fixed-line sum."""
+    n = gen.character.conductor
+    _check_pair(pair, gen.group, n)
     total = Cyclotomic.zero(n)
-    for e, c in counts.items():
+    for e, c in _tau_counts(pair, gen):
         total = total + zeta_power(n, e) * c
     return total
 
 
 def tau_element(pair: SpeciesPair, x: PPElement) -> Cyclotomic:
-    """Linear extension of :func:`tau_generator` over the terms of x."""
-    total = Cyclotomic.zero(x.conductor)
+    """Linear extension of :func:`tau_generator` over the terms of x,
+    accumulated in Z[x]/(x^n - 1) and reduced modulo Phi_n once."""
+    n = x.conductor
+    _check_pair(pair, x.group, n)
+    den = math.lcm(*(coeff.den for coeff in x.terms.values()))
+    acc = [0] * n
     for gen, coeff in x.terms.items():
-        total = total + coeff * tau_generator(pair, gen)
-    return total
+        scale = den // coeff.den
+        for e, count in _tau_counts(pair, gen):
+            k = count * scale
+            for i, c in enumerate(coeff.num, e):
+                if c:
+                    acc[i % n] += c * k
+    return Cyclotomic._new(n, *_lowest(_reduce(acc, n), den))
 
 
 class SpeciesVector:

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from ppring import burnside
 from ppring.burnside import (BurnsideElement, burnside_ind, burnside_product,
                              burnside_res, fixed_point_functor, gluck_yoshida,
                              linearize, mark, mark_element, transitive)
-from ppring.grp import (Permutation, cyclic, normalizer, promote, quotient,
+from ppring.grp import (Permutation, alternating, cyclic, normalizer, promote, quotient,
                         symmetric, sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import default_conductor, ind_elt, res_elt
@@ -52,6 +53,17 @@ class TestProduct:
         G = symmetric(3)
         x = transitive(G, sylow(G, 3))
         assert burnside_product(x, x) == x.scale(2)
+
+
+    def test_product_with_regular_set_is_index_times_regular(self):
+        for G in (symmetric(4), alternating(5)):
+            regular = transitive(G, G.trivial_subgroup())
+            for A in subgroup_lattice(G).class_reps():
+                for clear in (False, True):
+                    if clear:
+                        burnside._transitive_product.cache_clear()
+                    assert burnside_product(transitive(G, A), regular) == \
+                        regular.scale(G.order // A.order)
 
 
 class TestGluckYoshida:

@@ -5,14 +5,18 @@ keep its results must keep these digests.  ``oracle-check`` runs with
 ``--samples 20 --seed 0``.  ``LARGE_FIELD_DIGESTS`` pins ``oracle-check`` over
 fields too large for the log tables of :mod:`ppring.ffq`, with
 ``--samples 5 --seed 0``.  ``LATTICE_DIGESTS`` pins the ``lattice`` report
-of two larger groups, S5 (156 subgroups) and S4xC2 (98).  Under
+of two larger groups, S5 (156 subgroups) and S4xC2 (98), and
+``test_verify_s5_p3_digest`` the ``verify`` report of S5 at p = 3, whose
+species values live at conductor 20.  Under
 ``python -O``, which strips ``assert`` statements, the reports stay the
 same: the program checks its invariants with raised exceptions only.
 """
 
 import ast
 import hashlib
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +157,27 @@ def test_large_lattice_digest(group, p):
     code, text = run(RunConfig(command="lattice", group=group, p=p, fmt="json"))
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == LATTICE_DIGESTS[(group, p)]
+
+
+def test_verify_s5_p3_digest():
+    code, text = run(RunConfig(command="verify", group="S5", p=3, fmt="json"))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "3c46809b638c4c2acd4707691200e965b39aba10eb57f85a55e31457fb2270fc"
+
+
+def test_clear_caches_empties_every_memo():
+    run(RunConfig(command="verify", group="S4", p=2, fmt="json"))
+    ppring.clear_caches()
+    modules = [importlib.import_module(f"ppring.{m.name}")
+               for m in pkgutil.iter_modules(ppring.__path__)]
+    caches = {id(obj): obj for module in modules for obj in vars(module).values()
+              if hasattr(obj, "cache_info")}
+    assert len(caches) >= 24
+    assert [c for c in caches.values() if c.cache_info().currsize != 0] == []
+    code, text = run(RunConfig(command="verify", group="S4", p=2, fmt="json"))
+    assert code == 0
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS["verify S4 p=2"]
 
 
 def test_optimized_mode_keeps_the_verify_digest():

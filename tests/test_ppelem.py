@@ -1,5 +1,6 @@
 import pytest
 
+from ppring import ppelem
 from ppring.cyclo import Cyclotomic
 from ppring.grp import (NotSubgroup, Permutation, alternating, cyclic, dihedral,
                         direct_product, mult_table, promote, quotient, symmetric,
@@ -169,6 +170,21 @@ class TestRestriction:
         (gen, coeff), = y.terms.items()
         assert gen.subgroup.order == 1
         assert coeff == Cyclotomic.one(2)
+
+    def test_to_trivial_subgroup_multiplicity_is_the_index(self):
+        # the |G:L| double cosets 1\G/L all give the same generator over 1
+        for G, p in [(symmetric(4), 2), (alternating(5), 2)]:
+            n = default_conductor(G, p)
+            T = G.trivial_subgroup()
+            for L in subgroup_lattice(G).class_reps():
+                for chi in linear_characters(L, n):
+                    x = single(G, p, make_generator(G, L, chi))
+                    for clear in (False, True):
+                        if clear:
+                            ppelem._res_gen.cache_clear()
+                        (gen, coeff), = res_elt(x, T).terms.items()
+                        assert gen.subgroup.order == 1
+                        assert coeff == Cyclotomic.from_rational(n, G.order // L.order)
 
     def test_dimension_preserved(self):
         G = symmetric(4)

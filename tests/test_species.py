@@ -1,11 +1,16 @@
 import random
+from fractions import Fraction
 
-from ppring.cyclo import Cyclotomic
-from ppring.grp import (Permutation, cyclic, dihedral, mult_table, p_prime_part,
-                        symmetric, sylow)
-from ppring.ppelem import (LinChar, PPElement, default_conductor,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppring.cyclo import ConductorMismatch, Cyclotomic, zeta_power
+from ppring.grp import (Permutation, alternating, cyclic, dihedral, mult_table,
+                        p_prime_part, symmetric, sylow)
+from ppring.ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                            linear_characters, make_generator, tensor_elt)
-from ppring.species import (build_pair, enumerate_pairs,
+from ppring.species import (_tau_counts, build_pair, enumerate_pairs,
                             equal_elements, pairs_conjugate, species_vector,
                             standard_generators, tau_element, tau_generator)
 
@@ -109,6 +114,64 @@ class TestTauGenerator:
         G = symmetric(3)
         vec = species_vector(PPElement.zero(G, 2, default_conductor(G, 2)))
         assert all(v.is_zero() for v in vec.values)
+
+
+class TestTauElementChecks:
+    """The element is checked against the pair before any term is read, so
+    an element without terms is checked too."""
+
+    def test_group_mismatch(self):
+        pair = enumerate_pairs(symmetric(3), 2)[0]
+        C5 = cyclic(5)
+        with pytest.raises(GroupMismatch):
+            tau_element(pair, PPElement.zero(C5, 2, 5))
+        with pytest.raises(GroupMismatch):
+            tau_element(pair, PPElement.one(C5, 2, 5))
+
+    def test_conductor_not_divisible_by_the_order_of_s(self):
+        G = symmetric(3)
+        pair = enumerate_pairs(G, 3)[1]  # (1, transposition): s has order 2
+        for x in (PPElement.zero(G, 3, 1), PPElement.one(G, 3, 1)):
+            with pytest.raises(ConductorMismatch):
+                tau_element(pair, x)
+
+    def test_conductor_divisible_by_p(self):
+        G = symmetric(3)
+        pair = enumerate_pairs(G, 3)[0]
+        for x in (PPElement.zero(G, 2, 3), PPElement.one(G, 2, 3)):
+            with pytest.raises(ConductorMismatch):
+                tau_element(pair, x)
+
+
+# conductors 1, 3, 4 and 15
+REDUCE_LATE_CASES = {"D8-p2": (dihedral(8), 2), "S4-p2": (symmetric(4), 2),
+                     "S4-p3": (symmetric(4), 3), "A5-p2": (alternating(5), 2)}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCE_LATE_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_tau_element_matches_the_term_by_term_sum(case, data):
+    """The reduce-late sum equals the sum of coeff * zeta^e * count over the
+    fixed-line counts, in Cyclotomic arithmetic, term by term."""
+    G, p = REDUCE_LATE_CASES[case]
+    n = default_conductor(G, p)
+    gens = standard_generators(G, p, n)
+    term = st.tuples(st.integers(0, len(gens) - 1), st.integers(-6, 6),
+                     st.integers(1, 12), st.integers(0, n - 1))
+    parts = [PPElement.from_generator(p, gens[i], zeta_power(n, k) * Fraction(a, b))
+             for i, a, b, k in data.draw(st.lists(term, max_size=6))]
+    if data.draw(st.booleans()):  # cancel the first half of the terms
+        parts += [part.scale(-1) for part in parts[:len(parts) // 2]]
+    x = PPElement.zero(G, p, n)
+    for part in parts:
+        x = x + part
+    for pair in enumerate_pairs(G, p):
+        expected = Cyclotomic.zero(n)
+        for gen, coeff in x.terms.items():
+            for e, count in _tau_counts(pair, gen):
+                expected = expected + coeff * zeta_power(n, e) * count
+        assert tau_element(pair, x) == expected
 
 
 class TestSpeciesProperties:
