@@ -6,8 +6,8 @@ from ppring import burnside
 from ppring.burnside import (BurnsideElement, burnside_ind, burnside_product,
                              burnside_res, fixed_point_functor, gluck_yoshida,
                              linearize, mark, mark_element, transitive)
-from ppring.grp import (Permutation, alternating, cyclic, normalizer, promote, quotient,
-                        symmetric, sylow)
+from ppring.grp import (Permutation, alternating, cyclic, normalizer, promote,
+                        quotient, symmetric, sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import default_conductor, ind_elt, res_elt
 from ppring.species import equal_elements
@@ -53,7 +53,6 @@ class TestProduct:
         G = symmetric(3)
         x = transitive(G, sylow(G, 3))
         assert burnside_product(x, x) == x.scale(2)
-
 
     def test_product_with_regular_set_is_index_times_regular(self):
         for G in (symmetric(4), alternating(5)):
