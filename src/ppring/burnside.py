@@ -16,8 +16,8 @@ from typing import Mapping, Union
 
 from .cyclo import Cyclotomic
 from .grp import (FiniteGroup, Subgroup, conjugate_meet, coset_indices,
-                  double_coset_reps, mult_table, normalizer, normalizer_quotient,
-                  promote)
+                  double_coset_reps, normalizer, normalizer_quotient, promote,
+                  translate)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                      make_generator)
@@ -41,6 +41,14 @@ class BurnsideElement:
         self.coeffs = {L: c for L, c in clean.items() if c}
 
     @classmethod
+    def _trusted(cls, group: FiniteGroup, coeffs: Mapping[Subgroup, Fraction]):
+        """Fraction coefficients already on class representatives, taken
+        without the lattice lookup of ``__init__``."""
+        x = object.__new__(cls)
+        x.group, x.coeffs = group, {L: c for L, c in coeffs.items() if c}
+        return x
+
+    @classmethod
     def zero(cls, group: FiniteGroup) -> BurnsideElement:
         return cls(group)
 
@@ -50,7 +58,7 @@ class BurnsideElement:
         coeffs = dict(self.coeffs)
         for L, c in other.coeffs.items():
             coeffs[L] = coeffs.get(L, Fraction(0)) + c
-        return BurnsideElement(self.group, coeffs)
+        return BurnsideElement._trusted(self.group, coeffs)
 
     def __neg__(self) -> BurnsideElement:
         return self.scale(-1)
@@ -60,7 +68,7 @@ class BurnsideElement:
 
     def scale(self, c: Union[int, Fraction]) -> BurnsideElement:
         c = Fraction(c)
-        return BurnsideElement(self.group, {L: c * v for L, v in self.coeffs.items()})
+        return BurnsideElement._trusted(self.group, {L: c * v for L, v in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BurnsideElement):
@@ -90,7 +98,7 @@ def mark(G: FiniteGroup, L: Subgroup, H: Subgroup) -> int:
 
 def _fixed_cosets(G: FiniteGroup, L: Subgroup, H: Subgroup) -> list[int]:
     """Indices of the minimal representatives g of the cosets gL fixed by H."""
-    conj = mult_table(G)[3]
+    conj = G.conj
     mask = L.mask
     hgens = H.generators()
     return [g for g in coset_indices(G, L)[0]
@@ -129,7 +137,7 @@ def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
             c = ca * cb
             for rep, m in _transitive_product(G, A, B):
                 terms[rep] = terms.get(rep, Fraction(0)) + c * m
-    return BurnsideElement(G, terms)
+    return BurnsideElement._trusted(G, terms)
 
 
 def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
@@ -160,7 +168,7 @@ def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
     ``fixed`` lists coset representatives as indices of G; returns, as
     indices of G, the stabilizer in H of each orbit's minimal coset.
     """
-    table, _, conj = mult_table(G)[1:4]
+    table, conj = G.table, G.conj
     rep_of = coset_indices(G, L)[1]
     hgens = H.generators()
     remaining = set(fixed)
@@ -191,12 +199,11 @@ def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
         raise GroupMismatch("subgroup over a different group")
     G = x.group
     HH = promote(H)
-    position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
     terms: dict[Subgroup, Fraction] = {}
     for L, c in x.coeffs.items():
         reps = coset_indices(G, L)[0]
         for stab in _orbit_stabilizers(H, G, L, reps):
-            S = Subgroup.from_indices(HH, [position[h] for h in stab])
+            S = Subgroup.from_indices(HH, translate(G, HH, stab))
             terms[S] = terms.get(S, Fraction(0)) + c
     return BurnsideElement(HH, terms)
 
@@ -220,12 +227,11 @@ def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
     G = x.group
     N = normalizer(G, P)
     Q = normalizer_quotient(G, P)
-    position = {i: k for k, i in enumerate(N.indices)}  # G-index -> Q.parent-index
     terms: dict[Subgroup, Fraction] = {}
     for L, c in x.coeffs.items():
         for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P)):
             Sbar = Q.project_subgroup(
-                Subgroup.from_indices(Q.parent, [position[h] for h in stab]))
+                Subgroup.from_indices(Q.parent, translate(G, Q.parent, stab)))
             terms[Sbar] = terms.get(Sbar, Fraction(0)) + c
     return BurnsideElement(Q.group, terms)
 

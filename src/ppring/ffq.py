@@ -24,7 +24,7 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, zeta_power
-from .grp import Subgroup, coset_indices, mult_table, promote
+from .grp import Subgroup, coset_indices, promote, translate
 from .lattice import subgroup_lattice
 from .ppelem import Generator
 from .species import SpeciesPair
@@ -334,8 +334,8 @@ class FqModule:
         self.dimension = len(self._reps)
         self._cache: dict[int, tuple] = {}
         # spot-check the homomorphism property on generator pairs
-        index, table = mult_table(self.group)[:2]
-        gens = [index[g] for g in self.group.generators]
+        table = self.group.table
+        gens = self.group.generators
         for a in gens:
             for b in gens:
                 if _mat_mul(field, self.action(a), self.action(b)) != self.action(table[a][b]):
@@ -346,7 +346,7 @@ class FqModule:
         scalar chi(c_j^-1 g c_i)."""
         if g not in self._cache:
             d = self.dimension
-            table, inv = mult_table(self.group)[1:3]
+            table, inv = self.group.table, self.group.inv
             row = table[g]
             position = {c: i for i, c in enumerate(self._reps)}
             rows = [[0] * d for _ in range(d)]
@@ -499,7 +499,7 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     # image of the relative traces inside the fixed space
     trace_vectors = []
     PP = promote(pair.P)
-    in_g = pair.P.indices  # element k of PP is element in_g[k] of G
+    in_g = translate(PP, pair.group, range(PP.order))  # element k of PP is in_g[k] of G
     for Qsub in _maximal_proper_subgroups(pair.P):  # subgroups of PP
         tr = None
         for x in coset_indices(PP, Qsub)[0]:

@@ -3,26 +3,23 @@
 Groups are fully enumerated permutation groups on ``{0..degree-1}``.  Every
 operation is brute force over the whole group: at the scale this library
 targets (orders up to a few hundred) exhaustive loops are fast, exactly
-reproducible and easy to audit.  The loops run on element indices against
-per-group multiplication, inverse, conjugation and order tables
-(:func:`mult_table`).  An element is an int, its index in ``G.elements``, in
-every function that takes or returns one.  A subgroup is an index set: the
-sorted indices of its elements in ``parent.elements`` plus the same set as an
-int bitmask.  :class:`Permutation` objects appear only where a group is
-parsed or constructed (:func:`close_generators`, the named constructors,
-:meth:`FiniteGroup.subgroup` and :meth:`FiniteGroup.closure`, :func:`promote`,
-the coset action in :class:`QuotientGroup`) and where a report is written.
-An index means something only in its own group, and index order is element
-order under every parent, so element k of ``promote(H)`` is element
-``H.indices[k]`` of ``H.parent``, and a parent index i in H is element
-``H.indices.index(i)`` of ``promote(H)``: the two ways an element moves.
-This module is the only one that knows the conjugation convention (g^-1 x g,
-read from ``conj[g][x]``) and how G/N and N_G(P)/P are formed
-(:class:`QuotientGroup`, :func:`normalizer_quotient`): G/1 is G itself, so
-N_G(1)/1 is G and shares its tables and its lattice.
+reproducible and easy to audit.  A group is its index tables (multiplication,
+inverse, conjugation, orders), set when it is built; an element is its index
+in ``G.elements``, and a subgroup is the sorted tuple and the bitmask of its
+elements' indices in ``parent.elements``.  Every group lies in a root, a group
+closed from generators or a quotient group, as element k of G is element
+``G.embedding[k]`` of ``G.root``.  Roots are interned per element set and
+:func:`promote` per root and embedding, so group equality is identity, and
+an element moves between groups of one root through the embeddings
+(:func:`translate`).  :class:`Permutation` objects appear only where a group
+is parsed and where a report is written; :func:`close_generators` is the one
+place that composes them.  This module is the only one that knows the
+conjugation convention (g^-1 x g, read from ``conj[g][x]``) and how G/N and
+N_G(P)/P are formed (:class:`QuotientGroup`, :func:`normalizer_quotient`):
+G/1 is G itself, so N_G(1)/1 is G and shares its tables and its lattice.
 The canonical element order is lexicographic on image tuples, and every
 "choose a representative" step picks the minimum in that order, so all
-outputs are deterministic.
+outputs are deterministic; index order is element order in every group.
 """
 
 from __future__ import annotations
@@ -32,6 +29,9 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 DEFAULT_ORDER_CAP = 384
+# Points a permutation may move.  An element costs memory in its degree, so a
+# larger degree is refused before any image list is built.
+MAX_DEGREE = 4096
 
 
 class GroupError(Exception):
@@ -85,6 +85,7 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> Permutation:
+        _check_degree(degree)
         images = list(range(degree))
         seen: set[int] = set()
         for cycle in cycles:
@@ -163,9 +164,6 @@ class Permutation:
     def __lt__(self, other: Permutation) -> bool:
         return self.images < other.images
 
-    def __le__(self, other: Permutation) -> bool:
-        return self.images <= other.images
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -176,68 +174,95 @@ class Permutation:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
 
 
-def _close(degree: int, gens: Sequence[Permutation], max_order: int) -> tuple[Permutation, ...]:
-    """Breadth-first closure of a generating set under products."""
+def _check_degree(degree: int) -> None:
+    if not 1 <= degree <= MAX_DEGREE:
+        raise InvalidPermutation(f"degree {degree} is outside 1..{MAX_DEGREE}")
+
+
+def _close(degree: int, gens: Sequence[Permutation],
+           max_order: int) -> tuple[tuple[Permutation, ...], tuple[tuple[int, ...], ...]]:
+    """Breadth-first closure of a generating set: the sorted elements and
+    their multiplication table.  Each element b but the identity is found as
+    a * g (a found earlier, g a generator), so x * b = (x * a) * g fills each
+    row of the table from the products the search forms."""
     identity = Permutation.identity(degree)
-    elements = {identity}
-    frontier = [identity]
+    found = {identity: 0}  # element -> its number in the order found
+    walk = [identity]
+    steps: list[tuple[int, int]] = []  # walk[k + 1] = walk[a] * gens[j], (a, j) = steps[k]
+    times: list[list[int]] = []  # times[i][j] is the number of walk[i] * gens[j]
     gens = [g for g in gens if not g.is_identity()]
-    if gens:
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    b = a * g
-                    if b not in elements:
-                        elements.add(b)
-                        if len(elements) > max_order:
-                            raise OrderCapExceeded(
-                                f"closure exceeds the order cap {max_order}"
-                            )
-                        new.append(b)
-            frontier = new
-    return tuple(sorted(elements))
+    for i, a in enumerate(walk):  # walk grows while it is read
+        row = []
+        for j, g in enumerate(gens):
+            b = a * g
+            k = found.get(b)
+            if k is None:
+                k = found[b] = len(walk)
+                if k >= max_order:
+                    raise OrderCapExceeded(f"closure exceeds the order cap {max_order}")
+                walk.append(b)
+                steps.append((i, j))
+            row.append(k)
+        times.append(row)
+    order = sorted(range(len(walk)), key=walk.__getitem__)  # index -> number
+    rank = sorted(range(len(walk)), key=order.__getitem__)  # number -> index
+    table = []
+    for x in order:
+        row = [x]  # row[k] is the number of walk[x] * walk[k]
+        for a, j in steps:
+            row.append(times[row[a]][j])
+        table.append(tuple([rank[row[k]] for k in order]))
+    return tuple(walk[k] for k in order), tuple(table)
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group on {0..degree-1}.
+    """A fully enumerated permutation group on {0..degree-1}, held as its
+    index tables.
 
-    Instances are immutable value objects: two groups compare equal iff they
-    have the same degree and element set.  Build them through
-    :func:`close_generators` or the named constructors; the constructor
-    itself trusts that ``elements`` is closed.
+    ``table[a][b]`` is the index of ``elements[a] * elements[b]``, ``inv[a]``
+    that of the inverse of ``elements[a]``, ``conj[g][x]`` that of the
+    conjugate g^-1 x g, so ``conj[inv[g]]`` conjugates the other way
+    (g x g^-1), and ``orders[a]`` is the order of ``elements[a]``; the
+    identity is index 0.  ``generators`` are indices, found greedily in index
+    order, and element k is element ``embedding[k]`` of ``root``.  Build
+    groups through :func:`close_generators`, the named constructors,
+    :func:`promote` and :class:`QuotientGroup`, which intern them; the
+    constructor trusts its arguments and derives the other tables from
+    ``table``.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_index", "order", "_hash")
+    __slots__ = ("degree", "elements", "order", "table", "inv", "conj", "orders",
+                 "generators", "root", "embedding", "_index", "_position", "_hash")
 
-    def __init__(self, degree: int, generators: Sequence[Permutation],
-                 elements: Sequence[Permutation]):
+    def __init__(self, degree: int, elements: tuple[Permutation, ...],
+                 table: tuple[tuple[int, ...], ...], root: FiniteGroup | None = None,
+                 embedding: tuple[int, ...] | None = None):
+        n = len(elements)
         self.degree = degree
-        self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements))
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        self.order = len(self.elements)
-        self._hash = hash((degree, self.elements))
+        self.elements = elements
+        self.order = n
+        self.table = table
+        self.inv = inv = tuple(row.index(0) for row in table)
+        self.conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(n))
+        self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
+        self.root = self if root is None else root
+        self.embedding = tuple(range(n)) if embedding is None else embedding
+        self._index = {x: i for i, x in enumerate(elements)}
+        self._position = {r: k for k, r in enumerate(self.embedding)}
+        self._hash = hash((degree, elements))
+        self.generators = Subgroup.from_indices(self, range(n)).generators()
 
     @property
     def identity(self) -> Permutation:
         return self.elements[0]  # the identity is lexicographically minimal
 
-    def __contains__(self, x: Permutation) -> bool:
-        return x in self._index
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return self.order
-
     def exponent(self) -> int:
-        return math.lcm(*mult_table(self)[4])
+        return math.lcm(*self.orders)
 
     def contains_group(self, other: FiniteGroup) -> bool:
-        """True iff every element of ``other`` lies in this group."""
-        return other.degree == self.degree and all(g in self for g in other.generators)
+        """True iff ``other`` lies in this group: same root, and every element
+        of its embedding in this one's."""
+        return other.root is self.root and all(r in self._position for r in other.embedding)
 
     def subgroup(self, elements: Iterable[Permutation]) -> Subgroup:
         """The subgroup with exactly the given elements, checked against the
@@ -251,7 +276,7 @@ class FiniteGroup:
             raise NotSubgroup("a subgroup cannot be empty")
         if members[0] != 0:
             raise NotSubgroup("identity missing")
-        if len(close_indices(mult_table(self)[1], members)) != len(members):
+        if len(close_indices(self.table, members)) != len(members):
             raise NotSubgroup("not closed under product")
         return Subgroup.from_indices(self, members)
 
@@ -265,13 +290,6 @@ class FiniteGroup:
     def full_subgroup(self) -> Subgroup:
         return Subgroup.from_indices(self, range(self.order))
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, FiniteGroup):
-            return NotImplemented
-        return self.degree == other.degree and self.elements == other.elements
-
     def __hash__(self) -> int:
         return self._hash
 
@@ -281,15 +299,37 @@ class FiniteGroup:
 
 def close_generators(degree: int, gens: Sequence[Permutation],
                      max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Group generated by ``gens``, with deterministic element ordering."""
-    if degree < 1:
-        raise InvalidPermutation("degree must be at least 1")
+    """Group generated by ``gens``, with deterministic element ordering; the
+    same element set gives the same group object."""
+    _check_degree(degree)
     for g in gens:
         if not isinstance(g, Permutation):
             raise InvalidPermutation(f"not a permutation: {g!r}")
         if g.degree != degree:
             raise InvalidPermutation(f"generator degree {g.degree} != {degree}")
-    return FiniteGroup(degree, gens, _close(degree, gens, max_order))
+    return _root(degree, *_close(degree, gens, max_order))
+
+
+@lru_cache(maxsize=None)
+def _root(degree: int, elements: tuple[Permutation, ...],
+          table: tuple[tuple[int, ...], ...]) -> FiniteGroup:
+    """The one root group with these elements.  The elements determine the
+    table, so keying on the table as well still interns per element set."""
+    return FiniteGroup(degree, elements, table)
+
+
+def translate(A: FiniteGroup, B: FiniteGroup, indices: Iterable[int]) -> list[int]:
+    """The indices in B of the elements of A with the given indices, read
+    through the two embeddings; raises :class:`NotSubgroup` when A and B have
+    different roots or an element is not in B.  Index order is element order
+    in both, so sorted indices stay sorted."""
+    if A.root is not B.root:
+        raise NotSubgroup("the groups lie in different root groups")
+    embedding, position = A.embedding, B._position
+    try:
+        return [position[embedding[k]] for k in indices]
+    except KeyError:
+        raise NotSubgroup("element set does not embed in the target group") from None
 
 
 class Subgroup:
@@ -339,7 +379,7 @@ class Subgroup:
         """A small generating set as parent indices, found greedily in index
         order."""
         if self._generators is None:
-            table = mult_table(self.parent)[1]
+            table = self.parent.table
             gens: list[int] = []
             closed: frozenset = frozenset((0,))
             for i in self.indices:
@@ -352,22 +392,19 @@ class Subgroup:
         return self._generators
 
     def is_normal(self) -> bool:
-        index, _, _, conj = mult_table(self.parent)[:4]
-        return all(self.mask >> conj[index[g]][x] & 1
+        conj = self.parent.conj
+        return all(self.mask >> conj[g][x] & 1
                    for g in self.parent.generators for x in self.indices)
 
     def reparent(self, group: FiniteGroup) -> Subgroup:
-        """The same element set viewed inside another group that contains it."""
-        index = group._index
-        try:
-            return Subgroup.from_indices(group, [index[x] for x in self.elements])
-        except KeyError:
-            raise NotSubgroup("element set does not embed in the target group") from None
+        """The same element set viewed inside another group of the same root
+        that contains it."""
+        return Subgroup.from_indices(group, translate(self.parent, group, self.indices))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.mask == other.mask and self.parent == other.parent
+        return self.mask == other.mask and self.parent is other.parent
 
     def __hash__(self) -> int:
         return self._hash
@@ -381,42 +418,23 @@ class Subgroup:
         return f"Subgroup(order={self.order}, gens={gens!r})"
 
 
-@lru_cache(maxsize=None)
 def promote(H: Subgroup) -> FiniteGroup:
-    """View a subgroup as a finite group in its own right (same degree)."""
-    elements = H.parent.elements
-    return FiniteGroup(H.parent.degree, [elements[i] for i in H.generators()], H.elements)
+    """View a subgroup as a finite group in its own right: the group of the
+    same root whose elements are those of H.  A full subgroup is its parent."""
+    G = H.parent
+    if H.order == G.order:
+        return G
+    return _promote(G.root, tuple(map(G.embedding.__getitem__, H.indices)))
 
 
 @lru_cache(maxsize=None)
-def mult_table(G: FiniteGroup) -> tuple[dict, tuple[tuple[int, ...], ...],
-                                          tuple[int, ...], tuple[tuple[int, ...], ...],
-                                          tuple[int, ...]]:
-    """Index map, integer multiplication, inverse, conjugation and order tables.
-
-    ``index[x]`` is the position of the permutation x in ``G.elements``;
-    ``table[a][b]`` is the index of ``elements[a] * elements[b]``, ``inv[a]``
-    that of the inverse of ``elements[a]``, ``conj[g][x]`` that of the
-    conjugate g^-1 x g, so ``conj[inv[g]]`` conjugates the other way
-    (g x g^-1), and ``orders[a]`` is the order of ``elements[a]``.  The
-    identity sits at index 0 because it is lexicographically minimal.
-    """
-    elements = G.elements
-    index = G._index
-    by_images = {x.images: i for i, x in enumerate(elements)}
-    table = tuple(
-        tuple(by_images[tuple([a.images[j] for j in b.images])] for b in elements)
-        for a in elements
-    )
-    inv = tuple(row.index(0) for row in table)
-    conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(len(elements)))
-    orders = []
-    for a, row in enumerate(table):
-        x, k = a, 1
-        while x:
-            x, k = row[x], k + 1
-        orders.append(k)
-    return index, table, inv, conj, tuple(orders)
+def _promote(root: FiniteGroup, embedding: tuple[int, ...]) -> FiniteGroup:
+    """The proper subgroup of a root with the given sorted root indices, its
+    table restricted from the root's."""
+    position = {r: k for k, r in enumerate(embedding)}
+    table = tuple(tuple([position[root.table[a][b]] for b in embedding]) for a in embedding)
+    return FiniteGroup(root.degree, tuple(root.elements[r] for r in embedding), table,
+                       root, embedding)
 
 
 def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> frozenset:
@@ -439,7 +457,7 @@ def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> fr
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
     """The subgroup of G generated by the elements with the given indices."""
-    return Subgroup.from_indices(G, sorted(close_indices(mult_table(G)[1], seed)))
+    return Subgroup.from_indices(G, sorted(close_indices(G.table, seed)))
 
 
 def is_p_power(m: int, p: int) -> bool:
@@ -492,7 +510,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
     element.
     """
     check_prime(p)
-    orders = mult_table(G)[4]
+    orders = G.orders
     P = G.trivial_subgroup()
     while True:
         N = normalizer(G, P)
@@ -508,8 +526,8 @@ def p_prime_part(G: FiniteGroup, x: int, p: int) -> int:
     check_prime(p)
     if not 0 <= x < G.order:
         raise NotSubgroup("element not in the group")
-    table, _, _, orders = mult_table(G)[1:]
-    n = orders[x]
+    table = G.table
+    n = G.orders[x]
     q = math.gcd(n, p ** n)  # the p-part of n; x^e has e = 0 mod q, 1 mod n/q
     y = 0
     for _ in range(q * pow(q, -1, n // q) % n):
@@ -519,9 +537,9 @@ def p_prime_part(G: FiniteGroup, x: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    if H.parent != G:
+    if H.parent is not G:
         raise NotSubgroup("subgroup belongs to a different group")
-    conj = mult_table(G)[3]
+    conj = G.conj
     mask = H.mask
     hgens = H.generators()
     return Subgroup.from_indices(
@@ -532,7 +550,7 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:
     if not 0 <= x < G.order:
         raise NotSubgroup("element not in the group")
-    table = mult_table(G)[1]
+    table = G.table
     row = table[x]
     return Subgroup.from_indices(
         G, [g for g in range(G.order) if table[g][x] == row[g]])
@@ -542,66 +560,59 @@ class QuotientGroup:
     """G/N realized as a permutation group on the left cosets of N, except
     that G/1 is G itself.
 
-    The quotient map is held as two index tuples: ``proj[g]`` is the index in
-    ``group.elements`` of the image of the parent element with index g, and
-    ``lifts[q]`` is the parent index of the minimal representative of the
-    coset that quotient element q stands for.  For the trivial kernel both
-    are the identity ``tuple(range(|G|))``.
+    The group is an interned root whose elements are the coset-action image
+    tuples and whose table is read off the coset representatives on the
+    parent's table.  The quotient map is two index tuples: ``proj[g]`` is the
+    index in ``group.elements`` of the image of parent element g, and
+    ``lifts[q]`` the parent index of the minimal representative of the coset
+    that quotient element q stands for; both are ``tuple(range(|G|))`` for
+    the trivial kernel.
     """
 
-    __slots__ = ("parent", "kernel", "group", "proj", "lifts", "_hash")
+    __slots__ = ("parent", "kernel", "group", "proj", "lifts")
 
     def __init__(self, parent: FiniteGroup, kernel: Subgroup):
-        if kernel.parent != parent:
+        if kernel.parent is not parent:
             raise NotSubgroup("kernel belongs to a different group")
         if not kernel.is_normal():
             raise NotNormal("kernel is not normal")
         self.parent = parent
         self.kernel = kernel
-        self._hash = hash((parent, kernel))
         if kernel.order == 1:
             self.group = parent
             self.proj = self.lifts = tuple(range(parent.order))
             return
 
         reps, rep_of = coset_indices(parent, kernel)
-        index, table = mult_table(parent)[:2]
+        table = parent.table
         coset_of = {r: i for i, r in enumerate(reps)}
-        # g and gk (k in the kernel) permute the cosets alike: one permutation
+        coset = [coset_of[r] for r in rep_of]  # parent index -> coset number
+        # g and gk (k in the kernel) permute the cosets alike: one image tuple
         # per coset, that of its representative
-        perms = [Permutation(tuple(coset_of[rep_of[table[g][r]]] for r in reps))
-                 for g in reps]
-        gens = tuple(dict.fromkeys(perms[coset_of[rep_of[index[g]]]]
-                                   for g in parent.generators))
-        self.group = FiniteGroup(len(reps), gens, perms)
-        if self.group.order * kernel.order != parent.order:
-            raise RuntimeError("quotient order times kernel order differs from the group order")
-        position = {pi: q for q, pi in enumerate(self.group.elements)}
-        at = [position[pi] for pi in perms]  # coset number -> quotient index
-        self.proj = tuple(at[coset_of[r]] for r in rep_of)
-        self.lifts = tuple(r for _, r in sorted(zip(at, reps)))
+        images = [tuple([coset[table[g][r]] for r in reps]) for g in reps]
+        if len(set(images)) != len(reps):
+            raise RuntimeError("two cosets of the kernel permute the cosets alike")
+        order = sorted(range(len(reps)), key=images.__getitem__)  # quotient index -> coset
+        at = sorted(range(len(reps)), key=order.__getitem__)  # coset -> quotient index
+        self.proj = proj = tuple(at[c] for c in coset)
+        self.lifts = lifts = tuple(reps[c] for c in order)
+        qtable = tuple(tuple([proj[table[a][b]] for b in lifts]) for a in lifts)
+        self.group = _root(len(reps), tuple(Permutation._trusted(images[c]) for c in order),
+                           qtable)
 
     def project_subgroup(self, H: Subgroup) -> Subgroup:
         """Image in the quotient of a subgroup of the parent."""
-        if H.parent != self.parent:
+        if H.parent is not self.parent:
             raise NotSubgroup("subgroup does not live in the parent group")
         return Subgroup.from_indices(self.group, sorted({self.proj[h] for h in H.indices}))
 
     def preimage(self, S: Subgroup) -> Subgroup:
         """Full preimage in the parent of a subgroup of the quotient."""
-        if S.parent != self.group:
+        if S.parent is not self.group:
             raise NotSubgroup("subgroup does not live in the quotient group")
         mask = S.mask
         return Subgroup.from_indices(
             self.parent, [g for g, q in enumerate(self.proj) if mask >> q & 1])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuotientGroup):
-            return NotImplemented
-        return self.parent == other.parent and self.kernel == other.kernel
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @lru_cache(maxsize=None)
@@ -619,9 +630,9 @@ def normalizer_quotient(G: FiniteGroup, P: Subgroup) -> QuotientGroup:
 def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
     """Left cosets of H in G on element indices: the minimal representative
     of each coset, in order, and the representative of every element."""
-    if H.parent != G:
+    if H.parent is not G:
         raise NotSubgroup("subgroup belongs to a different group")
-    table = mult_table(G)[1]
+    table = G.table
     members = H.indices
     rep_of = [-1] * G.order
     reps = []
@@ -642,9 +653,9 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:
     far are whole left cosets of B, so a coset whose first element is
     already covered is skipped without walking it.
     """
-    if A.parent != G or B.parent != G:
+    if A.parent is not G or B.parent is not G:
         raise NotSubgroup("subgroup belongs to a different group")
-    table = mult_table(G)[1]
+    table = G.table
     a_members, b_members = A.indices, B.indices
     covered = bytearray(G.order)
     reps = []
@@ -664,8 +675,7 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:
 
 def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: int) -> list[int]:
     """Sorted indices of A cap g B g^-1, the subgroup of a Mackey term."""
-    inv, conj = mult_table(G)[2:4]
-    row = conj[inv[g]]
+    row = G.conj[G.inv[g]]
     conjugate = {row[b] for b in B.indices}
     return [a for a in A.indices if a in conjugate]
 
@@ -674,7 +684,7 @@ def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: int) -> list[int
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Element conjugacy classes as index tuples, each sorted, ordered by
     minimal member."""
-    conj = mult_table(G)[3]
+    conj = G.conj
     seen = bytearray(G.order)
     classes = []
     for x in range(G.order):
@@ -701,6 +711,7 @@ def cyclic(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
     _check_order(n, max_order)
+    _check_degree(n)
     gen = Permutation(tuple((i + 1) % n for i in range(n)))
     return close_generators(n, [gen] if n > 1 else [], max_order)
 
@@ -708,10 +719,8 @@ def cyclic(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 def symmetric(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise ValueError("symmetric groups supported for 1 <= n <= 5")
-    if n == 1:
-        return close_generators(1, [], max_order)
     gens = [Permutation.from_cycles(n, [(0, 1)]),
-            Permutation.from_cycles(n, [tuple(range(n))])]
+            Permutation.from_cycles(n, [tuple(range(n))])] if n > 1 else []
     return close_generators(n, gens, max_order)
 
 
@@ -720,14 +729,9 @@ def alternating(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("alternating groups supported for 1 <= n <= 5")
     if n <= 2:
         return close_generators(n, [], max_order)
-    if n == 3:
-        gens = [Permutation.from_cycles(3, [(0, 1, 2)])]
-    elif n % 2 == 1:
-        gens = [Permutation.from_cycles(n, [(0, 1, 2)]),
-                Permutation.from_cycles(n, [tuple(range(n))])]
-    else:
-        gens = [Permutation.from_cycles(n, [(0, 1, 2)]),
-                Permutation.from_cycles(n, [tuple(range(1, n))])]
+    # (0 1 2) and an odd-length cycle through n or n - 1 points
+    gens = [Permutation.from_cycles(n, [(0, 1, 2)]),
+            Permutation.from_cycles(n, [tuple(range(1 - n % 2, n))])]
     return close_generators(n, gens, max_order)
 
 
@@ -737,6 +741,7 @@ def dihedral(order: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("dihedral order must be even and at least 2")
     _check_order(order, max_order)
     n = order // 2
+    _check_degree(n)
     if n == 1:
         return cyclic(2, max_order)
     if n == 2:
@@ -762,7 +767,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
     """Direct product acting on the disjoint union of the two point sets."""
     _check_order(G.order * H.order, max_order)
     d = G.degree + H.degree
-    gens = [Permutation(g.images + tuple(range(G.degree, d))) for g in G.generators]
-    gens += [Permutation(tuple(range(G.degree)) + tuple(G.degree + i for i in h.images))
-             for h in H.generators]
+    gens = [Permutation(G.elements[g].images + tuple(range(G.degree, d)))
+            for g in G.generators]
+    gens += [Permutation(tuple(range(G.degree)) + tuple(G.degree + i for i in x.images))
+             for x in (H.elements[h] for h in H.generators)]
     return close_generators(d, gens, max_order)

@@ -32,8 +32,8 @@ from .burnside import (burnside_ind, burnside_product, burnside_res,
                        fixed_point_functor, gluck_yoshida, linearize,
                        mark_element, transitive)
 from .cyclo import Cyclotomic, zeta_power
-from .grp import (FiniteGroup, Subgroup, close_indices, is_p_power, mult_table,
-                  normalizer_quotient, promote, quotient, sylow)
+from .grp import (FiniteGroup, Subgroup, close_indices, is_p_power,
+                  normalizer_quotient, promote, quotient, sylow, translate)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, brauer_elt,
                      char_pullback, default_conductor, ind_elt, inf_elt,
@@ -77,7 +77,7 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
     r = C.order
     if r % p == 0:
         raise NotPPrime(f"group order {r} is divisible by {p}")
-    _, table, _, _, orders = mult_table(C)
+    table, orders = C.table, C.orders
     if r not in orders:
         raise NotCyclic("group has no element of full order")
     gen = orders.index(r)
@@ -121,10 +121,10 @@ def idempotent_normal_case(H: FiniteGroup, s_lift: int, p: int,
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     Q = quotient(H, P)
     C = Q.group
-    if not 0 <= s_lift < H.order or math.gcd(mult_table(H)[4][s_lift], p) != 1:
+    if not 0 <= s_lift < H.order or math.gcd(H.orders[s_lift], p) != 1:
         raise ShapeMismatch("lift is not a p'-element of the group")
     sbar = Q.proj[s_lift]
-    if mult_table(C)[4][sbar] != C.order:
+    if C.orders[sbar] != C.order:
         raise ShapeMismatch("quotient is not cyclic generated by the lift's image")
     f = cyclic_idempotent(C, sbar, p, n)
     return tensor_elt(top_E(H, p, n), inf_elt(f, Q))
@@ -152,11 +152,11 @@ def idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair,
 @lru_cache(maxsize=None)
 def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PPElement:
     P = pair.P
-    t = pair.ps.indices.index(pair.lift)  # the lift in H = promote(<Ps>)
     r = pair.s_order
     H = promote(pair.ps)
+    [t] = translate(G, H, [pair.lift])
     PH = P.reparent(H)
-    table = mult_table(H)[1]
+    table = H.table
     lat = subgroup_lattice(H)
     denom = P.order * r * pair.centralizer_order
     step = n // r
@@ -186,7 +186,7 @@ def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair,
         raise GroupMismatch("pair does not belong to the (group, prime) computation")
     n = default_conductor(G, p) if conductor is None else conductor
     H = promote(pair.ps)
-    f = idempotent_normal_case(H, pair.ps.indices.index(pair.lift), p, n)
+    f = idempotent_normal_case(H, translate(G, H, [pair.lift])[0], p, n)
     return ind_elt(f, G).scale(Fraction(pair.s_order, pair.centralizer_order))
 
 
@@ -223,7 +223,7 @@ def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair,
     HH = promote(H)
     rhs = PPElement.zero(HH, p, n)
     for hp in enumerate_pairs(HH, p):
-        as_g = build_pair(G, p, hp.P.reparent(G), H.indices[hp.lift])
+        as_g = build_pair(G, p, hp.P.reparent(G), translate(HH, G, [hp.lift])[0])
         if pairs_conjugate(as_g, pair):
             rhs = rhs + idempotent_theorem(HH, p, hp, n)
     return equal_elements(lhs, rhs)
@@ -238,7 +238,7 @@ def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair,
     if hpair.group != HH:
         raise GroupMismatch("pair does not live over the subgroup")
     lhs = ind_elt(idempotent_theorem(HH, p, hpair, n), G)
-    as_g = build_pair(G, p, hpair.P.reparent(G), H.indices[hpair.lift])
+    as_g = build_pair(G, p, hpair.P.reparent(G), translate(HH, G, [hpair.lift])[0])
     big = as_g.stabilizer
     c = Fraction(big.order, (big.mask & H.mask).bit_count())
     rep = next(q for q in enumerate_pairs(G, p) if pairs_conjugate(q, as_g))
@@ -256,7 +256,7 @@ def verify_E_decomposition(H: FiniteGroup, p: int,
     if not P.is_normal():
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     C = quotient(H, P).group
-    if C.order not in mult_table(C)[4]:
+    if C.order not in C.orders:
         raise ShapeMismatch("quotient is not cyclic")
     E = top_E(H, p, n)
     vec = species_vector(E)
@@ -384,7 +384,7 @@ def tau_via_restriction(pair: SpeciesPair, gen) -> Cyclotomic:
     """tau computed after restriction to the subgroup generated by the pair."""
     H = promote(pair.ps)
     y = res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
-    lift = pair.ps.indices.index(pair.lift)  # the lift in H
+    [lift] = translate(pair.group, H, [pair.lift])
     sub_pair = build_pair(H, pair.p, pair.P.reparent(H), lift)
     return tau_element(sub_pair, y)
 
@@ -393,7 +393,7 @@ def tau_via_brauer(pair: SpeciesPair, gen) -> Cyclotomic:
     """tau computed through the Brauer morphism at P and the quotient species."""
     H = promote(pair.ps)
     y = res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
-    lift = pair.ps.indices.index(pair.lift)  # the lift in H
+    [lift] = translate(pair.group, H, [pair.lift])
     PH = pair.P.reparent(H)
     Q = quotient(H, PH)
     base = Q.group

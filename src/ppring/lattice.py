@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .grp import FiniteGroup, Subgroup, close_indices, mult_table
+from .grp import FiniteGroup, Subgroup, close_indices
 
 
 class NotComparable(Exception):
@@ -108,7 +108,7 @@ def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
     join of K_i^g with the cyclic subgroup <c_(i+1)^g>, which the search
     forms; so the class of K_(i+1) is entered, and by induction that of K.
     """
-    _, table, _, conj, _ = mult_table(group)
+    table, conj = group.table, group.conj
     cyclics: dict[frozenset, int] = {}
     for i in range(group.order):
         cyclics.setdefault(close_indices(table, (i,)), i)

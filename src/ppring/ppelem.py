@@ -23,8 +23,8 @@ from typing import Iterable, Mapping, Union
 
 from .cyclo import Cyclotomic, ConductorMismatch
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, Subgroup,
-                  conjugate_meet, double_coset_reps, is_p_power, mult_table,
-                  normalizer, normalizer_quotient, promote, quotient)
+                  conjugate_meet, double_coset_reps, is_p_power, normalizer,
+                  normalizer_quotient, promote, quotient, translate)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -87,7 +87,7 @@ class LinChar:
 
     def check_homomorphism(self) -> None:
         """Raise ValueError unless the table is a homomorphism on the domain."""
-        table = mult_table(self.domain.parent)[1]
+        table = self.domain.parent.table
         n = self.conductor
         exp_of = dict(zip(self.domain.indices, self._table))
         if len(self._table) != self.domain.order or any(
@@ -105,7 +105,7 @@ class LinChar:
         """The character on domain^g sending x to chi(g x g^-1), for the
         parent element with index g."""
         G = self.domain.parent
-        row = mult_table(G)[3][g]
+        row = G.conj[g]
         moved = sorted(zip([row[x] for x in self.domain.indices], self._table))
         return LinChar(Subgroup.from_indices(G, [x for x, _ in moved]),
                        [e for _, e in moved], self.conductor)
@@ -143,7 +143,7 @@ def linear_characters(L: Subgroup, conductor: int) -> tuple[LinChar, ...]:
     gens = L.generators()
     if not gens:
         return (LinChar.trivial(L, n),)
-    _, table, _, _, orders = mult_table(L.parent)
+    table, orders = L.parent.table, L.parent.orders
     choices = []
     for g in gens:
         d = math.gcd(n, orders[g])
@@ -220,7 +220,7 @@ def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -
         raise GroupMismatch("subgroup does not live in the given group")
     if character.domain != subgroup:
         raise GroupMismatch("character domain differs from the subgroup")
-    conj = mult_table(group)[3]
+    conj = group.conj
     members = subgroup.indices
     exps = character.table()
     best_sub = best_exps = None
@@ -348,8 +348,8 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: int, j: int,
     """
     Q = quotient(H, P)
     s = Q.proj[s_lift]
-    _, table, _, _, orders = mult_table(Q.group)
-    r = orders[s]
+    table = Q.group.table
+    r = Q.group.orders[s]
     if r != Q.group.order:
         raise NotNormal("quotient is not cyclic generated by the image of the lift")
     if not 0 <= j < max(r, 1):
@@ -372,8 +372,7 @@ def _res_gen(gen: Generator, H: Subgroup) -> tuple[tuple[Generator, int], ...]:
     G = gen.group
     HH = promote(H)
     n = gen.character.conductor
-    conj = mult_table(G)[3]
-    position = {i: k for k, i in enumerate(H.indices)}  # G-index -> HH-index
+    conj = G.conj
     L = gen.subgroup
     exp_of = dict(zip(L.indices, gen.character.table()))
     counts: dict[Generator, int] = {}
@@ -381,7 +380,7 @@ def _res_gen(gen: Generator, H: Subgroup) -> tuple[tuple[Generator, int], ...]:
         # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
         meet = conjugate_meet(G, H, L, g)
         row = conj[g]
-        inter = Subgroup.from_indices(HH, [position[i] for i in meet])
+        inter = Subgroup.from_indices(HH, translate(G, HH, meet))
         new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
         counts[new] = counts.get(new, 0) + 1
     return tuple(counts.items())
@@ -431,7 +430,7 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
     x._compatible(y)
     G = x.group
     n = x.conductor
-    inv = mult_table(G)[2]
+    inv = G.inv
     out: dict[Generator, Cyclotomic] = {}
     for genx, cx in x.terms.items():
         A, alpha = genx.subgroup, genx.character

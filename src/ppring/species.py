@@ -35,8 +35,8 @@ from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce, zeta_power
 from .grp import (FiniteGroup, Subgroup, centralizer, conjugacy_classes,
-                  coset_indices, is_p_power, mult_table, normalizer,
-                  normalizer_quotient, p_prime_part, subgroup_closure)
+                  coset_indices, is_p_power, normalizer,
+                  normalizer_quotient, p_prime_part, subgroup_closure, translate)
 from .lattice import subgroup_lattice
 from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
                      make_generator)
@@ -96,7 +96,7 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: int) -> SpeciesPair:
         raise GroupMismatch("subgroup does not live in the group")
     if not is_p_power(P.order, p):
         raise ValueError(f"subgroup order {P.order} is not a power of {p}")
-    _, table, inv, conj, orders = mult_table(G)
+    table, inv, conj, orders = G.table, G.inv, G.conj, G.orders
     if math.gcd(orders[lift], p) != 1:
         raise ValueError("lift does not have p'-order")
     N = normalizer(G, P)
@@ -104,8 +104,8 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: int) -> SpeciesPair:
         raise ValueError("lift does not normalize the subgroup")
     ps = subgroup_closure(G, P.generators() + (lift,))
     Q = normalizer_quotient(G, P)  # Q.parent is promote(N)
-    sbar = Q.proj[N.indices.index(lift)]
-    s_order = mult_table(Q.group)[4][sbar]
+    sbar = Q.proj[translate(G, Q.parent, [lift])[0]]
+    s_order = Q.group.orders[sbar]
     if orders[lift] != s_order:
         raise RuntimeError("a p'-lift must have exactly the order of its image")
     centralizer_order = centralizer(Q.group, sbar).order
@@ -133,14 +133,13 @@ def enumerate_pairs(G: FiniteGroup, p: int) -> tuple[SpeciesPair, ...]:
         if not is_p_power(P.order, p):
             continue
         Q = normalizer_quotient(G, P)  # Q.parent is promote(N_G(P))
-        N = normalizer(G, P)
-        orders = mult_table(Q.group)[4]
+        orders = Q.group.orders
         for cls in conjugacy_classes(Q.group):
             s = cls[0]
             if math.gcd(orders[s], p) != 1:
                 continue
             lift = p_prime_part(Q.parent, Q.lifts[s], p)
-            pairs.append(build_pair(G, p, P, N.indices[lift]))
+            pairs.append(build_pair(G, p, P, translate(Q.parent, G, [lift])[0]))
     return tuple(sorted(pairs, key=SpeciesPair.sort_key))
 
 
@@ -150,7 +149,7 @@ def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
         raise GroupMismatch("pairs live over different groups")
     if a.P.order != b.P.order or a.s_order != b.s_order:
         return False
-    table, inv, conj = mult_table(a.group)[1:4]
+    table, inv, conj = a.group.table, a.group.inv, a.group.conj
     target = b.P.mask
     members = a.P.indices
     t = a.lift
@@ -178,7 +177,7 @@ def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...
     """The fixed-line sum of a generator at a pair as (exponent, count)
     terms: the value is the sum of count * zeta_n^exponent."""
     L = gen.subgroup
-    conj = mult_table(pair.group)[3]
+    conj = pair.group.conj
     exp_of = dict(zip(L.indices, gen.character.table()))
     pgens = pair.P.generators()
     t = pair.lift

@@ -65,6 +65,23 @@ class TestProduct:
                         regular.scale(G.order // A.order)
 
 
+    @pytest.mark.parametrize("build", [lambda: symmetric(4), lambda: alternating(5)],
+                             ids=["S4", "A5"])
+    def test_sums_scales_and_products_stay_on_class_reps(self, build):
+        # these three build their results without a lattice lookup
+        G = build()
+        lat = subgroup_lattice(G)
+        reps = lat.class_reps()
+        x = BurnsideElement(G, {H: Fraction(k + 1, 3) for k, H in enumerate(lat.subgroups)})
+        y = gluck_yoshida(G, reps[-2]) - transitive(G, reps[1]).scale(4)
+        results = [x + y, y + x.scale(-1), x.scale(Fraction(-2, 5)), y.scale(0),
+                   burnside_product(x, y), burnside_product(y, y)]
+        for result in results:
+            assert result == BurnsideElement(G, result.coeffs)
+            assert all(lat.rep_of(L) is L and c != 0 for L, c in result.coeffs.items())
+        assert results[3].coeffs == {}
+
+
 class TestGluckYoshida:
     def test_c2_top(self):
         G = cyclic(2)

@@ -7,7 +7,7 @@ import pytest
 from ppring import cli, ffq, species
 from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
                         parse_group_spec, run)
-from ppring.grp import PRIME_TEST_BOUND, OrderCapExceeded
+from ppring.grp import MAX_DEGREE, PRIME_TEST_BOUND, OrderCapExceeded, Permutation
 
 
 class TestParseGroupSpec:
@@ -212,6 +212,23 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: group order {order} exceeds the order cap 384\n"
+
+    @pytest.mark.parametrize("generators", ["[]", "[[[0, 1]]]"])
+    def test_degree_over_the_bound_exit_2(self, generators, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an image list was built before the degree was checked")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        monkeypatch.setattr(Permutation, "_trusted", refuse)
+        # the small degree comes first: without the check it fails here, before
+        # a degree-10^9 image list could be built
+        for degree in (MAX_DEGREE + 1, 10 ** 9):
+            spec = f'{{"degree": {degree}, "generators": {generators}}}'
+            assert main(["pairs", "--group", spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: bad group spec: degree {degree} is "
+                                    f"outside 1..{MAX_DEGREE}\n")
 
     def test_internal_error_exit_4(self, monkeypatch, capsys):
         def broken(G, p):

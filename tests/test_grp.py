@@ -11,7 +11,7 @@ from ppring.grp import (PRIME_TEST_BOUND, InvalidPermutation, NotSubgroup,
                         centralizer, check_prime, close_generators,
                         conjugacy_classes, conjugate_meet, cyclic, dihedral,
                         direct_product, double_coset_reps, is_p_power,
-                        klein_four, mult_table, normalizer,
+                        klein_four, normalizer,
                         normalizer_quotient, p_prime_part, promote,
                         quaternion8, quotient, subgroup_closure,
                         symmetric, sylow)
@@ -99,7 +99,7 @@ class TestCloseGenerators:
 
     def test_order_cap(self, monkeypatch):
         with pytest.raises(OrderCapExceeded):
-            close_generators(5, list(symmetric(5).generators), max_order=100)
+            close_generators(5, list(symmetric(5).elements), max_order=100)
         # named groups are refused from their known order, before anything is built
         C300 = cyclic(300)
 
@@ -115,6 +115,22 @@ class TestCloseGenerators:
                       lambda: cyclic(10 ** 9), lambda: dihedral(2 * 10 ** 9)):
             with pytest.raises(OrderCapExceeded, match="exceeds the order cap"):
                 build()
+
+    def test_degree_bound(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an image list was built before the degree was checked")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        monkeypatch.setattr(Permutation, "_trusted", refuse)
+        # the small degree comes first: without the check it fails here, before
+        # a degree-10^9 image list could be built
+        for degree in (grp.MAX_DEGREE + 1, 10 ** 9):
+            for build in (lambda: Permutation.from_cycles(degree, [(0, 1)]),
+                          lambda: close_generators(degree, []),
+                          lambda: cyclic(degree, max_order=degree),
+                          lambda: dihedral(2 * degree, max_order=2 * degree)):
+                with pytest.raises(InvalidPermutation, match=f"is outside 1..{grp.MAX_DEGREE}"):
+                    build()
 
     def test_deterministic_element_order(self):
         G = symmetric(3)
@@ -221,19 +237,19 @@ class TestPPrimePart:
     def test_already_p_prime(self):
         G = symmetric(3)
         x = Permutation.from_cycles(3, [(0, 1, 2)])
-        assert G.elements[p_prime_part(G, mult_table(G)[0][x], 2)] == x
+        assert G.elements[p_prime_part(G, G.elements.index(x), 2)] == x
 
     def test_c6_generator(self):
         G = cyclic(6)
         gen6 = next(g for g in G.elements if g.order() == 6)
-        part = G.elements[p_prime_part(G, mult_table(G)[0][gen6], 2)]
+        part = G.elements[p_prime_part(G, G.elements.index(gen6), 2)]
         assert part == gen6 ** 4
         assert part.order() == 3
 
     def test_pure_p_element(self):
         G = cyclic(4)
         gen4 = next(g for g in G.elements if g.order() == 4)
-        assert G.elements[p_prime_part(G, mult_table(G)[0][gen4], 2)] == G.identity
+        assert G.elements[p_prime_part(G, G.elements.index(gen4), 2)] == G.identity
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_factorization_properties(self, p):
@@ -268,7 +284,7 @@ class TestNormalizerCentralizer:
     def test_centralizer_three_cycle(self):
         G = symmetric(3)
         x = Permutation.from_cycles(3, [(0, 1, 2)])
-        C = centralizer(G, mult_table(G)[0][x])
+        C = centralizer(G, G.elements.index(x))
         assert C.order == 3
         assert all(g * x == x * g for g in C.elements)
 
@@ -279,7 +295,7 @@ class TestConjugationTable:
                              ids=["S4", "D8xC2"])
     def test_matches_permutation_conj(self, build):
         G = build()
-        conj = mult_table(G)[3]
+        conj = G.conj
         for gi, g in enumerate(G.elements):
             assert [G.elements[i] for i in conj[gi]] == [x.conj(g) for x in G.elements]
 
@@ -312,12 +328,12 @@ class TestQuotient:
         Q = quotient(G, C2)
         assert Q.group.order == 3
         gen6 = next(g for g in G.elements if g.order() == 6)
-        assert Q.group.elements[Q.proj[mult_table(G)[0][gen6]]].order() == 3
+        assert Q.group.elements[Q.proj[G.elements.index(gen6)]].order() == 3
 
     def test_project_is_homomorphism_everywhere(self):
         G = symmetric(3)
         Q = quotient(G, sylow(G, 3))
-        index = mult_table(G)[0]
+        index = {x: i for i, x in enumerate(G.elements)}
 
         def project(x):
             return Q.group.elements[Q.proj[index[x]]]
@@ -337,7 +353,7 @@ class TestQuotient:
         assert len(normal) == 1  # V4 and A4 in S4, the centre of D8
         N = normal[0]
         Q = quotient(G, N)
-        table, qtable = mult_table(G)[1], mult_table(Q.group)[1]
+        table, qtable = G.table, Q.group.table
         for a in range(G.order):
             for b in range(G.order):
                 assert Q.proj[table[a][b]] == qtable[Q.proj[a]][Q.proj[b]]
@@ -448,7 +464,7 @@ def test_generated_groups_satisfy_lagrange(imga, imgb):
 
 def sympy_group(G):
     comb = pytest.importorskip("sympy.combinatorics")
-    gens = [comb.Permutation(list(g.images)) for g in G.generators]
+    gens = [comb.Permutation(list(G.elements[g].images)) for g in G.generators]
     return comb.PermutationGroup(gens or [comb.Permutation(list(range(G.degree)))])
 
 
@@ -480,7 +496,7 @@ def test_order_classes_and_sylow_agree_with_sympy(G):
                     for cls in theirs.conjugacy_classes()}
     as_sympy = [comb.Permutation(list(x.images)) for x in G.elements]
     theirs_orders = [int(x.order()) for x in as_sympy]
-    assert list(mult_table(G)[4]) == theirs_orders
+    assert list(G.orders) == theirs_orders
     assert G.exponent() == math.lcm(*(x.order() for x in theirs.elements))
     for p in prime_divisors(G.order):
         assert sylow(G, p).order == theirs.sylow_subgroup(p).order()
@@ -501,7 +517,7 @@ def test_normalizer_and_centralizer_orders_agree_with_sympy(G, data):
     comb = pytest.importorskip("sympy.combinatorics")
     as_sympy = {g: comb.Permutation(list(g.images)) for g in G.elements}
     cyclic_x = comb.PermutationGroup([as_sympy[x]])
-    assert centralizer(G, mult_table(G)[0][x]).order == theirs.centralizer(cyclic_x).order()
+    assert centralizer(G, G.elements.index(x)).order == theirs.centralizer(cyclic_x).order()
     # |N_G(H)| = |G| / (number of conjugates of H), conjugating in sympy
     members = frozenset(as_sympy[h] for h in H.elements)
     conjugates = {frozenset(h ^ g for h in members) for g in theirs.elements}
@@ -554,3 +570,93 @@ def test_index_order_is_element_order(build):
         assert [H.elements for H in copies] == [H.elements for H in inside]
         assert all(list(H.indices) == sorted(H.indices) for H in copies)
         check(copies)
+
+
+# ---------------------------------------------------------------------------
+# groups as index tables: promoted and quotient groups against composition
+
+def composed_tables(G):
+    """The reference path: multiplication, inverse, conjugation and order
+    tables of G by composing its permutations."""
+    index = {x: i for i, x in enumerate(G.elements)}
+    table = tuple(tuple(index[a * b] for b in G.elements) for a in G.elements)
+    inv = tuple(index[x.inverse()] for x in G.elements)
+    conj = tuple(tuple(index[x.conj(g)] for x in G.elements) for g in G.elements)
+    return table, inv, conj, tuple(x.order() for x in G.elements)
+
+
+def assert_tables_compose(G):
+    assert (G.table, G.inv, G.conj, G.orders) == composed_tables(G)
+
+
+def assert_promoted_and_quotient_tables_compose(G):
+    assert_tables_compose(G)
+    for H in subgroup_lattice(G).subgroups:
+        HH = promote(H)
+        assert HH.root is G and HH.elements == H.elements
+        assert_tables_compose(HH)
+        if H.is_normal():
+            assert_tables_compose(quotient(G, H).group)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric(4),
+    lambda: direct_product(dihedral(8), cyclic(2)),
+    lambda: alternating(5),
+], ids=["S4", "D8xC2", "A5"])
+def test_promoted_and_quotient_tables_match_composition(build):
+    assert_promoted_and_quotient_tables_compose(build())
+
+
+@settings(max_examples=20, deadline=None)
+@given(generated_groups())
+def test_generated_promoted_and_quotient_tables_match_composition(G):
+    if G.order > 48:
+        reject()
+    assert_promoted_and_quotient_tables_compose(G)
+
+
+class TestIdentity:
+    def test_roots_are_interned(self):
+        assert symmetric(4) is symmetric(4)
+        G = symmetric(3)
+        assert close_generators(3, list(reversed(G.elements))) is G
+        # a quotient with the elements of a named group is that group
+        assert quotient(symmetric(3), sylow(symmetric(3), 3)).group is cyclic(2)
+
+    @pytest.mark.parametrize("build", [lambda: symmetric(4), lambda: alternating(5)],
+                             ids=["S4", "A5"])
+    def test_promote_is_memoized_per_embedding(self, build):
+        G = build()
+        assert promote(G.full_subgroup()) is G
+        for P in subgroup_lattice(G).subgroups:
+            N = normalizer(G, P)
+            assert normalizer_quotient(G, P).parent is promote(N)
+            # the same elements reached through the normalizer promote alike
+            assert promote(P.reparent(promote(N))) is promote(P)
+
+    def test_equality_is_identity(self):
+        G = symmetric(4)
+        V = next(H for H in subgroup_lattice(G).subgroups
+                 if H.order == 4 and H.is_normal())
+        K = klein_four()
+        assert promote(V) != K and promote(V) is not K
+        assert not G.contains_group(K) and G.contains_group(promote(V))
+        with pytest.raises(NotSubgroup, match="different root"):
+            K.full_subgroup().reparent(G)
+
+    def test_quotient_subgroup_does_not_reparent_into_the_parent(self):
+        G = symmetric(4)
+        V = next(H for H in subgroup_lattice(G).subgroups
+                 if H.order == 4 and H.is_normal())
+        Q = quotient(G, V)
+        for S in subgroup_lattice(Q.group).subgroups:
+            with pytest.raises(NotSubgroup):
+                S.reparent(G)
+        assert Q.group.root is Q.group
+
+    def test_reparent_refuses_a_missing_element(self):
+        G = symmetric(4)
+        A, B = [promote(H) for H in subgroup_lattice(G).subgroups if H.order == 3][:2]
+        with pytest.raises(NotSubgroup, match="does not embed"):
+            A.full_subgroup().reparent(B)

@@ -5,7 +5,7 @@ from hypothesis import given, reject, settings
 
 from ppring.cli import parse_group_spec
 from ppring.grp import (alternating, close_indices, cyclic, dihedral,
-                        direct_product, mult_table, quaternion8, symmetric)
+                        direct_product, quaternion8, symmetric)
 from ppring.lattice import NotComparable, subgroup_lattice
 from test_grp import generated_groups
 
@@ -34,7 +34,7 @@ def reference_subgroups(G):
     with every cyclic subgroup, closing the union of both element sets, until
     nothing new appears.  Returns sorted index lists in (order, indices)
     order."""
-    table = mult_table(G)[1]
+    table = G.table
     cyclics = {close_indices(table, [i]) for i in range(G.order)}
     known = set(cyclics)
     frontier = list(cyclics)
@@ -55,7 +55,7 @@ def reference_subgroups(G):
 def reference_classes(G, subgroups):
     """Conjugacy classes as sorted position lists, ordered by their minimal
     member, found by conjugating each subgroup by every element."""
-    conj = mult_table(G)[3]
+    conj = G.conj
     position = {frozenset(m): i for i, m in enumerate(subgroups)}
     classes, seen = [], set()
     for i, m in enumerate(subgroups):
@@ -203,7 +203,7 @@ class TestMoebius:
             for B in lat.subgroups:
                 if not lat.leq(A, B) or B.order > 8:
                     continue
-                for g in G.generators:
+                for g in (G.elements[i] for i in G.generators):
                     Ag = index[frozenset(x.conj(g) for x in A.elements)]
                     Bg = index[frozenset(x.conj(g) for x in B.elements)]
                     assert lat.moebius(Ag, Bg) == lat.moebius(A, B)

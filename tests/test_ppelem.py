@@ -3,7 +3,7 @@ import pytest
 from ppring import ppelem
 from ppring.cyclo import Cyclotomic
 from ppring.grp import (NotSubgroup, Permutation, alternating, cyclic, dihedral,
-                        direct_product, mult_table, promote, quotient, symmetric,
+                        direct_product, promote, quotient, symmetric,
                         sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (BadIndex, Generator, LinChar, NotPGroup, PPElement,
@@ -75,7 +75,7 @@ class TestLinChar:
         L = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         chi = linear_characters(L, 2)[1]
         g = Permutation.from_cycles(3, [(0, 1, 2)])
-        moved = chi.conj(mult_table(G)[0][g])
+        moved = chi.conj(G.elements.index(g))
         assert frozenset(moved.domain.elements) == frozenset(x.conj(g) for x in L.elements)
         for x in L.elements:
             assert exps(moved)[x.conj(g)] == exps(chi)[x]
@@ -381,7 +381,7 @@ class TestResInfComposite:
             pytest.skip("needs a nontrivial normal p-subgroup")
         n = default_conductor(H, p)
         Q = quotient(H, P)
-        index = mult_table(H)[0]
+        index = {x: i for i, x in enumerate(H.elements)}
 
         def project(x):
             return Q.group.elements[Q.proj[index[x]]]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppring.cyclo import ConductorMismatch, Cyclotomic, zeta_power
-from ppring.grp import (Permutation, alternating, cyclic, dihedral, mult_table,
+from ppring.grp import (Permutation, alternating, cyclic, dihedral,
                         p_prime_part, symmetric, sylow)
 from ppring.ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                            linear_characters, make_generator, tensor_elt)
@@ -60,7 +60,7 @@ class TestPairsConjugate:
 
     def test_transpositions_conjugate(self):
         G = symmetric(3)
-        index = mult_table(G)[0]
+        index = {x: i for i, x in enumerate(G.elements)}
         t1 = index[Permutation.from_cycles(3, [(0, 1)])]
         t2 = index[Permutation.from_cycles(3, [(1, 2)])]
         a = build_pair(G, 3, G.trivial_subgroup(), t1)
@@ -193,7 +193,7 @@ class TestSpeciesProperties:
         G = symmetric(3)
         p = 3
         n = default_conductor(G, p)
-        index = mult_table(G)[0]
+        index = {x: i for i, x in enumerate(G.elements)}
         t1 = index[Permutation.from_cycles(3, [(0, 1)])]
         t2 = index[Permutation.from_cycles(3, [(1, 2)])]
         a = build_pair(G, p, G.trivial_subgroup(), t1)
@@ -206,7 +206,7 @@ class TestSpeciesProperties:
         p = 2
         n = default_conductor(G, p)
         gens = standard_generators(G, p, n)
-        table = mult_table(G)[1]
+        table = G.table
         for q in enumerate_pairs(G, p):
             for u in q.P.indices:
                 alt = p_prime_part(G, table[q.lift][u], p)
