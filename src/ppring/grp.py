@@ -250,6 +250,7 @@ class FiniteGroup:
         self._index = {x: i for i, x in enumerate(elements)}
         self._position = {r: k for k, r in enumerate(self.embedding)}
         self._hash = hash((degree, elements))
+        # last: the full subgroup hashes this group
         self.generators = Subgroup.from_indices(self, range(n)).generators()
 
     @property

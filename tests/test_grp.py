@@ -99,7 +99,8 @@ class TestCloseGenerators:
 
     def test_order_cap(self, monkeypatch):
         with pytest.raises(OrderCapExceeded):
-            close_generators(5, list(symmetric(5).elements), max_order=100)
+            S5 = symmetric(5)
+            close_generators(5, [S5.elements[g] for g in S5.generators], max_order=100)
         # named groups are refused from their known order, before anything is built
         C300 = cyclic(300)
 
@@ -124,12 +125,13 @@ class TestCloseGenerators:
         monkeypatch.setattr(Permutation, "_trusted", refuse)
         # the small degree comes first: without the check it fails here, before
         # a degree-10^9 image list could be built
+        message = f"is outside 1..{grp.MAX_DEGREE}"
         for degree in (grp.MAX_DEGREE + 1, 10 ** 9):
             for build in (lambda: Permutation.from_cycles(degree, [(0, 1)]),
                           lambda: close_generators(degree, []),
                           lambda: cyclic(degree, max_order=degree),
                           lambda: dihedral(2 * degree, max_order=2 * degree)):
-                with pytest.raises(InvalidPermutation, match=f"is outside 1..{grp.MAX_DEGREE}"):
+                with pytest.raises(InvalidPermutation, match=message):
                     build()
 
     def test_deterministic_element_order(self):
