@@ -9,8 +9,9 @@ the Brauer morphism, which are all implemented here by explicit double-coset
 
 Generators are kept in canonical form: the pair (subgroup, character) is
 normalized to its minimal conjugate, so collecting terms is a dictionary
-merge.  Equality of elements is *not* term-wise (the generators only span);
-use :func:`ppring.species.equal_elements`.
+merge.  Equal terms imply equal elements but not conversely (the generators
+only span); :func:`ppring.species.equal_elements` decides equality,
+coefficients first, then by the species of the difference.
 """
 
 from __future__ import annotations

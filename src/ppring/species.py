@@ -25,7 +25,10 @@ same canonical value as reducing after every term.
 
 The species vectors separate elements, which is what makes
 :func:`equal_elements` a sound equality oracle for the spanning-set
-representation.
+representation.  It decides equality coefficients first, then by the species
+of the difference: identical canonical coefficients are formal equality, and
+only a nonzero difference is evaluated, pair by pair, until a species fails
+to vanish.
 """
 
 from __future__ import annotations
@@ -252,9 +255,14 @@ def species_vector(x: PPElement) -> SpeciesVector:
 
 
 def equal_elements(x: PPElement, y: PPElement) -> bool:
-    """Equality in the ring, decided through the separating species vector."""
+    """Equality in the ring: coefficients first, then the species of the
+    difference.  Equal canonical coefficients are formal equality; otherwise
+    x = y exactly when every species of x - y vanishes."""
     x._compatible(y)
-    return species_vector(x) == species_vector(y)
+    if x.terms == y.terms:
+        return True
+    d = x - y
+    return all(tau_element(q, d).is_zero() for q in enumerate_pairs(x.group, x.p))
 
 
 def standard_generators(G: FiniteGroup, p: int, conductor: int) -> tuple[Generator, ...]:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ppring import cli, ffq, species
+from ppring import clear_caches, cli, ffq, ppelem, species
 from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
                         parse_group_spec, run)
 from ppring.grp import MAX_DEGREE, PRIME_TEST_BOUND, OrderCapExceeded, Permutation
@@ -102,6 +102,29 @@ class TestCommands:
         assert failing["value"] == str(values[0])
         assert failing["oracle_value"] == str(values[0] + 1)
         assert passing and all(s["agree"] and "oracle_value" not in s for s in passing)
+
+    def test_dropped_mackey_term_fails_verify(self, monkeypatch):
+        """A restriction that loses one double-coset term is caught, so
+        deciding equality on coefficients first does not let a check pass
+        vacuously."""
+        res_gen = ppelem._res_gen
+
+        def dropped(gen, H):
+            terms = res_gen(gen, H)
+            return terms[:-1] if len(terms) > 1 else terms
+
+        clear_caches()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(ppelem, "_res_gen", dropped)
+                code, text = run(RunConfig(command="verify", group="D8", p=2, fmt="json"))
+        finally:
+            clear_caches()
+        assert code == 1
+        report = json.loads(text)
+        assert not report["all_ok"]
+        failing = {c["check"].split(" |")[0] for c in report["checks"] if not c["ok"]}
+        assert failing == {"restriction law", "commute res"}
 
     def test_burnside_csv(self):
         code, text = run(RunConfig(command="burnside", group="S3", fmt="csv"))

@@ -471,13 +471,13 @@ def sympy_group(G):
 
 
 @st.composite
-def generated_groups(draw):
-    """A permutation group of degree <= 6 under the order cap, from 1 to 3
-    generators."""
+def generated_groups(draw, max_order=384):
+    """A permutation group of degree <= 6 and order <= max_order, from 1 to 3
+    generators; a larger closure is refused before its tables are built."""
     degree = draw(st.integers(min_value=1, max_value=6))
     gens = draw(st.lists(st.permutations(list(range(degree))), min_size=1, max_size=3))
     try:
-        return close_generators(degree, [Permutation(g) for g in gens], max_order=384)
+        return close_generators(degree, [Permutation(g) for g in gens], max_order=max_order)
     except OrderCapExceeded:
         reject()
 

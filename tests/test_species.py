@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppring import species
 from ppring.cyclo import ConductorMismatch, Cyclotomic, zeta_power
 from ppring.grp import (Permutation, alternating, cyclic, dihedral,
                         p_prime_part, symmetric, sylow)
+from ppring.idem import idempotent_theorem
 from ppring.ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                            linear_characters, make_generator, tensor_elt)
 from ppring.species import (_tau_counts, build_pair, enumerate_pairs,
@@ -226,6 +228,102 @@ class TestSpeciesProperties:
             p, make_generator(G, L, LinChar.trivial(L, n)))
         assert not equal_elements(one, other)
         assert equal_elements(one, one)
+
+
+# conductors 1, 3 and 15; on D8 at p=2 the spanning set is a basis (the
+# Burnside ring), so there the sum of the idempotents is 1 term for term
+EQUALITY_CASES = {"D8-p2": (dihedral(8), 2), "S4-p2": (symmetric(4), 2),
+                  "A5-p2": (alternating(5), 2)}
+
+
+def idempotent_relation(G, p):
+    """The sum of the primitive idempotents minus 1: zero in the ring, though
+    its coefficients on the spanning set need not vanish."""
+    n = default_conductor(G, p)
+    total = PPElement.zero(G, p, n)
+    for pair in enumerate_pairs(G, p):
+        total = total + idempotent_theorem(G, p, pair, n)
+    return total - PPElement.one(G, p, n)
+
+
+def random_elements(G, p):
+    n = default_conductor(G, p)
+    gens = standard_generators(G, p, n)
+    term = st.tuples(st.integers(0, len(gens) - 1), st.integers(-3, 3),
+                     st.integers(1, 4), st.integers(0, n - 1))
+
+    def build(terms):
+        x = PPElement.zero(G, p, n)
+        for i, a, b, k in terms:
+            x = x + PPElement.from_generator(p, gens[i], zeta_power(n, k) * Fraction(a, b))
+        return x
+
+    return st.lists(term, max_size=4).map(build)
+
+
+@pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_equal_elements_agrees_with_the_species_vectors(case, data):
+    """Coefficients first, then the species of the difference, decides what
+    comparing the two whole species vectors decides; y is drawn at random,
+    or as x plus a multiple of a relation of the spanning set."""
+    G, p = EQUALITY_CASES[case]
+    n = default_conductor(G, p)
+    x = data.draw(random_elements(G, p))
+    if data.draw(st.booleans()):
+        y = data.draw(random_elements(G, p))
+    else:
+        c = zeta_power(n, data.draw(st.integers(0, n - 1))) * data.draw(
+            st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
+        y = x + idempotent_relation(G, p).scale(c)
+        assert equal_elements(x, y)
+    assert equal_elements(x, y) == (species_vector(x) == species_vector(y))
+    assert equal_elements(y, x) == equal_elements(x, y)
+
+
+def test_relation_differs_in_coefficients():
+    """The relation above is formally nonzero where the spanning set is not a
+    basis, so the differential test reaches the species of a difference."""
+    for case, nonzero in [("D8-p2", False), ("S4-p2", True), ("A5-p2", True)]:
+        rel = idempotent_relation(*EQUALITY_CASES[case])
+        assert bool(rel.terms) == nonzero
+        assert equal_elements(rel, rel.scale(0))
+
+
+@pytest.mark.parametrize("case", sorted(EQUALITY_CASES))
+def test_a_difference_at_one_species_is_seen(case):
+    """x and x + e_(P,s) differ at the species (P,s) alone, so every pair's
+    species of the difference is read."""
+    G, p = EQUALITY_CASES[case]
+    n = default_conductor(G, p)
+    one = PPElement.one(G, p, n)
+    rel = idempotent_relation(G, p)
+    for pair in enumerate_pairs(G, p):
+        e = idempotent_theorem(G, p, pair, n)
+        assert not equal_elements(one, one + e)
+        assert not equal_elements(one + rel, one + e)
+        assert equal_elements(e, e + rel.scale(zeta_power(n, 1)))
+
+
+def test_formally_equal_elements_skip_the_species(monkeypatch):
+    def refuse(pair, x):
+        raise RuntimeError("species evaluated")
+
+    G, p = symmetric(4), 2
+    n = default_conductor(G, p)
+    gens = standard_generators(G, p, n)
+    x = PPElement.from_generator(p, gens[3], Fraction(2, 3)) + \
+        PPElement.from_generator(p, gens[7], zeta_power(n, 1))
+    y = PPElement.from_generator(p, gens[7], zeta_power(n, 1)) + \
+        PPElement.from_generator(p, gens[3], Fraction(1, 3)).scale(2)
+    rel = idempotent_relation(G, p)
+    monkeypatch.setattr(species, "tau_element", refuse)
+    assert equal_elements(x, y)
+    assert equal_elements(x + rel - rel, x)
+    assert equal_elements(PPElement.zero(G, p, n), x - y)
+    with pytest.raises(RuntimeError, match="species evaluated"):
+        equal_elements(x, x + rel)
 
 
 class TestStandardGenerators:
