@@ -2,19 +2,28 @@
 
 Elements are rational combinations of transitive G-sets [G/L], stored on
 canonical conjugacy-class representatives of subgroups, which *is* a basis,
-so equality here is plain coefficient equality.  Restriction and induction
-are implemented by explicit orbit algorithms on coset spaces (not through
-mark vectors), so the commutation tests against the module-theoretic side
-exercise genuinely independent code.
+so equality here is plain coefficient equality.  As in
+:class:`~ppring.cyclo.Cyclotomic`, the coefficients are integer numerators
+``nums`` over one positive denominator ``den``, in lowest terms:
+``gcd(den, *nums.values()) == 1``, zero coefficients are absent, and zero
+is stored with ``den == 1``.  Sums, products, restriction, induction, fixed
+points, marks and linearization therefore run on ints; ``Fraction``s appear
+only where coefficients are parsed (``__init__``, :meth:`BurnsideElement.scale`)
+or read (``coeffs``, :func:`mark_element`).
+
+Restriction and induction are implemented by explicit orbit algorithms on
+coset spaces (not through mark vectors), so the commutation tests against
+the module-theoretic side exercise genuinely independent code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Mapping, Union
 
-from .cyclo import Cyclotomic
+from .cyclo import Cyclotomic, _reduction_terms
 from .grp import (FiniteGroup, Subgroup, conjugate_meet, coset_indices,
                   double_coset_reps, normalizer, normalizer_quotient, promote,
                   translate)
@@ -24,29 +33,35 @@ from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
 
 
 class BurnsideElement:
-    """A rational combination of transitive G-sets, on canonical class reps."""
+    """A rational combination of transitive G-sets, on canonical class reps,
+    as integer numerators over one positive denominator in lowest terms."""
 
-    __slots__ = ("group", "coeffs")
+    __slots__ = ("group", "nums", "den")
 
     def __init__(self, group: FiniteGroup,
                  coeffs: Mapping[Subgroup, Union[int, Fraction]] | None = None):
+        values = [(L, Fraction(c)) for L, c in (coeffs or {}).items()]
+        den = lcm(*(c.denominator for _, c in values))
         self.group = group
-        lat = subgroup_lattice(group)
-        clean: dict[Subgroup, Fraction] = {}
-        for L, c in (coeffs or {}).items():
-            rep = lat.rep_of(L)
-            c = Fraction(c)
-            if c:
-                clean[rep] = clean.get(rep, Fraction(0)) + c
-        self.coeffs = {L: c for L, c in clean.items() if c}
+        self.nums, self.den = _lowest(_on_reps(
+            group, [(L, c.numerator * (den // c.denominator)) for L, c in values]), den)
 
     @classmethod
-    def _trusted(cls, group: FiniteGroup, coeffs: Mapping[Subgroup, Fraction]):
-        """Fraction coefficients already on class representatives, taken
-        without the lattice lookup of ``__init__``."""
+    def _trusted(cls, group: FiniteGroup, nums: Mapping[Subgroup, int],
+                 den: int) -> BurnsideElement:
+        """Integer numerators already on class representatives over a
+        positive denominator, put in lowest terms without the lattice lookup
+        of ``__init__``."""
         x = object.__new__(cls)
-        x.group, x.coeffs = group, {L: c for L, c in coeffs.items() if c}
+        x.group = group
+        x.nums, x.den = _lowest(nums, den)
         return x
+
+    @property
+    def coeffs(self) -> dict[Subgroup, Fraction]:
+        """The coefficients as rationals, a fresh read-only view."""
+        den = self.den
+        return {L: Fraction(c, den) for L, c in self.nums.items()}
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> BurnsideElement:
@@ -55,10 +70,12 @@ class BurnsideElement:
     def __add__(self, other: BurnsideElement) -> BurnsideElement:
         if other.group != self.group:
             raise GroupMismatch("elements over different groups")
-        coeffs = dict(self.coeffs)
-        for L, c in other.coeffs.items():
-            coeffs[L] = coeffs.get(L, Fraction(0)) + c
-        return BurnsideElement._trusted(self.group, coeffs)
+        den = lcm(self.den, other.den)
+        nums = {L: c * (den // self.den) for L, c in self.nums.items()}
+        k = den // other.den
+        for L, c in other.nums.items():
+            nums[L] = nums.get(L, 0) + c * k
+        return BurnsideElement._trusted(self.group, nums, den)
 
     def __neg__(self) -> BurnsideElement:
         return self.scale(-1)
@@ -68,21 +85,45 @@ class BurnsideElement:
 
     def scale(self, c: Union[int, Fraction]) -> BurnsideElement:
         c = Fraction(c)
-        return BurnsideElement._trusted(self.group, {L: c * v for L, v in self.coeffs.items()})
+        k = c.numerator
+        return BurnsideElement._trusted(self.group, {L: k * v for L, v in self.nums.items()},
+                                        self.den * c.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BurnsideElement):
             return NotImplemented
-        return self.group == other.group and self.coeffs == other.coeffs
+        return (self.group == other.group and self.den == other.den
+                and self.nums == other.nums)
 
     def sorted_terms(self) -> list[tuple[Subgroup, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "BurnsideElement(0)"
         body = " + ".join(f"({c})*[G/|{L.order}|]" for L, c in self.sorted_terms())
         return f"BurnsideElement({body})"
+
+
+def _lowest(nums: Mapping[Subgroup, int], den: int) -> tuple[dict[Subgroup, int], int]:
+    """Nonzero numerators and denominator with their common factor removed;
+    no numerators give denominator 1."""
+    nums = {L: c for L, c in nums.items() if c}
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {L: c // g for L, c in nums.items()}
+    return nums, den // g
+
+
+def _on_reps(G: FiniteGroup, terms) -> dict[Subgroup, int]:
+    """Integer numerators on subgroups of G, summed on their class
+    representatives."""
+    rep_of = subgroup_lattice(G).rep_of
+    nums: dict[Subgroup, int] = {}
+    for L, c in terms:
+        rep = rep_of(L)
+        nums[rep] = nums.get(rep, 0) + c
+    return nums
 
 
 def transitive(G: FiniteGroup, L: Subgroup) -> BurnsideElement:
@@ -107,10 +148,8 @@ def _fixed_cosets(G: FiniteGroup, L: Subgroup, H: Subgroup) -> list[int]:
 
 def mark_element(x: BurnsideElement, H: Subgroup) -> Fraction:
     """Linear extension of the mark at H."""
-    total = Fraction(0)
-    for L, c in x.coeffs.items():
-        total += c * mark(x.group, L, H)
-    return total
+    G = x.group
+    return Fraction(sum(c * mark(G, L, H) for L, c in x.nums.items()), x.den)
 
 
 @lru_cache(maxsize=None)
@@ -131,13 +170,13 @@ def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     if a.group != b.group:
         raise GroupMismatch("elements over different groups")
     G = a.group
-    terms: dict[Subgroup, Fraction] = {}
-    for A, ca in a.coeffs.items():
-        for B, cb in b.coeffs.items():
+    nums: dict[Subgroup, int] = {}
+    for A, ca in a.nums.items():
+        for B, cb in b.nums.items():
             c = ca * cb
             for rep, m in _transitive_product(G, A, B):
-                terms[rep] = terms.get(rep, Fraction(0)) + c * m
-    return BurnsideElement._trusted(G, terms)
+                nums[rep] = nums.get(rep, 0) + c * m
+    return BurnsideElement._trusted(G, nums, a.den * b.den)
 
 
 def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
@@ -150,15 +189,12 @@ def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
     if H.parent != G:
         raise GroupMismatch("subgroup over a different group")
     lat = subgroup_lattice(promote(H))
-    nrm = normalizer(G, H).order
-    coeffs: dict[Subgroup, Fraction] = {}
+    terms = []
     for L in lat.subgroups:
         mu = lat.moebius(L, lat.top)
-        if mu == 0:
-            continue
-        LG = L.reparent(G)
-        coeffs[LG] = coeffs.get(LG, Fraction(0)) + Fraction(L.order * mu, nrm)
-    return BurnsideElement(G, coeffs)
+        if mu:
+            terms.append((L.reparent(G), L.order * mu))
+    return BurnsideElement._trusted(G, _on_reps(G, terms), normalizer(G, H).order)
 
 
 def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
@@ -199,21 +235,18 @@ def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
         raise GroupMismatch("subgroup over a different group")
     G = x.group
     HH = promote(H)
-    terms: dict[Subgroup, Fraction] = {}
-    for L, c in x.coeffs.items():
-        reps = coset_indices(G, L)[0]
-        for stab in _orbit_stabilizers(H, G, L, reps):
-            S = Subgroup.from_indices(HH, translate(G, HH, stab))
-            terms[S] = terms.get(S, Fraction(0)) + c
-    return BurnsideElement(HH, terms)
+    nums = _on_reps(HH, ((Subgroup.from_indices(HH, translate(G, HH, stab)), c)
+                         for L, c in x.nums.items()
+                         for stab in _orbit_stabilizers(H, G, L, coset_indices(G, L)[0])))
+    return BurnsideElement._trusted(HH, nums, x.den)
 
 
 def burnside_ind(x: BurnsideElement, G: FiniteGroup) -> BurnsideElement:
     """Induction to G: the induced transitive set [H/S] becomes [G/S]."""
     if not G.contains_group(x.group):
         raise GroupMismatch("the element's group is not a subgroup of the target")
-    coeffs = {S.reparent(G): c for S, c in x.coeffs.items()}
-    return BurnsideElement(G, coeffs)
+    nums = _on_reps(G, ((S.reparent(G), c) for S, c in x.nums.items()))
+    return BurnsideElement._trusted(G, nums, x.den)
 
 
 def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
@@ -227,22 +260,24 @@ def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
     G = x.group
     N = normalizer(G, P)
     Q = normalizer_quotient(G, P)
-    terms: dict[Subgroup, Fraction] = {}
-    for L, c in x.coeffs.items():
-        for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P)):
-            Sbar = Q.project_subgroup(
-                Subgroup.from_indices(Q.parent, translate(G, Q.parent, stab)))
-            terms[Sbar] = terms.get(Sbar, Fraction(0)) + c
-    return BurnsideElement(Q.group, terms)
+    nums = _on_reps(Q.group, (
+        (Q.project_subgroup(Subgroup.from_indices(Q.parent, translate(G, Q.parent, stab))), c)
+        for L, c in x.nums.items()
+        for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P))))
+    return BurnsideElement._trusted(Q.group, nums, x.den)
 
 
 def linearize(x: BurnsideElement, p: int, conductor: int | None = None) -> PPElement:
     """The image in the p-permutation ring: [G/L] becomes the monomial
-    generator with trivial character."""
+    generator with trivial character.  Distinct class representatives give
+    distinct generators, so each coefficient is one rational c / den."""
     G = x.group
     n = default_conductor(G, p) if conductor is None else conductor
+    pad = (0,) * (_reduction_terms(n)[0] - 1)
+    den = x.den
     terms = {}
-    for L, c in x.coeffs.items():
-        gen = make_generator(G, L, LinChar.trivial(L, n))
-        terms[gen] = terms.get(gen, Cyclotomic.zero(n)) + Cyclotomic.from_rational(n, c)
+    for L, c in x.nums.items():
+        g = gcd(c, den)
+        terms[make_generator(G, L, LinChar.trivial(L, n))] = \
+            Cyclotomic._new(n, (c // g,) + pad, den // g)
     return PPElement(G, p, n, terms)

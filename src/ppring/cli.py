@@ -20,7 +20,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import burnside as bd
 from . import ffq, idem, species
@@ -39,22 +38,27 @@ class UnknownName(ParseError):
     """Raised for group names outside the built-in list."""
 
 
-@dataclass
 class RunConfig:
     """Everything one CLI invocation needs, in one deterministic bundle."""
 
-    command: str
-    group: str = ""
-    p: int = 2
-    fmt: str = "pretty"
-    max_order: int = DEFAULT_ORDER_CAP
-    oracle_n_cap: int = ffq.DEFAULT_N_CAP
-    oracle_dim_cap: int = ffq.DEFAULT_DIM_CAP
-    samples: int = 50
-    seed: int = 0
-    out: str | None = None
+    __slots__ = ("command", "group", "p", "fmt", "max_order", "oracle_n_cap",
+                 "oracle_dim_cap", "samples", "seed", "out")
 
-    def __post_init__(self):
+    def __init__(self, command: str, group: str = "", p: int = 2, fmt: str = "pretty",
+                 max_order: int = DEFAULT_ORDER_CAP,
+                 oracle_n_cap: int = ffq.DEFAULT_N_CAP,
+                 oracle_dim_cap: int = ffq.DEFAULT_DIM_CAP, samples: int = 50,
+                 seed: int = 0, out: str | None = None):
+        self.command = command
+        self.group = group
+        self.p = p
+        self.fmt = fmt
+        self.max_order = max_order
+        self.oracle_n_cap = oracle_n_cap
+        self.oracle_dim_cap = oracle_dim_cap
+        self.samples = samples
+        self.seed = seed
+        self.out = out
         check_prime(self.p)
         if self.max_order <= 0 or self.oracle_n_cap <= 0 or self.oracle_dim_cap <= 0:
             raise ParseError("caps must be positive")

@@ -13,6 +13,9 @@ Two independent routes are provided for the idempotent attached to a pair
 
 The verification helpers check the restriction and induction laws for
 idempotents and the decomposition of the linearized top Burnside idempotent.
+Both laws read one memo per (G, p, H), :func:`_fusion`: the canonical G-pair
+that each canonical pair of H fuses to, found once by conjugacy search
+instead of once per law checked.
 The suites assemble every identity the library verifies for one (group,
 prime) run into a list of named checks: :func:`identity_suite` runs the
 idempotent checks and the two suites below it, :func:`burnside_suite` the
@@ -24,9 +27,10 @@ Burnside-ring checks and their commutation with linearization, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .burnside import (burnside_ind, burnside_product, burnside_res,
                        fixed_point_functor, gluck_yoshida, linearize,
@@ -55,14 +59,17 @@ class ShapeMismatch(Exception):
     """Raised when a group is not of the required normal-Sylow shape."""
 
 
-@dataclass
 class IdempotentReport:
     """Outcome of assembling and checking one primitive idempotent."""
 
-    pair: SpeciesPair
-    element: PPElement
-    delta_ok: bool
-    routes_agree: bool
+    __slots__ = ("pair", "element", "delta_ok", "routes_agree")
+
+    def __init__(self, pair: SpeciesPair, element: PPElement, delta_ok: bool,
+                 routes_agree: bool):
+        self.pair = pair
+        self.element = element
+        self.delta_ok = delta_ok
+        self.routes_agree = routes_agree
 
 
 def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
@@ -213,6 +220,25 @@ def idempotent_report(G: FiniteGroup, p: int, pair: SpeciesPair,
     )
 
 
+def _canonical_pair(pair: SpeciesPair) -> SpeciesPair:
+    """The canonical pair of :func:`enumerate_pairs` conjugate to a pair."""
+    pairs = enumerate_pairs(pair.group, pair.p)
+    if pair in pairs:
+        return pairs[pairs.index(pair)]
+    return next(q for q in pairs if pairs_conjugate(q, pair))
+
+
+@lru_cache(maxsize=None)
+def _fusion(G: FiniteGroup, p: int, H: Subgroup) -> Mapping[SpeciesPair, SpeciesPair]:
+    """The canonical G-pair that each canonical pair of promote(H) fuses to,
+    as a read-only mapping: the pair is seen in G, then brought to its
+    canonical G-pair."""
+    HH = promote(H)
+    return MappingProxyType({
+        hp: _canonical_pair(build_pair(G, p, hp.P.reparent(G), translate(HH, G, [hp.lift])[0]))
+        for hp in enumerate_pairs(HH, p)})
+
+
 def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair,
                        conductor: int | None = None) -> bool:
     """Check that restricting the idempotent of a pair to H gives the sum of
@@ -221,10 +247,10 @@ def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair,
     n = default_conductor(G, p) if conductor is None else conductor
     lhs = res_elt(idempotent_theorem(G, p, pair, n), H)
     HH = promote(H)
+    rep = _canonical_pair(pair)
     rhs = PPElement.zero(HH, p, n)
-    for hp in enumerate_pairs(HH, p):
-        as_g = build_pair(G, p, hp.P.reparent(G), translate(HH, G, [hp.lift])[0])
-        if pairs_conjugate(as_g, pair):
+    for hp, fused in _fusion(G, p, H).items():
+        if fused is rep:
             rhs = rhs + idempotent_theorem(HH, p, hp, n)
     return equal_elements(lhs, rhs)
 
@@ -238,10 +264,9 @@ def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair,
     if hpair.group != HH:
         raise GroupMismatch("pair does not live over the subgroup")
     lhs = ind_elt(idempotent_theorem(HH, p, hpair, n), G)
-    as_g = build_pair(G, p, hpair.P.reparent(G), translate(HH, G, [hpair.lift])[0])
-    big = as_g.stabilizer
-    c = Fraction(big.order, (big.mask & H.mask).bit_count())
-    rep = next(q for q in enumerate_pairs(G, p) if pairs_conjugate(q, as_g))
+    # N_H(Q,t) is the stabilizer of the pair in H; both orders are class invariants
+    rep = _fusion(G, p, H)[_canonical_pair(hpair)]
+    c = Fraction(rep.stabilizer.order, hpair.stabilizer.order)
     rhs = idempotent_theorem(G, p, rep, n).scale(c)
     return equal_elements(lhs, rhs)
 
@@ -327,11 +352,12 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
         checks.append(_check(f"idempotency |H|={H.order}",
                              burnside_product(e, e) == e))
 
+    sets = {L: transitive(G, L) for L in reps}
+    images = {L: linearize(x, p, n) for L, x in sets.items()}
     for H in reps:
-        for L in reps:
-            x = transitive(G, L)
+        for L, x in sets.items():
             lhs = linearize(burnside_res(x, H), p, n)
-            rhs = res_elt(linearize(x, p, n), H)
+            rhs = res_elt(images[L], H)
             checks.append(_check(f"commute res |H|={H.order} |L|={L.order}",
                                  equal_elements(lhs, rhs)))
         HH = promote(H)
@@ -345,10 +371,9 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
     for P in reps:
         if not is_p_power(P.order, p):
             continue
-        for L in reps:
-            x = transitive(G, L)
+        for L, x in sets.items():
             lhs = linearize(fixed_point_functor(P, x), p, n)
-            rhs = brauer_elt(linearize(x, p, n), P)
+            rhs = brauer_elt(images[L], P)
             checks.append(_check(f"commute Brauer |P|={P.order} |L|={L.order}",
                                  equal_elements(lhs, rhs)))
 

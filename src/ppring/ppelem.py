@@ -12,6 +12,11 @@ normalized to its minimal conjugate, so collecting terms is a dictionary
 merge.  Equal terms imply equal elements but not conversely (the generators
 only span); :func:`ppring.species.equal_elements` decides equality,
 coefficients first, then by the species of the difference.
+
+Sums and the expansions accumulate late, as :func:`ppring.species.tau_element`
+does: the integer numerators of each output coefficient are summed over the
+least common denominator of the inputs, and each :class:`Cyclotomic` is
+built once, in lowest terms, rather than once per Mackey term.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Mapping, Union
 
-from .cyclo import Cyclotomic, ConductorMismatch
+from .cyclo import Cyclotomic, ConductorMismatch, _lowest
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, Subgroup,
                   conjugate_meet, double_coset_reps, is_p_power, normalizer,
                   normalizer_quotient, promote, quotient, translate)
@@ -261,6 +266,15 @@ class PPElement:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, group: FiniteGroup, p: int, conductor: int,
+                 terms: dict[Generator, Cyclotomic]) -> PPElement:
+        """Nonzero coefficients at the conductor on canonical generators over
+        the group, taken without the checks of ``__init__``."""
+        x = object.__new__(cls)
+        x.group, x.p, x.conductor, x.terms = group, p, conductor, terms
+        return x
+
+    @classmethod
     def zero(cls, group: FiniteGroup, p: int, conductor: int) -> PPElement:
         return cls(group, p, conductor)
 
@@ -284,17 +298,19 @@ class PPElement:
             raise ConductorMismatch("elements at different conductors")
 
     def __add__(self, other: PPElement) -> PPElement:
-        self._compatible(other)
-        terms = dict(self.terms)
-        for gen, coeff in other.terms.items():
-            terms[gen] = terms.get(gen, Cyclotomic.zero(self.conductor)) + coeff
-        return PPElement(self.group, self.p, self.conductor, terms)
+        return self._combine(other, 1)
 
     def __neg__(self) -> PPElement:
         return self.scale(-1)
 
     def __sub__(self, other: PPElement) -> PPElement:
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def _combine(self, other: PPElement, sign: int) -> PPElement:
+        self._compatible(other)
+        parts = [(gen, coeff, 1) for gen, coeff in self.terms.items()]
+        parts += [(gen, coeff, sign) for gen, coeff in other.terms.items()]
+        return _collect(self.group, self.p, self.conductor, parts)
 
     def scale(self, c: Scalar) -> PPElement:
         c = _as_cyclo(c, self.conductor)
@@ -324,6 +340,30 @@ class PPElement:
                 "coeff": coeff.to_json(),
             })
         return out
+
+
+def _collect(group: FiniteGroup, p: int, n: int,
+             parts: list[tuple[Generator, Cyclotomic, int]]) -> PPElement:
+    """The element sum of m * coeff * gen over the (gen, coeff, m) parts.
+
+    The numerators of each generator's coefficient are accumulated over the
+    least common denominator of the parts, and each nonzero coefficient is
+    then built once, in lowest terms.  Numerators are added in the power
+    basis, so no reduction modulo Phi_n is needed.
+    """
+    den = math.lcm(*(coeff.den for _, coeff, _ in parts))
+    acc: dict[Generator, list[int]] = {}
+    for gen, coeff, m in parts:
+        k = m * (den // coeff.den)
+        row = acc.get(gen)
+        if row is None:
+            acc[gen] = [c * k for c in coeff.num]
+        else:
+            for i, c in enumerate(coeff.num):
+                if c:
+                    row[i] += c * k
+    return PPElement._trusted(group, p, n, {
+        gen: Cyclotomic._new(n, *_lowest(num, den)) for gen, num in acc.items() if any(num)})
 
 
 def _as_cyclo(c: Scalar, n: int) -> Cyclotomic:
@@ -391,24 +431,21 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
     """Restriction to H, linear over the Mackey expansion of each generator."""
     if H.parent != x.group:
         raise GroupMismatch("subgroup does not live in the element's group")
-    n = x.conductor
-    terms: dict[Generator, Cyclotomic] = {}
-    for gen, coeff in x.terms.items():
-        for new, m in _res_gen(gen, H):
-            terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff * m
-    return PPElement(promote(H), x.p, n, terms)
+    return _collect(promote(H), x.p, x.conductor,
+                    [(new, coeff, m) for gen, coeff in x.terms.items()
+                     for new, m in _res_gen(gen, H)])
 
 
 def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
     """Induction to G: by transitivity a generator just changes ambient group."""
     if not G.contains_group(x.group):
         raise NotSubgroup("the element's group is not a subgroup of the target")
-    terms: dict[Generator, Cyclotomic] = {}
+    parts = []
     for gen, coeff in x.terms.items():
         sub = gen.subgroup.reparent(G)
-        new = make_generator(G, sub, LinChar(sub, gen.character.table(), x.conductor))
-        terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
-    return PPElement(G, x.p, x.conductor, terms)
+        parts.append((make_generator(G, sub, LinChar(sub, gen.character.table(), x.conductor)),
+                      coeff, 1))
+    return _collect(G, x.p, x.conductor, parts)
 
 
 def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
@@ -416,23 +453,21 @@ def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
     if x.group != Q.group:
         raise QuotientMismatch("element does not live over the quotient group")
     G = Q.parent
-    terms: dict[Generator, Cyclotomic] = {}
+    parts = []
     for gen, coeff in x.terms.items():
         pre = Q.preimage(gen.subgroup)
         exp_of = dict(zip(gen.subgroup.indices, gen.character.table()))
         chi = LinChar(pre, [exp_of[Q.proj[g]] for g in pre.indices], x.conductor)
-        new = make_generator(G, pre, chi)
-        terms[new] = terms.get(new, Cyclotomic.zero(x.conductor)) + coeff
-    return PPElement(G, x.p, x.conductor, terms)
+        parts.append((make_generator(G, pre, chi), coeff, 1))
+    return _collect(G, x.p, x.conductor, parts)
 
 
 def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
     """Tensor product, bilinear over the Mackey expansion of a generator pair."""
     x._compatible(y)
     G = x.group
-    n = x.conductor
     inv = G.inv
-    out: dict[Generator, Cyclotomic] = {}
+    parts = []
     for genx, cx in x.terms.items():
         A, alpha = genx.subgroup, genx.character
         for geny, cy in y.terms.items():
@@ -441,9 +476,8 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
             for g in double_coset_reps(G, A, B):
                 inter = Subgroup.from_indices(G, conjugate_meet(G, A, B, g))
                 chi = alpha.restrict(inter) * beta.conj(inv[g]).restrict(inter)
-                new = make_generator(G, inter, chi)
-                out[new] = out.get(new, Cyclotomic.zero(n)) + c
-    return PPElement(G, x.p, n, out)
+                parts.append((make_generator(G, inter, chi), c, 1))
+    return _collect(G, x.p, x.conductor, parts)
 
 
 def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
@@ -464,7 +498,7 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
     Q = normalizer_quotient(x.group, P)
     n = x.conductor
     kernel = Q.kernel.mask  # P inside N_G(P), the group y lives over
-    terms: dict[Generator, Cyclotomic] = {}
+    parts = []
     for gen, coeff in y.terms.items():
         L = gen.subgroup
         if kernel & ~L.mask:
@@ -472,6 +506,5 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
         Lbar = Q.project_subgroup(L)
         exp_of = {Q.proj[l]: e for l, e in zip(L.indices, gen.character.table())}
         chi = LinChar(Lbar, [exp_of[q] for q in Lbar.indices], n)
-        new = make_generator(Q.group, Lbar, chi)
-        terms[new] = terms.get(new, Cyclotomic.zero(n)) + coeff
-    return PPElement(Q.group, x.p, n, terms)
+        parts.append((make_generator(Q.group, Lbar, chi), coeff, 1))
+    return _collect(Q.group, x.p, n, parts)

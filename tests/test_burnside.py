@@ -1,15 +1,22 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppring import burnside
 from ppring.burnside import (BurnsideElement, burnside_ind, burnside_product,
                              burnside_res, fixed_point_functor, gluck_yoshida,
                              linearize, mark, mark_element, transitive)
-from ppring.grp import (Permutation, alternating, cyclic, normalizer, promote,
-                        quotient, symmetric, sylow)
+from ppring.cyclo import Cyclotomic
+from ppring.grp import (Permutation, Subgroup, alternating, coset_indices,
+                        cyclic, dihedral, direct_product, normalizer,
+                        normalizer_quotient, promote, quotient, symmetric,
+                        sylow, translate)
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import default_conductor, ind_elt, res_elt
+from ppring.ppelem import (LinChar, default_conductor, ind_elt, make_generator,
+                           res_elt)
 from ppring.species import equal_elements
 
 
@@ -215,3 +222,144 @@ class TestCommutationSquares:
                 Q = quotient(NN, N.reparent(NN))
                 rhs = gluck_yoshida(Q.group, Q.group.full_subgroup())
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# integer numerators against the Fraction arithmetic they replaced
+#
+# The reference keeps the coefficients as {class representative: Fraction}
+# dicts and runs the same orbit algorithms term by term in Fraction
+# arithmetic, as the Burnside ring did before it moved to one denominator.
+
+
+def ref_collect(G, terms):
+    """Fraction coefficients on any subgroups, summed on class
+    representatives, zeros dropped."""
+    rep_of = subgroup_lattice(G).rep_of
+    out = {}
+    for L, c in terms:
+        rep = rep_of(L)
+        out[rep] = out.get(rep, Fraction(0)) + c
+    return {L: c for L, c in out.items() if c}
+
+
+def ref_product(G, a, b):
+    return ref_collect(G, [(rep, ca * cb * m) for A, ca in a.items() for B, cb in b.items()
+                           for rep, m in burnside._transitive_product(G, A, B)])
+
+
+def ref_res(G, a, H):
+    HH = promote(H)
+    return ref_collect(HH, [
+        (Subgroup.from_indices(HH, translate(G, HH, stab)), c) for L, c in a.items()
+        for stab in burnside._orbit_stabilizers(H, G, L, coset_indices(G, L)[0])])
+
+
+def ref_ind(a, G):
+    return ref_collect(G, [(S.reparent(G), c) for S, c in a.items()])
+
+
+def ref_fixed_points(G, a, P):
+    N, Q = normalizer(G, P), normalizer_quotient(G, P)
+    return ref_collect(Q.group, [
+        (Q.project_subgroup(Subgroup.from_indices(Q.parent, translate(G, Q.parent, stab))), c)
+        for L, c in a.items()
+        for stab in burnside._orbit_stabilizers(N, G, L, burnside._fixed_cosets(G, L, P))])
+
+
+def ref_mark(G, a, H):
+    total = Fraction(0)
+    for L, c in a.items():
+        total += c * mark(G, L, H)
+    return total
+
+
+def ref_linearize(G, a, n):
+    return {make_generator(G, L, LinChar.trivial(L, n)): Cyclotomic.from_rational(n, c)
+            for L, c in a.items()}
+
+
+def assert_canonical(x):
+    """Integer numerators on class representatives over a positive
+    denominator, in lowest terms, with zero stored as no terms over 1."""
+    rep_of = subgroup_lattice(x.group).rep_of
+    assert type(x.den) is int and x.den > 0
+    assert gcd(x.den, *x.nums.values()) == 1
+    assert all(type(c) is int and c != 0 for c in x.nums.values())
+    assert all(rep_of(L) is L for L in x.nums)
+    if not x.nums:
+        assert x.den == 1
+
+
+def matches(x, ref):
+    assert_canonical(x)
+    return x.coeffs == ref
+
+
+INTEGER_CASES = {"S4": lambda: symmetric(4), "A5": lambda: alternating(5),
+                 "D8xC2": lambda: direct_product(dihedral(8), cyclic(2))}
+
+
+@st.composite
+def rational_elements(draw, G):
+    """An element drawn as terms on any subgroups, with mixed denominators,
+    negative values and, at times, the first half cancelled on conjugates;
+    returned with its reference coefficients."""
+    subgroups = subgroup_lattice(G).subgroups
+    term = st.tuples(st.sampled_from(subgroups), st.integers(-6, 6), st.integers(1, 12))
+    terms = [(L, Fraction(a, b)) for L, a, b in draw(st.lists(term, max_size=6))]
+    if draw(st.booleans()):
+        for L, c in terms[:len(terms) // 2]:
+            row = G.conj[draw(st.integers(0, G.order - 1))]
+            terms.append((Subgroup.from_indices(G, sorted(row[h] for h in L.indices)), -c))
+    x = BurnsideElement.zero(G)
+    for L, c in terms:
+        x = x + BurnsideElement(G, {L: c})
+    return x, ref_collect(G, terms)
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_ring_arithmetic_matches_the_fraction_reference(case, data):
+    G = INTEGER_CASES[case]()
+    x, rx = data.draw(rational_elements(G))
+    y, ry = data.draw(rational_elements(G))
+    c = Fraction(data.draw(st.integers(-5, 5)), data.draw(st.integers(1, 9)))
+    assert matches(x, rx) and matches(y, ry)
+    assert matches(x + y, ref_collect(G, list(rx.items()) + list(ry.items())))
+    assert matches(x - y, ref_collect(G, list(rx.items()) + [(L, -v) for L, v in ry.items()]))
+    assert matches(x.scale(c), ref_collect(G, [(L, c * v) for L, v in rx.items()]))
+    assert matches(burnside_product(x, y), ref_product(G, rx, ry))
+    for K in subgroup_lattice(G).class_reps():
+        assert mark_element(x, K) == ref_mark(G, rx, K)
+    n = default_conductor(G, 2)
+    assert linearize(x, 2, n).terms == ref_linearize(G, rx, n)
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_CASES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_orbit_functors_match_the_fraction_reference(case, data):
+    G = INTEGER_CASES[case]()
+    reps = subgroup_lattice(G).class_reps()
+    x, rx = data.draw(rational_elements(G))
+    H = data.draw(st.sampled_from(reps))
+    restricted = burnside_res(x, H)
+    assert matches(restricted, ref_res(G, rx, H))
+    assert matches(burnside_ind(restricted, G), ref_ind(ref_res(G, rx, H), G))
+    P = data.draw(st.sampled_from(reps))
+    assert matches(fixed_point_functor(P, x), ref_fixed_points(G, rx, P))
+
+
+def test_zero_is_no_terms_over_one():
+    G = symmetric(4)
+    reps = subgroup_lattice(G).class_reps()
+    x = BurnsideElement(G, {L: Fraction(k + 1, 6) for k, L in enumerate(reps)})
+    for zero in (x - x, x.scale(0), x + x.scale(-1), BurnsideElement.zero(G),
+                 burnside_product(x, BurnsideElement.zero(G)),
+                 BurnsideElement(G, {reps[1]: Fraction(1, 3), reps[2]: 0})
+                 - BurnsideElement(G, {reps[1]: Fraction(2, 6)})):
+        assert zero.nums == {} and zero.den == 1
+        assert_canonical(zero)
+    assert x.den == 6 and x.nums[reps[0]] == 1

@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
-from ppring import clear_caches, cli, ffq, ppelem, species
+from ppring import clear_caches, cli, ffq, idem, ppelem, species
 from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
                         parse_group_spec, run)
 from ppring.grp import MAX_DEGREE, PRIME_TEST_BOUND, OrderCapExceeded, Permutation
@@ -125,6 +128,32 @@ class TestCommands:
         assert not report["all_ok"]
         failing = {c["check"].split(" |")[0] for c in report["checks"] if not c["ok"]}
         assert failing == {"restriction law", "commute res"}
+
+    def test_wrong_fusion_fails_verify(self, monkeypatch):
+        """One pair of the whole group fused to the wrong class is caught by
+        both laws that read the fusion memo, so neither passes vacuously."""
+        fusion = idem._fusion
+
+        def wrong(G, p, H):
+            fused = fusion(G, p, H)
+            if H.order != G.order:
+                return fused
+            pairs = species.enumerate_pairs(G, p)
+            hp = next(iter(fused))
+            return {**fused, hp: pairs[1] if fused[hp] is pairs[0] else pairs[0]}
+
+        clear_caches()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(idem, "_fusion", wrong)
+                code, text = run(RunConfig(command="verify", group="D8", p=2, fmt="json"))
+        finally:
+            clear_caches()
+        assert code == 1
+        report = json.loads(text)
+        assert not report["all_ok"]
+        failing = {c["check"].split(" |")[0] for c in report["checks"] if not c["ok"]}
+        assert failing == {"restriction law", "induction law"}
 
     def test_burnside_csv(self):
         code, text = run(RunConfig(command="burnside", group="S3", fmt="csv"))
@@ -307,3 +336,12 @@ class TestMain:
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate", "--group", "C2"])
+
+    def test_import_leaves_dataclasses_out(self):
+        """The CLI's start does not import ``dataclasses``, which brings in
+        inspect, ast, dis and tokenize."""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, ppring.cli; print('dataclasses' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        assert out == "False\n"

@@ -3,14 +3,15 @@ from fractions import Fraction
 import pytest
 
 from ppring.cyclo import Cyclotomic, zeta_power
-from ppring.grp import (Permutation, cyclic, dihedral, promote, symmetric,
-                        sylow)
+from ppring.grp import (Permutation, Subgroup, cyclic, dihedral, promote,
+                        symmetric, sylow)
 from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, cyclic_idempotent,
                          delta_property, idempotent_normal_case,
                          idempotent_report, idempotent_theorem,
                          idempotent_via_reduction, partition_of_unity, top_E,
                          verify_E_decomposition, verify_induction,
                          verify_restriction)
+from ppring.lattice import subgroup_lattice
 from ppring.ppelem import PPElement, tensor_elt
 from ppring.species import (build_pair, enumerate_pairs, equal_elements,
                             species_vector, tau_element)
@@ -245,6 +246,46 @@ class TestInductionLaw:
         assert Fraction(as_g.stabilizer.order,
                         len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements))) == 1
         assert verify_induction(G, p, H, hpair)
+
+
+def conjugate_pair(pair, g):
+    """The pair moved by conjugation with the element of index g."""
+    G = pair.group
+    row = G.conj[g]
+    P = Subgroup.from_indices(G, sorted(row[x] for x in pair.P.indices))
+    return build_pair(G, pair.p, P, row[pair.lift])
+
+
+def non_canonical_conjugates(G, p):
+    """One conjugate of each canonical pair that is not itself canonical,
+    where the class has one."""
+    pairs = enumerate_pairs(G, p)
+    out = []
+    for q in pairs:
+        moved = (conjugate_pair(q, g) for g in range(G.order))
+        other = next((r for r in moved if r not in pairs), None)
+        if other is not None:
+            out.append(other)
+    return out
+
+
+@pytest.mark.parametrize("build, p", [(lambda: symmetric(4), 2), (lambda: symmetric(4), 3),
+                                      (lambda: dihedral(8), 2)],
+                         ids=["S4-p2", "S4-p3", "D8-p2"])
+def test_laws_hold_at_non_canonical_pairs(build, p):
+    """Both laws read the fusion of canonical pairs; a pair given as another
+    member of its class is first brought to its canonical one."""
+    G = build()
+    moved = non_canonical_conjugates(G, p)
+    assert moved
+    seen_hpairs = 0
+    for H in subgroup_lattice(G).class_reps():
+        for q in moved:
+            assert verify_restriction(G, p, H, q)
+        for hq in non_canonical_conjugates(promote(H), p):
+            seen_hpairs += 1
+            assert verify_induction(G, p, H, hq)
+    assert seen_hpairs
 
 
 class TestEDecomposition:

@@ -1,16 +1,22 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppring import ppelem
-from ppring.cyclo import Cyclotomic
+from ppring.cyclo import Cyclotomic, zeta_power
 from ppring.grp import (NotSubgroup, Permutation, alternating, cyclic, dihedral,
-                        direct_product, promote, quotient, symmetric,
+                        direct_product, is_p_power, normalizer,
+                        normalizer_quotient, promote, quotient, symmetric,
                         sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (BadIndex, Generator, LinChar, NotPGroup, PPElement,
                            brauer_elt, char_pullback, default_conductor,
                            ind_elt, inf_elt, linear_characters, make_generator,
                            res_elt, tensor_elt)
-from ppring.species import (enumerate_pairs, equal_elements, tau_element)
+from ppring.species import (enumerate_pairs, equal_elements, standard_generators,
+                            tau_element)
 
 
 def gen_of(G, p, sub_elems, exps=None, n=None):
@@ -450,3 +456,104 @@ class TestPPElementPlumbing:
         (entry,) = x.to_json()
         assert set(entry) == {"subgroup", "character", "coeff"}
         assert entry["coeff"] == {"conductor": 1, "coeffs": ["1"]}
+
+
+# ---------------------------------------------------------------------------
+# reduce-late accumulation against the term-by-term Cyclotomic sum
+#
+# The references are the calculus as it was before each output coefficient
+# was accumulated over one denominator: one Cyclotomic addition per term.
+
+
+def term_sum(n, parts):
+    """Sum of (generator, Cyclotomic) parts, one addition at a time, zero
+    coefficients dropped."""
+    out = {}
+    for gen, c in parts:
+        out[gen] = out.get(gen, Cyclotomic.zero(n)) + c
+    return {gen: c for gen, c in out.items() if not c.is_zero()}
+
+
+def ref_res(x, H):
+    return term_sum(x.conductor, [(new, coeff * m) for gen, coeff in x.terms.items()
+                                  for new, m in ppelem._res_gen(gen, H)])
+
+
+def ref_ind(x, G):
+    n = x.conductor
+    parts = []
+    for gen, coeff in x.terms.items():
+        sub = gen.subgroup.reparent(G)
+        parts.append((make_generator(G, sub, LinChar(sub, gen.character.table(), n)), coeff))
+    return term_sum(n, parts)
+
+
+def ref_brauer(x, P):
+    if P.order == 1:
+        return x.terms
+    n = x.conductor
+    Q = normalizer_quotient(x.group, P)
+    parts = []
+    for gen, coeff in ref_res(x, normalizer(x.group, P)).items():
+        L = gen.subgroup
+        if Q.kernel.mask & ~L.mask:
+            continue
+        Lbar = Q.project_subgroup(L)
+        exp_of = {Q.proj[l]: e for l, e in zip(L.indices, gen.character.table())}
+        chi = LinChar(Lbar, [exp_of[q] for q in Lbar.indices], n)
+        parts.append((make_generator(Q.group, Lbar, chi), coeff))
+    return term_sum(n, parts)
+
+
+# conductors 1, 4 and 15
+CALCULUS_CASES = {"D8-p2": (dihedral(8), 2), "S4-p3": (symmetric(4), 3),
+                  "A5-p2": (alternating(5), 2)}
+
+
+def drawn_terms(data, G, p, n):
+    """Terms over the standard generators with mixed denominators and
+    roots of unity; at times the first half is repeated negated."""
+    gens = standard_generators(G, p, n)
+    term = st.tuples(st.integers(0, len(gens) - 1), st.integers(-6, 6),
+                     st.integers(1, 12), st.integers(0, n - 1))
+    terms = [(gens[i], zeta_power(n, k) * Fraction(a, b))
+             for i, a, b, k in data.draw(st.lists(term, max_size=6))]
+    if data.draw(st.booleans()):
+        terms += [(gen, -c) for gen, c in terms[:len(terms) // 2]]
+    return terms
+
+
+@pytest.mark.parametrize("case", sorted(CALCULUS_CASES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_calculus_matches_the_term_by_term_sum(case, data):
+    G, p = CALCULUS_CASES[case]
+    n = default_conductor(G, p)
+    reps = subgroup_lattice(G).class_reps()
+    first, second = drawn_terms(data, G, p, n), drawn_terms(data, G, p, n)
+    x = PPElement(G, p, n, term_sum(n, first))
+    y = PPElement(G, p, n, term_sum(n, second))
+    assert (x + y).terms == term_sum(n, first + second)
+    assert (x - y).terms == term_sum(n, first + [(gen, -c) for gen, c in second])
+    assert (x + (-x)).terms == {} and (x - x).terms == {}
+    H = data.draw(st.sampled_from(reps))
+    assert res_elt(x, H).terms == ref_res(x, H)
+    P = data.draw(st.sampled_from([P for P in reps if is_p_power(P.order, p)]))
+    assert brauer_elt(x, P).terms == ref_brauer(x, P)
+    HH = promote(data.draw(st.sampled_from(reps)))
+    z = PPElement(HH, p, n, term_sum(n, drawn_terms(data, HH, p, n)))
+    assert ind_elt(z, G).terms == ref_ind(z, G)
+
+
+def test_restriction_cancels_to_no_terms():
+    """Generators scaled by the inverse of their dimensions restrict to the
+    same multiple of the regular generator at 1, so their difference
+    restricts to zero, with no terms left."""
+    G = alternating(5)
+    n = default_conductor(G, 2)
+    gens = standard_generators(G, 2, n)
+    a, b = gens[1], gens[-1]
+    x = PPElement(G, 2, n, {a: Cyclotomic.from_rational(n, Fraction(1, a.dimension)),
+                            b: Cyclotomic.from_rational(n, Fraction(-1, b.dimension))})
+    assert res_elt(x, G.trivial_subgroup()).terms == {}
+    assert len(res_elt(x, sylow(G, 2)).terms) > 0
