@@ -1,16 +1,27 @@
 """Independent finite-field oracle for species values.
 
 This module realizes a monomial generator as literal matrices over a small
-finite field F_q containing the needed roots of unity, computes the fixed
-space of P, quotients by the images of the relative traces from the maximal
-proper subgroups of P, and reads the species value off the eigenvalue
-multiplicities of the lift's action on the quotient, transported to complex
-roots of unity through a tabulated discrete logarithm.
+finite field F_q containing the needed roots of unity and reads a species
+value off them in two stages:
+
+1. ``_brauer_quotient(gen, F, P)``: the Brauer quotient at P (Broue, Proc.
+   AMS 93, 1985), the P-fixed space modulo the images of the relative traces
+   from the maximal proper subgroups of P, as an rref basis of the fixed
+   space and an rref of the trace image in its coordinates;
+2. ``oracle_tau``: the action of the pair's lift on that quotient, and the
+   multiplicities of its eigenvalues, transported to complex roots of unity
+   through a tabulated discrete logarithm.
+
+Three memos keep each stage from repeating: the module per (generator,
+field), the quotient per (generator, field, P) and the value per (pair,
+generator, field, dimension cap).
 
 Field elements are ints 0..q-1, the base-p codes of their coefficient
 tuples.  Fields with q <= TABLE_MAX_Q multiply, invert and add through
-exp/log/Zech tables built once per field; larger fields, such as F_(2^28),
-multiply and reduce coefficient polynomials on the same codes.
+exp/log/Zech tables built once per field, and run each row operation of the
+elimination (``FqField.scaled``, ``FqField.sub_scaled``) in one pass over
+them; larger fields, such as F_(2^28), multiply and reduce coefficient
+polynomials on the same codes, element by element.
 
 It shares no code with the combinatorial fixed-line formula in
 :mod:`ppring.species`; agreement between the two is one of the central
@@ -250,6 +261,40 @@ class FqField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
+    def scaled(self, row, f: int) -> list[int]:
+        """f times each entry of row."""
+        log = self._log
+        if log is None:
+            mul = self.mul
+            return [mul(f, x) for x in row]
+        if not f:
+            return [0] * len(row)
+        exp, lf = self._exp, log[f]
+        return [exp[lf + log[x]] if x else 0 for x in row]
+
+    def sub_scaled(self, row, f: int, pivot) -> list[int]:
+        """row - f * pivot, entry by entry."""
+        log = self._log
+        if log is None:
+            mul, sub = self.mul, self.sub
+            return [sub(x, mul(f, y)) if y else x for x, y in zip(row, pivot)]
+        if not f:
+            return list(row)
+        exp, zech, q1 = self._exp, self._zech, self.q - 1
+        lf = log[self._neg[f]]  # x - f y = x + g^(lf + log y)
+        out = []
+        for x, y in zip(row, pivot):
+            if y:
+                t = lf + log[y]
+                if x:
+                    lx = log[x]
+                    z = zech[(t - lx) % q1]
+                    x = 0 if z is None else exp[lx + z]
+                else:
+                    x = exp[t]
+            out.append(x)
+        return out
+
     def mul(self, a: int, b: int) -> int:
         if not (a and b):
             return 0
@@ -405,10 +450,21 @@ def _identity(d):
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
+def _minus_scalar(F: FqField, mat, lam: int) -> list[list[int]]:
+    """The rows of mat - lam I: copies with only the diagonal changed."""
+    sub = F.sub
+    rows = []
+    for i, row in enumerate(mat):
+        row = list(row)
+        row[i] = sub(row[i], lam)
+        rows.append(row)
+    return rows
+
+
 def _rref(F: FqField, rows):
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    mul, sub = F.mul, F.sub
-    rows = [list(r) for r in rows]
+    scaled, sub_scaled = F.scaled, F.sub_scaled
+    rows = list(rows)
     pivots = []
     r = 0
     ncols = len(rows[0]) if rows else 0
@@ -417,12 +473,11 @@ def _rref(F: FqField, rows):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        scale = F.inv(rows[r][c])
-        pivot = rows[r] = [mul(scale, x) for x in rows[r]]
+        pivot = rows[r] = scaled(rows[r], F.inv(rows[r][c]))
         for i, row in enumerate(rows):
             factor = row[c]
             if i != r and factor:
-                rows[i] = [sub(x, mul(factor, y)) if y else x for x, y in zip(row, pivot)]
+                rows[i] = sub_scaled(row, factor, pivot)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -469,14 +524,60 @@ def _maximal_proper_subgroups(P: Subgroup) -> list[Subgroup]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _brauer_quotient(gen: Generator, F: FqField, P: Subgroup) -> tuple:
+    """The Brauer quotient at P of the module of gen over F, built once per
+    (generator, field, P).
+
+    Returns ``(basis, pivots, trace_rows, trace_pivots, quotient)``: the rref
+    basis of the P-fixed space, whose rows have a unit entry at their pivot
+    columns and so give coordinates ``w[c] for c in pivots`` to every fixed
+    vector w; the rref of the images of the relative traces from the maximal
+    proper subgroups of P, in those coordinates; and the indices of the basis
+    rows at no trace pivot, whose classes form a basis of the quotient.
+    """
+    module = realize_generator(gen, F)
+    d = module.dimension
+
+    def fixed_space(gens):
+        """The common fixed space of the elements of G with indices gens."""
+        rows = []
+        for u in gens:
+            rows.extend(_minus_scalar(F, module.action(u), 1))
+        return _nullspace(F, rows, d)
+
+    fixed_p = fixed_space(P.generators())
+    trace_vectors = []
+    PP = promote(P)
+    in_g = translate(PP, P.parent, range(PP.order))  # element k of PP is in_g[k] of G
+    for Qsub in _maximal_proper_subgroups(P):  # subgroups of PP
+        tr = None
+        for x in coset_indices(PP, Qsub)[0]:
+            mat = module.action(in_g[x])
+            tr = mat if tr is None else _mat_add(F, tr, mat)
+        for v in fixed_space([in_g[u] for u in Qsub.generators()]):
+            trace_vectors.append(_mat_vec(F, tr, v))
+
+    basis, pivots = _rref(F, fixed_p) if fixed_p else ([], [])
+    trace_rows, trace_pivots = \
+        _rref(F, [tuple(v[c] for c in pivots) for v in trace_vectors]) \
+        if trace_vectors else ([], [])
+    quotient = tuple(i for i in range(len(basis)) if i not in trace_pivots)
+    return tuple(basis), tuple(pivots), tuple(trace_rows), tuple(trace_pivots), quotient
+
+
+@lru_cache(maxsize=None)
 def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
                dim_cap: int = DEFAULT_DIM_CAP) -> Cyclotomic:
-    """Species value computed by literal linear algebra over F_q.
+    """Species value computed by literal linear algebra over F_q, once per
+    (pair, generator, field, dimension cap).
 
-    Steps: solve for the P-fixed space, sum the images of the relative
-    traces from the maximal proper subgroups of P, form the quotient, act by
-    the pair's lift, and add up eigenvalue multiplicities weighted by the
-    theta-transported roots of unity.
+    Reads the Brauer quotient at P from ``_brauer_quotient``, acts on it by
+    the pair's lift, and adds up the multiplicities of the eigenvalues
+    lambda = zeta^j of that action, found as null spaces of A - lambda I for
+    every r-th root of unity (r the order of s), weighted by the
+    theta-transported roots of unity.  The multiplicities must fill the
+    quotient, or the action is not semisimple and a RuntimeError is raised.
     """
     if gen.group != pair.group:
         raise ValueError("pair and generator over different groups")
@@ -485,70 +586,30 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
         raise CapExceeded(f"dimension {d} exceeds the oracle cap {dim_cap}")
     module = realize_generator(gen, F)
     n = gen.character.conductor
-    mul, sub = F.mul, F.sub
-    neg_ident = tuple(tuple(F.neg(x) for x in row) for row in _identity(d))
-
-    def fixed_space(gens):
-        """The common fixed space of the elements of G with indices gens."""
-        rows = []
-        for u in gens:
-            rows.extend(_mat_add(F, module.action(u), neg_ident))
-        return _nullspace(F, rows, d)
-
-    fixed_p = fixed_space(pair.P.generators())
-    # image of the relative traces inside the fixed space
-    trace_vectors = []
-    PP = promote(pair.P)
-    in_g = translate(PP, pair.group, range(PP.order))  # element k of PP is in_g[k] of G
-    for Qsub in _maximal_proper_subgroups(pair.P):  # subgroups of PP
-        tr = None
-        for x in coset_indices(PP, Qsub)[0]:
-            mat = module.action(in_g[x])
-            tr = mat if tr is None else _mat_add(F, tr, mat)
-        for v in fixed_space([in_g[u] for u in Qsub.generators()]):
-            trace_vectors.append(_mat_vec(F, tr, v))
-
-    # coordinates of the fixed space: its rref basis rows have unit pivots
-    basis_rows, basis_pivots = _rref(F, fixed_p) if fixed_p else ([], [])
-    k = len(basis_rows)
-
-    def coords(w):
-        return tuple(w[c] for c in basis_pivots)
-
-    t_rows, t_pivots = _rref(F, [coords(v) for v in trace_vectors]) \
-        if trace_vectors else ([], [])
-
-    def reduce_mod_traces(cw):
-        cw = list(cw)
-        for row, pc in zip(t_rows, t_pivots):
-            factor = cw[pc]
-            if factor:
-                cw = [sub(x, mul(factor, y)) if y else x for x, y in zip(cw, row)]
-        return cw
-
-    quot_idx = [i for i in range(k) if i not in t_pivots]
-    dim_quot = len(quot_idx)
+    basis, pivots, trace_rows, trace_pivots, quotient = _brauer_quotient(gen, F, pair.P)
+    dim_quot = len(quotient)
     if dim_quot == 0:
         return Cyclotomic.zero(n)
 
+    sub_scaled = F.sub_scaled
     t_action = module.action(pair.lift)
     cols = []
-    for i in quot_idx:
-        w = _mat_vec(F, t_action, basis_rows[i])
-        cw = reduce_mod_traces(coords(w))
-        cols.append([cw[j] for j in quot_idx])
-    A = tuple(tuple(cols[c][r] for c in range(dim_quot)) for r in range(dim_quot))
+    for i in quotient:
+        w = _mat_vec(F, t_action, basis[i])
+        cw = [w[c] for c in pivots]
+        for row, pc in zip(trace_rows, trace_pivots):  # reduce modulo the traces
+            factor = cw[pc]
+            if factor:
+                cw = sub_scaled(cw, factor, row)
+        cols.append([cw[j] for j in quotient])
+    A = tuple(zip(*cols))
 
     r = pair.s_order
     total = Cyclotomic.zero(n)
     seen_dim = 0
     for j in range(r):
         lam = module.zeta_powers[j * (n // r)]
-        shifted = tuple(
-            tuple(sub(A[a][b], lam) if a == b else A[a][b] for b in range(dim_quot))
-            for a in range(dim_quot)
-        )
-        mult = len(_nullspace(F, list(shifted), dim_quot))
+        mult = len(_nullspace(F, _minus_scalar(F, A, lam), dim_quot))
         if mult:
             total = total + zeta_power(n, F.theta[lam]) * mult
             seen_dim += mult

@@ -106,6 +106,31 @@ class TestCommands:
         assert failing["oracle_value"] == str(values[0] + 1)
         assert passing and all(s["agree"] and "oracle_value" not in s for s in passing)
 
+    def test_quotient_without_traces_fails_oracle_check(self, monkeypatch):
+        """A Brauer quotient memo that keeps the whole fixed space, dropping
+        the trace image, is caught at the pairs whose P is not trivial, so
+        the memo cannot fail silently."""
+        quotient = ffq._brauer_quotient
+
+        def no_traces(gen, F, P):
+            basis, pivots, _, _, _ = quotient(gen, F, P)
+            return basis, pivots, (), (), tuple(range(len(basis)))
+
+        clear_caches()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(ffq, "_brauer_quotient", no_traces)
+                code, text = run(RunConfig(command="oracle-check", group="S3", p=3,
+                                           fmt="json", samples=40, seed=0))
+        finally:
+            clear_caches()
+        assert code == 1
+        report = json.loads(text)
+        assert not report["all_agree"]
+        orders = {int(re.match(r"\(\|P\|=(\d+),", s["pair"]).group(1))
+                  for s in report["samples"] if not s["agree"]}
+        assert orders and min(orders) > 1
+
     def test_dropped_mackey_term_fails_verify(self, monkeypatch):
         """A restriction that loses one double-coset term is caught, so
         deciding equality on coefficients first does not let a check pass

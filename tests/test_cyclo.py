@@ -224,7 +224,7 @@ rational = st.one_of(
 )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.data())
 def test_matches_fraction_reference(data):
     n = data.draw(st.integers(min_value=1, max_value=30), label="n")

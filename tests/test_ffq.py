@@ -1,14 +1,18 @@
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ppring import ffq
+from ppring import clear_caches, ffq
 from ppring.cli import RunConfig, run
 from ppring.cyclo import Cyclotomic
 from ppring.ffq import (TABLE_MAX_Q, CapExceeded, FqField, _is_irreducible,
                        _mat_mul, _pmod, _pmul, _prime_factors, _ptrim,
                        build_field, oracle_tau, realize_generator)
-from ppring.grp import cyclic, dihedral, symmetric, sylow
+from ppring.grp import alternating, cyclic, dihedral, symmetric, sylow
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (LinChar, default_conductor, linear_characters,
                            make_generator)
@@ -259,6 +263,37 @@ class TestBuildField:
         assert _mat_mul(F, a, b) == tuple(expected)
 
 
+# F_16 (where -1 = 1) and F_27 (where -1 != 1) on tables, F_(2^18) on polynomials
+KERNEL_FIELDS = [(2, 15), (3, 13), (2, 19)]
+
+
+@lru_cache(maxsize=None)
+def kernel_field(p, n):
+    return build_field(p, n)
+
+
+@pytest.mark.parametrize("p,n", KERNEL_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_row_operations_match_the_elementwise_reference(p, n, data):
+    """scaled and sub_scaled equal mul and sub applied entry by entry, on rows
+    with zeros, at f = 0, 1 and -1, and on rows that cancel to zero."""
+    F = kernel_field(p, n)
+    assert (F.q > TABLE_MAX_Q) == ((p, n) == (2, 19))
+    element = st.one_of(st.sampled_from([0, 1, F.neg(1)]), st.integers(0, F.q - 1))
+    length = data.draw(st.integers(0, 8))
+    row = data.draw(st.lists(element, min_size=length, max_size=length))
+    pivot = tuple(data.draw(st.lists(element, min_size=length, max_size=length)))
+    f = data.draw(element)
+    cancels = data.draw(st.booleans())
+    if cancels:
+        row = [F.mul(f, y) for y in pivot]
+    assert F.scaled(row, f) == [F.mul(f, x) for x in row]
+    expected = [F.sub(x, F.mul(f, y)) for x, y in zip(row, pivot)]
+    assert F.sub_scaled(row, f, pivot) == expected
+    assert not cancels or not any(expected)
+
+
 def reference_action(F, gen, g):
     """Permutation-level matrix of g on Ind_L^G: the coset of c_i goes to that
     of c_j with scalar chi(c_j^-1 g c_i), over minimal coset representatives."""
@@ -384,6 +419,33 @@ class TestOracleTau:
         assert code == 0
         assert 1 < len(built) == len(set(built)) < 40
 
+    def test_one_quotient_per_generator_field_and_subgroup(self, monkeypatch):
+        """Each Brauer quotient is built once: the builds are exactly the
+        distinct (generator, P) among the samples, and fewer than them."""
+        asked, built = [], []
+        ask, maximal = ffq.oracle_tau, ffq._maximal_proper_subgroups
+
+        def asking(pair, gen, F, dim_cap):
+            asked.append((gen, pair.P))
+            return ask(pair, gen, F, dim_cap)
+
+        def building(P):  # called once by each quotient build
+            built.append(P)
+            return maximal(P)
+
+        clear_caches()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(ffq, "oracle_tau", asking)
+                m.setattr(ffq, "_maximal_proper_subgroups", building)
+                code, _ = run(RunConfig(command="oracle-check", group="S3", p=3,
+                                        fmt="json", samples=40, seed=0))
+        finally:
+            clear_caches()
+        assert code == 0 and len(asked) == 40
+        assert Counter(built) == Counter(P for _, P in set(asked))
+        assert 1 < len(built) < 40
+
     @pytest.mark.parametrize("build,p", [
         (lambda: cyclic(6), 2), (lambda: symmetric(3), 3),
         (lambda: dihedral(8), 2), (lambda: symmetric(3), 2),
@@ -434,3 +496,47 @@ def build_pair_dim(G, p, pair):
     """The pair (P, 1) over the same P, probing plain Brauer-quotient dimension."""
     from ppring.species import build_pair
     return build_pair(G, p, pair.P, 0)  # index 0 is the identity
+
+
+class ChangedBasis:
+    """A module seen in another basis: every action matrix conjugated by the
+    upper unitriangular all-ones matrix J, whose inverse is I minus the
+    superdiagonal.  Its fixed spaces are no longer spanned by orbit sums of
+    coordinate lines, so the trace image is no longer spanned by rows of the
+    fixed space's basis."""
+
+    def __init__(self, module):
+        F, d = module.field, module.dimension
+        self.field, self.dimension, self.zeta_powers = F, d, module.zeta_powers
+        self._module = module
+        self._J = tuple(tuple(int(i <= j) for j in range(d)) for i in range(d))
+        self._J_inv = tuple(tuple(1 if i == j else F.neg(1) if j == i + 1 else 0
+                                  for j in range(d)) for i in range(d))
+
+    def action(self, g):
+        F = self.field
+        return _mat_mul(F, _mat_mul(F, self._J, self._module.action(g)), self._J_inv)
+
+
+@pytest.mark.parametrize("build,p", [(lambda: symmetric(4), 3), (lambda: alternating(5), 2)],
+                         ids=["S4-p3", "A5-p2"])
+def test_agreement_in_another_basis(build, p, monkeypatch):
+    """The oracle reads values off literal linear algebra, so a change of
+    basis of the module changes none.  In this basis the lift's action must
+    be reduced modulo the trace image to come out right (at A5, p = 2, on
+    P = V4 with s of order 3).  The conjugated matrices are dense, so modules
+    of dimension above 20 are left out for time."""
+    G = build()
+    n = default_conductor(G, p)
+    F = build_field(p, n)
+    realize = ffq.realize_generator
+    clear_caches()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(ffq, "realize_generator", lambda gen, F: ChangedBasis(realize(gen, F)))
+            for pair in enumerate_pairs(G, p):
+                for gen in standard_generators(G, p, n):
+                    if gen.dimension <= 20:
+                        assert oracle_tau(pair, gen, F) == tau_generator(pair, gen)
+    finally:
+        clear_caches()

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import ppring
+from ppring import ffq
 from ppring.cli import COMMANDS, RunConfig, run
 
 PACKAGE = Path(ppring.__file__).resolve().parent
@@ -168,6 +169,9 @@ def test_verify_s5_p3_digest():
 
 def test_clear_caches_empties_every_memo():
     run(RunConfig(command="verify", group="S4", p=2, fmt="json"))
+    run(RunConfig(command="oracle-check", group="S3", p=3, fmt="json", samples=5, seed=0))
+    oracle_memos = (ffq.realize_generator, ffq._brauer_quotient, ffq.oracle_tau)
+    assert all(memo.cache_info().currsize for memo in oracle_memos)
     ppring.clear_caches()
     modules = [importlib.import_module(f"ppring.{m.name}")
                for m in pkgutil.iter_modules(ppring.__path__)]
