@@ -189,11 +189,8 @@ def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
     if H.parent != G:
         raise GroupMismatch("subgroup over a different group")
     lat = subgroup_lattice(promote(H))
-    terms = []
-    for L in lat.subgroups:
-        mu = lat.moebius(L, lat.top)
-        if mu:
-            terms.append((L.reparent(G), L.order * mu))
+    terms = [(L.reparent(G), L.order * mu)
+             for L, mu in zip(lat.subgroups, lat.mu_top) if mu]
     return BurnsideElement._trusted(G, _on_reps(G, terms), normalizer(G, H).order)
 
 

@@ -7,13 +7,15 @@ Exit codes: 0 when every requested verification passes, 1 on a verification
 failure, 2 on a usage or configuration error, 3 on an I/O error (such as an
 unwritable ``--out``) and 4 on an internal error (an unexpected exception,
 reported as one ``error: internal: ...`` line naming where it was raised).
-Errors go to stderr and write no report.
+Errors go to stderr and write no report; ``--out`` replaces a regular file
+only with a whole report.
 Identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -153,10 +155,8 @@ def cmd_pairs(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
 
 def cmd_lattice(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
     lat = subgroup_lattice(G)
-    rows = []
-    for H in lat.subgroups:
-        rows.append({**_subgroup_json(H), "normal": H.is_normal(),
-                     "mu_to_top": lat.moebius(H, lat.top)})
+    rows = [{**_subgroup_json(H), "normal": H.is_normal(), "mu_to_top": mu}
+            for H, mu in zip(lat.subgroups, lat.mu_top)]
     return True, {
         "group_order": G.order,
         "subgroup_count": len(lat.subgroups),
@@ -369,6 +369,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(path: str, text: str) -> None:
+    """Write the report to ``--out``.  A missing or regular-file target gets
+    it whole or not at all: the text goes to a temporary file beside the
+    target, which then replaces the target in one step, and on an error the
+    temporary file is removed and any earlier target is kept.  Any other
+    target (a symlink, a device such as /dev/stdout, a pipe) is written in
+    place, through the link or into the device."""
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")  # refuses a file it did not create
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -395,8 +418,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     if config.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_report(config.out, text)
         except OSError as exc:
             print(f"error: cannot write {config.out}: {exc.strerror or exc}",
                   file=sys.stderr)

@@ -14,7 +14,8 @@ value off them in two stages:
 
 Three memos keep each stage from repeating: the module per (generator,
 field), the quotient per (generator, field, P) and the value per (pair,
-generator, field, dimension cap).
+generator, field, dimension cap).  ``build_field`` interns its fields, so
+repeated runs in one process hit the same entries.
 
 Field elements are ints 0..q-1, the base-p codes of their coefficient
 tuples.  Fields with q <= TABLE_MAX_Q multiply, invert and add through
@@ -335,12 +336,19 @@ def build_field(p: int, n: int, n_cap: int = DEFAULT_N_CAP,
     irreducible monic polynomial of degree m in counter order, and the
     distinguished n-th root of unity is g^((q-1)/n) for the
     ``generator_index``-th generator g of the multiplicative group in
-    counter order.
+    counter order.  Fields are interned per (p, n, generator_index), so the
+    memos keyed on a field are shared by every run that asks for it; the cap
+    is checked before the lookup.
     """
     if math.gcd(p, n) != 1:
         raise ValueError("n must be prime to p")
     if n > n_cap:
         raise CapExceeded(f"conductor {n} exceeds the oracle cap {n_cap}")
+    return _field(p, n, generator_index)
+
+
+@lru_cache(maxsize=None)
+def _field(p: int, n: int, generator_index: int) -> FqField:
     m = 1
     while (p ** m - 1) % n:
         m += 1

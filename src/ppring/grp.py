@@ -438,22 +438,32 @@ def _promote(root: FiniteGroup, embedding: tuple[int, ...]) -> FiniteGroup:
                        root, embedding)
 
 
-def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int]) -> frozenset:
-    """Subgroup closure inside a parent group, on element indices."""
+def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int],
+                  closed: Iterable[int] = (0,)) -> frozenset:
+    """Subgroup closure inside a parent group, on element indices: the
+    subgroup generated by the seed, built coset by coset over ``closed``, a
+    subgroup of the result known in advance (by default the trivial one).
+
+    The elements found so far are a union of right cosets Hg of H =
+    ``closed``, and Hg times a generator s is the coset H(gs), so each coset
+    representative is multiplied by each generator once and a new product
+    enters with its whole coset (Dimino's algorithm; Butler, LNCS 559,
+    1991).  With H trivial this is a breadth-first search over elements."""
     gens = [i for i in seed if i != 0]
-    closed = {0}
-    frontier = [0]
-    while frontier and gens:
-        new = []
-        for a in frontier:
-            row = table[a]
-            for g in gens:
-                b = row[g]
-                if b not in closed:
-                    closed.add(b)
-                    new.append(b)
-        frontier = new
-    return frozenset(closed)
+    members = [h for h in closed if h != 0]  # H without the identity
+    rows = [table[h] for h in members]
+    found = {0, *members}
+    cosets = [0]
+    for g in cosets:  # cosets grows while it is walked
+        row = table[g]
+        for s in gens:
+            x = row[s]
+            if x not in found:
+                found.add(x)
+                cosets.append(x)
+                for hrow in rows:
+                    found.add(hrow[x])
+    return frozenset(found)
 
 
 def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
@@ -628,9 +638,11 @@ def normalizer_quotient(G: FiniteGroup, P: Subgroup) -> QuotientGroup:
     return quotient(H, P.reparent(H))
 
 
-def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
+@lru_cache(maxsize=None)
+def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Left cosets of H in G on element indices: the minimal representative
-    of each coset, in order, and the representative of every element."""
+    of each coset, in order, and the representative of every element.
+    Built once per (G, H) and shared by every caller."""
     if H.parent is not G:
         raise NotSubgroup("subgroup belongs to a different group")
     table = G.table
@@ -643,7 +655,7 @@ def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[list[int], list[int]]:
             row = table[g]
             for h in members:
                 rep_of[row[h]] = g
-    return reps, rep_of
+    return tuple(reps), tuple(rep_of)
 
 
 def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:

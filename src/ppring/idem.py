@@ -36,8 +36,8 @@ from .burnside import (burnside_ind, burnside_product, burnside_res,
                        fixed_point_functor, gluck_yoshida, linearize,
                        mark_element, transitive)
 from .cyclo import Cyclotomic, zeta_power
-from .grp import (FiniteGroup, Subgroup, close_indices, is_p_power,
-                  normalizer_quotient, promote, quotient, sylow, translate)
+from .grp import (FiniteGroup, Subgroup, is_p_power, normalizer_quotient,
+                  promote, quotient, sylow, translate)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, brauer_elt,
                      char_pullback, default_conductor, ind_elt, inf_elt,
@@ -163,16 +163,13 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
     H = promote(pair.ps)
     [t] = translate(G, H, [pair.lift])
     PH = P.reparent(H)
-    table = H.table
     lat = subgroup_lattice(H)
     denom = P.order * r * pair.centralizer_order
     step = n // r
     terms: dict = {}
-    for L in lat.subgroups:
-        if len(close_indices(table, PH.generators() + L.generators())) != H.order:
-            continue  # the condition PL = <Ps>
-        mu = lat.moebius(L, lat.top)
-        if mu == 0:
+    for L, mu in zip(lat.subgroups, lat.mu_top):
+        # PL = <Ps>: P is normal in <Ps>, so |PL| = |P| |L| / |P cap L|
+        if not mu or P.order * L.order != H.order * (PH.mask & L.mask).bit_count():
             continue
         weight = Fraction(L.order * mu, denom)
         LG = L.reparent(G)
@@ -391,36 +388,47 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
 
 def factorization_suite(G: FiniteGroup, p: int) -> list[dict]:
     """The two factorizations of a species through restriction and the
-    Brauer morphism, checked cell by cell."""
+    Brauer morphism, checked cell by cell.  Each pair's sub-pair and
+    quotient pair, and each generator's restriction to <Ps>, are built once
+    and read by both routes."""
     n = default_conductor(G, p)
     checks: list[dict] = []
     gens = standard_generators(G, p, n)
     for q in enumerate_pairs(G, p):
-        ok_res = all(tau_generator(q, gen) == tau_via_restriction(q, gen)
-                     for gen in gens)
+        sub_pair, PH, pair0 = _route_pairs(q)
+        ys = [_res_to_ps(q, gen) for gen in gens]
+        ok_res = all(tau_generator(q, gen) == tau_element(sub_pair, y)
+                     for gen, y in zip(gens, ys))
         checks.append(_check(f"species restriction factorization {q.label()}", ok_res))
-        ok_brauer = all(tau_generator(q, gen) == tau_via_brauer(q, gen)
-                        for gen in gens)
+        ok_brauer = all(tau_generator(q, gen) == tau_element(pair0, brauer_elt(y, PH))
+                        for gen, y in zip(gens, ys))
         checks.append(_check(f"species Brauer factorization {q.label()}", ok_brauer))
     return checks
 
 
-def tau_via_restriction(pair: SpeciesPair, gen) -> Cyclotomic:
-    """tau computed after restriction to the subgroup generated by the pair."""
-    H = promote(pair.ps)
-    y = res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
-    [lift] = translate(pair.group, H, [pair.lift])
-    sub_pair = build_pair(H, pair.p, pair.P.reparent(H), lift)
-    return tau_element(sub_pair, y)
+def _res_to_ps(pair: SpeciesPair, gen) -> PPElement:
+    """A generator restricted to the subgroup <Ps> of the pair."""
+    return res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
 
 
-def tau_via_brauer(pair: SpeciesPair, gen) -> Cyclotomic:
-    """tau computed through the Brauer morphism at P and the quotient species."""
+def _route_pairs(pair: SpeciesPair) -> tuple[SpeciesPair, Subgroup, SpeciesPair]:
+    """Where the two routes evaluate: the pair seen in H = promote(<Ps>),
+    P inside H, and the pair (1, s) of the quotient H/P."""
     H = promote(pair.ps)
-    y = res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
     [lift] = translate(pair.group, H, [pair.lift])
     PH = pair.P.reparent(H)
     Q = quotient(H, PH)
     base = Q.group
-    pair0 = build_pair(base, pair.p, base.trivial_subgroup(), Q.proj[lift])
-    return tau_element(pair0, brauer_elt(y, PH))
+    return (build_pair(H, pair.p, PH, lift), PH,
+            build_pair(base, pair.p, base.trivial_subgroup(), Q.proj[lift]))
+
+
+def tau_via_restriction(pair: SpeciesPair, gen) -> Cyclotomic:
+    """tau computed after restriction to the subgroup generated by the pair."""
+    return tau_element(_route_pairs(pair)[0], _res_to_ps(pair, gen))
+
+
+def tau_via_brauer(pair: SpeciesPair, gen) -> Cyclotomic:
+    """tau computed through the Brauer morphism at P and the quotient species."""
+    _, PH, pair0 = _route_pairs(pair)
+    return tau_element(pair0, brauer_elt(_res_to_ps(pair, gen), PH))

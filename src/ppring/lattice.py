@@ -2,11 +2,18 @@
 
 A lattice is built once per group (:func:`subgroup_lattice`) by a search
 over conjugacy classes rather than over subgroups: every cyclic subgroup is
-found once, and only one representative of each class is extended, by its
-join with each cyclic subgroup it does not contain.  A new join enters with
+found once, and only one representative H of each class is extended, by its
+join with one cyclic subgroup per N_G(H)-orbit of those it does not contain.
+Each join is closed coset by coset, adding right cosets of H (Dimino's
+algorithm, in :func:`~ppring.grp.close_indices`).  A new join enters with
 all of its conjugates, read off the group's conjugation table, so the same
 pass yields the conjugacy classes of subgroups.  :func:`_all_subgroups`
 says why the search finds every subgroup.
+
+The Moebius values mu(L, G) that the idempotent formulas sum over are one
+vector per lattice, ``mu_top``, filled once from the top down in index order
+(after Pfeiffer, Experiment. Math. 6, 1997); ``moebius(A, B)`` for any other
+B runs the defining recursion.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ class SubgroupLattice:
     """All subgroups of a finite group, with containment and Moebius data.
 
     Subgroups are listed in a deterministic order (by order, then canonical
-    form).  ``moebius(A, B)`` is the Moebius function of the subgroup poset,
-    computed by the defining recursion mu(A, B) = -sum_{A <= M < B} mu(A, M)
-    and memoized.
+    form).  ``moebius(A, B)`` is the Moebius function of the subgroup poset.
+    ``mu_top[i]`` is mu(subgroups[i], top), filled top down: mu(top, top) = 1
+    and mu(L, top) = -sum of mu(M, top) over the M strictly above L, which
+    all come later in the list.  Every other value comes from the defining
+    recursion mu(A, B) = -sum_{A <= M < B} mu(A, M), memoized.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -41,6 +50,19 @@ class SubgroupLattice:
                        for H in masks]
         self._mu: dict[tuple[int, int], int] = {}
         self._rep_of = {self._index[H]: cls[0] for cls in self._classes for H in cls}
+        top = len(masks) - 1
+        mu = [0] * len(masks)
+        mu[top] = 1
+        for j in range(top, -1, -1):  # mu[j] is final once every M above it is done
+            m = mu[j]
+            if not m:
+                continue
+            below = self._below[j] & ~(1 << j)
+            while below:  # subtract mu(M, top) at each L strictly below M
+                low = below & -below
+                mu[low.bit_length() - 1] -= m
+                below ^= low
+        self.mu_top = tuple(mu)
 
     def index(self, H: Subgroup) -> int:
         try:
@@ -64,6 +86,8 @@ class SubgroupLattice:
         ia, ib = self.index(A), self.index(B)
         if not (self._below[ib] >> ia & 1):
             raise NotComparable("first argument is not contained in the second")
+        if ib == len(self.subgroups) - 1:
+            return self.mu_top[ia]
         return self._moebius_idx(ia, ib)
 
     def _moebius_idx(self, ia: int, ib: int) -> int:
@@ -96,22 +120,35 @@ def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
 
     The search extends one representative per conjugacy class (after
     Neubueser's cyclic extension).  Each cyclic subgroup is found once, with
-    one generator.  A representative H with generators h is joined with <c>
-    for every cyclic generator c outside H, by closing h + (c,).  A join not
-    yet known is a new class: it and all of its conjugates are entered at
-    once, and the join becomes the representative that is extended in turn.
+    one generator.  A representative H with generators h is joined with one
+    cyclic subgroup <c> outside H per N_G(H)-orbit, the first in index order;
+    :func:`~ppring.grp.close_indices` closes h + (c,) by adding whole cosets
+    of H.  A join not yet known is a new class: it and all of its conjugates
+    are entered at once, and the join becomes the representative that is
+    extended in turn.
 
-    The search is complete.  A subgroup K is a chain of joins
+    The search is complete.  First, one <c> per N_G(H)-orbit is enough: for
+    n in N_G(H), <H, c^n> = <H^n, c^n> = <H, c>^n, a conjugate of <H, c>,
+    which enters with <H, c>.  A subgroup K is a chain of joins
     <c_1> v ... v <c_k>, each step strictly larger.  The class of <c_1> is
     entered with the cyclic subgroups.  If the class of
-    K_i = <c_1, ..., c_i> has representative K_i^g, then K_(i+1)^g is the
-    join of K_i^g with the cyclic subgroup <c_(i+1)^g>, which the search
-    forms; so the class of K_(i+1) is entered, and by induction that of K.
+    K_i = <c_1, ..., c_i> has representative R = K_i^g, then
+    K_(i+1)^g = <R, c_(i+1)^g>.  The search joins R with one member of the
+    N_G(R)-orbit of <c_(i+1)^g>, and by the first remark that join is a
+    conjugate of K_(i+1)^g; so the class of K_(i+1) is entered, and by
+    induction that of K.
     """
     table, conj = group.table, group.conj
+    # the cyclic subgroups, each with its position and its minimal generator,
+    # and the position of <x> for every element x
     cyclics: dict[frozenset, int] = {}
+    firsts: list[int] = []
+    cyclic_of: list[int] = []
     for i in range(group.order):
-        cyclics.setdefault(close_indices(table, (i,)), i)
+        k = cyclics.setdefault(close_indices(table, (i,)), len(firsts))
+        if k == len(firsts):
+            firsts.append(i)
+        cyclic_of.append(k)
     known: set[frozenset] = set()
     classes: list[set[frozenset]] = []
     reps: list[tuple[frozenset, tuple[int, ...]]] = []
@@ -122,15 +159,20 @@ def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
         classes.append(cls)
         reps.append((J, gens))
 
-    for C, c in cyclics.items():
+    for C, k in cyclics.items():
         if C not in known:
-            enter(C, (c,))
+            enter(C, (firsts[k],))
     for H, gens in reps:  # reps grows while it is walked
-        for c in cyclics.values():
-            if c not in H:
-                J = close_indices(table, gens + (c,))
-                if J not in known:
-                    enter(J, gens + (c,))
+        norm = [row for row in conj if all(row[h] in H for h in gens)]  # N_G(H)
+        done = bytearray(len(firsts))
+        for k, c in enumerate(firsts):
+            if done[k] or c in H:
+                continue
+            for row in norm:
+                done[cyclic_of[row[c]]] = 1
+            J = close_indices(table, gens + (c,), H)
+            if J not in known:
+                enter(J, gens + (c,))
     # the (order, indices) order of Subgroup.__lt__
     ordered = sorted(known, key=lambda H: (len(H), sorted(H)))
     position = {H: k for k, H in enumerate(ordered)}

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -154,6 +155,36 @@ class TestCommands:
         failing = {c["check"].split(" |")[0] for c in report["checks"] if not c["ok"]}
         assert failing == {"restriction law", "commute res"}
 
+    def test_dropped_brauer_term_fails_only_the_brauer_factorization(self, monkeypatch):
+        """Both factorization routes read one restriction per (pair,
+        generator).  A Brauer morphism that loses a term still fails the
+        Brauer family, while the restriction family keeps passing: sharing the
+        restriction does not make the Brauer route vacuous."""
+        brauer = idem.brauer_elt
+
+        def dropped(x, P):
+            y = brauer(x, P)
+            terms = list(y.terms.items())
+            if len(terms) < 2:
+                return y
+            return ppelem.PPElement._trusted(y.group, y.p, y.conductor, dict(terms[:-1]))
+
+        clear_caches()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(idem, "brauer_elt", dropped)
+                code, text = run(RunConfig(command="verify", group="S4", p=2, fmt="json"))
+        finally:
+            clear_caches()
+        assert code == 1
+        checks = json.loads(text)["checks"]
+        family = {}
+        for c in checks:
+            if "factorization" in c["check"]:
+                family.setdefault(c["check"].split(" (")[0], []).append(c["ok"])
+        assert all(family["species restriction factorization"])
+        assert not all(family["species Brauer factorization"])
+
     def test_wrong_fusion_fails_verify(self, monkeypatch):
         """One pair of the whole group fused to the wrong class is caught by
         both laws that read the fusion memo, so neither passes vacuously."""
@@ -242,6 +273,76 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert str(out) in captured.err
+
+    def test_failed_out_write_keeps_the_target_exit_3(self, tmp_path, monkeypatch, capsys):
+        """A write that fails halfway leaves an earlier report whole and no
+        temporary file behind."""
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        real_open = open
+
+        class Failing:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:10])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Failing(real_open(*a, **k)),
+                            raising=False)
+        code = main(["pairs", "--group", "C2", "--p", "2", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No space left on device\n"
+        assert out.read_text() == "earlier report\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+    def test_out_replaces_an_earlier_report(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n")
+        assert main(["pairs", "--group", "C2", "--p", "2", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["pairs"]) == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+    def test_out_through_a_symlink_updates_the_linked_file(self, tmp_path, capsys):
+        real = tmp_path / "real.json"
+        real.write_text("earlier report\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        assert main(["pairs", "--group", "C2", "--p", "2", "--format", "json",
+                     "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert len(json.loads(real.read_text())["pairs"]) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_to_a_pipe_writes_into_the_pipe(self, tmp_path, capsys):
+        """A target that is not a regular file, here a named pipe, is written
+        in place and stays what it was."""
+        fifo = tmp_path / "report.pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["pairs", "--group", "C2", "--p", "2", "--format", "json",
+                         "--out", str(fifo)]) == 0
+            chunks = []
+            while chunk := os.read(reader, 65536):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert len(json.loads(b"".join(chunks))["pairs"]) == 2
+        assert [path.name for path in tmp_path.iterdir()] == ["report.pipe"]
 
     @pytest.mark.parametrize("generators", ["[[[0, 1], [0, 1]]]", "[[[0, 0, 1]]]"])
     def test_repeated_cycle_points_exit_2(self, generators, capsys):

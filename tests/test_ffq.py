@@ -229,6 +229,31 @@ class TestBuildField:
         with pytest.raises(CapExceeded):
             build_field(2, 33)
 
+    def test_fields_are_interned_and_the_cap_still_holds(self):
+        F = build_field(3, 8)
+        assert build_field(3, 8) is F
+        assert build_field(3, 8, generator_index=1) is not F
+        with pytest.raises(CapExceeded):
+            build_field(3, 8, n_cap=7)
+
+    def test_repeated_runs_reuse_the_oracle_memos(self):
+        """The oracle memos are keyed on the field, so a second and a third
+        identical run hit the first run's entries instead of adding their
+        own."""
+        memos = (ffq.realize_generator, ffq._brauer_quotient, ffq.oracle_tau)
+        config = RunConfig(command="oracle-check", group="S3", p=3, fmt="json",
+                           samples=40, seed=0)
+        clear_caches()
+        try:
+            run(config)
+            sizes = [memo.cache_info().currsize for memo in memos]
+            run(config)
+            run(config)
+            assert [memo.cache_info().currsize for memo in memos] == sizes
+        finally:
+            clear_caches()
+        assert all(sizes)
+
     def test_requires_coprime(self):
         with pytest.raises(ValueError):
             build_field(2, 4)

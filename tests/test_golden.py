@@ -5,7 +5,8 @@ keep its results must keep these digests.  ``oracle-check`` runs with
 ``--samples 20 --seed 0``.  ``LARGE_FIELD_DIGESTS`` pins ``oracle-check`` over
 fields too large for the log tables of :mod:`ppring.ffq`, with
 ``--samples 5 --seed 0``.  ``LATTICE_DIGESTS`` pins the ``lattice`` report
-of two larger groups, S5 (156 subgroups) and S4xC2 (98), and
+of four larger groups, S5 (156 subgroups), S4xC2 (98), C2xC2xC2xC2 (67, each
+its own class, so the search extends every one) and S4xS3 (372), and
 ``test_verify_s5_p3_digest`` the ``verify`` report of S5 at p = 3, whose
 species values live at conductor 20.  Under
 ``python -O``, which strips ``assert`` statements, the reports stay the
@@ -149,6 +150,8 @@ def test_large_field_oracle_digest(group, p):
 LATTICE_DIGESTS = {
     ("S5", 3): "a435e11b888536aa9e268d78506827349f7f71c5a114d1fcafc91b3e46823ac9",
     ("S4xC2", 2): "c519c246b9fb24a01b89ad4eb90337148e868c56d1efb5bf17cc95d16d6ba7a6",
+    ("C2xC2xC2xC2", 2): "40fcc3ada5a9664a1f5acbf654a2339fa84b1b5b95db99c6ff63ea4dcb4242df",
+    ("S4xS3", 3): "14e4ccd64b5f62415ce7e8ff28c6f88bb6cf55cfdae79aaf64bff36a50ea473c",
 }
 
 

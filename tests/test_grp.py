@@ -9,7 +9,8 @@ from ppring import grp
 from ppring.grp import (PRIME_TEST_BOUND, InvalidPermutation, NotSubgroup,
                         OrderCapExceeded, Permutation, alternating,
                         centralizer, check_prime, close_generators,
-                        conjugacy_classes, conjugate_meet, cyclic, dihedral,
+                        close_indices, conjugacy_classes, conjugate_meet,
+                        coset_indices, cyclic, dihedral,
                         direct_product, double_coset_reps, is_p_power,
                         klein_four, normalizer,
                         normalizer_quotient, p_prime_part, promote,
@@ -414,6 +415,34 @@ class TestDoubleCosets:
             assert not (coset & seen)
             seen |= coset
         assert seen == set(G.elements)
+
+
+class TestCosetIndices:
+    def test_tuples_built_once(self):
+        G = symmetric(4)
+        H = sylow(G, 2)
+        first = coset_indices(G, H)
+        assert isinstance(first, tuple) and all(isinstance(part, tuple) for part in first)
+        assert coset_indices(G, H) is first
+
+
+class TestCloseIndices:
+    def test_coset_closure_over_a_known_subgroup(self):
+        """Closing the generators of H and one more element, coset by coset
+        over H, gives the subgroup an index-level fixpoint gives."""
+        G = symmetric(4)
+        table = G.table
+        for H in subgroup_lattice(G).subgroups:
+            for c in range(G.order):
+                seed = H.generators() + (c,)
+                elems = {0, *seed}
+                while True:
+                    new = {table[a][b] for a in elems for b in elems}
+                    if new <= elems:
+                        break
+                    elems |= new
+                assert close_indices(table, seed, frozenset(H.indices)) == elems
+                assert close_indices(table, seed) == elems
 
 
 class TestConjugacyClasses:

@@ -92,7 +92,8 @@ def assert_matches_reference(G):
 
 
 class TestAgainstReferenceSearch:
-    @pytest.mark.parametrize("name", ["S4", "A5", "S5", "D8xC2", "Q8xC2", "S4xC2"])
+    @pytest.mark.parametrize("name", ["S4", "A5", "S5", "D8xC2", "Q8xC2", "S4xC2",
+                                      "C2xC2xC2xC2"])
     def test_named(self, name):
         assert_matches_reference(parse_group_spec(name))
 
@@ -192,6 +193,17 @@ class TestMoebius:
                     continue
                 total = sum(lat.moebius(A, M) for M in lat.interval(A, B))
                 assert total == (1 if A == B else 0)
+
+    @pytest.mark.parametrize("name", ["C2", "C3", "C4", "C6", "S3", "D8", "Q8", "A4",
+                                      "D12", "S4", "S5", "S4xC2", "C2xC2xC2xC2"])
+    def test_top_vector_matches_the_recursion(self, name):
+        """mu_top, filled from the top down, equals the defining recursion
+        mu(A, top) = -sum over A <= M < top of mu(A, M), which recurses from
+        A upwards, so the two directions check each other."""
+        lat = subgroup_lattice(parse_group_spec(name))
+        top = len(lat.subgroups) - 1
+        assert list(lat.mu_top) == [lat._moebius_idx(i, top) for i in range(top + 1)]
+        assert [lat.moebius(H, lat.top) for H in lat.subgroups] == list(lat.mu_top)
 
     def test_conjugation_invariance(self):
         G = symmetric(4)
