@@ -25,8 +25,7 @@ from typing import Mapping, Union
 
 from .cyclo import Cyclotomic, _reduction_terms
 from .grp import (FiniteGroup, Subgroup, conjugate_meet, coset_indices,
-                  double_coset_reps, normalizer, normalizer_quotient, promote,
-                  translate)
+                  double_coset_reps, normalizer, normalizer_quotient, promote)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                      make_generator)
@@ -232,7 +231,7 @@ def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
         raise GroupMismatch("subgroup over a different group")
     G = x.group
     HH = promote(H)
-    nums = _on_reps(HH, ((Subgroup.from_indices(HH, translate(G, HH, stab)), c)
+    nums = _on_reps(HH, ((Subgroup.from_indices(HH, stab), c)
                          for L, c in x.nums.items()
                          for stab in _orbit_stabilizers(H, G, L, coset_indices(G, L)[0])))
     return BurnsideElement._trusted(HH, nums, x.den)
@@ -258,7 +257,7 @@ def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
     N = normalizer(G, P)
     Q = normalizer_quotient(G, P)
     nums = _on_reps(Q.group, (
-        (Q.project_subgroup(Subgroup.from_indices(Q.parent, translate(G, Q.parent, stab))), c)
+        (Q.project_subgroup(Subgroup.from_indices(Q.parent, stab)), c)
         for L, c in x.nums.items()
         for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P))))
     return BurnsideElement._trusted(Q.group, nums, x.den)

@@ -6,8 +6,8 @@ value off them in two stages:
 
 1. ``_brauer_quotient(gen, F, P)``: the Brauer quotient at P (Broue, Proc.
    AMS 93, 1985), the P-fixed space modulo the images of the relative traces
-   from the maximal proper subgroups of P, as an rref basis of the fixed
-   space and an rref of the trace image in its coordinates;
+   from the maximal proper subgroups of P, as a null space basis of the
+   fixed space and an rref of the trace image in its coordinates;
 2. ``oracle_tau``: the action of the pair's lift on that quotient, and the
    multiplicities of its eigenvalues, transported to complex roots of unity
    through a tabulated discrete logarithm.
@@ -36,7 +36,7 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, zeta_power
-from .grp import Subgroup, coset_indices, promote, translate
+from .grp import Subgroup, coset_indices, promote
 from .lattice import subgroup_lattice
 from .ppelem import Generator
 from .species import SpeciesPair
@@ -454,10 +454,6 @@ def _mat_vec(F: FqField, a, v):
     return tuple(out)
 
 
-def _identity(d):
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
 def _minus_scalar(F: FqField, mat, lam: int) -> list[list[int]]:
     """The rows of mat - lam I: copies with only the diagonal changed."""
     sub = F.sub
@@ -494,9 +490,10 @@ def _rref(F: FqField, rows):
 
 
 def _nullspace(F: FqField, mat, ncols):
-    """Basis of the right null space of a matrix (rows of length ncols)."""
-    if not mat:
-        return list(_identity(ncols))
+    """Basis of the right null space of a matrix (rows of length ncols) and
+    its free columns.  Basis vector i is 1 at free column i and 0 at the
+    other free columns, so the entries of a null vector at the free columns
+    are its coordinates in the basis."""
     rows, pivots = _rref(F, mat)
     free = [c for c in range(ncols) if c not in pivots]
     neg = F.neg
@@ -507,7 +504,7 @@ def _nullspace(F: FqField, mat, ncols):
         for r, pc in zip(rows, pivots):
             v[pc] = neg(r[fc])
         basis.append(tuple(v))
-    return basis
+    return basis, free
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +520,10 @@ def realize_generator(gen: Generator, F: FqField) -> FqModule:
 
 
 def _maximal_proper_subgroups(P: Subgroup) -> list[Subgroup]:
-    lat = subgroup_lattice(promote(P))
-    proper = [H for H in lat.subgroups if H.order < lat.top.order]
-    out = []
-    for H in proper:
-        if not any(H is not K and lat.leq(H, K) for K in proper):
-            out.append(H)
-    return out
+    """The maximal subgroups of the p-group P, as subgroups of promote(P): in
+    a p-group they are the proper subgroups of the largest order."""
+    proper = subgroup_lattice(promote(P)).subgroups[:-1]  # sorted by order
+    return [H for H in proper if H.order == proper[-1].order]
 
 
 @lru_cache(maxsize=None)
@@ -537,12 +531,12 @@ def _brauer_quotient(gen: Generator, F: FqField, P: Subgroup) -> tuple:
     """The Brauer quotient at P of the module of gen over F, built once per
     (generator, field, P).
 
-    Returns ``(basis, pivots, trace_rows, trace_pivots, quotient)``: the rref
-    basis of the P-fixed space, whose rows have a unit entry at their pivot
-    columns and so give coordinates ``w[c] for c in pivots`` to every fixed
-    vector w; the rref of the images of the relative traces from the maximal
-    proper subgroups of P, in those coordinates; and the indices of the basis
-    rows at no trace pivot, whose classes form a basis of the quotient.
+    Returns ``(basis, free, trace_rows, trace_pivots, quotient)``: the null
+    space basis of the P-fixed space and its free columns, which give
+    coordinates ``w[c] for c in free`` to every fixed vector w; the rref of
+    the images of the relative traces from the maximal proper subgroups of
+    P, in those coordinates; and the indices of the basis rows at no trace
+    pivot, whose classes form a basis of the quotient.
     """
     module = realize_generator(gen, F)
     d = module.dimension
@@ -554,24 +548,20 @@ def _brauer_quotient(gen: Generator, F: FqField, P: Subgroup) -> tuple:
             rows.extend(_minus_scalar(F, module.action(u), 1))
         return _nullspace(F, rows, d)
 
-    fixed_p = fixed_space(P.generators())
+    basis, free = fixed_space(P.generators())
     trace_vectors = []
     PP = promote(P)
-    in_g = translate(PP, P.parent, range(PP.order))  # element k of PP is in_g[k] of G
     for Qsub in _maximal_proper_subgroups(P):  # subgroups of PP
         tr = None
         for x in coset_indices(PP, Qsub)[0]:
-            mat = module.action(in_g[x])
+            mat = module.action(x)
             tr = mat if tr is None else _mat_add(F, tr, mat)
-        for v in fixed_space([in_g[u] for u in Qsub.generators()]):
+        for v in fixed_space(Qsub.generators())[0]:
             trace_vectors.append(_mat_vec(F, tr, v))
 
-    basis, pivots = _rref(F, fixed_p) if fixed_p else ([], [])
-    trace_rows, trace_pivots = \
-        _rref(F, [tuple(v[c] for c in pivots) for v in trace_vectors]) \
-        if trace_vectors else ([], [])
+    trace_rows, trace_pivots = _rref(F, [tuple(v[c] for c in free) for v in trace_vectors])
     quotient = tuple(i for i in range(len(basis)) if i not in trace_pivots)
-    return tuple(basis), tuple(pivots), tuple(trace_rows), tuple(trace_pivots), quotient
+    return tuple(basis), tuple(free), tuple(trace_rows), tuple(trace_pivots), quotient
 
 
 @lru_cache(maxsize=None)
@@ -582,10 +572,11 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
 
     Reads the Brauer quotient at P from ``_brauer_quotient``, acts on it by
     the pair's lift, and adds up the multiplicities of the eigenvalues
-    lambda = zeta^j of that action, found as null spaces of A - lambda I for
-    every r-th root of unity (r the order of s), weighted by the
-    theta-transported roots of unity.  The multiplicities must fill the
-    quotient, or the action is not semisimple and a RuntimeError is raised.
+    lambda = zeta^j of that action, each the dimension of the quotient less
+    the rank of A - lambda I, for every r-th root of unity (r the order of
+    s), weighted by the theta-transported roots of unity.  The
+    multiplicities must fill the quotient, or the action is not semisimple
+    and a RuntimeError is raised.
     """
     if gen.group != pair.group:
         raise ValueError("pair and generator over different groups")
@@ -594,7 +585,7 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
         raise CapExceeded(f"dimension {d} exceeds the oracle cap {dim_cap}")
     module = realize_generator(gen, F)
     n = gen.character.conductor
-    basis, pivots, trace_rows, trace_pivots, quotient = _brauer_quotient(gen, F, pair.P)
+    basis, free, trace_rows, trace_pivots, quotient = _brauer_quotient(gen, F, pair.P)
     dim_quot = len(quotient)
     if dim_quot == 0:
         return Cyclotomic.zero(n)
@@ -604,7 +595,7 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     cols = []
     for i in quotient:
         w = _mat_vec(F, t_action, basis[i])
-        cw = [w[c] for c in pivots]
+        cw = [w[c] for c in free]
         for row, pc in zip(trace_rows, trace_pivots):  # reduce modulo the traces
             factor = cw[pc]
             if factor:
@@ -617,7 +608,7 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     seen_dim = 0
     for j in range(r):
         lam = module.zeta_powers[j * (n // r)]
-        mult = len(_nullspace(F, _minus_scalar(F, A, lam), dim_quot))
+        mult = dim_quot - len(_rref(F, _minus_scalar(F, A, lam))[1])
         if mult:
             total = total + zeta_power(n, F.theta[lam]) * mult
             seen_dim += mult

@@ -3,19 +3,22 @@
 Groups are fully enumerated permutation groups on ``{0..degree-1}``.  Every
 operation is brute force over the whole group: at the scale this library
 targets (orders up to a few hundred) exhaustive loops are fast, exactly
-reproducible and easy to audit.  A group is its index tables (multiplication,
-inverse, conjugation, orders), set when it is built; an element is its index
-in ``G.elements``, and a subgroup is the sorted tuple and the bitmask of its
-elements' indices in ``parent.elements``.  Every group lies in a root, a group
-closed from generators or a quotient group, as element k of G is element
-``G.embedding[k]`` of ``G.root``.  Roots are interned per element set and
-:func:`promote` per root and embedding, so group equality is identity, and
-an element moves between groups of one root through the embeddings
-(:func:`translate`).  :class:`Permutation` objects appear only where a group
-is parsed and where a report is written; :func:`close_generators` is the one
-place that composes them.  This module is the only one that knows the
-conjugation convention (g^-1 x g, read from ``conj[g][x]``) and how G/N and
-N_G(P)/P are formed (:class:`QuotientGroup`, :func:`normalizer_quotient`):
+reproducible and easy to audit.  A root, a group closed from generators or
+a quotient group, is its index tables (multiplication, inverse, conjugation,
+orders) over the positions of its sorted elements, set when it is built.
+Every other group is a subgroup of a root promoted to a group
+(:func:`promote`): it shares the root's tables and numbering and adds the
+sorted ``indices`` and the ``mask`` of its members.  So an element has one
+index, its index in ``G.root.elements``, in every group that contains it,
+and a subgroup is the sorted tuple and the bitmask of its members' indices.
+Roots are interned per element set and promoted groups per root and member
+set, so group equality is identity, and an element or a subgroup moves
+between groups of one root without renumbering (:meth:`Subgroup.reparent`
+only checks that it fits).  :class:`Permutation` objects appear only where a
+group is parsed and where a report is written; :func:`close_generators` is
+the one place that composes them.  This module is the only one that knows
+the conjugation convention (g^-1 x g, read from ``conj[g][x]``) and how G/N
+and N_G(P)/P are formed (:class:`QuotientGroup`, :func:`normalizer_quotient`):
 G/1 is G itself, so N_G(1)/1 is G and shares its tables and its lattice.
 The canonical element order is lexicographic on image tuples, and every
 "choose a representative" step picks the minimum in that order, so all
@@ -216,63 +219,80 @@ def _close(degree: int, gens: Sequence[Permutation],
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group on {0..degree-1}, held as its
-    index tables.
+    """A fully enumerated permutation group on {0..degree-1}, held as the
+    index tables of its root.
 
     ``table[a][b]`` is the index of ``elements[a] * elements[b]``, ``inv[a]``
     that of the inverse of ``elements[a]``, ``conj[g][x]`` that of the
     conjugate g^-1 x g, so ``conj[inv[g]]`` conjugates the other way
     (g x g^-1), and ``orders[a]`` is the order of ``elements[a]``; the
-    identity is index 0.  ``generators`` are indices, found greedily in index
-    order, and element k is element ``embedding[k]`` of ``root``.  Build
-    groups through :func:`close_generators`, the named constructors,
-    :func:`promote` and :class:`QuotientGroup`, which intern them; the
-    constructor trusts its arguments and derives the other tables from
-    ``table``.
+    identity is index 0.  ``elements`` and the tables are those of ``root``
+    (a group closed from generators or a quotient group, its own root), and
+    the group's members are the sorted root indices ``indices``, with
+    ``mask`` their bitmask: every root index reads the tables, but only a
+    member lies in the group (``x in G``).  ``generators`` are indices,
+    found greedily in index order.  Build groups through
+    :func:`close_generators`, the named constructors, :func:`promote` and
+    :class:`QuotientGroup`, which intern them; the constructor trusts its
+    arguments and derives a root's other tables from ``table``.
     """
 
     __slots__ = ("degree", "elements", "order", "table", "inv", "conj", "orders",
-                 "generators", "root", "embedding", "_index", "_position", "_hash")
+                 "generators", "root", "indices", "mask", "_index", "_hash")
 
     def __init__(self, degree: int, elements: tuple[Permutation, ...],
                  table: tuple[tuple[int, ...], ...], root: FiniteGroup | None = None,
-                 embedding: tuple[int, ...] | None = None):
-        n = len(elements)
+                 indices: tuple[int, ...] | None = None):
         self.degree = degree
         self.elements = elements
-        self.order = n
         self.table = table
-        self.inv = inv = tuple(row.index(0) for row in table)
-        self.conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(n))
-        self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
-        self.root = self if root is None else root
-        self.embedding = tuple(range(n)) if embedding is None else embedding
-        self._index = {x: i for i, x in enumerate(elements)}
-        self._position = {r: k for k, r in enumerate(self.embedding)}
-        self._hash = hash((degree, elements))
-        # last: the full subgroup hashes this group
-        self.generators = Subgroup.from_indices(self, range(n)).generators()
+        if root is None:
+            n = len(elements)
+            self.root = self
+            indices = tuple(range(n))
+            self.inv = inv = tuple(row.index(0) for row in table)
+            self.conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(n))
+            self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
+            self._index = {x: i for i, x in enumerate(elements)}
+            self._hash = hash((degree, elements))
+        else:
+            self.root = root
+            self.inv, self.conj, self.orders = root.inv, root.conj, root.orders
+            self._index = root._index
+            self._hash = hash((root, indices))
+        self.indices = indices
+        self.order = len(indices)
+        full = Subgroup.from_indices(self, indices)  # last: it hashes this group
+        self.mask = full.mask
+        self.generators = full.generators()
 
     @property
     def identity(self) -> Permutation:
         return self.elements[0]  # the identity is lexicographically minimal
 
+    def __contains__(self, x: int) -> bool:
+        return x >= 0 and self.mask >> x & 1 == 1
+
     def exponent(self) -> int:
-        return math.lcm(*self.orders)
+        return math.lcm(*map(self.orders.__getitem__, self.indices))
 
     def contains_group(self, other: FiniteGroup) -> bool:
-        """True iff ``other`` lies in this group: same root, and every element
-        of its embedding in this one's."""
-        return other.root is self.root and all(r in self._position for r in other.embedding)
+        """True iff ``other`` lies in this group: same root, and every member
+        of it a member of this one."""
+        return other.root is self.root and not other.mask & ~self.mask
+
+    def _members(self, elements: Iterable[Permutation]) -> list[int]:
+        """The sorted distinct indices of the given elements of this group;
+        raises :class:`NotSubgroup` if one is not in it."""
+        members = sorted({self._index.get(x, -1) for x in elements})
+        if not all(x in self for x in members):
+            raise NotSubgroup("elements not contained in the parent group")
+        return members
 
     def subgroup(self, elements: Iterable[Permutation]) -> Subgroup:
         """The subgroup with exactly the given elements, checked against the
         multiplication table; raises :class:`NotSubgroup` if they are not one."""
-        index = self._index
-        try:
-            members = sorted({index[x] for x in elements})
-        except KeyError:
-            raise NotSubgroup("elements not contained in the parent group") from None
+        members = self._members(elements)
         if not members:
             raise NotSubgroup("a subgroup cannot be empty")
         if members[0] != 0:
@@ -283,13 +303,13 @@ class FiniteGroup:
 
     def closure(self, elements: Iterable[Permutation]) -> Subgroup:
         """The subgroup generated by the given elements of this group."""
-        return subgroup_closure(self, [self._index[x] for x in elements])
+        return subgroup_closure(self, self._members(elements))
 
     def trivial_subgroup(self) -> Subgroup:
         return Subgroup.from_indices(self, (0,))
 
     def full_subgroup(self) -> Subgroup:
-        return Subgroup.from_indices(self, range(self.order))
+        return Subgroup.from_indices(self, self.indices)
 
     def __hash__(self) -> int:
         return self._hash
@@ -319,29 +339,15 @@ def _root(degree: int, elements: tuple[Permutation, ...],
     return FiniteGroup(degree, elements, table)
 
 
-def translate(A: FiniteGroup, B: FiniteGroup, indices: Iterable[int]) -> list[int]:
-    """The indices in B of the elements of A with the given indices, read
-    through the two embeddings; raises :class:`NotSubgroup` when A and B have
-    different roots or an element is not in B.  Index order is element order
-    in both, so sorted indices stay sorted."""
-    if A.root is not B.root:
-        raise NotSubgroup("the groups lie in different root groups")
-    embedding, position = A.embedding, B._position
-    try:
-        return [position[embedding[k]] for k in indices]
-    except KeyError:
-        raise NotSubgroup("element set does not embed in the target group") from None
-
-
 class Subgroup:
     """A subgroup of a :class:`FiniteGroup`, stored as an index set.
 
-    ``indices`` is the sorted tuple of the positions of its elements in
-    ``parent.elements`` and ``mask`` the same set as an int bitmask (bit i is
-    set iff element i belongs), the one membership form.  Index order is
-    element order under every parent, so sorting subgroups of one parent by
-    ``(order, indices)`` sorts them by their element lists, and ``reparent``
-    keeps the order of the indices.  :meth:`from_indices` is the constructor
+    ``indices`` is the sorted tuple of the root indices of its elements
+    (their positions in ``parent.elements``) and ``mask`` the same set as an
+    int bitmask (bit i is set iff element i belongs), the one membership
+    form.  Index order is element order, so sorting subgroups of one parent
+    by ``(order, indices)`` sorts them by their element lists, and
+    ``reparent`` keeps the indices.  :meth:`from_indices` is the constructor
     and trusts its input; :meth:`FiniteGroup.subgroup` is the checked edge
     from permutations.
     """
@@ -350,7 +356,7 @@ class Subgroup:
 
     @classmethod
     def from_indices(cls, parent: FiniteGroup, indices: Iterable[int]) -> Subgroup:
-        """The subgroup with the given parent indices, which must be sorted,
+        """The subgroup with the given member indices, which must be sorted,
         distinct and closed (no check is made)."""
         H = object.__new__(cls)
         H.parent = parent
@@ -377,7 +383,7 @@ class Subgroup:
         return self.mask >> x & 1 == 1
 
     def generators(self) -> tuple[int, ...]:
-        """A small generating set as parent indices, found greedily in index
+        """A small generating set as indices, found greedily in index
         order."""
         if self._generators is None:
             table = self.parent.table
@@ -399,8 +405,12 @@ class Subgroup:
 
     def reparent(self, group: FiniteGroup) -> Subgroup:
         """The same element set viewed inside another group of the same root
-        that contains it."""
-        return Subgroup.from_indices(group, translate(self.parent, group, self.indices))
+        that contains it; raises :class:`NotSubgroup` otherwise."""
+        if group.root is not self.parent.root:
+            raise NotSubgroup("the groups lie in different root groups")
+        if self.mask & ~group.mask:
+            raise NotSubgroup("element set does not embed in the target group")
+        return Subgroup.from_indices(group, self.indices)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subgroup):
@@ -421,21 +431,18 @@ class Subgroup:
 
 def promote(H: Subgroup) -> FiniteGroup:
     """View a subgroup as a finite group in its own right: the group of the
-    same root whose elements are those of H.  A full subgroup is its parent."""
+    same root whose members are those of H, sharing the root's tables.  A
+    full subgroup is its parent."""
     G = H.parent
     if H.order == G.order:
         return G
-    return _promote(G.root, tuple(map(G.embedding.__getitem__, H.indices)))
+    return _promote(G.root, H.indices)
 
 
 @lru_cache(maxsize=None)
-def _promote(root: FiniteGroup, embedding: tuple[int, ...]) -> FiniteGroup:
-    """The proper subgroup of a root with the given sorted root indices, its
-    table restricted from the root's."""
-    position = {r: k for k, r in enumerate(embedding)}
-    table = tuple(tuple([position[root.table[a][b]] for b in embedding]) for a in embedding)
-    return FiniteGroup(root.degree, tuple(root.elements[r] for r in embedding), table,
-                       root, embedding)
+def _promote(root: FiniteGroup, indices: tuple[int, ...]) -> FiniteGroup:
+    """The proper subgroup of a root with the given sorted root indices."""
+    return FiniteGroup(root.degree, root.elements, root.table, root, indices)
 
 
 def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int],
@@ -535,7 +542,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
 def p_prime_part(G: FiniteGroup, x: int, p: int) -> int:
     """The p'-part of x: the power of x of order the p'-part of |x|."""
     check_prime(p)
-    if not 0 <= x < G.order:
+    if x not in G:
         raise NotSubgroup("element not in the group")
     table = G.table
     n = G.orders[x]
@@ -554,17 +561,17 @@ def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
     mask = H.mask
     hgens = H.generators()
     return Subgroup.from_indices(
-        G, [g for g in range(G.order) if all(mask >> conj[g][h] & 1 for h in hgens)])
+        G, [g for g in G.indices if all(mask >> conj[g][h] & 1 for h in hgens)])
 
 
 @lru_cache(maxsize=None)
 def centralizer(G: FiniteGroup, x: int) -> Subgroup:
-    if not 0 <= x < G.order:
+    if x not in G:
         raise NotSubgroup("element not in the group")
     table = G.table
     row = table[x]
     return Subgroup.from_indices(
-        G, [g for g in range(G.order) if table[g][x] == row[g]])
+        G, [g for g in G.indices if table[g][x] == row[g]])
 
 
 class QuotientGroup:
@@ -573,11 +580,12 @@ class QuotientGroup:
 
     The group is an interned root whose elements are the coset-action image
     tuples and whose table is read off the coset representatives on the
-    parent's table.  The quotient map is two index tuples: ``proj[g]`` is the
-    index in ``group.elements`` of the image of parent element g, and
-    ``lifts[q]`` the parent index of the minimal representative of the coset
-    that quotient element q stands for; both are ``tuple(range(|G|))`` for
-    the trivial kernel.
+    parent's table.  The quotient keeps its own numbering, and the quotient
+    map is two index tuples: ``proj[g]`` is the index in ``group.elements``
+    of the image of the parent element with root index g (read only at the
+    parent's members), and ``lifts[q]`` the root index of the minimal
+    representative of the coset that quotient element q stands for; both are
+    ``tuple(range(|root|))`` for the trivial kernel.
     """
 
     __slots__ = ("parent", "kernel", "group", "proj", "lifts")
@@ -591,13 +599,13 @@ class QuotientGroup:
         self.kernel = kernel
         if kernel.order == 1:
             self.group = parent
-            self.proj = self.lifts = tuple(range(parent.order))
+            self.proj = self.lifts = tuple(range(len(parent.table)))
             return
 
         reps, rep_of = coset_indices(parent, kernel)
         table = parent.table
         coset_of = {r: i for i, r in enumerate(reps)}
-        coset = [coset_of[r] for r in rep_of]  # parent index -> coset number
+        coset = [coset_of.get(r, -1) for r in rep_of]  # root index -> coset, -1 outside
         # g and gk (k in the kernel) permute the cosets alike: one image tuple
         # per coset, that of its representative
         images = [tuple([coset[table[g][r]] for r in reps]) for g in reps]
@@ -605,7 +613,7 @@ class QuotientGroup:
             raise RuntimeError("two cosets of the kernel permute the cosets alike")
         order = sorted(range(len(reps)), key=images.__getitem__)  # quotient index -> coset
         at = sorted(range(len(reps)), key=order.__getitem__)  # coset -> quotient index
-        self.proj = proj = tuple(at[c] for c in coset)
+        self.proj = proj = tuple(at[c] if c >= 0 else -1 for c in coset)
         self.lifts = lifts = tuple(reps[c] for c in order)
         qtable = tuple(tuple([proj[table[a][b]] for b in lifts]) for a in lifts)
         self.group = _root(len(reps), tuple(Permutation._trusted(images[c]) for c in order),
@@ -621,9 +629,9 @@ class QuotientGroup:
         """Full preimage in the parent of a subgroup of the quotient."""
         if S.parent is not self.group:
             raise NotSubgroup("subgroup does not live in the quotient group")
-        mask = S.mask
+        mask, proj = S.mask, self.proj
         return Subgroup.from_indices(
-            self.parent, [g for g, q in enumerate(self.proj) if mask >> q & 1])
+            self.parent, [g for g in self.parent.indices if mask >> proj[g] & 1])
 
 
 @lru_cache(maxsize=None)
@@ -641,15 +649,16 @@ def normalizer_quotient(G: FiniteGroup, P: Subgroup) -> QuotientGroup:
 @lru_cache(maxsize=None)
 def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Left cosets of H in G on element indices: the minimal representative
-    of each coset, in order, and the representative of every element.
-    Built once per (G, H) and shared by every caller."""
+    of each coset, in order, and the representative of every element of G,
+    by root index (-1 outside G).  Built once per (G, H) and shared by every
+    caller."""
     if H.parent is not G:
         raise NotSubgroup("subgroup belongs to a different group")
     table = G.table
     members = H.indices
-    rep_of = [-1] * G.order
+    rep_of = [-1] * len(table)
     reps = []
-    for g in range(G.order):
+    for g in G.indices:
         if rep_of[g] < 0:
             reps.append(g)  # minimal in its coset: all smaller elements are assigned
             row = table[g]
@@ -670,9 +679,9 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:
         raise NotSubgroup("subgroup belongs to a different group")
     table = G.table
     a_members, b_members = A.indices, B.indices
-    covered = bytearray(G.order)
+    covered = bytearray(len(table))
     reps = []
-    for g in range(G.order):
+    for g in G.indices:
         if covered[g]:
             continue
         reps.append(g)
@@ -698,12 +707,13 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Element conjugacy classes as index tuples, each sorted, ordered by
     minimal member."""
     conj = G.conj
-    seen = bytearray(G.order)
+    rows = [conj[g] for g in G.indices]
+    seen = bytearray(len(conj))
     classes = []
-    for x in range(G.order):
+    for x in G.indices:
         if seen[x]:
             continue
-        cls = sorted({row[x] for row in conj})
+        cls = sorted({row[x] for row in rows})
         for y in cls:
             seen[y] = 1
         classes.append(tuple(cls))

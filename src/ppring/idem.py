@@ -21,7 +21,7 @@ prime) run into a list of named checks: :func:`identity_suite` runs the
 idempotent checks and the two suites below it, :func:`burnside_suite` the
 Burnside-ring checks and their commutation with linearization, and
 :func:`factorization_suite` the species factorizations through restriction
-(:func:`tau_via_restriction`) and the Brauer morphism (:func:`tau_via_brauer`).
+to <Ps> and through the Brauer morphism at P.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .burnside import (burnside_ind, burnside_product, burnside_res,
                        mark_element, transitive)
 from .cyclo import Cyclotomic, zeta_power
 from .grp import (FiniteGroup, Subgroup, is_p_power, normalizer_quotient,
-                  promote, quotient, sylow, translate)
+                  promote, quotient, sylow)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, brauer_elt,
                      char_pullback, default_conductor, ind_elt, inf_elt,
@@ -85,15 +85,15 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
     if r % p == 0:
         raise NotPPrime(f"group order {r} is divisible by {p}")
     table, orders = C.table, C.orders
-    if r not in orders:
+    gen = next((x for x in C.indices if orders[x] == r), None)
+    if gen is None:
         raise NotCyclic("group has no element of full order")
-    gen = orders.index(r)
-    if not 0 <= t < r:
+    if t not in C:
         raise GroupMismatch("element does not belong to the group")
     if conductor % r != 0:
         raise ValueError("group order must divide the conductor")
     step = conductor // r
-    powers = [0] * r
+    powers = {}  # element -> its exponent as a power of gen
     x = 0
     for a in range(r):
         powers[x] = a
@@ -102,7 +102,7 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
     full = C.full_subgroup()
     terms = {}
     for j in range(r):
-        chi = LinChar(full, [j * a * step for a in powers], conductor)
+        chi = LinChar(full, [j * powers[x] * step for x in full.indices], conductor)
         g = make_generator(C, full, chi)
         coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
         terms[g] = terms.get(g, Cyclotomic.zero(conductor)) + coeff
@@ -128,7 +128,7 @@ def idempotent_normal_case(H: FiniteGroup, s_lift: int, p: int,
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     Q = quotient(H, P)
     C = Q.group
-    if not 0 <= s_lift < H.order or math.gcd(H.orders[s_lift], p) != 1:
+    if s_lift not in H or math.gcd(H.orders[s_lift], p) != 1:
         raise ShapeMismatch("lift is not a p'-element of the group")
     sbar = Q.proj[s_lift]
     if C.orders[sbar] != C.order:
@@ -161,7 +161,6 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
     P = pair.P
     r = pair.s_order
     H = promote(pair.ps)
-    [t] = translate(G, H, [pair.lift])
     PH = P.reparent(H)
     lat = subgroup_lattice(H)
     denom = P.order * r * pair.centralizer_order
@@ -174,23 +173,20 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
         weight = Fraction(L.order * mu, denom)
         LG = L.reparent(G)
         for j in range(r):
-            chi = LinChar(LG, char_pullback(H, PH, t, j, L, n).table(), n)
+            chi = LinChar(LG, char_pullback(H, PH, pair.lift, j, L, n).table(), n)
             g = make_generator(G, LG, chi)
             coeff = zeta_power(n, (-j) % r * step) * weight
             terms[g] = terms.get(g, Cyclotomic.zero(n)) + coeff
     return PPElement(G, p, n, terms)
 
 
-def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair,
-                             conductor: int | None = None) -> PPElement:
+def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair) -> PPElement:
     """The same idempotent through the reduction route: induce the
     normal-case idempotent of <Ps> up to G, scaled by |s| / |centralizer|.
     """
     if pair.group != G or pair.p != p:
         raise GroupMismatch("pair does not belong to the (group, prime) computation")
-    n = default_conductor(G, p) if conductor is None else conductor
-    H = promote(pair.ps)
-    f = idempotent_normal_case(H, translate(G, H, [pair.lift])[0], p, n)
+    f = idempotent_normal_case(promote(pair.ps), pair.lift, p, default_conductor(G, p))
     return ind_elt(f, G).scale(Fraction(pair.s_order, pair.centralizer_order))
 
 
@@ -205,10 +201,9 @@ def delta_property(pair: SpeciesPair, element: PPElement) -> bool:
     return True
 
 
-def idempotent_report(G: FiniteGroup, p: int, pair: SpeciesPair,
-                      conductor: int | None = None) -> IdempotentReport:
-    element = idempotent_theorem(G, p, pair, conductor)
-    other = idempotent_via_reduction(G, p, pair, conductor)
+def idempotent_report(G: FiniteGroup, p: int, pair: SpeciesPair) -> IdempotentReport:
+    element = idempotent_theorem(G, p, pair)
+    other = idempotent_via_reduction(G, p, pair)
     return IdempotentReport(
         pair=pair,
         element=element,
@@ -230,18 +225,16 @@ def _fusion(G: FiniteGroup, p: int, H: Subgroup) -> Mapping[SpeciesPair, Species
     """The canonical G-pair that each canonical pair of promote(H) fuses to,
     as a read-only mapping: the pair is seen in G, then brought to its
     canonical G-pair."""
-    HH = promote(H)
     return MappingProxyType({
-        hp: _canonical_pair(build_pair(G, p, hp.P.reparent(G), translate(HH, G, [hp.lift])[0]))
-        for hp in enumerate_pairs(HH, p)})
+        hp: _canonical_pair(build_pair(G, p, hp.P.reparent(G), hp.lift))
+        for hp in enumerate_pairs(promote(H), p)})
 
 
-def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair,
-                       conductor: int | None = None) -> bool:
+def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair) -> bool:
     """Check that restricting the idempotent of a pair to H gives the sum of
     the H-idempotents at the H-classes of G-conjugates of the pair lying in
     H (possibly the empty sum)."""
-    n = default_conductor(G, p) if conductor is None else conductor
+    n = default_conductor(G, p)
     lhs = res_elt(idempotent_theorem(G, p, pair, n), H)
     HH = promote(H)
     rep = _canonical_pair(pair)
@@ -252,11 +245,10 @@ def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair,
     return equal_elements(lhs, rhs)
 
 
-def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair,
-                     conductor: int | None = None) -> bool:
+def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair) -> bool:
     """Check that inducing the H-idempotent of a pair up to G gives the
     G-idempotent scaled by the stabilizer index |N_G(Q,t) : N_H(Q,t)|."""
-    n = default_conductor(G, p) if conductor is None else conductor
+    n = default_conductor(G, p)
     HH = promote(H)
     if hpair.group != HH:
         raise GroupMismatch("pair does not live over the subgroup")
@@ -268,17 +260,16 @@ def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair,
     return equal_elements(lhs, rhs)
 
 
-def verify_E_decomposition(H: FiniteGroup, p: int,
-                           conductor: int | None = None) -> bool:
+def verify_E_decomposition(H: FiniteGroup, p: int) -> bool:
     """For a group with normal Sylow p-subgroup P and cyclic quotient, check
     that the linearized top Burnside idempotent has species vector equal to
     the indicator of the pairs (P, t) with t generating the quotient."""
-    n = default_conductor(H, p) if conductor is None else conductor
+    n = default_conductor(H, p)
     P = sylow(H, p)
     if not P.is_normal():
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     C = quotient(H, P).group
-    if C.order not in C.orders:
+    if all(C.orders[x] != C.order for x in C.indices):
         raise ShapeMismatch("quotient is not cyclic")
     E = top_E(H, p, n)
     vec = species_vector(E)
@@ -289,11 +280,10 @@ def verify_E_decomposition(H: FiniteGroup, p: int,
     return True
 
 
-def partition_of_unity(G: FiniteGroup, p: int,
-                       conductor: int | None = None) -> bool:
+def partition_of_unity(G: FiniteGroup, p: int) -> bool:
     """The idempotents over all pairs sum to the class of the trivial module
     (all-ones species vector)."""
-    n = default_conductor(G, p) if conductor is None else conductor
+    n = default_conductor(G, p)
     total = PPElement.zero(G, p, n)
     for pair in enumerate_pairs(G, p):
         total = total + idempotent_theorem(G, p, pair, n)
@@ -310,7 +300,6 @@ def _check(name: str, ok: bool) -> dict:
 
 def identity_suite(G: FiniteGroup, p: int) -> list[dict]:
     """Every identity the library verifies, for one (group, prime) run."""
-    n = default_conductor(G, p)
     lat = subgroup_lattice(G)
     pairs = enumerate_pairs(G, p)
     checks: list[dict] = []
@@ -323,10 +312,10 @@ def identity_suite(G: FiniteGroup, p: int) -> list[dict]:
     for H in lat.class_reps():
         for q in pairs:
             checks.append(_check(f"restriction law |H|={H.order} {q.label()}",
-                                 verify_restriction(G, p, H, q, n)))
+                                 verify_restriction(G, p, H, q)))
         for hq in enumerate_pairs(promote(H), p):
             checks.append(_check(f"induction law |H|={H.order} {hq.label()}",
-                                 verify_induction(G, p, H, hq, n)))
+                                 verify_induction(G, p, H, hq)))
 
     checks.extend(burnside_suite(G, p))
     checks.extend(factorization_suite(G, p))
@@ -415,20 +404,9 @@ def _route_pairs(pair: SpeciesPair) -> tuple[SpeciesPair, Subgroup, SpeciesPair]
     """Where the two routes evaluate: the pair seen in H = promote(<Ps>),
     P inside H, and the pair (1, s) of the quotient H/P."""
     H = promote(pair.ps)
-    [lift] = translate(pair.group, H, [pair.lift])
     PH = pair.P.reparent(H)
     Q = quotient(H, PH)
     base = Q.group
-    return (build_pair(H, pair.p, PH, lift), PH,
-            build_pair(base, pair.p, base.trivial_subgroup(), Q.proj[lift]))
+    return (build_pair(H, pair.p, PH, pair.lift), PH,
+            build_pair(base, pair.p, base.trivial_subgroup(), Q.proj[pair.lift]))
 
-
-def tau_via_restriction(pair: SpeciesPair, gen) -> Cyclotomic:
-    """tau computed after restriction to the subgroup generated by the pair."""
-    return tau_element(_route_pairs(pair)[0], _res_to_ps(pair, gen))
-
-
-def tau_via_brauer(pair: SpeciesPair, gen) -> Cyclotomic:
-    """tau computed through the Brauer morphism at P and the quotient species."""
-    _, PH, pair0 = _route_pairs(pair)
-    return tau_element(pair0, brauer_elt(_res_to_ps(pair, gen), PH))

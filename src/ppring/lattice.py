@@ -138,17 +138,18 @@ def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
     conjugate of K_(i+1)^g; so the class of K_(i+1) is entered, and by
     induction that of K.
     """
-    table, conj = group.table, group.conj
+    table = group.table
+    conj = [group.conj[g] for g in group.indices]  # the conjugation rows of the group
     # the cyclic subgroups, each with its position and its minimal generator,
     # and the position of <x> for every element x
     cyclics: dict[frozenset, int] = {}
     firsts: list[int] = []
-    cyclic_of: list[int] = []
-    for i in range(group.order):
+    cyclic_of = [-1] * len(table)
+    for i in group.indices:
         k = cyclics.setdefault(close_indices(table, (i,)), len(firsts))
         if k == len(firsts):
             firsts.append(i)
-        cyclic_of.append(k)
+        cyclic_of[i] = k
     known: set[frozenset] = set()
     classes: list[set[frozenset]] = []
     reps: list[tuple[frozenset, tuple[int, ...]]] = []

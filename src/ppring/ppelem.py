@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Union
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, Subgroup,
                   conjugate_meet, double_coset_reps, is_p_power, normalizer,
-                  normalizer_quotient, promote, quotient, translate)
+                  normalizer_quotient, promote, quotient)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -230,7 +230,8 @@ def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -
     members = subgroup.indices
     exps = character.table()
     best_sub = best_exps = None
-    for row in conj:
+    for g in group.indices:
+        row = conj[g]
         moved = [row[x] for x in members]
         sub = sorted(moved)
         if best_sub is not None and sub > best_sub:
@@ -421,7 +422,7 @@ def _res_gen(gen: Generator, H: Subgroup) -> tuple[tuple[Generator, int], ...]:
         # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
         meet = conjugate_meet(G, H, L, g)
         row = conj[g]
-        inter = Subgroup.from_indices(HH, translate(G, HH, meet))
+        inter = Subgroup.from_indices(HH, meet)
         new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
         counts[new] = counts.get(new, 0) + 1
     return tuple(counts.items())

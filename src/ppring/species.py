@@ -36,10 +36,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce, zeta_power
+from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce
 from .grp import (FiniteGroup, Subgroup, centralizer, conjugacy_classes,
                   coset_indices, is_p_power, normalizer,
-                  normalizer_quotient, p_prime_part, subgroup_closure, translate)
+                  normalizer_quotient, p_prime_part, subgroup_closure)
 from .lattice import subgroup_lattice
 from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
                      make_generator)
@@ -107,7 +107,7 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: int) -> SpeciesPair:
         raise ValueError("lift does not normalize the subgroup")
     ps = subgroup_closure(G, P.generators() + (lift,))
     Q = normalizer_quotient(G, P)  # Q.parent is promote(N)
-    sbar = Q.proj[translate(G, Q.parent, [lift])[0]]
+    sbar = Q.proj[lift]
     s_order = Q.group.orders[sbar]
     if orders[lift] != s_order:
         raise RuntimeError("a p'-lift must have exactly the order of its image")
@@ -142,7 +142,7 @@ def enumerate_pairs(G: FiniteGroup, p: int) -> tuple[SpeciesPair, ...]:
             if math.gcd(orders[s], p) != 1:
                 continue
             lift = p_prime_part(Q.parent, Q.lifts[s], p)
-            pairs.append(build_pair(G, p, P, translate(Q.parent, G, [lift])[0]))
+            pairs.append(build_pair(G, p, P, lift))
     return tuple(sorted(pairs, key=SpeciesPair.sort_key))
 
 
@@ -157,7 +157,7 @@ def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
     members = a.P.indices
     t = a.lift
     b_inv = inv[b.lift]
-    for g in range(a.group.order):
+    for g in a.group.indices:
         row = conj[g]
         if any(not target >> row[x] & 1 for x in members):
             continue
@@ -198,13 +198,10 @@ def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...
 
 @lru_cache(maxsize=None)
 def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
-    """Species value of a monomial generator at a pair, by the fixed-line sum."""
-    n = gen.character.conductor
-    _check_pair(pair, gen.group, n)
-    total = Cyclotomic.zero(n)
-    for e, c in _tau_counts(pair, gen):
-        total = total + zeta_power(n, e) * c
-    return total
+    """Species value of a monomial generator at a pair, by the fixed-line
+    sum: the one-term case of :func:`tau_element`."""
+    _check_pair(pair, gen.group, gen.character.conductor)
+    return tau_element(pair, PPElement.from_generator(pair.p, gen))
 
 
 def tau_element(pair: SpeciesPair, x: PPElement) -> Cyclotomic:

@@ -13,7 +13,7 @@ from ppring.cyclo import Cyclotomic
 from ppring.grp import (Permutation, Subgroup, alternating, coset_indices,
                         cyclic, dihedral, direct_product, normalizer,
                         normalizer_quotient, promote, quotient, symmetric,
-                        sylow, translate)
+                        sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (LinChar, default_conductor, ind_elt, make_generator,
                            res_elt)
@@ -251,7 +251,7 @@ def ref_product(G, a, b):
 def ref_res(G, a, H):
     HH = promote(H)
     return ref_collect(HH, [
-        (Subgroup.from_indices(HH, translate(G, HH, stab)), c) for L, c in a.items()
+        (Subgroup.from_indices(HH, stab), c) for L, c in a.items()
         for stab in burnside._orbit_stabilizers(H, G, L, coset_indices(G, L)[0])])
 
 
@@ -262,7 +262,7 @@ def ref_ind(a, G):
 def ref_fixed_points(G, a, P):
     N, Q = normalizer(G, P), normalizer_quotient(G, P)
     return ref_collect(Q.group, [
-        (Q.project_subgroup(Subgroup.from_indices(Q.parent, translate(G, Q.parent, stab))), c)
+        (Q.project_subgroup(Subgroup.from_indices(Q.parent, stab)), c)
         for L, c in a.items()
         for stab in burnside._orbit_stabilizers(N, G, L, burnside._fixed_cosets(G, L, P))])
 

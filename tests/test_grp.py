@@ -198,7 +198,7 @@ class TestSubgroup:
         G = symmetric(3)
         H = sylow(G, 3)
         P = promote(H)
-        assert P.elements == H.elements
+        assert P.full_subgroup().elements == H.elements
         assert P.order == 3
 
 
@@ -624,8 +624,8 @@ def assert_promoted_and_quotient_tables_compose(G):
     assert_tables_compose(G)
     for H in subgroup_lattice(G).subgroups:
         HH = promote(H)
-        assert HH.root is G and HH.elements == H.elements
-        assert_tables_compose(HH)
+        assert HH.root is G and HH.full_subgroup().elements == H.elements
+        assert HH.table is G.table
         if H.is_normal():
             assert_tables_compose(quotient(G, H).group)
 
@@ -645,6 +645,61 @@ def test_generated_promoted_and_quotient_tables_match_composition(G):
     if G.order > 48:
         reject()
     assert_promoted_and_quotient_tables_compose(G)
+
+
+# ---------------------------------------------------------------------------
+# one numbering per root
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric(4),
+    lambda: direct_product(dihedral(8), cyclic(2)),
+    lambda: alternating(5),
+], ids=["S4", "D8xC2", "A5"])
+def test_promoted_groups_number_elements_as_their_root(build):
+    G = build()
+    for H in subgroup_lattice(G).subgroups:
+        HH = promote(H)
+        assert HH.table is G.table and HH.conj is G.conj and HH.orders is G.orders
+        assert HH.indices == H.indices and HH.mask == H.mask
+        assert HH.full_subgroup().elements == H.elements
+        assert HH.exponent() == math.lcm(*(x.order() for x in H.elements))
+        assert all(x in HH for x in H.indices)
+        assert not any(x in HH for x in G.indices if x not in H)
+
+
+class TestPromotedGroupMembers:
+    """A promoted group reads every root index off the root's tables, so it
+    refuses, by membership, a root element it does not contain."""
+
+    def setup_method(self):
+        G = symmetric(4)
+        self.G, self.H = G, promote(sylow(G, 3))
+        self.outside = Permutation.from_cycles(4, [(0, 1)])
+
+    def test_subgroup_refuses_a_root_element_outside(self):
+        H, x = self.H, self.outside
+        with pytest.raises(NotSubgroup, match="not contained"):
+            H.subgroup([H.identity, x])
+        assert H.subgroup(H.full_subgroup().elements) == H.full_subgroup()
+
+    def test_closure_refuses_a_root_element_outside(self):
+        H, x = self.H, self.outside
+        with pytest.raises(NotSubgroup, match="not contained"):
+            H.closure([x])
+        with pytest.raises(NotSubgroup, match="not contained"):
+            H.closure([Permutation.from_cycles(5, [(0, 4)])])  # not in the root
+        assert H.closure(H.elements[g] for g in H.generators) == H.full_subgroup()
+
+    def test_element_checks_refuse_a_root_index_outside(self):
+        G, H = self.G, self.H
+        x = G.elements.index(self.outside)
+        assert x in G and x not in H and -1 not in H
+        for bad in (x, -1):
+            with pytest.raises(NotSubgroup):
+                p_prime_part(H, bad, 2)
+            with pytest.raises(NotSubgroup):
+                centralizer(H, bad)
 
 
 class TestIdentity:

@@ -232,7 +232,7 @@ class TestInductionLaw:
         p = 3
         H = sylow(G, 3)
         hpair = next(q for q in enumerate_pairs(promote(H), p) if q.P.order == 3)
-        as_g = build_pair(G, p, hpair.P.reparent(G), H.indices[hpair.lift])
+        as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
         assert as_g.stabilizer.order == 6
         assert len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements)) == 3
         assert verify_induction(G, p, H, hpair)
@@ -242,7 +242,7 @@ class TestInductionLaw:
         p = 3
         H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         hpair = next(q for q in enumerate_pairs(promote(H), p) if q.s_order == 2)
-        as_g = build_pair(G, p, hpair.P.reparent(G), H.indices[hpair.lift])
+        as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
         assert Fraction(as_g.stabilizer.order,
                         len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements))) == 1
         assert verify_induction(G, p, H, hpair)
@@ -262,7 +262,7 @@ def non_canonical_conjugates(G, p):
     pairs = enumerate_pairs(G, p)
     out = []
     for q in pairs:
-        moved = (conjugate_pair(q, g) for g in range(G.order))
+        moved = (conjugate_pair(q, g) for g in G.indices)
         other = next((r for r in moved if r not in pairs), None)
         if other is not None:
             out.append(other)
@@ -304,6 +304,15 @@ class TestEDecomposition:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ShapeMismatch):
             verify_E_decomposition(symmetric(3), 2)
+
+    def test_rejects_a_promoted_group_whose_root_is_cyclic_enough(self):
+        """V4 in S4 at p = 3 has trivial Sylow subgroup, so its quotient is
+        promote(V4) itself, which is not cyclic although S4 has an element
+        of order 4."""
+        G = symmetric(4)
+        V = next(H for H in subgroup_lattice(G).subgroups if H.order == 4 and H.is_normal())
+        with pytest.raises(ShapeMismatch):
+            verify_E_decomposition(promote(V), 3)
 
 
 class TestReport:

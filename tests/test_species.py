@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from ppring import species
 from ppring.cyclo import ConductorMismatch, Cyclotomic, zeta_power
 from ppring.grp import (Permutation, alternating, cyclic, dihedral,
-                        p_prime_part, symmetric, sylow)
+                        p_prime_part, promote, symmetric, sylow)
 from ppring.idem import idempotent_theorem
+from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                            linear_characters, make_generator, tensor_elt)
 from ppring.species import (_tau_counts, build_pair, enumerate_pairs,
@@ -73,6 +74,18 @@ class TestPairsConjugate:
         G = cyclic(2)
         pairs = enumerate_pairs(G, 2)
         assert not pairs_conjugate(pairs[0], pairs[1])
+
+    def test_only_the_group_s_own_elements_conjugate(self):
+        """Over promote(V4) in S4 the tables are those of S4, but two
+        involutions of the abelian V4 are conjugate only in S4."""
+        G = symmetric(4)
+        V = next(H for H in subgroup_lattice(G).subgroups if H.order == 4 and H.is_normal())
+        VV = promote(V)
+        a, b = V.indices[1:3]
+        assert pairs_conjugate(build_pair(G, 3, G.trivial_subgroup(), a),
+                               build_pair(G, 3, G.trivial_subgroup(), b))
+        assert not pairs_conjugate(build_pair(VV, 3, VV.trivial_subgroup(), a),
+                                   build_pair(VV, 3, VV.trivial_subgroup(), b))
 
 
 class TestTauGenerator:
@@ -324,6 +337,23 @@ def test_formally_equal_elements_skip_the_species(monkeypatch):
     assert equal_elements(PPElement.zero(G, p, n), x - y)
     with pytest.raises(RuntimeError, match="species evaluated"):
         equal_elements(x, x + rel)
+
+
+@pytest.mark.parametrize("build,p", [(lambda: symmetric(4), 2), (lambda: symmetric(4), 3),
+                                     (lambda: alternating(5), 2)],
+                         ids=["S4-p2", "S4-p3", "A5-p2"])
+def test_pairs_over_promoted_ps_keep_their_lift_index(build, p):
+    """An element has one index in G and in H = promote(<Ps>): the pair
+    (P, s) built over H keeps the lift index it has in G, and the pairs
+    enumerated over H name their lifts by the same indices."""
+    G = build()
+    for q in enumerate_pairs(G, p):
+        H = promote(q.ps)
+        sub = build_pair(H, p, q.P.reparent(H), q.lift)
+        assert sub.lift == q.lift and sub.label() == q.label()
+        assert (sub.s_order, sub.ps.indices) == (q.s_order, q.ps.indices)
+        for hq in enumerate_pairs(H, p):
+            assert hq.lift in H and H.elements[hq.lift] is G.elements[hq.lift]
 
 
 class TestStandardGenerators:
