@@ -212,7 +212,7 @@ def cmd_idempotents(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
         reports.append({
             "pair": _pair_json(q),
             "element": rep.element.to_json(),
-            "species": species.species_vector(rep.element).to_json(),
+            "species": rep.species.to_json(),
             "delta_ok": rep.delta_ok,
             "routes_agree": rep.routes_agree,
         })

@@ -16,10 +16,11 @@ set, so group equality is identity, and an element or a subgroup moves
 between groups of one root without renumbering (:meth:`Subgroup.reparent`
 only checks that it fits).  :class:`Permutation` objects appear only where a
 group is parsed and where a report is written; :func:`close_generators` is
-the one place that composes them.  This module is the only one that knows
-the conjugation convention (g^-1 x g, read from ``conj[g][x]``) and how G/N
-and N_G(P)/P are formed (:class:`QuotientGroup`, :func:`normalizer_quotient`):
-G/1 is G itself, so N_G(1)/1 is G and shares its tables and its lattice.
+the one place that composes them.  This module builds the tables and
+defines the conjugation convention, g^-1 x g read from ``conj[g][x]``, which
+other modules read from the tables directly; it also forms G/N and N_G(P)/P
+(:class:`QuotientGroup`, :func:`normalizer_quotient`): G/1 is G itself, so
+N_G(1)/1 is G and shares its tables and its lattice.
 The canonical element order is lexicographic on image tuples, and every
 "choose a representative" step picks the minimum in that order, so all
 outputs are deterministic; index order is element order in every group.

@@ -35,16 +35,16 @@ from typing import Mapping
 from .burnside import (burnside_ind, burnside_product, burnside_res,
                        fixed_point_functor, gluck_yoshida, linearize,
                        mark_element, transitive)
-from .cyclo import Cyclotomic, zeta_power
+from .cyclo import zeta_power
 from .grp import (FiniteGroup, Subgroup, is_p_power, normalizer_quotient,
                   promote, quotient, sylow)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, brauer_elt,
-                     char_pullback, default_conductor, ind_elt, inf_elt,
-                     make_generator, res_elt, tensor_elt)
-from .species import (SpeciesPair, build_pair, enumerate_pairs, equal_elements,
-                      pairs_conjugate, species_vector, standard_generators,
-                      tau_element, tau_generator)
+                     char_pullback, collect, default_conductor, ind_elt,
+                     inf_elt, make_generator, res_elt, tensor_elt)
+from .species import (SpeciesPair, SpeciesVector, build_pair, enumerate_pairs,
+                      equal_elements, pairs_conjugate, species_vector,
+                      standard_generators, tau_element, tau_generator)
 
 
 class NotCyclic(Exception):
@@ -60,14 +60,16 @@ class ShapeMismatch(Exception):
 
 
 class IdempotentReport:
-    """Outcome of assembling and checking one primitive idempotent."""
+    """Outcome of assembling and checking one primitive idempotent, with
+    the species vector that the delta check read."""
 
-    __slots__ = ("pair", "element", "delta_ok", "routes_agree")
+    __slots__ = ("pair", "element", "species", "delta_ok", "routes_agree")
 
-    def __init__(self, pair: SpeciesPair, element: PPElement, delta_ok: bool,
-                 routes_agree: bool):
+    def __init__(self, pair: SpeciesPair, element: PPElement,
+                 species: SpeciesVector, delta_ok: bool, routes_agree: bool):
         self.pair = pair
         self.element = element
+        self.species = species
         self.delta_ok = delta_ok
         self.routes_agree = routes_agree
 
@@ -90,8 +92,8 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
         raise NotCyclic("group has no element of full order")
     if t not in C:
         raise GroupMismatch("element does not belong to the group")
-    if conductor % r != 0:
-        raise ValueError("group order must divide the conductor")
+    if conductor % r != 0 or conductor % p == 0:
+        raise ValueError("conductor must be a multiple of the group order prime to p")
     step = conductor // r
     powers = {}  # element -> its exponent as a power of gen
     x = 0
@@ -100,13 +102,12 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
         x = table[x][gen]
     b = powers[t]
     full = C.full_subgroup()
-    terms = {}
+    parts = []
     for j in range(r):
         chi = LinChar(full, [j * powers[x] * step for x in full.indices], conductor)
-        g = make_generator(C, full, chi)
         coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
-        terms[g] = terms.get(g, Cyclotomic.zero(conductor)) + coeff
-    return PPElement(C, p, conductor, terms)
+        parts.append((make_generator(C, full, chi), coeff, 1))
+    return collect(C, p, conductor, parts)
 
 
 def top_E(G: FiniteGroup, p: int, conductor: int | None = None) -> PPElement:
@@ -153,6 +154,8 @@ def idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair,
     if pair.group != G or pair.p != p:
         raise GroupMismatch("pair does not belong to the (group, prime) computation")
     n = default_conductor(G, p) if conductor is None else conductor
+    if n % p == 0:
+        raise ValueError("conductor must be prime to p")
     return _idempotent_theorem(G, p, pair, n)
 
 
@@ -165,7 +168,7 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
     lat = subgroup_lattice(H)
     denom = P.order * r * pair.centralizer_order
     step = n // r
-    terms: dict = {}
+    parts = []
     for L, mu in zip(lat.subgroups, lat.mu_top):
         # PL = <Ps>: P is normal in <Ps>, so |PL| = |P| |L| / |P cap L|
         if not mu or P.order * L.order != H.order * (PH.mask & L.mask).bit_count():
@@ -174,10 +177,9 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
         LG = L.reparent(G)
         for j in range(r):
             chi = LinChar(LG, char_pullback(H, PH, pair.lift, j, L, n).table(), n)
-            g = make_generator(G, LG, chi)
             coeff = zeta_power(n, (-j) % r * step) * weight
-            terms[g] = terms.get(g, Cyclotomic.zero(n)) + coeff
-    return PPElement(G, p, n, terms)
+            parts.append((make_generator(G, LG, chi), coeff, 1))
+    return collect(G, p, n, parts)
 
 
 def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair) -> PPElement:
@@ -193,30 +195,35 @@ def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair) -> PPEle
 def delta_property(pair: SpeciesPair, element: PPElement) -> bool:
     """True iff the species vector of the element is the orbit indicator of
     the pair: 1 at pairs conjugate to it, 0 elsewhere."""
-    vec = species_vector(element)
-    for q, v in vec:
-        expected = 1 if (q == pair or pairs_conjugate(q, pair)) else 0
-        if v != Cyclotomic.from_rational(element.conductor, expected):
-            return False
-    return True
+    if pair.group != element.group or pair.p != element.p:
+        raise GroupMismatch("pair and element live over different groups")
+    return _is_orbit_indicator(pair, species_vector(element))
+
+
+def _is_orbit_indicator(pair: SpeciesPair, vec: SpeciesVector) -> bool:
+    rep = _canonical_pair(pair)
+    return all(v == (1 if q is rep else 0) for q, v in vec)
 
 
 def idempotent_report(G: FiniteGroup, p: int, pair: SpeciesPair) -> IdempotentReport:
     element = idempotent_theorem(G, p, pair)
     other = idempotent_via_reduction(G, p, pair)
+    vec = species_vector(element)
     return IdempotentReport(
         pair=pair,
         element=element,
-        delta_ok=delta_property(pair, element),
+        species=vec,
+        delta_ok=_is_orbit_indicator(pair, vec),
         routes_agree=equal_elements(element, other),
     )
 
 
 def _canonical_pair(pair: SpeciesPair) -> SpeciesPair:
-    """The canonical pair of :func:`enumerate_pairs` conjugate to a pair."""
+    """The canonical pair of :func:`enumerate_pairs` conjugate to a pair:
+    the pair itself when it is canonical."""
     pairs = enumerate_pairs(pair.group, pair.p)
     if pair in pairs:
-        return pairs[pairs.index(pair)]
+        return pair
     return next(q for q in pairs if pairs_conjugate(q, pair))
 
 
@@ -238,10 +245,9 @@ def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair) -
     lhs = res_elt(idempotent_theorem(G, p, pair, n), H)
     HH = promote(H)
     rep = _canonical_pair(pair)
-    rhs = PPElement.zero(HH, p, n)
-    for hp, fused in _fusion(G, p, H).items():
-        if fused is rep:
-            rhs = rhs + idempotent_theorem(HH, p, hp, n)
+    rhs = collect(HH, p, n, [
+        (gen, coeff, 1) for hp, fused in _fusion(G, p, H).items() if fused is rep
+        for gen, coeff in idempotent_theorem(HH, p, hp, n).terms.items()])
     return equal_elements(lhs, rhs)
 
 
@@ -271,22 +277,17 @@ def verify_E_decomposition(H: FiniteGroup, p: int) -> bool:
     C = quotient(H, P).group
     if all(C.orders[x] != C.order for x in C.indices):
         raise ShapeMismatch("quotient is not cyclic")
-    E = top_E(H, p, n)
-    vec = species_vector(E)
-    for q, v in vec:
-        expected = 1 if q.ps.order == H.order else 0
-        if v != Cyclotomic.from_rational(n, expected):
-            return False
-    return True
+    return all(v == (1 if q.ps.order == H.order else 0)
+               for q, v in species_vector(top_E(H, p, n)))
 
 
 def partition_of_unity(G: FiniteGroup, p: int) -> bool:
     """The idempotents over all pairs sum to the class of the trivial module
     (all-ones species vector)."""
     n = default_conductor(G, p)
-    total = PPElement.zero(G, p, n)
-    for pair in enumerate_pairs(G, p):
-        total = total + idempotent_theorem(G, p, pair, n)
+    total = collect(G, p, n, [
+        (gen, coeff, 1) for pair in enumerate_pairs(G, p)
+        for gen, coeff in idempotent_theorem(G, p, pair, n).terms.items()])
     return equal_elements(total, PPElement.one(G, p, n))
 
 

@@ -4,8 +4,11 @@ An element is a formal cyclotomic-linear combination of monomial generators:
 classes of modules induced from one-dimensional characters of subgroups,
 ``Ind_L^G k_{L,chi}`` with chi a linear character of p'-order.  The spanning
 set is closed under restriction, induction, inflation, tensor product and
-the Brauer morphism, which are all implemented here by explicit double-coset
-(Mackey) expansions.
+the Brauer morphism.  Restriction is the one double-coset (Mackey)
+expansion, memoized per (generator, subgroup) in :func:`_res_gen`; the
+tensor product reads it through the projection formula, the Brauer morphism
+restricts to N_G(P) first, and induction and inflation move each generator
+on its own.
 
 Generators are kept in canonical form: the pair (subgroup, character) is
 normalized to its minimal conjugate, so collecting terms is a dictionary
@@ -13,10 +16,11 @@ merge.  Equal terms imply equal elements but not conversely (the generators
 only span); :func:`ppring.species.equal_elements` decides equality,
 coefficients first, then by the species of the difference.
 
-Sums and the expansions accumulate late, as :func:`ppring.species.tau_element`
-does: the integer numerators of each output coefficient are summed over the
-least common denominator of the inputs, and each :class:`Cyclotomic` is
-built once, in lowest terms, rather than once per Mackey term.
+Sums and the expansions accumulate late in :func:`collect`, as
+:func:`ppring.species.tau_element` does: the integer numerators of each
+output coefficient are summed over the least common denominator of the
+inputs, and each :class:`Cyclotomic` is built once, in lowest terms, rather
+than once per Mackey term.
 """
 
 from __future__ import annotations
@@ -106,15 +110,6 @@ class LinChar:
             raise NotSubgroup("restriction target is not contained in the domain")
         exp_of = dict(zip(self.domain.indices, self._table))
         return LinChar(sub, [exp_of[x] for x in sub.indices], self.conductor)
-
-    def conj(self, g: int) -> LinChar:
-        """The character on domain^g sending x to chi(g x g^-1), for the
-        parent element with index g."""
-        G = self.domain.parent
-        row = G.conj[g]
-        moved = sorted(zip([row[x] for x in self.domain.indices], self._table))
-        return LinChar(Subgroup.from_indices(G, [x for x, _ in moved]),
-                       [e for _, e in moved], self.conductor)
 
     def __mul__(self, other: LinChar) -> LinChar:
         if other.domain != self.domain:
@@ -311,7 +306,7 @@ class PPElement:
         self._compatible(other)
         parts = [(gen, coeff, 1) for gen, coeff in self.terms.items()]
         parts += [(gen, coeff, sign) for gen, coeff in other.terms.items()]
-        return _collect(self.group, self.p, self.conductor, parts)
+        return collect(self.group, self.p, self.conductor, parts)
 
     def scale(self, c: Scalar) -> PPElement:
         c = _as_cyclo(c, self.conductor)
@@ -343,8 +338,8 @@ class PPElement:
         return out
 
 
-def _collect(group: FiniteGroup, p: int, n: int,
-             parts: list[tuple[Generator, Cyclotomic, int]]) -> PPElement:
+def collect(group: FiniteGroup, p: int, n: int,
+            parts: list[tuple[Generator, Cyclotomic, int]]) -> PPElement:
     """The element sum of m * coeff * gen over the (gen, coeff, m) parts.
 
     The numerators of each generator's coefficient are accumulated over the
@@ -432,9 +427,9 @@ def res_elt(x: PPElement, H: Subgroup) -> PPElement:
     """Restriction to H, linear over the Mackey expansion of each generator."""
     if H.parent != x.group:
         raise GroupMismatch("subgroup does not live in the element's group")
-    return _collect(promote(H), x.p, x.conductor,
-                    [(new, coeff, m) for gen, coeff in x.terms.items()
-                     for new, m in _res_gen(gen, H)])
+    return collect(promote(H), x.p, x.conductor,
+                   [(new, coeff, m) for gen, coeff in x.terms.items()
+                    for new, m in _res_gen(gen, H)])
 
 
 def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
@@ -446,7 +441,7 @@ def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
         sub = gen.subgroup.reparent(G)
         parts.append((make_generator(G, sub, LinChar(sub, gen.character.table(), x.conductor)),
                       coeff, 1))
-    return _collect(G, x.p, x.conductor, parts)
+    return collect(G, x.p, x.conductor, parts)
 
 
 def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
@@ -460,25 +455,26 @@ def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
         exp_of = dict(zip(gen.subgroup.indices, gen.character.table()))
         chi = LinChar(pre, [exp_of[Q.proj[g]] for g in pre.indices], x.conductor)
         parts.append((make_generator(G, pre, chi), coeff, 1))
-    return _collect(G, x.p, x.conductor, parts)
+    return collect(G, x.p, x.conductor, parts)
 
 
 def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
-    """Tensor product, bilinear over the Mackey expansion of a generator pair."""
+    """Tensor product, bilinear over generator pairs, by the projection
+    formula Ind_A alpha (x) Y = Ind_A(alpha . Res_A Y): each term Ind_K beta
+    of the restriction of Y to A gives Ind_K^G(alpha|_K . beta)."""
     x._compatible(y)
     G = x.group
-    inv = G.inv
+    n = x.conductor
     parts = []
     for genx, cx in x.terms.items():
         A, alpha = genx.subgroup, genx.character
         for geny, cy in y.terms.items():
-            B, beta = geny.subgroup, geny.character
             c = cx * cy
-            for g in double_coset_reps(G, A, B):
-                inter = Subgroup.from_indices(G, conjugate_meet(G, A, B, g))
-                chi = alpha.restrict(inter) * beta.conj(inv[g]).restrict(inter)
-                parts.append((make_generator(G, inter, chi), c, 1))
-    return _collect(G, x.p, x.conductor, parts)
+            for h, m in _res_gen(geny, A):
+                K = h.subgroup.reparent(G)
+                chi = alpha.restrict(K) * LinChar(K, h.character.table(), n)
+                parts.append((make_generator(G, K, chi), c, m))
+    return collect(G, x.p, n, parts)
 
 
 def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
@@ -508,4 +504,4 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
         exp_of = {Q.proj[l]: e for l, e in zip(L.indices, gen.character.table())}
         chi = LinChar(Lbar, [exp_of[q] for q in Lbar.indices], n)
         parts.append((make_generator(Q.group, Lbar, chi), coeff, 1))
-    return _collect(Q.group, x.p, n, parts)
+    return collect(Q.group, x.p, n, parts)

@@ -16,12 +16,14 @@ summing to zero.  The finite-field oracle in :mod:`ppring.ffq` checks this
 formula by literal linear algebra.
 
 The fixed-line sum of a generator is kept as (exponent, count) terms, one
-per root of unity it meets.  The value of an element is accumulated late
-(after Breuer, AAECC 1997): each term of the element adds its numerators
-times the count, rotated by the exponent, into one integer vector in
-Z[x]/(x^n - 1) over the common denominator of its coefficients.  Since
-Phi_n divides x^n - 1, one reduction modulo Phi_n at the end gives the
-same canonical value as reducing after every term.
+per root of unity it meets: :func:`_tau_counts`, the one memo of species
+values, which both :func:`tau_generator` and :func:`tau_element` read.  The
+value of an element is accumulated late (after Breuer, AAECC 1997): each
+term of the element adds its numerators times the count, rotated by the
+exponent, into one integer vector in Z[x]/(x^n - 1) over the common
+denominator of its coefficients.  Since Phi_n divides x^n - 1, one
+reduction modulo Phi_n at the end gives the same canonical value as
+reducing after every term.
 
 The species vectors separate elements, which is what makes
 :func:`equal_elements` a sound equality oracle for the spanning-set
@@ -46,7 +48,7 @@ from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
 
 
 class SpeciesPair:
-    """A canonical pair (P, s), with s stored as a p'-order lift in N_G(P).
+    """A pair (P, s), with s stored as a p'-order lift in N_G(P).
 
     ``lift`` is the index of that lift in ``group.elements``; it determines
     s (its image in N_G(P)/P) and makes every species value a concrete sum
@@ -54,10 +56,11 @@ class SpeciesPair:
     Derived data is precomputed: the subgroup generated by P and the lift,
     the order of s, the pair stabilizer and the centralizer order of s in
     N_G(P)/P.  These satisfy |stabilizer| = |P| * |centralizer|.
+    Build pairs with :func:`build_pair`: equality is identity.
     """
 
     __slots__ = ("group", "p", "P", "lift", "ps", "s_order", "stabilizer",
-                 "centralizer_order", "_hash")
+                 "centralizer_order")
 
     def __init__(self, group: FiniteGroup, p: int, P: Subgroup, lift: int,
                  ps: Subgroup, s_order: int, stabilizer: Subgroup,
@@ -70,22 +73,12 @@ class SpeciesPair:
         self.s_order = s_order
         self.stabilizer = stabilizer
         self.centralizer_order = centralizer_order
-        self._hash = hash((group, p, P, lift))
 
     def sort_key(self):
         return (self.P.order, self.P.indices, self.s_order, self.lift)
 
     def label(self) -> str:
         return f"(|P|={self.P.order}, s={self.group.elements[self.lift]!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpeciesPair):
-            return NotImplemented
-        return (self.group == other.group and self.p == other.p
-                and self.P == other.P and self.lift == other.lift)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"SpeciesPair{self.label()}"
@@ -196,12 +189,15 @@ def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...
     return tuple(sorted(counts.items()))
 
 
-@lru_cache(maxsize=None)
 def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
-    """Species value of a monomial generator at a pair, by the fixed-line
-    sum: the one-term case of :func:`tau_element`."""
-    _check_pair(pair, gen.group, gen.character.conductor)
-    return tau_element(pair, PPElement.from_generator(pair.p, gen))
+    """Species value of a monomial generator at a pair: its fixed-line sum
+    read as roots of unity."""
+    n = gen.character.conductor
+    _check_pair(pair, gen.group, n)
+    acc = [0] * n
+    for e, count in _tau_counts(pair, gen):
+        acc[e] = count
+    return Cyclotomic._new(n, tuple(_reduce(acc, n)), 1)
 
 
 def tau_element(pair: SpeciesPair, x: PPElement) -> Cyclotomic:

@@ -224,6 +224,13 @@ class TestCommands:
         assert code == 0
         assert "(|P|=3" in text.splitlines()[0]
 
+    def test_pairs_csv_falls_back_to_json(self):
+        """Only burnside, species-table and verify have a CSV form; the
+        other commands write their JSON report under --format csv."""
+        def report(fmt):
+            return run(RunConfig(command="pairs", group="S4", p=2, fmt=fmt))
+        assert report("csv") == report("json")
+
     def test_determinism(self):
         config = RunConfig(command="verify", group="S3", p=2, fmt="json")
         assert run(config) == run(config)

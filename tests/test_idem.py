@@ -5,8 +5,8 @@ import pytest
 from ppring.cyclo import Cyclotomic, zeta_power
 from ppring.grp import (Permutation, Subgroup, cyclic, dihedral, promote,
                         symmetric, sylow)
-from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, cyclic_idempotent,
-                         delta_property, idempotent_normal_case,
+from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, _canonical_pair,
+                         cyclic_idempotent, delta_property, idempotent_normal_case,
                          idempotent_report, idempotent_theorem,
                          idempotent_via_reduction, partition_of_unity, top_E,
                          verify_E_decomposition, verify_induction,
@@ -53,6 +53,13 @@ class TestCyclicIdempotent:
         V = klein_four()
         with pytest.raises(NotCyclic):
             cyclic_idempotent(V, 0, 3, 2)
+
+    def test_rejects_conductor_divisible_by_p(self):
+        C = cyclic(3)
+        with pytest.raises(ValueError):
+            cyclic_idempotent(C, 0, 2, 6)
+        with pytest.raises(ValueError):
+            idempotent_theorem(C, 2, enumerate_pairs(C, 2)[0], 6)
 
 
 class TestTopE:
@@ -278,6 +285,10 @@ def test_laws_hold_at_non_canonical_pairs(build, p):
     G = build()
     moved = non_canonical_conjugates(G, p)
     assert moved
+    pairs = enumerate_pairs(G, p)
+    for q in moved:
+        assert delta_property(q, idempotent_theorem(G, p, q))
+        assert any(_canonical_pair(q) is r for r in pairs)
     seen_hpairs = 0
     for H in subgroup_lattice(G).class_reps():
         for q in moved:
@@ -286,6 +297,15 @@ def test_laws_hold_at_non_canonical_pairs(build, p):
             seen_hpairs += 1
             assert verify_induction(G, p, H, hq)
     assert seen_hpairs
+
+
+def test_build_pair_returns_one_object_per_pair():
+    """Pairs compare by identity: an equal P built separately gives back the
+    canonical pair itself."""
+    G = symmetric(4)
+    for q in enumerate_pairs(G, 2):
+        P = Subgroup.from_indices(G, list(q.P.indices))
+        assert build_pair(G, 2, P, q.lift) is q
 
 
 class TestEDecomposition:
@@ -321,4 +341,11 @@ class TestReport:
         q = enumerate_pairs(G, 2)[1]
         rep = idempotent_report(G, 2, q)
         assert rep.delta_ok and rep.routes_agree
-        assert rep.pair == q
+        assert rep.pair is q
+        assert rep.species == species_vector(rep.element)
+
+    def test_delta_property_refuses_a_pair_of_another_group(self):
+        from ppring.ppelem import GroupMismatch
+        pair = enumerate_pairs(cyclic(2), 2)[0]
+        with pytest.raises(GroupMismatch):
+            delta_property(pair, PPElement.one(cyclic(3), 2, 3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppring import species
+from ppring import clear_caches, species
 from ppring.cyclo import ConductorMismatch, Cyclotomic, zeta_power
 from ppring.grp import (Permutation, alternating, cyclic, dihedral,
                         p_prime_part, promote, symmetric, sylow)
@@ -354,6 +354,27 @@ def test_pairs_over_promoted_ps_keep_their_lift_index(build, p):
         assert (sub.s_order, sub.ps.indices) == (q.s_order, q.ps.indices)
         for hq in enumerate_pairs(H, p):
             assert hq.lift in H and H.elements[hq.lift] is G.elements[hq.lift]
+
+
+@pytest.mark.parametrize("build, p", [(lambda: symmetric(4), 2),
+                                      (lambda: alternating(5), 2)],
+                         ids=["S4-p2", "A5-p2"])
+def test_tau_generator_builds_no_ring_element(build, p, monkeypatch):
+    """A species value is read from the fixed-line counts alone: with every
+    way of building a ring element closed and the memos empty, each value
+    is still the one recorded before."""
+    G = build()
+    pairs = enumerate_pairs(G, p)
+    gens = standard_generators(G, p, default_conductor(G, p))
+    before = [[tau_generator(q, gen) for gen in gens] for q in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a species value built a ring element")
+
+    clear_caches()
+    monkeypatch.setattr(PPElement, "from_generator", refuse)
+    monkeypatch.setattr(PPElement, "__init__", refuse)
+    assert [[tau_generator(q, gen) for gen in gens] for q in pairs] == before
 
 
 class TestStandardGenerators:
