@@ -3,11 +3,10 @@ finite groups, with a finite-field oracle and a verification CLI."""
 
 from .cyclo import Cyclotomic, ConductorMismatch, cyclotomic_polynomial, zeta_power
 from .grp import (FiniteGroup, InvalidPermutation, NotNormal, NotSubgroup,
-                  OrderCapExceeded, Permutation, QuotientGroup, Subgroup,
-                  alternating, centralizer, close_generators, cyclic, dihedral,
-                  direct_product, double_coset_reps, klein_four, normalizer,
-                  normalizer_quotient, p_prime_part, promote, quaternion8, quotient,
-                  symmetric, sylow)
+                  OrderCapExceeded, Permutation, QuotientGroup, alternating,
+                  centralizer, close_generators, cyclic, dihedral, direct_product,
+                  double_coset_reps, klein_four, normalizer, normalizer_quotient,
+                  p_prime_part, quaternion8, quotient, symmetric, sylow)
 from .lattice import SubgroupLattice, subgroup_lattice
 from .ppelem import (Generator, LinChar, PPElement, brauer_elt, char_pullback,
                      default_conductor, ind_elt, inf_elt, linear_characters,

@@ -24,8 +24,8 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .cyclo import Cyclotomic, _reduction_terms
-from .grp import (FiniteGroup, Subgroup, conjugate_meet, coset_indices,
-                  double_coset_reps, normalizer, normalizer_quotient, promote)
+from .grp import (FiniteGroup, conjugate_meet, coset_indices, double_coset_reps,
+                  from_indices, normalizer, normalizer_quotient)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                      make_generator)
@@ -38,7 +38,7 @@ class BurnsideElement:
     __slots__ = ("group", "nums", "den")
 
     def __init__(self, group: FiniteGroup,
-                 coeffs: Mapping[Subgroup, Union[int, Fraction]] | None = None):
+                 coeffs: Mapping[FiniteGroup, Union[int, Fraction]] | None = None):
         values = [(L, Fraction(c)) for L, c in (coeffs or {}).items()]
         den = lcm(*(c.denominator for _, c in values))
         self.group = group
@@ -46,7 +46,7 @@ class BurnsideElement:
             group, [(L, c.numerator * (den // c.denominator)) for L, c in values]), den)
 
     @classmethod
-    def _trusted(cls, group: FiniteGroup, nums: Mapping[Subgroup, int],
+    def _trusted(cls, group: FiniteGroup, nums: Mapping[FiniteGroup, int],
                  den: int) -> BurnsideElement:
         """Integer numerators already on class representatives over a
         positive denominator, put in lowest terms without the lattice lookup
@@ -57,7 +57,7 @@ class BurnsideElement:
         return x
 
     @property
-    def coeffs(self) -> dict[Subgroup, Fraction]:
+    def coeffs(self) -> dict[FiniteGroup, Fraction]:
         """The coefficients as rationals, a fresh read-only view."""
         den = self.den
         return {L: Fraction(c, den) for L, c in self.nums.items()}
@@ -94,7 +94,7 @@ class BurnsideElement:
         return (self.group == other.group and self.den == other.den
                 and self.nums == other.nums)
 
-    def sorted_terms(self) -> list[tuple[Subgroup, Fraction]]:
+    def sorted_terms(self) -> list[tuple[FiniteGroup, Fraction]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
     def __repr__(self) -> str:
@@ -104,7 +104,7 @@ class BurnsideElement:
         return f"BurnsideElement({body})"
 
 
-def _lowest(nums: Mapping[Subgroup, int], den: int) -> tuple[dict[Subgroup, int], int]:
+def _lowest(nums: Mapping[FiniteGroup, int], den: int) -> tuple[dict[FiniteGroup, int], int]:
     """Nonzero numerators and denominator with their common factor removed;
     no numerators give denominator 1."""
     nums = {L: c for L, c in nums.items() if c}
@@ -114,52 +114,52 @@ def _lowest(nums: Mapping[Subgroup, int], den: int) -> tuple[dict[Subgroup, int]
     return nums, den // g
 
 
-def _on_reps(G: FiniteGroup, terms) -> dict[Subgroup, int]:
+def _on_reps(G: FiniteGroup, terms) -> dict[FiniteGroup, int]:
     """Integer numerators on subgroups of G, summed on their class
     representatives."""
     rep_of = subgroup_lattice(G).rep_of
-    nums: dict[Subgroup, int] = {}
+    nums: dict[FiniteGroup, int] = {}
     for L, c in terms:
         rep = rep_of(L)
         nums[rep] = nums.get(rep, 0) + c
     return nums
 
 
-def transitive(G: FiniteGroup, L: Subgroup) -> BurnsideElement:
+def transitive(G: FiniteGroup, L: FiniteGroup) -> BurnsideElement:
     """The class of the transitive G-set [G/L]."""
     return BurnsideElement(G, {L: 1})
 
 
 @lru_cache(maxsize=None)
-def mark(G: FiniteGroup, L: Subgroup, H: Subgroup) -> int:
+def mark(G: FiniteGroup, L: FiniteGroup, H: FiniteGroup) -> int:
     """The number of H-fixed points of [G/L]: cosets gL with g^-1 H g <= L."""
     return len(_fixed_cosets(G, L, H))
 
 
-def _fixed_cosets(G: FiniteGroup, L: Subgroup, H: Subgroup) -> list[int]:
+def _fixed_cosets(G: FiniteGroup, L: FiniteGroup, H: FiniteGroup) -> list[int]:
     """Indices of the minimal representatives g of the cosets gL fixed by H."""
     conj = G.conj
     mask = L.mask
-    hgens = H.generators()
+    hgens = H.generators
     return [g for g in coset_indices(G, L)[0]
             if all(mask >> conj[g][h] & 1 for h in hgens)]
 
 
-def mark_element(x: BurnsideElement, H: Subgroup) -> Fraction:
+def mark_element(x: BurnsideElement, H: FiniteGroup) -> Fraction:
     """Linear extension of the mark at H."""
     G = x.group
     return Fraction(sum(c * mark(G, L, H) for L, c in x.nums.items()), x.den)
 
 
 @lru_cache(maxsize=None)
-def _transitive_product(G: FiniteGroup, A: Subgroup,
-                        B: Subgroup) -> tuple[tuple[Subgroup, int], ...]:
+def _transitive_product(G: FiniteGroup, A: FiniteGroup,
+                        B: FiniteGroup) -> tuple[tuple[FiniteGroup, int], ...]:
     """[G/A].[G/B] = sum over A\\G/B of [G/(A cap gBg^-1)], as (class
     representative, multiplicity) pairs."""
     lat = subgroup_lattice(G)
-    counts: dict[Subgroup, int] = {}
+    counts: dict[FiniteGroup, int] = {}
     for g in double_coset_reps(G, A, B):
-        rep = lat.rep_of(Subgroup.from_indices(G, conjugate_meet(G, A, B, g)))
+        rep = lat.rep_of(from_indices(G, conjugate_meet(G, A, B, g)))
         counts[rep] = counts.get(rep, 0) + 1
     return tuple(counts.items())
 
@@ -169,7 +169,7 @@ def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     if a.group != b.group:
         raise GroupMismatch("elements over different groups")
     G = a.group
-    nums: dict[Subgroup, int] = {}
+    nums: dict[FiniteGroup, int] = {}
     for A, ca in a.nums.items():
         for B, cb in b.nums.items():
             c = ca * cb
@@ -178,22 +178,21 @@ def burnside_product(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
     return BurnsideElement._trusted(G, nums, a.den * b.den)
 
 
-def gluck_yoshida(G: FiniteGroup, H: Subgroup) -> BurnsideElement:
+def gluck_yoshida(G: FiniteGroup, H: FiniteGroup) -> BurnsideElement:
     """The primitive idempotent of the rational Burnside ring attached to H:
 
         e_H = (1/|N_G(H)|) * sum over L <= H of |L| mu(L, H) [G/L],
 
     with the Moebius function taken in the subgroup poset of H.
     """
-    if H.parent != G:
+    if not G.contains_group(H):
         raise GroupMismatch("subgroup over a different group")
-    lat = subgroup_lattice(promote(H))
-    terms = [(L.reparent(G), L.order * mu)
-             for L, mu in zip(lat.subgroups, lat.mu_top) if mu]
+    lat = subgroup_lattice(H)
+    terms = [(L, L.order * mu) for L, mu in zip(lat.subgroups, lat.mu_top) if mu]
     return BurnsideElement._trusted(G, _on_reps(G, terms), normalizer(G, H).order)
 
 
-def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
+def _orbit_stabilizers(H: FiniteGroup, G: FiniteGroup, L: FiniteGroup,
                        fixed: list[int]) -> list[list[int]]:
     """Orbits of H acting by left multiplication on a set of cosets of L.
 
@@ -202,7 +201,7 @@ def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
     """
     table, conj = G.table, G.conj
     rep_of = coset_indices(G, L)[1]
-    hgens = H.generators()
+    hgens = H.generators
     remaining = set(fixed)
     out = []
     mask = L.mask
@@ -225,39 +224,38 @@ def _orbit_stabilizers(H: Subgroup, G: FiniteGroup, L: Subgroup,
     return out
 
 
-def burnside_res(x: BurnsideElement, H: Subgroup) -> BurnsideElement:
+def burnside_res(x: BurnsideElement, H: FiniteGroup) -> BurnsideElement:
     """Restriction to H by orbit decomposition of each coset space."""
-    if H.parent != x.group:
-        raise GroupMismatch("subgroup over a different group")
     G = x.group
-    HH = promote(H)
-    nums = _on_reps(HH, ((Subgroup.from_indices(HH, stab), c)
-                         for L, c in x.nums.items()
-                         for stab in _orbit_stabilizers(H, G, L, coset_indices(G, L)[0])))
-    return BurnsideElement._trusted(HH, nums, x.den)
+    if not G.contains_group(H):
+        raise GroupMismatch("subgroup over a different group")
+    nums = _on_reps(H, ((from_indices(H, stab), c)
+                        for L, c in x.nums.items()
+                        for stab in _orbit_stabilizers(H, G, L, coset_indices(G, L)[0])))
+    return BurnsideElement._trusted(H, nums, x.den)
 
 
 def burnside_ind(x: BurnsideElement, G: FiniteGroup) -> BurnsideElement:
     """Induction to G: the induced transitive set [H/S] becomes [G/S]."""
     if not G.contains_group(x.group):
         raise GroupMismatch("the element's group is not a subgroup of the target")
-    nums = _on_reps(G, ((S.reparent(G), c) for S, c in x.nums.items()))
+    nums = _on_reps(G, x.nums.items())
     return BurnsideElement._trusted(G, nums, x.den)
 
 
-def fixed_point_functor(P: Subgroup, x: BurnsideElement) -> BurnsideElement:
+def fixed_point_functor(P: FiniteGroup, x: BurnsideElement) -> BurnsideElement:
     """The functor induced by taking P-fixed points, landing over N_G(P)/P.
 
     Each [G/L] is sent to the orbit decomposition of its P-fixed cosets as a
     set for the quotient group.
     """
-    if P.parent != x.group:
-        raise GroupMismatch("subgroup over a different group")
     G = x.group
+    if not G.contains_group(P):
+        raise GroupMismatch("subgroup over a different group")
     N = normalizer(G, P)
     Q = normalizer_quotient(G, P)
     nums = _on_reps(Q.group, (
-        (Q.project_subgroup(Subgroup.from_indices(Q.parent, stab)), c)
+        (Q.project_subgroup(from_indices(G, stab)), c)
         for L, c in x.nums.items()
         for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P))))
     return BurnsideElement._trusted(Q.group, nums, x.den)

@@ -127,15 +127,15 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGro
 
 
 def _subgroup_json(H) -> dict:
-    elements = H.parent.elements
+    elements = H.root.elements
     return {"order": H.order,
-            "generators": [list(elements[g].images) for g in H.generators()]}
+            "generators": [list(elements[g].images) for g in H.generators]}
 
 
 def _pair_json(q) -> dict:
     return {
         "P": _subgroup_json(q.P),
-        "lift": list(q.group.elements[q.lift].images),
+        "lift": list(q.group.root.elements[q.lift].images),
         "s_order": q.s_order,
         "ps_order": q.ps.order,
         "stabilizer_order": q.stabilizer.order,
@@ -155,7 +155,7 @@ def cmd_pairs(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
 
 def cmd_lattice(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
     lat = subgroup_lattice(G)
-    rows = [{**_subgroup_json(H), "normal": H.is_normal(), "mu_to_top": mu}
+    rows = [{**_subgroup_json(H), "normal": H.is_normal_in(G), "mu_to_top": mu}
             for H, mu in zip(lat.subgroups, lat.mu_top)]
     return True, {
         "group_order": G.order,
@@ -170,9 +170,9 @@ def cmd_burnside(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
     reps = lat.class_reps()
     marks = [[bd.mark(G, L, K) for K in reps] for L in reps]
     idems = {}
-    for H in reps:
+    for i, H in enumerate(reps):
         e = bd.gluck_yoshida(G, H)
-        idems[f"order_{H.order}_{reps.index(H)}"] = [
+        idems[f"order_{H.order}_{i}"] = [
             {"subgroup": _subgroup_json(L), "coeff": str(c)}
             for L, c in e.sorted_terms()
         ]

@@ -36,7 +36,7 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, zeta_power
-from .grp import Subgroup, coset_indices, promote
+from .grp import FiniteGroup, coset_indices
 from .lattice import subgroup_lattice
 from .ppelem import Generator
 from .species import SpeciesPair
@@ -519,15 +519,15 @@ def realize_generator(gen: Generator, F: FqField) -> FqModule:
     return FqModule(F, gen)
 
 
-def _maximal_proper_subgroups(P: Subgroup) -> list[Subgroup]:
-    """The maximal subgroups of the p-group P, as subgroups of promote(P): in
-    a p-group they are the proper subgroups of the largest order."""
-    proper = subgroup_lattice(promote(P)).subgroups[:-1]  # sorted by order
+def _maximal_proper_subgroups(P: FiniteGroup) -> list[FiniteGroup]:
+    """The maximal subgroups of the p-group P: in a p-group they are the
+    proper subgroups of the largest order."""
+    proper = subgroup_lattice(P).subgroups[:-1]  # sorted by order
     return [H for H in proper if H.order == proper[-1].order]
 
 
 @lru_cache(maxsize=None)
-def _brauer_quotient(gen: Generator, F: FqField, P: Subgroup) -> tuple:
+def _brauer_quotient(gen: Generator, F: FqField, P: FiniteGroup) -> tuple:
     """The Brauer quotient at P of the module of gen over F, built once per
     (generator, field, P).
 
@@ -548,15 +548,14 @@ def _brauer_quotient(gen: Generator, F: FqField, P: Subgroup) -> tuple:
             rows.extend(_minus_scalar(F, module.action(u), 1))
         return _nullspace(F, rows, d)
 
-    basis, free = fixed_space(P.generators())
+    basis, free = fixed_space(P.generators)
     trace_vectors = []
-    PP = promote(P)
-    for Qsub in _maximal_proper_subgroups(P):  # subgroups of PP
+    for Qsub in _maximal_proper_subgroups(P):
         tr = None
-        for x in coset_indices(PP, Qsub)[0]:
+        for x in coset_indices(P, Qsub)[0]:
             mat = module.action(x)
             tr = mat if tr is None else _mat_add(F, tr, mat)
-        for v in fixed_space(Qsub.generators())[0]:
+        for v in fixed_space(Qsub.generators)[0]:
             trace_vectors.append(_mat_vec(F, tr, v))
 
     trace_rows, trace_pivots = _rref(F, [tuple(v[c] for c in free) for v in trace_vectors])

@@ -6,17 +6,17 @@ targets (orders up to a few hundred) exhaustive loops are fast, exactly
 reproducible and easy to audit.  A root, a group closed from generators or
 a quotient group, is its index tables (multiplication, inverse, conjugation,
 orders) over the positions of its sorted elements, set when it is built.
-Every other group is a subgroup of a root promoted to a group
-(:func:`promote`): it shares the root's tables and numbering and adds the
-sorted ``indices`` and the ``mask`` of its members.  So an element has one
-index, its index in ``G.root.elements``, in every group that contains it,
-and a subgroup is the sorted tuple and the bitmask of its members' indices.
-Roots are interned per element set and promoted groups per root and member
-set, so group equality is identity, and an element or a subgroup moves
-between groups of one root without renumbering (:meth:`Subgroup.reparent`
-only checks that it fits).  :class:`Permutation` objects appear only where a
-group is parsed and where a report is written; :func:`close_generators` is
-the one place that composes them.  This module builds the tables and
+A subgroup is a group in its own right, the group made of its members: it
+shares its root's tables and numbering and adds the sorted ``indices`` and
+the ``mask`` of its members.  So an element has one index, its index in
+``G.root.elements``, in every group that contains it.  Roots are interned
+per element set and subgroups per root and member set (:func:`from_indices`),
+so group equality is identity, a group is a subgroup of another when
+:meth:`FiniteGroup.contains_group` says so, and a subgroup of H found in the
+lattice of H is the very object found in the lattice of any group that
+contains H.  :class:`Permutation` objects appear only where a group is
+parsed and where a report is written; :func:`close_generators` is the one
+place that composes them.  This module builds the tables and
 defines the conjugation convention, g^-1 x g read from ``conj[g][x]``, which
 other modules read from the tables directly; it also forms G/N and N_G(P)/P
 (:class:`QuotientGroup`, :func:`normalizer_quotient`): G/1 is G itself, so
@@ -220,37 +220,41 @@ def _close(degree: int, gens: Sequence[Permutation],
 
 
 class FiniteGroup:
-    """A fully enumerated permutation group on {0..degree-1}, held as the
-    index tables of its root.
+    """A fully enumerated permutation group on {0..degree-1}: a set of
+    members of a root group, read through the root's index tables.
 
-    ``table[a][b]`` is the index of ``elements[a] * elements[b]``, ``inv[a]``
-    that of the inverse of ``elements[a]``, ``conj[g][x]`` that of the
-    conjugate g^-1 x g, so ``conj[inv[g]]`` conjugates the other way
-    (g x g^-1), and ``orders[a]`` is the order of ``elements[a]``; the
-    identity is index 0.  ``elements`` and the tables are those of ``root``
-    (a group closed from generators or a quotient group, its own root), and
-    the group's members are the sorted root indices ``indices``, with
-    ``mask`` their bitmask: every root index reads the tables, but only a
-    member lies in the group (``x in G``).  ``generators`` are indices,
-    found greedily in index order.  Build groups through
-    :func:`close_generators`, the named constructors, :func:`promote` and
-    :class:`QuotientGroup`, which intern them; the constructor trusts its
-    arguments and derives a root's other tables from ``table``.
+    A root (a group closed from generators, or a quotient group) is its own
+    ``root``, and every subgroup of it is the group made of its members.
+    ``table[a][b]`` is the root index of the product of the elements with
+    root indices a and b, ``inv[a]`` that of the inverse, ``conj[g][x]``
+    that of the conjugate g^-1 x g, so ``conj[inv[g]]`` conjugates the other
+    way (g x g^-1), and ``orders[a]`` is the order of element a; the
+    identity is index 0.  The members are the sorted root indices
+    ``indices``, with ``mask`` their bitmask and ``order`` their number:
+    every root index reads the tables, but only a member lies in the group
+    (``x in G``).  ``elements`` are the members as permutations, in index
+    order, so ``G.root.elements[i]`` is the element with root index i.
+    ``generators`` are member indices, found greedily in index order on
+    first read.  Build groups through :func:`close_generators`, the named
+    constructors, :class:`QuotientGroup` and :func:`from_indices`, which
+    intern them; the constructor trusts its arguments and derives a root's
+    other tables from ``table``.  Groups sort by ``(order, indices)``.
     """
 
     __slots__ = ("degree", "elements", "order", "table", "inv", "conj", "orders",
-                 "generators", "root", "indices", "mask", "_index", "_hash")
+                 "root", "indices", "mask", "_generators", "_index", "_hash")
 
     def __init__(self, degree: int, elements: tuple[Permutation, ...],
                  table: tuple[tuple[int, ...], ...], root: FiniteGroup | None = None,
                  indices: tuple[int, ...] | None = None):
         self.degree = degree
-        self.elements = elements
         self.table = table
         if root is None:
             n = len(elements)
             self.root = self
-            indices = tuple(range(n))
+            self.elements = elements
+            self.indices = tuple(range(n))
+            self.mask = (1 << n) - 1
             self.inv = inv = tuple(row.index(0) for row in table)
             self.conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(n))
             self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
@@ -258,18 +262,34 @@ class FiniteGroup:
             self._hash = hash((degree, elements))
         else:
             self.root = root
+            self.elements = tuple(elements[i] for i in indices)
+            self.indices = indices
+            self.mask = sum(1 << i for i in indices)
             self.inv, self.conj, self.orders = root.inv, root.conj, root.orders
             self._index = root._index
             self._hash = hash((root, indices))
-        self.indices = indices
-        self.order = len(indices)
-        full = Subgroup.from_indices(self, indices)  # last: it hashes this group
-        self.mask = full.mask
-        self.generators = full.generators()
+        self.order = len(self.indices)
+        self._generators = None
 
     @property
     def identity(self) -> Permutation:
         return self.elements[0]  # the identity is lexicographically minimal
+
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """A small generating set as indices, found greedily in index
+        order."""
+        if self._generators is None:
+            gens: list[int] = []
+            closed: frozenset = frozenset((0,))
+            for i in self.indices:
+                if i not in closed:
+                    gens.append(i)
+                    closed = close_indices(self.table, gens)
+                    if len(closed) == self.order:
+                        break
+            self._generators = tuple(gens)
+        return self._generators
 
     def __contains__(self, x: int) -> bool:
         return x >= 0 and self.mask >> x & 1 == 1
@@ -282,6 +302,14 @@ class FiniteGroup:
         of it a member of this one."""
         return other.root is self.root and not other.mask & ~self.mask
 
+    def is_normal_in(self, G: FiniteGroup) -> bool:
+        """True iff this group is a normal subgroup of G; raises
+        :class:`NotSubgroup` unless G contains it."""
+        if not G.contains_group(self):
+            raise NotSubgroup("the group does not contain the subgroup")
+        conj, mask = self.conj, self.mask
+        return all(mask >> conj[g][x] & 1 for g in G.generators for x in self.generators)
+
     def _members(self, elements: Iterable[Permutation]) -> list[int]:
         """The sorted distinct indices of the given elements of this group;
         raises :class:`NotSubgroup` if one is not in it."""
@@ -290,7 +318,7 @@ class FiniteGroup:
             raise NotSubgroup("elements not contained in the parent group")
         return members
 
-    def subgroup(self, elements: Iterable[Permutation]) -> Subgroup:
+    def subgroup(self, elements: Iterable[Permutation]) -> FiniteGroup:
         """The subgroup with exactly the given elements, checked against the
         multiplication table; raises :class:`NotSubgroup` if they are not one."""
         members = self._members(elements)
@@ -300,17 +328,17 @@ class FiniteGroup:
             raise NotSubgroup("identity missing")
         if len(close_indices(self.table, members)) != len(members):
             raise NotSubgroup("not closed under product")
-        return Subgroup.from_indices(self, members)
+        return from_indices(self, members)
 
-    def closure(self, elements: Iterable[Permutation]) -> Subgroup:
+    def closure(self, elements: Iterable[Permutation]) -> FiniteGroup:
         """The subgroup generated by the given elements of this group."""
         return subgroup_closure(self, self._members(elements))
 
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup.from_indices(self, (0,))
+    def trivial_subgroup(self) -> FiniteGroup:
+        return from_indices(self, (0,))
 
-    def full_subgroup(self) -> Subgroup:
-        return Subgroup.from_indices(self, self.indices)
+    def __lt__(self, other: FiniteGroup) -> bool:
+        return (self.order, self.indices) < (other.order, other.indices)
 
     def __hash__(self) -> int:
         return self._hash
@@ -340,109 +368,21 @@ def _root(degree: int, elements: tuple[Permutation, ...],
     return FiniteGroup(degree, elements, table)
 
 
-class Subgroup:
-    """A subgroup of a :class:`FiniteGroup`, stored as an index set.
-
-    ``indices`` is the sorted tuple of the root indices of its elements
-    (their positions in ``parent.elements``) and ``mask`` the same set as an
-    int bitmask (bit i is set iff element i belongs), the one membership
-    form.  Index order is element order, so sorting subgroups of one parent
-    by ``(order, indices)`` sorts them by their element lists, and
-    ``reparent`` keeps the indices.  :meth:`from_indices` is the constructor
-    and trusts its input; :meth:`FiniteGroup.subgroup` is the checked edge
-    from permutations.
-    """
-
-    __slots__ = ("parent", "indices", "mask", "_hash", "_generators")
-
-    @classmethod
-    def from_indices(cls, parent: FiniteGroup, indices: Iterable[int]) -> Subgroup:
-        """The subgroup with the given member indices, which must be sorted,
-        distinct and closed (no check is made)."""
-        H = object.__new__(cls)
-        H.parent = parent
-        H.indices = indices = tuple(indices)
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        H.mask = mask
-        H._generators = None
-        H._hash = hash((parent, indices))
-        return H
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
-
-    @property
-    def elements(self) -> tuple[Permutation, ...]:
-        """The elements as permutations, in index order (a derived view)."""
-        elements = self.parent.elements
-        return tuple(elements[i] for i in self.indices)
-
-    def __contains__(self, x: int) -> bool:
-        return self.mask >> x & 1 == 1
-
-    def generators(self) -> tuple[int, ...]:
-        """A small generating set as indices, found greedily in index
-        order."""
-        if self._generators is None:
-            table = self.parent.table
-            gens: list[int] = []
-            closed: frozenset = frozenset((0,))
-            for i in self.indices:
-                if i not in closed:
-                    gens.append(i)
-                    closed = close_indices(table, gens)
-                    if len(closed) == self.order:
-                        break
-            self._generators = tuple(gens)
-        return self._generators
-
-    def is_normal(self) -> bool:
-        conj = self.parent.conj
-        return all(self.mask >> conj[g][x] & 1
-                   for g in self.parent.generators for x in self.indices)
-
-    def reparent(self, group: FiniteGroup) -> Subgroup:
-        """The same element set viewed inside another group of the same root
-        that contains it; raises :class:`NotSubgroup` otherwise."""
-        if group.root is not self.parent.root:
-            raise NotSubgroup("the groups lie in different root groups")
-        if self.mask & ~group.mask:
-            raise NotSubgroup("element set does not embed in the target group")
-        return Subgroup.from_indices(group, self.indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.mask == other.mask and self.parent is other.parent
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: Subgroup) -> bool:
-        return (self.order, self.indices) < (other.order, other.indices)
-
-    def __repr__(self) -> str:
-        elements = self.parent.elements
-        gens = [elements[i] for i in self.generators()]
-        return f"Subgroup(order={self.order}, gens={gens!r})"
-
-
-def promote(H: Subgroup) -> FiniteGroup:
-    """View a subgroup as a finite group in its own right: the group of the
-    same root whose members are those of H, sharing the root's tables.  A
-    full subgroup is its parent."""
-    G = H.parent
-    if H.order == G.order:
-        return G
-    return _promote(G.root, H.indices)
+def from_indices(G: FiniteGroup, indices: Iterable[int]) -> FiniteGroup:
+    """The subgroup of the root of G with the given member indices, which
+    must be sorted, distinct and closed (no check is made): the root itself
+    when they are all of its elements, and one object per member set
+    otherwise."""
+    root = G.root
+    indices = tuple(indices)
+    if len(indices) == root.order:
+        return root
+    return _proper_subgroup(root, indices)
 
 
 @lru_cache(maxsize=None)
-def _promote(root: FiniteGroup, indices: tuple[int, ...]) -> FiniteGroup:
-    """The proper subgroup of a root with the given sorted root indices."""
+def _proper_subgroup(root: FiniteGroup, indices: tuple[int, ...]) -> FiniteGroup:
+    """The one group of a root with these members, fewer than all."""
     return FiniteGroup(root.degree, root.elements, root.table, root, indices)
 
 
@@ -474,9 +414,9 @@ def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int],
     return frozenset(found)
 
 
-def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> Subgroup:
+def subgroup_closure(G: FiniteGroup, seed: Iterable[int]) -> FiniteGroup:
     """The subgroup of G generated by the elements with the given indices."""
-    return Subgroup.from_indices(G, sorted(close_indices(G.table, seed)))
+    return from_indices(G, sorted(close_indices(G.table, seed)))
 
 
 def is_p_power(m: int, p: int) -> bool:
@@ -520,7 +460,7 @@ def check_prime(p: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def sylow(G: FiniteGroup, p: int) -> Subgroup:
+def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup of G.
 
     Grows a p-subgroup P by locating a p-element of N_G(P) outside P until
@@ -537,7 +477,7 @@ def sylow(G: FiniteGroup, p: int) -> Subgroup:
                   if not P.mask >> y & 1 and is_p_power(orders[y], p)), None)
         if x is None:
             return P
-        P = subgroup_closure(G, P.generators() + (x,))
+        P = subgroup_closure(G, P.generators + (x,))
 
 
 def p_prime_part(G: FiniteGroup, x: int, p: int) -> int:
@@ -555,23 +495,23 @@ def p_prime_part(G: FiniteGroup, x: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def normalizer(G: FiniteGroup, H: Subgroup) -> Subgroup:
-    if H.parent is not G:
-        raise NotSubgroup("subgroup belongs to a different group")
+def normalizer(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
+    if not G.contains_group(H):
+        raise NotSubgroup("the group does not contain the subgroup")
     conj = G.conj
     mask = H.mask
-    hgens = H.generators()
-    return Subgroup.from_indices(
+    hgens = H.generators
+    return from_indices(
         G, [g for g in G.indices if all(mask >> conj[g][h] & 1 for h in hgens)])
 
 
 @lru_cache(maxsize=None)
-def centralizer(G: FiniteGroup, x: int) -> Subgroup:
+def centralizer(G: FiniteGroup, x: int) -> FiniteGroup:
     if x not in G:
         raise NotSubgroup("element not in the group")
     table = G.table
     row = table[x]
-    return Subgroup.from_indices(
+    return from_indices(
         G, [g for g in G.indices if table[g][x] == row[g]])
 
 
@@ -591,10 +531,8 @@ class QuotientGroup:
 
     __slots__ = ("parent", "kernel", "group", "proj", "lifts")
 
-    def __init__(self, parent: FiniteGroup, kernel: Subgroup):
-        if kernel.parent is not parent:
-            raise NotSubgroup("kernel belongs to a different group")
-        if not kernel.is_normal():
+    def __init__(self, parent: FiniteGroup, kernel: FiniteGroup):
+        if not kernel.is_normal_in(parent):
             raise NotNormal("kernel is not normal")
         self.parent = parent
         self.kernel = kernel
@@ -620,41 +558,40 @@ class QuotientGroup:
         self.group = _root(len(reps), tuple(Permutation._trusted(images[c]) for c in order),
                            qtable)
 
-    def project_subgroup(self, H: Subgroup) -> Subgroup:
+    def project_subgroup(self, H: FiniteGroup) -> FiniteGroup:
         """Image in the quotient of a subgroup of the parent."""
-        if H.parent is not self.parent:
+        if not self.parent.contains_group(H):
             raise NotSubgroup("subgroup does not live in the parent group")
-        return Subgroup.from_indices(self.group, sorted({self.proj[h] for h in H.indices}))
+        return from_indices(self.group, sorted({self.proj[h] for h in H.indices}))
 
-    def preimage(self, S: Subgroup) -> Subgroup:
+    def preimage(self, S: FiniteGroup) -> FiniteGroup:
         """Full preimage in the parent of a subgroup of the quotient."""
-        if S.parent is not self.group:
+        if not self.group.contains_group(S):
             raise NotSubgroup("subgroup does not live in the quotient group")
         mask, proj = S.mask, self.proj
-        return Subgroup.from_indices(
+        return from_indices(
             self.parent, [g for g in self.parent.indices if mask >> proj[g] & 1])
 
 
 @lru_cache(maxsize=None)
-def quotient(G: FiniteGroup, N: Subgroup) -> QuotientGroup:
+def quotient(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
     return QuotientGroup(G, N)
 
 
 @lru_cache(maxsize=None)
-def normalizer_quotient(G: FiniteGroup, P: Subgroup) -> QuotientGroup:
-    """N_G(P)/P; its ``parent`` is the normalizer promoted to a group."""
-    H = promote(normalizer(G, P))
-    return quotient(H, P.reparent(H))
+def normalizer_quotient(G: FiniteGroup, P: FiniteGroup) -> QuotientGroup:
+    """N_G(P)/P; its ``parent`` is the normalizer N_G(P)."""
+    return quotient(normalizer(G, P), P)
 
 
 @lru_cache(maxsize=None)
-def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def coset_indices(G: FiniteGroup, H: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Left cosets of H in G on element indices: the minimal representative
     of each coset, in order, and the representative of every element of G,
     by root index (-1 outside G).  Built once per (G, H) and shared by every
     caller."""
-    if H.parent is not G:
-        raise NotSubgroup("subgroup belongs to a different group")
+    if not G.contains_group(H):
+        raise NotSubgroup("the group does not contain the subgroup")
     table = G.table
     members = H.indices
     rep_of = [-1] * len(table)
@@ -668,7 +605,7 @@ def coset_indices(G: FiniteGroup, H: Subgroup) -> tuple[tuple[int, ...], tuple[i
     return tuple(reps), tuple(rep_of)
 
 
-def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:
+def double_coset_reps(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup) -> list[int]:
     """The index of one minimal representative per double coset A g B, in
     canonical order.
 
@@ -676,8 +613,8 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:
     far are whole left cosets of B, so a coset whose first element is
     already covered is skipped without walking it.
     """
-    if A.parent is not G or B.parent is not G:
-        raise NotSubgroup("subgroup belongs to a different group")
+    if not (G.contains_group(A) and G.contains_group(B)):
+        raise NotSubgroup("the group does not contain the subgroup")
     table = G.table
     a_members, b_members = A.indices, B.indices
     covered = bytearray(len(table))
@@ -696,7 +633,7 @@ def double_coset_reps(G: FiniteGroup, A: Subgroup, B: Subgroup) -> list[int]:
     return reps
 
 
-def conjugate_meet(G: FiniteGroup, A: Subgroup, B: Subgroup, g: int) -> list[int]:
+def conjugate_meet(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup, g: int) -> list[int]:
     """Sorted indices of A cap g B g^-1, the subgroup of a Mackey term."""
     row = G.conj[G.inv[g]]
     conjugate = {row[b] for b in B.indices}
@@ -791,8 +728,8 @@ def direct_product(G: FiniteGroup, H: FiniteGroup,
     """Direct product acting on the disjoint union of the two point sets."""
     _check_order(G.order * H.order, max_order)
     d = G.degree + H.degree
-    gens = [Permutation(G.elements[g].images + tuple(range(G.degree, d)))
+    gens = [Permutation(G.root.elements[g].images + tuple(range(G.degree, d)))
             for g in G.generators]
     gens += [Permutation(tuple(range(G.degree)) + tuple(G.degree + i for i in x.images))
-             for x in (H.elements[h] for h in H.generators)]
+             for x in (H.root.elements[h] for h in H.generators)]
     return close_generators(d, gens, max_order)

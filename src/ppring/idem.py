@@ -36,8 +36,7 @@ from .burnside import (burnside_ind, burnside_product, burnside_res,
                        fixed_point_functor, gluck_yoshida, linearize,
                        mark_element, transitive)
 from .cyclo import zeta_power
-from .grp import (FiniteGroup, Subgroup, is_p_power, normalizer_quotient,
-                  promote, quotient, sylow)
+from .grp import FiniteGroup, is_p_power, normalizer_quotient, quotient, sylow
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, brauer_elt,
                      char_pullback, collect, default_conductor, ind_elt,
@@ -101,19 +100,18 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
         powers[x] = a
         x = table[x][gen]
     b = powers[t]
-    full = C.full_subgroup()
     parts = []
     for j in range(r):
-        chi = LinChar(full, [j * powers[x] * step for x in full.indices], conductor)
+        chi = LinChar(C, [j * powers[x] * step for x in C.indices], conductor)
         coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
-        parts.append((make_generator(C, full, chi), coeff, 1))
+        parts.append((make_generator(C, C, chi), coeff, 1))
     return collect(C, p, conductor, parts)
 
 
 def top_E(G: FiniteGroup, p: int, conductor: int | None = None) -> PPElement:
     """The linearization of the top Burnside idempotent of G."""
     n = default_conductor(G, p) if conductor is None else conductor
-    return linearize(gluck_yoshida(G, G.full_subgroup()), p, n)
+    return linearize(gluck_yoshida(G, G), p, n)
 
 
 def idempotent_normal_case(H: FiniteGroup, s_lift: int, p: int,
@@ -125,7 +123,7 @@ def idempotent_normal_case(H: FiniteGroup, s_lift: int, p: int,
     """
     n = default_conductor(H, p) if conductor is None else conductor
     P = sylow(H, p)
-    if not P.is_normal():
+    if not P.is_normal_in(H):
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     Q = quotient(H, P)
     C = Q.group
@@ -163,22 +161,20 @@ def idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair,
 def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PPElement:
     P = pair.P
     r = pair.s_order
-    H = promote(pair.ps)
-    PH = P.reparent(H)
+    H = pair.ps
     lat = subgroup_lattice(H)
     denom = P.order * r * pair.centralizer_order
     step = n // r
     parts = []
     for L, mu in zip(lat.subgroups, lat.mu_top):
         # PL = <Ps>: P is normal in <Ps>, so |PL| = |P| |L| / |P cap L|
-        if not mu or P.order * L.order != H.order * (PH.mask & L.mask).bit_count():
+        if not mu or P.order * L.order != H.order * (P.mask & L.mask).bit_count():
             continue
         weight = Fraction(L.order * mu, denom)
-        LG = L.reparent(G)
         for j in range(r):
-            chi = LinChar(LG, char_pullback(H, PH, pair.lift, j, L, n).table(), n)
+            chi = char_pullback(H, P, pair.lift, j, L, n)
             coeff = zeta_power(n, (-j) % r * step) * weight
-            parts.append((make_generator(G, LG, chi), coeff, 1))
+            parts.append((make_generator(G, L, chi), coeff, 1))
     return collect(G, p, n, parts)
 
 
@@ -188,7 +184,7 @@ def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair) -> PPEle
     """
     if pair.group != G or pair.p != p:
         raise GroupMismatch("pair does not belong to the (group, prime) computation")
-    f = idempotent_normal_case(promote(pair.ps), pair.lift, p, default_conductor(G, p))
+    f = idempotent_normal_case(pair.ps, pair.lift, p, default_conductor(G, p))
     return ind_elt(f, G).scale(Fraction(pair.s_order, pair.centralizer_order))
 
 
@@ -228,37 +224,35 @@ def _canonical_pair(pair: SpeciesPair) -> SpeciesPair:
 
 
 @lru_cache(maxsize=None)
-def _fusion(G: FiniteGroup, p: int, H: Subgroup) -> Mapping[SpeciesPair, SpeciesPair]:
-    """The canonical G-pair that each canonical pair of promote(H) fuses to,
-    as a read-only mapping: the pair is seen in G, then brought to its
-    canonical G-pair."""
+def _fusion(G: FiniteGroup, p: int, H: FiniteGroup) -> Mapping[SpeciesPair, SpeciesPair]:
+    """The canonical G-pair that each canonical pair of H fuses to, as a
+    read-only mapping: the pair is seen in G, then brought to its canonical
+    G-pair."""
     return MappingProxyType({
-        hp: _canonical_pair(build_pair(G, p, hp.P.reparent(G), hp.lift))
-        for hp in enumerate_pairs(promote(H), p)})
+        hp: _canonical_pair(build_pair(G, p, hp.P, hp.lift))
+        for hp in enumerate_pairs(H, p)})
 
 
-def verify_restriction(G: FiniteGroup, p: int, H: Subgroup, pair: SpeciesPair) -> bool:
+def verify_restriction(G: FiniteGroup, p: int, H: FiniteGroup, pair: SpeciesPair) -> bool:
     """Check that restricting the idempotent of a pair to H gives the sum of
     the H-idempotents at the H-classes of G-conjugates of the pair lying in
     H (possibly the empty sum)."""
     n = default_conductor(G, p)
     lhs = res_elt(idempotent_theorem(G, p, pair, n), H)
-    HH = promote(H)
     rep = _canonical_pair(pair)
-    rhs = collect(HH, p, n, [
+    rhs = collect(H, p, n, [
         (gen, coeff, 1) for hp, fused in _fusion(G, p, H).items() if fused is rep
-        for gen, coeff in idempotent_theorem(HH, p, hp, n).terms.items()])
+        for gen, coeff in idempotent_theorem(H, p, hp, n).terms.items()])
     return equal_elements(lhs, rhs)
 
 
-def verify_induction(G: FiniteGroup, p: int, H: Subgroup, hpair: SpeciesPair) -> bool:
+def verify_induction(G: FiniteGroup, p: int, H: FiniteGroup, hpair: SpeciesPair) -> bool:
     """Check that inducing the H-idempotent of a pair up to G gives the
     G-idempotent scaled by the stabilizer index |N_G(Q,t) : N_H(Q,t)|."""
     n = default_conductor(G, p)
-    HH = promote(H)
-    if hpair.group != HH:
+    if hpair.group != H:
         raise GroupMismatch("pair does not live over the subgroup")
-    lhs = ind_elt(idempotent_theorem(HH, p, hpair, n), G)
+    lhs = ind_elt(idempotent_theorem(H, p, hpair, n), G)
     # N_H(Q,t) is the stabilizer of the pair in H; both orders are class invariants
     rep = _fusion(G, p, H)[_canonical_pair(hpair)]
     c = Fraction(rep.stabilizer.order, hpair.stabilizer.order)
@@ -272,7 +266,7 @@ def verify_E_decomposition(H: FiniteGroup, p: int) -> bool:
     the indicator of the pairs (P, t) with t generating the quotient."""
     n = default_conductor(H, p)
     P = sylow(H, p)
-    if not P.is_normal():
+    if not P.is_normal_in(H):
         raise ShapeMismatch("the Sylow p-subgroup is not normal")
     C = quotient(H, P).group
     if all(C.orders[x] != C.order for x in C.indices):
@@ -314,7 +308,7 @@ def identity_suite(G: FiniteGroup, p: int) -> list[dict]:
         for q in pairs:
             checks.append(_check(f"restriction law |H|={H.order} {q.label()}",
                                  verify_restriction(G, p, H, q)))
-        for hq in enumerate_pairs(promote(H), p):
+        for hq in enumerate_pairs(H, p):
             checks.append(_check(f"induction law |H|={H.order} {hq.label()}",
                                  verify_induction(G, p, H, hq)))
 
@@ -347,9 +341,8 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
             rhs = res_elt(images[L], H)
             checks.append(_check(f"commute res |H|={H.order} |L|={L.order}",
                                  equal_elements(lhs, rhs)))
-        HH = promote(H)
-        for S in subgroup_lattice(HH).class_reps():
-            y = transitive(HH, S)
+        for S in subgroup_lattice(H).class_reps():
+            y = transitive(H, S)
             lhs = linearize(burnside_ind(y, G), p, n)
             rhs = ind_elt(linearize(y, p, n), G)
             checks.append(_check(f"commute ind |H|={H.order} |S|={S.order}",
@@ -364,13 +357,13 @@ def burnside_suite(G: FiniteGroup, p: int) -> list[dict]:
             checks.append(_check(f"commute Brauer |P|={P.order} |L|={L.order}",
                                  equal_elements(lhs, rhs)))
 
-    ex = gluck_yoshida(G, G.full_subgroup())
+    ex = gluck_yoshida(G, G)
     for N in lat.subgroups:
-        if not N.is_normal():
+        if not N.is_normal_in(G):
             continue
         lhs = fixed_point_functor(N, ex)
         Q = normalizer_quotient(G, N)
-        rhs = gluck_yoshida(Q.group, Q.group.full_subgroup())
+        rhs = gluck_yoshida(Q.group, Q.group)
         checks.append(_check(f"fixed points of top idempotent |N|={N.order}",
                              lhs == rhs))
     return checks
@@ -385,12 +378,12 @@ def factorization_suite(G: FiniteGroup, p: int) -> list[dict]:
     checks: list[dict] = []
     gens = standard_generators(G, p, n)
     for q in enumerate_pairs(G, p):
-        sub_pair, PH, pair0 = _route_pairs(q)
+        sub_pair, pair0 = _route_pairs(q)
         ys = [_res_to_ps(q, gen) for gen in gens]
         ok_res = all(tau_generator(q, gen) == tau_element(sub_pair, y)
                      for gen, y in zip(gens, ys))
         checks.append(_check(f"species restriction factorization {q.label()}", ok_res))
-        ok_brauer = all(tau_generator(q, gen) == tau_element(pair0, brauer_elt(y, PH))
+        ok_brauer = all(tau_generator(q, gen) == tau_element(pair0, brauer_elt(y, q.P))
                         for gen, y in zip(gens, ys))
         checks.append(_check(f"species Brauer factorization {q.label()}", ok_brauer))
     return checks
@@ -401,13 +394,12 @@ def _res_to_ps(pair: SpeciesPair, gen) -> PPElement:
     return res_elt(PPElement.from_generator(pair.p, gen), pair.ps)
 
 
-def _route_pairs(pair: SpeciesPair) -> tuple[SpeciesPair, Subgroup, SpeciesPair]:
-    """Where the two routes evaluate: the pair seen in H = promote(<Ps>),
-    P inside H, and the pair (1, s) of the quotient H/P."""
-    H = promote(pair.ps)
-    PH = pair.P.reparent(H)
-    Q = quotient(H, PH)
+def _route_pairs(pair: SpeciesPair) -> tuple[SpeciesPair, SpeciesPair]:
+    """Where the two routes evaluate: the pair seen in H = <Ps>, and the
+    pair (1, s) of the quotient H/P."""
+    H = pair.ps
+    Q = quotient(H, pair.P)
     base = Q.group
-    return (build_pair(H, pair.p, PH, pair.lift), PH,
+    return (build_pair(H, pair.p, pair.P, pair.lift),
             build_pair(base, pair.p, base.trivial_subgroup(), Q.proj[pair.lift]))
 

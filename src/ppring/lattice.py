@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .grp import FiniteGroup, Subgroup, close_indices
+from .grp import FiniteGroup, close_indices, from_indices
 
 
 class NotComparable(Exception):
@@ -64,16 +64,16 @@ class SubgroupLattice:
                 below ^= low
         self.mu_top = tuple(mu)
 
-    def index(self, H: Subgroup) -> int:
+    def index(self, H: FiniteGroup) -> int:
         try:
             return self._index[H]
         except KeyError:
             raise NotComparable(f"{H!r} is not a subgroup of {self.group!r}") from None
 
-    def leq(self, A: Subgroup, B: Subgroup) -> bool:
+    def leq(self, A: FiniteGroup, B: FiniteGroup) -> bool:
         return bool(self._below[self.index(B)] >> self.index(A) & 1)
 
-    def interval(self, A: Subgroup, B: Subgroup) -> list[Subgroup]:
+    def interval(self, A: FiniteGroup, B: FiniteGroup) -> list[FiniteGroup]:
         """All M with A <= M <= B."""
         ia, ib = self.index(A), self.index(B)
         out = []
@@ -82,7 +82,7 @@ class SubgroupLattice:
                 out.append(self.subgroups[j])
         return out
 
-    def moebius(self, A: Subgroup, B: Subgroup) -> int:
+    def moebius(self, A: FiniteGroup, B: FiniteGroup) -> int:
         ia, ib = self.index(A), self.index(B)
         if not (self._below[ib] >> ia & 1):
             raise NotComparable("first argument is not contained in the second")
@@ -102,19 +102,19 @@ class SubgroupLattice:
             self._mu[key] = -total
         return self._mu[key]
 
-    def conjugacy_classes(self) -> tuple[tuple[Subgroup, ...], ...]:
+    def conjugacy_classes(self) -> tuple[tuple[FiniteGroup, ...], ...]:
         return self._classes
 
-    def class_reps(self) -> tuple[Subgroup, ...]:
+    def class_reps(self) -> tuple[FiniteGroup, ...]:
         return tuple(cls[0] for cls in self._classes)
 
-    def rep_of(self, H: Subgroup) -> Subgroup:
+    def rep_of(self, H: FiniteGroup) -> FiniteGroup:
         """Canonical representative of the conjugacy class of H."""
         return self._rep_of[self.index(H)]
 
 
-def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
-                                                tuple[tuple[Subgroup, ...], ...]]:
+def _all_subgroups(group: FiniteGroup) -> tuple[tuple[FiniteGroup, ...],
+                                                tuple[tuple[FiniteGroup, ...], ...]]:
     """Every subgroup, sorted by ``(order, indices)``, and the conjugacy
     classes of the subgroups, each sorted and ordered by its minimal member.
 
@@ -174,10 +174,10 @@ def _all_subgroups(group: FiniteGroup) -> tuple[tuple[Subgroup, ...],
             J = close_indices(table, gens + (c,), H)
             if J not in known:
                 enter(J, gens + (c,))
-    # the (order, indices) order of Subgroup.__lt__
+    # the (order, indices) order of FiniteGroup.__lt__
     ordered = sorted(known, key=lambda H: (len(H), sorted(H)))
     position = {H: k for k, H in enumerate(ordered)}
-    subgroups = tuple(Subgroup.from_indices(group, sorted(H)) for H in ordered)
+    subgroups = tuple(from_indices(group, sorted(H)) for H in ordered)
     members = sorted(sorted(position[H] for H in cls) for cls in classes)
     return subgroups, tuple(tuple(subgroups[k] for k in cls) for cls in members)
 

@@ -32,9 +32,9 @@ from itertools import product
 from typing import Iterable, Mapping, Union
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest
-from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, Subgroup,
-                  conjugate_meet, double_coset_reps, is_p_power, normalizer,
-                  normalizer_quotient, promote, quotient)
+from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, conjugate_meet,
+                  double_coset_reps, from_indices, is_p_power, normalizer,
+                  normalizer_quotient, quotient)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -68,9 +68,9 @@ class LinChar:
 
     The table holds the exponent e(x), chi(x) = zeta_n^e(x), of each element
     x of the domain, aligned with ``domain.indices`` and reduced mod the
-    conductor; it is the one form of the character.  Elements sort alike
-    under every parent, so the table also fits the domain reparented to
-    another group.  The constructor makes no homomorphism check
+    conductor; it is the one form of the character.  The domain is one
+    object in every group that contains it, so the character serves all of
+    them unchanged.  The constructor makes no homomorphism check
     (:meth:`check_homomorphism` does).  When n is prime
     to p, the homomorphism property forces every p-element to exponent 0,
     which keeps the class closed under the whole calculus.
@@ -78,14 +78,14 @@ class LinChar:
 
     __slots__ = ("domain", "conductor", "_table", "_hash")
 
-    def __init__(self, domain: Subgroup, table: Iterable[int], conductor: int):
+    def __init__(self, domain: FiniteGroup, table: Iterable[int], conductor: int):
         self.domain = domain
         self.conductor = conductor
         self._table = tuple(e % conductor for e in table)
         self._hash = hash((domain, self._table, conductor))
 
     @classmethod
-    def trivial(cls, domain: Subgroup, conductor: int) -> LinChar:
+    def trivial(cls, domain: FiniteGroup, conductor: int) -> LinChar:
         return cls(domain, (0,) * domain.order, conductor)
 
     def table(self) -> tuple[int, ...]:
@@ -97,7 +97,7 @@ class LinChar:
 
     def check_homomorphism(self) -> None:
         """Raise ValueError unless the table is a homomorphism on the domain."""
-        table = self.domain.parent.table
+        table = self.domain.table
         n = self.conductor
         exp_of = dict(zip(self.domain.indices, self._table))
         if len(self._table) != self.domain.order or any(
@@ -105,8 +105,8 @@ class LinChar:
                 for a, ea in exp_of.items() for b, eb in exp_of.items()):
             raise ValueError("table is not a homomorphism")
 
-    def restrict(self, sub: Subgroup) -> LinChar:
-        if sub.parent != self.domain.parent or sub.mask & ~self.domain.mask:
+    def restrict(self, sub: FiniteGroup) -> LinChar:
+        if not self.domain.contains_group(sub):
             raise NotSubgroup("restriction target is not contained in the domain")
         exp_of = dict(zip(self.domain.indices, self._table))
         return LinChar(sub, [exp_of[x] for x in sub.indices], self.conductor)
@@ -132,7 +132,7 @@ class LinChar:
         return f"LinChar(order={self.domain.order}, exps={self._table}, n={self.conductor})"
 
 
-def linear_characters(L: Subgroup, conductor: int) -> tuple[LinChar, ...]:
+def linear_characters(L: FiniteGroup, conductor: int) -> tuple[LinChar, ...]:
     """All linear characters of L with values in mu_conductor.
 
     Characters are built by assigning admissible exponents to a generating
@@ -141,10 +141,10 @@ def linear_characters(L: Subgroup, conductor: int) -> tuple[LinChar, ...]:
     which :meth:`LinChar.check_homomorphism` confirms for every result.
     """
     n = conductor
-    gens = L.generators()
+    gens = L.generators
     if not gens:
         return (LinChar.trivial(L, n),)
-    table, orders = L.parent.table, L.parent.orders
+    table, orders = L.table, L.orders
     choices = []
     for g in gens:
         d = math.gcd(n, orders[g])
@@ -182,7 +182,7 @@ class Generator:
 
     __slots__ = ("group", "subgroup", "character", "_hash")
 
-    def __init__(self, group: FiniteGroup, subgroup: Subgroup, character: LinChar):
+    def __init__(self, group: FiniteGroup, subgroup: FiniteGroup, character: LinChar):
         self.group = group
         self.subgroup = subgroup
         self.character = character
@@ -210,14 +210,14 @@ class Generator:
 
 
 @lru_cache(maxsize=None)
-def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -> Generator:
+def make_generator(group: FiniteGroup, subgroup: FiniteGroup, character: LinChar) -> Generator:
     """Canonical generator: minimize (subgroup, character) over conjugation.
 
     The key of a conjugate is its sorted index tuple, then its exponents
     aligned to those indices, compared as two tuples: the order of
-    ``(Subgroup.indices, LinChar.table())``.
+    ``(FiniteGroup.indices, LinChar.table())``.
     """
-    if subgroup.parent != group:
+    if not group.contains_group(subgroup):
         raise GroupMismatch("subgroup does not live in the given group")
     if character.domain != subgroup:
         raise GroupMismatch("character domain differs from the subgroup")
@@ -235,7 +235,7 @@ def make_generator(group: FiniteGroup, subgroup: Subgroup, character: LinChar) -
         aligned = [exp_of[x] for x in sub]
         if best_sub is None or sub < best_sub or aligned < best_exps:
             best_sub, best_exps = sub, aligned
-    sub = Subgroup.from_indices(group, best_sub)
+    sub = from_indices(group, best_sub)
     return Generator(group, sub, LinChar(sub, best_exps, character.conductor))
 
 
@@ -277,8 +277,7 @@ class PPElement:
     @classmethod
     def one(cls, group: FiniteGroup, p: int, conductor: int) -> PPElement:
         """The class of the trivial module."""
-        L = group.full_subgroup()
-        gen = make_generator(group, L, LinChar.trivial(L, conductor))
+        gen = make_generator(group, group, LinChar.trivial(group, conductor))
         return cls(group, p, conductor, {gen: Cyclotomic.one(conductor)})
 
     @classmethod
@@ -328,10 +327,10 @@ class PPElement:
 
     def to_json(self) -> list[dict]:
         out = []
-        elements = self.group.elements
+        elements = self.group.root.elements
         for gen, coeff in self.sorted_terms():
             out.append({
-                "subgroup": [list(elements[g].images) for g in gen.subgroup.generators()],
+                "subgroup": [list(elements[g].images) for g in gen.subgroup.generators],
                 "character": {str(i): e for i, e in enumerate(gen.character.table())},
                 "coeff": coeff.to_json(),
             })
@@ -374,8 +373,8 @@ def _as_cyclo(c: Scalar, n: int) -> Cyclotomic:
 # the calculus on generators
 
 
-def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: int, j: int,
-                  L: Subgroup, conductor: int) -> LinChar:
+def char_pullback(H: FiniteGroup, P: FiniteGroup, s_lift: int, j: int,
+                  L: FiniteGroup, conductor: int) -> LinChar:
     """Restriction to L of the j-th power character of H/P pulled back to H.
 
     H must have normal subgroup P with cyclic quotient generated by the
@@ -383,6 +382,8 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: int, j: int,
     sends x to zeta_r^(j*a(x)) where the image of x is the a(x)-th power of
     the image of ``s_lift``, embedded at the given conductor.
     """
+    if s_lift not in H or not H.contains_group(L):
+        raise NotSubgroup("the lift or L does not lie in the group")
     Q = quotient(H, P)
     s = Q.proj[s_lift]
     table = Q.group.table
@@ -403,11 +404,10 @@ def char_pullback(H: FiniteGroup, P: Subgroup, s_lift: int, j: int,
 
 
 @lru_cache(maxsize=None)
-def _res_gen(gen: Generator, H: Subgroup) -> tuple[tuple[Generator, int], ...]:
+def _res_gen(gen: Generator, H: FiniteGroup) -> tuple[tuple[Generator, int], ...]:
     """Restriction of one generator to H, by the Mackey double-coset
-    expansion, as (generator over promote(H), multiplicity) pairs."""
+    expansion, as (generator over H, multiplicity) pairs."""
     G = gen.group
-    HH = promote(H)
     n = gen.character.conductor
     conj = G.conj
     L = gen.subgroup
@@ -417,17 +417,17 @@ def _res_gen(gen: Generator, H: Subgroup) -> tuple[tuple[Generator, int], ...]:
         # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
         meet = conjugate_meet(G, H, L, g)
         row = conj[g]
-        inter = Subgroup.from_indices(HH, meet)
-        new = make_generator(HH, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
+        inter = from_indices(H, meet)
+        new = make_generator(H, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
         counts[new] = counts.get(new, 0) + 1
     return tuple(counts.items())
 
 
-def res_elt(x: PPElement, H: Subgroup) -> PPElement:
+def res_elt(x: PPElement, H: FiniteGroup) -> PPElement:
     """Restriction to H, linear over the Mackey expansion of each generator."""
-    if H.parent != x.group:
+    if not x.group.contains_group(H):
         raise GroupMismatch("subgroup does not live in the element's group")
-    return collect(promote(H), x.p, x.conductor,
+    return collect(H, x.p, x.conductor,
                    [(new, coeff, m) for gen, coeff in x.terms.items()
                     for new, m in _res_gen(gen, H)])
 
@@ -436,12 +436,9 @@ def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
     """Induction to G: by transitivity a generator just changes ambient group."""
     if not G.contains_group(x.group):
         raise NotSubgroup("the element's group is not a subgroup of the target")
-    parts = []
-    for gen, coeff in x.terms.items():
-        sub = gen.subgroup.reparent(G)
-        parts.append((make_generator(G, sub, LinChar(sub, gen.character.table(), x.conductor)),
-                      coeff, 1))
-    return collect(G, x.p, x.conductor, parts)
+    return collect(G, x.p, x.conductor,
+                   [(make_generator(G, gen.subgroup, gen.character), coeff, 1)
+                    for gen, coeff in x.terms.items()])
 
 
 def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
@@ -471,13 +468,12 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
         for geny, cy in y.terms.items():
             c = cx * cy
             for h, m in _res_gen(geny, A):
-                K = h.subgroup.reparent(G)
-                chi = alpha.restrict(K) * LinChar(K, h.character.table(), n)
-                parts.append((make_generator(G, K, chi), c, m))
+                K = h.subgroup
+                parts.append((make_generator(G, K, alpha.restrict(K) * h.character), c, m))
     return collect(G, x.p, n, parts)
 
 
-def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
+def brauer_elt(x: PPElement, P: FiniteGroup) -> PPElement:
     """The Brauer morphism at a p-subgroup P, landing over N_G(P)/P.
 
     First restrict to N_G(P) so that P is normal; then a generator (L, chi)
@@ -485,7 +481,7 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
     transported), since chi is automatically trivial on the p-group P.
     For the trivial P the element is returned unchanged.
     """
-    if P.parent != x.group:
+    if not x.group.contains_group(P):
         raise GroupMismatch("subgroup does not live in the element's group")
     if not is_p_power(P.order, x.p):
         raise NotPGroup(f"subgroup order {P.order} is not a power of {x.p}")
@@ -494,11 +490,10 @@ def brauer_elt(x: PPElement, P: Subgroup) -> PPElement:
     y = res_elt(x, normalizer(x.group, P))
     Q = normalizer_quotient(x.group, P)
     n = x.conductor
-    kernel = Q.kernel.mask  # P inside N_G(P), the group y lives over
     parts = []
     for gen, coeff in y.terms.items():
         L = gen.subgroup
-        if kernel & ~L.mask:
+        if not L.contains_group(P):
             continue
         Lbar = Q.project_subgroup(L)
         exp_of = {Q.proj[l]: e for l, e in zip(L.indices, gen.character.table())}

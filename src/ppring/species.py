@@ -39,9 +39,9 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce
-from .grp import (FiniteGroup, Subgroup, centralizer, conjugacy_classes,
-                  coset_indices, is_p_power, normalizer,
-                  normalizer_quotient, p_prime_part, subgroup_closure)
+from .grp import (FiniteGroup, centralizer, conjugacy_classes, coset_indices,
+                  from_indices, is_p_power, normalizer, normalizer_quotient,
+                  p_prime_part, subgroup_closure)
 from .lattice import subgroup_lattice
 from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
                      make_generator)
@@ -50,7 +50,7 @@ from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
 class SpeciesPair:
     """A pair (P, s), with s stored as a p'-order lift in N_G(P).
 
-    ``lift`` is the index of that lift in ``group.elements``; it determines
+    ``lift`` is the root index of that lift in ``group``; it determines
     s (its image in N_G(P)/P) and makes every species value a concrete sum
     of character values, with no coset choices left.
     Derived data is precomputed: the subgroup generated by P and the lift,
@@ -62,8 +62,8 @@ class SpeciesPair:
     __slots__ = ("group", "p", "P", "lift", "ps", "s_order", "stabilizer",
                  "centralizer_order")
 
-    def __init__(self, group: FiniteGroup, p: int, P: Subgroup, lift: int,
-                 ps: Subgroup, s_order: int, stabilizer: Subgroup,
+    def __init__(self, group: FiniteGroup, p: int, P: FiniteGroup, lift: int,
+                 ps: FiniteGroup, s_order: int, stabilizer: FiniteGroup,
                  centralizer_order: int):
         self.group = group
         self.p = p
@@ -78,18 +78,20 @@ class SpeciesPair:
         return (self.P.order, self.P.indices, self.s_order, self.lift)
 
     def label(self) -> str:
-        return f"(|P|={self.P.order}, s={self.group.elements[self.lift]!r})"
+        return f"(|P|={self.P.order}, s={self.group.root.elements[self.lift]!r})"
 
     def __repr__(self) -> str:
         return f"SpeciesPair{self.label()}"
 
 
 @lru_cache(maxsize=None)
-def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: int) -> SpeciesPair:
+def build_pair(G: FiniteGroup, p: int, P: FiniteGroup, lift: int) -> SpeciesPair:
     """Assemble a species pair from a p-subgroup and the index of a p'-order
     lift."""
-    if P.parent != G:
+    if not G.contains_group(P):
         raise GroupMismatch("subgroup does not live in the group")
+    if lift not in G:
+        raise ValueError("lift is not an element of the group")
     if not is_p_power(P.order, p):
         raise ValueError(f"subgroup order {P.order} is not a power of {p}")
     table, inv, conj, orders = G.table, G.inv, G.conj, G.orders
@@ -98,8 +100,8 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: int) -> SpeciesPair:
     N = normalizer(G, P)
     if lift not in N:
         raise ValueError("lift does not normalize the subgroup")
-    ps = subgroup_closure(G, P.generators() + (lift,))
-    Q = normalizer_quotient(G, P)  # Q.parent is promote(N)
+    ps = subgroup_closure(G, P.generators + (lift,))
+    Q = normalizer_quotient(G, P)
     sbar = Q.proj[lift]
     s_order = Q.group.orders[sbar]
     if orders[lift] != s_order:
@@ -108,7 +110,7 @@ def build_pair(G: FiniteGroup, p: int, P: Subgroup, lift: int) -> SpeciesPair:
     lift_inv = inv[lift]
     mask = P.mask
     # g stabilizes the pair when g^-1 lift g lies in the coset P lift
-    stab = Subgroup.from_indices(G, [
+    stab = from_indices(G, [
         g for g in N.indices if mask >> table[conj[g][lift]][lift_inv] & 1])
     if stab.order != P.order * centralizer_order:
         raise RuntimeError("pair stabilizer order differs from |P| * |centralizer|")
@@ -128,7 +130,7 @@ def enumerate_pairs(G: FiniteGroup, p: int) -> tuple[SpeciesPair, ...]:
     for P in lat.class_reps():
         if not is_p_power(P.order, p):
             continue
-        Q = normalizer_quotient(G, P)  # Q.parent is promote(N_G(P))
+        Q = normalizer_quotient(G, P)  # Q.parent is N_G(P)
         orders = Q.group.orders
         for cls in conjugacy_classes(Q.group):
             s = cls[0]
@@ -175,7 +177,7 @@ def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...
     L = gen.subgroup
     conj = pair.group.conj
     exp_of = dict(zip(L.indices, gen.character.table()))
-    pgens = pair.P.generators()
+    pgens = pair.P.generators
     t = pair.lift
     counts: dict[int, int] = {}
     for g in coset_indices(pair.group, L)[0]:

@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from ppring.grp import (alternating, cyclic, dihedral, promote, quaternion8,
-                        symmetric)
+from ppring.grp import alternating, cyclic, dihedral, quaternion8, symmetric
 from ppring.idem import (burnside_suite, delta_property, factorization_suite,
                          idempotent_theorem, idempotent_via_reduction,
                          partition_of_unity, verify_induction,
@@ -98,7 +97,7 @@ def test_criterion_4_restriction_induction_laws():
                     if not verify_restriction(G, p, H, pair):
                         ok = False
                     checked += 1
-                for hpair in enumerate_pairs(promote(H), p):
+                for hpair in enumerate_pairs(H, p):
                     if not verify_induction(G, p, H, hpair):
                         ok = False
                     checked += 1

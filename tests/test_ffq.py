@@ -361,7 +361,7 @@ class TestRealizeGenerator:
         G = symmetric(3)
         n = default_conductor(G, 3)
         F = build_field(3, n)
-        L = G.full_subgroup()
+        L = G
         gen = make_generator(G, L, LinChar.trivial(L, n))
         mod = realize_generator(gen, F)
         assert mod.dimension == 1
@@ -383,9 +383,9 @@ class TestRealizeGenerator:
         G = cyclic(3)
         F = build_field(2, 3)
         s = next(x for x in G.elements if x.order() == 3)
-        chi = next(c for c in linear_characters(G.full_subgroup(), 3)
+        chi = next(c for c in linear_characters(G, 3)
                    if dict(zip(c.domain.elements, c.table()))[s] == 1)
-        gen = make_generator(G, G.full_subgroup(), chi)
+        gen = make_generator(G, G, chi)
         mod = realize_generator(gen, F)
         assert mod.dimension == 1
         assert mod.action(G.elements.index(s))[0][0] in (F.zeta, F.mul(F.zeta, F.zeta))

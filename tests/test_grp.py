@@ -13,7 +13,7 @@ from ppring.grp import (PRIME_TEST_BOUND, InvalidPermutation, NotSubgroup,
                         coset_indices, cyclic, dihedral,
                         direct_product, double_coset_reps, is_p_power,
                         klein_four, normalizer,
-                        normalizer_quotient, p_prime_part, promote,
+                        from_indices, normalizer_quotient, p_prime_part,
                         quaternion8, quotient, subgroup_closure,
                         symmetric, sylow)
 from ppring.lattice import subgroup_lattice
@@ -191,15 +191,14 @@ class TestSubgroup:
     def test_generators_regenerate(self):
         G = symmetric(4)
         H = sylow(G, 2)
-        K = subgroup_closure(G, H.generators())
+        K = subgroup_closure(G, H.generators)
         assert frozenset(K.elements) == frozenset(H.elements)
 
     def test_promote_keeps_elements(self):
         G = symmetric(3)
         H = sylow(G, 3)
-        P = promote(H)
-        assert P.full_subgroup().elements == H.elements
-        assert P.order == 3
+        assert H.elements == tuple(G.elements[i] for i in H.indices)
+        assert H.order == 3
 
 
 class TestSylow:
@@ -310,14 +309,14 @@ class TestConjugationTable:
                 continue
             N = normalizer(G, P)
             Q = normalizer_quotient(G, P)
-            assert Q.parent == promote(N)
+            assert Q.parent == N
             assert Q.group.order == N.order // P.order
 
 
 class TestQuotient:
     def test_full_quotient_is_trivial(self):
         G = cyclic(2)
-        Q = quotient(G, G.full_subgroup())
+        Q = quotient(G, G)
         assert Q.group.order == 1
 
     def test_s3_mod_sylow3(self):
@@ -352,7 +351,7 @@ class TestQuotient:
     def test_index_tables(self, build, order):
         G = build()
         normal = [H for H in subgroup_lattice(G).subgroups
-                  if H.order == order and H.is_normal()]
+                  if H.order == order and H.is_normal_in(G)]
         assert len(normal) == 1  # V4 and A4 in S4, the centre of D8
         N = normal[0]
         Q = quotient(G, N)
@@ -391,7 +390,7 @@ class TestQuotient:
 class TestDoubleCosets:
     def test_full_group(self):
         G = symmetric(3)
-        reps = double_coset_reps(G, G.full_subgroup(), G.full_subgroup())
+        reps = double_coset_reps(G, G, G)
         assert [G.elements[g] for g in reps] == [G.identity]
 
     def test_s3_sylow3_two_reps(self):
@@ -434,7 +433,7 @@ class TestCloseIndices:
         table = G.table
         for H in subgroup_lattice(G).subgroups:
             for c in range(G.order):
-                seed = H.generators() + (c,)
+                seed = H.generators + (c,)
                 elems = {0, *seed}
                 while True:
                     new = {table[a][b] for a in elems for b in elems}
@@ -582,7 +581,8 @@ def test_double_cosets_partition_generated_groups(G, data):
 ], ids=["S4", "D8xC2", "A5"])
 def test_index_order_is_element_order(build):
     """Sorting subgroups by (order, indices) sorts them by (order, image
-    tuples), in G and for the copies reparented into every N_G(P)."""
+    tuples), in G and in the lattice of every N_G(P), which lists the very
+    subgroups of G that N_G(P) contains."""
     G = build()
     lat = subgroup_lattice(G)
 
@@ -595,16 +595,16 @@ def test_index_order_is_element_order(build):
     check(lat.subgroups)
     for P in lat.subgroups:
         N = normalizer(G, P)
-        NN = promote(N)
         inside = [H for H in lat.subgroups if not H.mask & ~N.mask]
-        copies = [H.reparent(NN) for H in inside]
-        assert [H.elements for H in copies] == [H.elements for H in inside]
+        copies = subgroup_lattice(N).subgroups
+        assert len(copies) == len(inside)
+        assert all(H is K for H, K in zip(copies, inside))
         assert all(list(H.indices) == sorted(H.indices) for H in copies)
         check(copies)
 
 
 # ---------------------------------------------------------------------------
-# groups as index tables: promoted and quotient groups against composition
+# groups as index tables: subgroups and quotient groups against composition
 
 def composed_tables(G):
     """The reference path: multiplication, inverse, conjugation and order
@@ -623,10 +623,9 @@ def assert_tables_compose(G):
 def assert_promoted_and_quotient_tables_compose(G):
     assert_tables_compose(G)
     for H in subgroup_lattice(G).subgroups:
-        HH = promote(H)
-        assert HH.root is G and HH.full_subgroup().elements == H.elements
-        assert HH.table is G.table
-        if H.is_normal():
+        assert H.root is G and H.elements == tuple(G.elements[i] for i in H.indices)
+        assert H.table is G.table
+        if H.is_normal_in(G):
             assert_tables_compose(quotient(G, H).group)
 
 
@@ -659,29 +658,28 @@ def test_generated_promoted_and_quotient_tables_match_composition(G):
 def test_promoted_groups_number_elements_as_their_root(build):
     G = build()
     for H in subgroup_lattice(G).subgroups:
-        HH = promote(H)
-        assert HH.table is G.table and HH.conj is G.conj and HH.orders is G.orders
-        assert HH.indices == H.indices and HH.mask == H.mask
-        assert HH.full_subgroup().elements == H.elements
-        assert HH.exponent() == math.lcm(*(x.order() for x in H.elements))
-        assert all(x in HH for x in H.indices)
-        assert not any(x in HH for x in G.indices if x not in H)
+        assert H.table is G.table and H.conj is G.conj and H.orders is G.orders
+        assert H.mask == sum(1 << i for i in H.indices)
+        assert H.elements == tuple(G.elements[i] for i in H.indices)
+        assert H.exponent() == math.lcm(*(x.order() for x in H.elements))
+        assert all(x in H for x in H.indices)
+        assert not any(x in H for x in G.indices if x not in H.indices)
 
 
 class TestPromotedGroupMembers:
-    """A promoted group reads every root index off the root's tables, so it
+    """A subgroup reads every root index off the root's tables, so it
     refuses, by membership, a root element it does not contain."""
 
     def setup_method(self):
         G = symmetric(4)
-        self.G, self.H = G, promote(sylow(G, 3))
+        self.G, self.H = G, sylow(G, 3)
         self.outside = Permutation.from_cycles(4, [(0, 1)])
 
     def test_subgroup_refuses_a_root_element_outside(self):
         H, x = self.H, self.outside
         with pytest.raises(NotSubgroup, match="not contained"):
             H.subgroup([H.identity, x])
-        assert H.subgroup(H.full_subgroup().elements) == H.full_subgroup()
+        assert H.subgroup(H.elements) is H
 
     def test_closure_refuses_a_root_element_outside(self):
         H, x = self.H, self.outside
@@ -689,7 +687,7 @@ class TestPromotedGroupMembers:
             H.closure([x])
         with pytest.raises(NotSubgroup, match="not contained"):
             H.closure([Permutation.from_cycles(5, [(0, 4)])])  # not in the root
-        assert H.closure(H.elements[g] for g in H.generators) == H.full_subgroup()
+        assert H.closure(H.root.elements[g] for g in H.generators) is H
 
     def test_element_checks_refuse_a_root_index_outside(self):
         G, H = self.G, self.H
@@ -714,35 +712,36 @@ class TestIdentity:
                              ids=["S4", "A5"])
     def test_promote_is_memoized_per_embedding(self, build):
         G = build()
-        assert promote(G.full_subgroup()) is G
+        assert from_indices(G, G.indices) is G
         for P in subgroup_lattice(G).subgroups:
             N = normalizer(G, P)
-            assert normalizer_quotient(G, P).parent is promote(N)
-            # the same elements reached through the normalizer promote alike
-            assert promote(P.reparent(promote(N))) is promote(P)
+            assert normalizer_quotient(G, P).parent is N
+            # the same elements reached through the normalizer are one group
+            assert from_indices(N, P.indices) is P
+            assert subgroup_lattice(N).subgroups[subgroup_lattice(N).index(P)] is P
 
     def test_equality_is_identity(self):
         G = symmetric(4)
         V = next(H for H in subgroup_lattice(G).subgroups
-                 if H.order == 4 and H.is_normal())
+                 if H.order == 4 and H.is_normal_in(G))
         K = klein_four()
-        assert promote(V) != K and promote(V) is not K
-        assert not G.contains_group(K) and G.contains_group(promote(V))
-        with pytest.raises(NotSubgroup, match="different root"):
-            K.full_subgroup().reparent(G)
+        assert V != K and V is not K
+        assert not G.contains_group(K) and G.contains_group(V)
+        with pytest.raises(NotSubgroup, match="does not contain"):
+            normalizer(G, K)
 
     def test_quotient_subgroup_does_not_reparent_into_the_parent(self):
         G = symmetric(4)
         V = next(H for H in subgroup_lattice(G).subgroups
-                 if H.order == 4 and H.is_normal())
+                 if H.order == 4 and H.is_normal_in(G))
         Q = quotient(G, V)
         for S in subgroup_lattice(Q.group).subgroups:
             with pytest.raises(NotSubgroup):
-                S.reparent(G)
+                normalizer(G, S)
         assert Q.group.root is Q.group
 
     def test_reparent_refuses_a_missing_element(self):
         G = symmetric(4)
-        A, B = [promote(H) for H in subgroup_lattice(G).subgroups if H.order == 3][:2]
-        with pytest.raises(NotSubgroup, match="does not embed"):
-            A.full_subgroup().reparent(B)
+        A, B = [H for H in subgroup_lattice(G).subgroups if H.order == 3][:2]
+        with pytest.raises(NotSubgroup, match="does not contain"):
+            normalizer(B, A)

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ppring.cyclo import Cyclotomic, zeta_power
-from ppring.grp import (Permutation, Subgroup, cyclic, dihedral, promote,
-                        symmetric, sylow)
+from ppring.grp import (Permutation, cyclic, dihedral, from_indices, symmetric,
+                        sylow)
 from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, _canonical_pair,
                          cyclic_idempotent, delta_property, idempotent_normal_case,
                          idempotent_report, idempotent_theorem,
@@ -203,7 +203,7 @@ class TestRestrictionLaw:
         G = symmetric(3)
         p = 3
         for q in enumerate_pairs(G, p):
-            assert verify_restriction(G, p, G.full_subgroup(), q)
+            assert verify_restriction(G, p, G, q)
 
     def test_transposition_pair_restricts_to_zero_on_c3(self):
         G = symmetric(3)
@@ -230,7 +230,7 @@ class TestInductionLaw:
     def test_h_equals_g_coefficient_one(self):
         G = symmetric(3)
         p = 3
-        H = G.full_subgroup()
+        H = G
         for q in enumerate_pairs(G, p):
             assert verify_induction(G, p, H, q)
 
@@ -238,8 +238,8 @@ class TestInductionLaw:
         G = symmetric(3)
         p = 3
         H = sylow(G, 3)
-        hpair = next(q for q in enumerate_pairs(promote(H), p) if q.P.order == 3)
-        as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
+        hpair = next(q for q in enumerate_pairs(H, p) if q.P.order == 3)
+        as_g = build_pair(G, p, hpair.P, hpair.lift)
         assert as_g.stabilizer.order == 6
         assert len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements)) == 3
         assert verify_induction(G, p, H, hpair)
@@ -248,8 +248,8 @@ class TestInductionLaw:
         G = symmetric(3)
         p = 3
         H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
-        hpair = next(q for q in enumerate_pairs(promote(H), p) if q.s_order == 2)
-        as_g = build_pair(G, p, hpair.P.reparent(G), hpair.lift)
+        hpair = next(q for q in enumerate_pairs(H, p) if q.s_order == 2)
+        as_g = build_pair(G, p, hpair.P, hpair.lift)
         assert Fraction(as_g.stabilizer.order,
                         len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements))) == 1
         assert verify_induction(G, p, H, hpair)
@@ -259,7 +259,7 @@ def conjugate_pair(pair, g):
     """The pair moved by conjugation with the element of index g."""
     G = pair.group
     row = G.conj[g]
-    P = Subgroup.from_indices(G, sorted(row[x] for x in pair.P.indices))
+    P = from_indices(G, sorted(row[x] for x in pair.P.indices))
     return build_pair(G, pair.p, P, row[pair.lift])
 
 
@@ -293,7 +293,7 @@ def test_laws_hold_at_non_canonical_pairs(build, p):
     for H in subgroup_lattice(G).class_reps():
         for q in moved:
             assert verify_restriction(G, p, H, q)
-        for hq in non_canonical_conjugates(promote(H), p):
+        for hq in non_canonical_conjugates(H, p):
             seen_hpairs += 1
             assert verify_induction(G, p, H, hq)
     assert seen_hpairs
@@ -304,7 +304,7 @@ def test_build_pair_returns_one_object_per_pair():
     canonical pair itself."""
     G = symmetric(4)
     for q in enumerate_pairs(G, 2):
-        P = Subgroup.from_indices(G, list(q.P.indices))
+        P = from_indices(G, list(q.P.indices))
         assert build_pair(G, 2, P, q.lift) is q
 
 
@@ -327,12 +327,13 @@ class TestEDecomposition:
 
     def test_rejects_a_promoted_group_whose_root_is_cyclic_enough(self):
         """V4 in S4 at p = 3 has trivial Sylow subgroup, so its quotient is
-        promote(V4) itself, which is not cyclic although S4 has an element
+        V4 itself, which is not cyclic although S4 has an element
         of order 4."""
         G = symmetric(4)
-        V = next(H for H in subgroup_lattice(G).subgroups if H.order == 4 and H.is_normal())
+        V = next(H for H in subgroup_lattice(G).subgroups
+                 if H.order == 4 and H.is_normal_in(G))
         with pytest.raises(ShapeMismatch):
-            verify_E_decomposition(promote(V), 3)
+            verify_E_decomposition(V, 3)
 
 
 class TestReport:

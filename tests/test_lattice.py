@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 from ppring.cli import parse_group_spec
+from ppring.cyclo import Cyclotomic
 from ppring.grp import (alternating, close_indices, cyclic, dihedral,
                         direct_product, quaternion8, symmetric)
 from ppring.lattice import NotComparable, subgroup_lattice
+from ppring.ppelem import (PPElement, default_conductor, ind_elt, linear_characters,
+                           make_generator)
 from test_grp import generated_groups
 
 
@@ -81,7 +84,7 @@ def assert_matches_reference(G):
     lat = subgroup_lattice(G)
     ref = reference_subgroups(G)
     assert [list(H.indices) for H in lat.subgroups] == ref
-    assert all(H.parent == G for H in lat.subgroups)
+    assert all(G.contains_group(H) for H in lat.subgroups)
     classes = reference_classes(G, ref)
     assert [[lat.index(H) for H in cls] for cls in lat.conjugacy_classes()] == classes
     assert [lat.index(H) for H in lat.class_reps()] == [cls[0] for cls in classes]
@@ -101,6 +104,26 @@ class TestAgainstReferenceSearch:
     @given(generated_groups(max_order=120))
     def test_generated(self, G):
         assert_matches_reference(G)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "S4xC2"])
+def test_one_object_per_member_set(name):
+    """A subgroup K of a subgroup H of G, found in the lattice of H, is the
+    very object the lattice of G lists, so a character of K built on the
+    H side serves G unchanged, and inducing its generator from H to G gives
+    the generator built over G."""
+    G = parse_group_spec(name)
+    lat = subgroup_lattice(G)
+    for H in lat.subgroups:
+        for K in subgroup_lattice(H).subgroups:
+            assert K is lat.subgroups[lat.index(K)]
+    n = default_conductor(G, 2)
+    for H in lat.class_reps():
+        for K in subgroup_lattice(H).class_reps():
+            chi = linear_characters(K, n)[-1]
+            gen = make_generator(G, K, chi)
+            x = PPElement.from_generator(2, make_generator(H, K, chi))
+            assert ind_elt(x, G).terms == {gen: Cyclotomic.one(n)}
 
 
 class TestAllSubgroups:

@@ -8,7 +8,7 @@ from ppring import ppelem
 from ppring.cyclo import Cyclotomic, zeta_power
 from ppring.grp import (NotSubgroup, Permutation, alternating, cyclic, dihedral,
                         direct_product, is_p_power, normalizer,
-                        normalizer_quotient, promote, quotient, symmetric,
+                        normalizer_quotient, quotient, symmetric,
                         sylow)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (BadIndex, Generator, LinChar, NotPGroup, PPElement,
@@ -79,7 +79,7 @@ def reference_tensor(G, genx, geny):
 class TestLinChar:
     def test_homomorphism_enforced(self):
         G = cyclic(2)
-        L = G.full_subgroup()
+        L = G
         LinChar(L, (0, 1), 2).check_homomorphism()
         with pytest.raises(ValueError):
             LinChar(L, (1, 0), 2).check_homomorphism()  # chi(1) = -1
@@ -87,14 +87,14 @@ class TestLinChar:
     def test_p_elements_killed_automatically(self):
         # a homomorphism into mu_n with n odd must kill elements of order 2
         G = cyclic(6)
-        chars = linear_characters(G.full_subgroup(), 3)
+        chars = linear_characters(G, 3)
         assert len(chars) == 3
         invol = next(x for x in G.elements if x.order() == 2)
         assert all(exps(chi)[invol] == 0 for chi in chars)
 
     def test_character_counts(self):
-        assert len(linear_characters(cyclic(6).full_subgroup(), 6)) == 6
-        assert len(linear_characters(symmetric(3).full_subgroup(), 6)) == 2
+        assert len(linear_characters(cyclic(6), 6)) == 6
+        assert len(linear_characters(symmetric(3), 6)) == 2
         assert len(linear_characters(quernion_free_a4(), 6)) == 3
 
     def test_table_round_trip_on_s4(self):
@@ -115,15 +115,16 @@ class TestLinChar:
         G = symmetric(3)
         C2 = G.closure([Permutation.from_cycles(3, [(0, 1)])])
         chi = linear_characters(C2, 2)[1]
-        sign = linear_characters(G.full_subgroup(), 2)[1]
+        sign = linear_characters(G, 2)[1]
         assert sign.restrict(C2) == chi
         assert chi.restrict(G.trivial_subgroup()).table() == (0,)
         with pytest.raises(NotSubgroup):
             chi.restrict(sylow(G, 3))
         with pytest.raises(NotSubgroup):
-            chi.restrict(G.full_subgroup())
-        # its indices in its own parent are indices of the domain too
-        foreign = C2.reparent(promote(C2))
+            chi.restrict(G)
+        # a subgroup of another root with the very indices of the domain
+        foreign = next(H for H in subgroup_lattice(cyclic(4)).subgroups
+                       if H.indices == C2.indices)
         with pytest.raises(NotSubgroup):
             sign.restrict(foreign)
         with pytest.raises(NotSubgroup):
@@ -131,7 +132,7 @@ class TestLinChar:
 
 
 def quernion_free_a4():
-    return alternating(4).full_subgroup()
+    return alternating(4)
 
 
 class TestCharPullback:
@@ -139,21 +140,21 @@ class TestCharPullback:
         G = cyclic(6)
         P = sylow(G, 2)
         s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
-        chi = char_pullback(G, P, s, 0, G.full_subgroup(), 3)
+        chi = char_pullback(G, P, s, 0, G, 3)
         assert chi.is_trivial()
 
     def test_identity_pullback_on_c3(self):
         G = cyclic(3)
         P = G.trivial_subgroup()
         s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
-        chi = char_pullback(G, P, s, 1, G.full_subgroup(), 3)
+        chi = char_pullback(G, P, s, 1, G, 3)
         assert chi.table()[s] == 1  # s maps to zeta_3
 
     def test_c6_mod_c2(self):
         G = cyclic(6)
         P = sylow(G, 2)
         s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
-        chi = char_pullback(G, P, s, 1, G.full_subgroup(), 3)
+        chi = char_pullback(G, P, s, 1, G, 3)
         invol = next(i for i, x in enumerate(G.elements) if x.order() == 2)
         assert chi.table()[invol] == 0  # kills the involution
         orders = exps(chi)
@@ -163,14 +164,30 @@ class TestCharPullback:
         G = cyclic(3)
         s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
         with pytest.raises(BadIndex):
-            char_pullback(G, G.trivial_subgroup(), s, 3, G.full_subgroup(), 3)
+            char_pullback(G, G.trivial_subgroup(), s, 3, G, 3)
+
+
+    def test_refuses_a_lift_or_subgroup_outside_the_group(self):
+        """A4 in S4 with P = V4: a transposition lies in the root but not
+        in H, and an index past the root lies in neither."""
+        G = symmetric(4)
+        H = next(K for K in subgroup_lattice(G).subgroups if K.order == 12)
+        P = sylow(H, 2)
+        t = G.elements.index(Permutation.from_cycles(4, [(0, 1)]))
+        for lift in (t, 1000, -1):
+            with pytest.raises(NotSubgroup):
+                char_pullback(H, P, lift, 1, H, 3)
+        s = next(x for x in H.indices if G.orders[x] == 3)
+        assert char_pullback(H, P, s, 1, H, 3).domain is H
+        with pytest.raises(NotSubgroup):
+            char_pullback(H, P, s, 1, G, 3)
 
 
 class TestRestriction:
     def test_full_group_is_identity(self):
         G = symmetric(3)
         x = single(G, 3, gen_of(G, 3, [Permutation.from_cycles(3, [(0, 1, 2)])]))
-        assert equal_elements(res_elt(x, G.full_subgroup()), x)
+        assert equal_elements(res_elt(x, G), x)
 
     def test_regular_module_to_trivial_subgroup(self):
         G = cyclic(2)
@@ -211,16 +228,16 @@ class TestRestriction:
         H = sylow(G, 2)
         y = res_elt(x, H)
         dim_x = tau_element(enumerate_pairs(G, p)[0], x)
-        dim_y = tau_element(enumerate_pairs(promote(H), p)[0], y)
+        dim_y = tau_element(enumerate_pairs(H, p)[0], y)
         assert dim_x == dim_y
 
 
 class TestInduction:
     def test_induction_relabels(self):
         G = symmetric(3)
-        C3 = promote(sylow(G, 3))
-        chars = linear_characters(C3.full_subgroup(), 2)
-        x = PPElement.from_generator(3, make_generator(C3, C3.full_subgroup(), chars[0]))
+        C3 = sylow(G, 3)
+        chars = linear_characters(C3, 2)
+        x = PPElement.from_generator(3, make_generator(C3, C3, chars[0]))
         y = ind_elt(x, G)
         assert y.group == G
         (gen, coeff), = y.terms.items()
@@ -230,12 +247,12 @@ class TestInduction:
     def test_transitivity(self):
         G = symmetric(4)
         p = 2
-        H = promote(G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
-                               Permutation.from_cycles(4, [(0, 1)])]))
-        K = promote(G.closure([Permutation.from_cycles(4, [(0, 1, 2)])]))
+        H = G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
+                       Permutation.from_cycles(4, [(0, 1)])])
+        K = G.closure([Permutation.from_cycles(4, [(0, 1, 2)])])
         n = default_conductor(G, p)
-        chi = linear_characters(K.full_subgroup(), n)[1]
-        x = PPElement.from_generator(p, make_generator(K, K.full_subgroup(), chi))
+        chi = linear_characters(K, n)[1]
+        x = PPElement.from_generator(p, make_generator(K, K, chi))
         via_h = ind_elt(ind_elt(x, H), G)
         direct = ind_elt(x, G)
         assert via_h.terms == direct.terms
@@ -243,7 +260,7 @@ class TestInduction:
     def test_dimension_multiplies_by_index(self):
         G = symmetric(3)
         p = 2
-        H = promote(sylow(G, 3))
+        H = sylow(G, 3)
         x = PPElement.one(H, p, default_conductor(G, p))
         y = ind_elt(x, G)
         dim = tau_element(enumerate_pairs(G, p)[0], y)
@@ -262,10 +279,10 @@ class TestInflation:
         G = cyclic(6)
         P = sylow(G, 2)
         Q = quotient(G, P)
-        chi = next(c for c in linear_characters(Q.group.full_subgroup(), 3)
+        chi = next(c for c in linear_characters(Q.group, 3)
                    if not c.is_trivial())
         x = PPElement.from_generator(
-            2, make_generator(Q.group, Q.group.full_subgroup(), chi))
+            2, make_generator(Q.group, Q.group, chi))
         y = inf_elt(x, Q)
         (gen, _), = y.terms.items()
         assert gen.subgroup.order == 6
@@ -296,8 +313,8 @@ class TestTensor:
 
     def test_characters_multiply_on_c3(self):
         G = cyclic(3)
-        chars = linear_characters(G.full_subgroup(), 3)
-        xs = [PPElement.from_generator(2, make_generator(G, G.full_subgroup(), c))
+        chars = linear_characters(G, 3)
+        xs = [PPElement.from_generator(2, make_generator(G, G, c))
               for c in chars]
         prod = tensor_elt(xs[1], xs[2])
         (gen, coeff), = prod.terms.items()
@@ -341,7 +358,7 @@ class TestBrauer:
     def test_regular_c2_dies_at_c2(self):
         G = cyclic(2)
         x = single(G, 2, gen_of(G, 2, []))
-        y = brauer_elt(x, G.full_subgroup())
+        y = brauer_elt(x, G)
         assert y.is_zero_formal()
 
     def test_s3_at_sylow3_gives_regular_quotient_module(self):
@@ -381,25 +398,23 @@ class TestMackeyCoherence:
         H = G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
                        Permutation.from_cycles(4, [(0, 1)])])
         K = sylow(G, 2)
-        HH = promote(H)
         chi = linear_characters(
-            HH.closure([Permutation.from_cycles(4, [(0, 1, 2)])]), n)[1]
-        gen = make_generator(HH, chi.domain, chi)
+            H.closure([Permutation.from_cycles(4, [(0, 1, 2)])]), n)[1]
+        gen = make_generator(H, chi.domain, chi)
         x = PPElement.from_generator(p, gen)
         got = res_elt(ind_elt(x, G), K)
 
         # independent expansion straight from the double-coset formula
-        KK = promote(K)
-        L = gen.subgroup.reparent(G)
-        expected = PPElement.zero(KK, p, n)
+        L = gen.subgroup
+        expected = PPElement.zero(K, p, n)
         for g in (G.elements[i] for i in double_coset_reps(G, K, L)):
             gi = g.inverse()
-            inter = KK.subgroup(
+            inter = K.subgroup(
                 frozenset(K.elements) & frozenset(y.conj(gi) for y in L.elements))
             chi2 = LinChar(inter, [exps(gen.character)[u.conj(g)] for u in inter.elements], n)
             chi2.check_homomorphism()
             expected = expected + PPElement.from_generator(
-                p, make_generator(KK, inter, chi2))
+                p, make_generator(K, inter, chi2))
         assert equal_elements(got, expected)
 
 
@@ -410,7 +425,7 @@ class TestResInfComposite:
     def test_res_inf_equals_inf_iso_res(self, p, build):
         H = build()
         P = sylow(H, p)
-        if not P.is_normal() or P.order == 1:
+        if not P.is_normal_in(H) or P.order == 1:
             pytest.skip("needs a nontrivial normal p-subgroup")
         n = default_conductor(H, p)
         Q = quotient(H, P)
@@ -420,23 +435,22 @@ class TestResInfComposite:
             return Q.group.elements[Q.proj[index[x]]]
 
         lat = subgroup_lattice(H)
-        for chi in linear_characters(Q.group.full_subgroup(), n):
+        for chi in linear_characters(Q.group, n):
             x = PPElement.from_generator(
-                p, make_generator(Q.group, Q.group.full_subgroup(), chi))
+                p, make_generator(Q.group, Q.group, chi))
             for L in lat.class_reps():
                 lhs = res_elt(inf_elt(x, Q), L)
                 # pull back along L -> LP/P directly
                 LPbar = Q.project_subgroup(L)
                 z = res_elt(x, LPbar)
-                LL = promote(L)
-                rhs = PPElement.zero(LL, p, n)
+                rhs = PPElement.zero(L, p, n)
                 for gen, coeff in z.terms.items():
-                    pre = LL.subgroup(l for l in L.elements
+                    pre = L.subgroup(l for l in L.elements
                                       if project(l) in gen.subgroup.elements)
                     chi2 = LinChar(pre, [exps(gen.character)[project(l)]
                                          for l in pre.elements], n)
                     rhs = rhs + PPElement.from_generator(
-                        p, make_generator(LL, pre, chi2)).scale(coeff)
+                        p, make_generator(L, pre, chi2)).scale(coeff)
                 assert equal_elements(lhs, rhs)
 
 
@@ -510,7 +524,7 @@ def ref_ind(x, G):
     n = x.conductor
     parts = []
     for gen, coeff in x.terms.items():
-        sub = gen.subgroup.reparent(G)
+        sub = gen.subgroup
         parts.append((make_generator(G, sub, LinChar(sub, gen.character.table(), n)), coeff))
     return term_sum(n, parts)
 
@@ -567,7 +581,7 @@ def test_calculus_matches_the_term_by_term_sum(case, data):
     assert res_elt(x, H).terms == ref_res(x, H)
     P = data.draw(st.sampled_from([P for P in reps if is_p_power(P.order, p)]))
     assert brauer_elt(x, P).terms == ref_brauer(x, P)
-    HH = promote(data.draw(st.sampled_from(reps)))
+    HH = data.draw(st.sampled_from(reps))
     z = PPElement(HH, p, n, term_sum(n, drawn_terms(data, HH, p, n)))
     assert ind_elt(z, G).terms == ref_ind(z, G)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ppring import clear_caches, species
 from ppring.cyclo import ConductorMismatch, Cyclotomic, zeta_power
 from ppring.grp import (Permutation, alternating, cyclic, dihedral,
-                        p_prime_part, promote, symmetric, sylow)
+                        p_prime_part, symmetric, sylow)
 from ppring.idem import idempotent_theorem
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
@@ -76,16 +76,16 @@ class TestPairsConjugate:
         assert not pairs_conjugate(pairs[0], pairs[1])
 
     def test_only_the_group_s_own_elements_conjugate(self):
-        """Over promote(V4) in S4 the tables are those of S4, but two
+        """Over V4 in S4 the tables are those of S4, but two
         involutions of the abelian V4 are conjugate only in S4."""
         G = symmetric(4)
-        V = next(H for H in subgroup_lattice(G).subgroups if H.order == 4 and H.is_normal())
-        VV = promote(V)
+        V = next(H for H in subgroup_lattice(G).subgroups
+                 if H.order == 4 and H.is_normal_in(G))
         a, b = V.indices[1:3]
         assert pairs_conjugate(build_pair(G, 3, G.trivial_subgroup(), a),
                                build_pair(G, 3, G.trivial_subgroup(), b))
-        assert not pairs_conjugate(build_pair(VV, 3, VV.trivial_subgroup(), a),
-                                   build_pair(VV, 3, VV.trivial_subgroup(), b))
+        assert not pairs_conjugate(build_pair(V, 3, V.trivial_subgroup(), a),
+                                   build_pair(V, 3, V.trivial_subgroup(), b))
 
 
 class TestTauGenerator:
@@ -339,21 +339,34 @@ def test_formally_equal_elements_skip_the_species(monkeypatch):
         equal_elements(x, x + rel)
 
 
+def test_build_pair_refuses_a_lift_outside_the_group():
+    """A lift index outside the group is refused as such, before its order is
+    read: -1 and |S4| lie outside the root, a transposition outside C3."""
+    G = symmetric(4)
+    C3 = sylow(G, 3)
+    t = G.elements.index(Permutation.from_cycles(4, [(0, 1)]))
+    for H, lift in ((G, -1), (G, G.order), (C3, t)):
+        with pytest.raises(ValueError, match="lift is not an element of the group"):
+            build_pair(H, 2, H.trivial_subgroup(), lift)
+    P = sylow(G, 2)
+    assert -1 not in P and G.order not in P and -1 not in G
+
+
 @pytest.mark.parametrize("build,p", [(lambda: symmetric(4), 2), (lambda: symmetric(4), 3),
                                      (lambda: alternating(5), 2)],
                          ids=["S4-p2", "S4-p3", "A5-p2"])
 def test_pairs_over_promoted_ps_keep_their_lift_index(build, p):
-    """An element has one index in G and in H = promote(<Ps>): the pair
+    """An element has one index in G and in H = <Ps>: the pair
     (P, s) built over H keeps the lift index it has in G, and the pairs
     enumerated over H name their lifts by the same indices."""
     G = build()
     for q in enumerate_pairs(G, p):
-        H = promote(q.ps)
-        sub = build_pair(H, p, q.P.reparent(H), q.lift)
+        H = q.ps
+        sub = build_pair(H, p, q.P, q.lift)
         assert sub.lift == q.lift and sub.label() == q.label()
         assert (sub.s_order, sub.ps.indices) == (q.s_order, q.ps.indices)
         for hq in enumerate_pairs(H, p):
-            assert hq.lift in H and H.elements[hq.lift] is G.elements[hq.lift]
+            assert hq.lift in H and H.root.elements[hq.lift] is G.elements[hq.lift]
 
 
 @pytest.mark.parametrize("build, p", [(lambda: symmetric(4), 2),
