@@ -24,8 +24,8 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .cyclo import Cyclotomic, _reduction_terms
-from .grp import (FiniteGroup, conjugate_meet, coset_indices, double_coset_reps,
-                  from_indices, normalizer, normalizer_quotient)
+from .grp import (FiniteGroup, coset_indices, double_coset_reps, from_indices, normalizer,
+                  normalizer_quotient)
 from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
                      make_generator)
@@ -133,6 +133,8 @@ def transitive(G: FiniteGroup, L: FiniteGroup) -> BurnsideElement:
 @lru_cache(maxsize=None)
 def mark(G: FiniteGroup, L: FiniteGroup, H: FiniteGroup) -> int:
     """The number of H-fixed points of [G/L]: cosets gL with g^-1 H g <= L."""
+    if not G.contains_group(H):
+        raise GroupMismatch("subgroup over a different group")
     return len(_fixed_cosets(G, L, H))
 
 
@@ -148,6 +150,8 @@ def _fixed_cosets(G: FiniteGroup, L: FiniteGroup, H: FiniteGroup) -> list[int]:
 def mark_element(x: BurnsideElement, H: FiniteGroup) -> Fraction:
     """Linear extension of the mark at H."""
     G = x.group
+    if not G.contains_group(H):
+        raise GroupMismatch("subgroup over a different group")
     return Fraction(sum(c * mark(G, L, H) for L, c in x.nums.items()), x.den)
 
 
@@ -156,10 +160,10 @@ def _transitive_product(G: FiniteGroup, A: FiniteGroup,
                         B: FiniteGroup) -> tuple[tuple[FiniteGroup, int], ...]:
     """[G/A].[G/B] = sum over A\\G/B of [G/(A cap gBg^-1)], as (class
     representative, multiplicity) pairs."""
-    lat = subgroup_lattice(G)
+    rep_of = subgroup_lattice(G).rep_of
     counts: dict[FiniteGroup, int] = {}
-    for g in double_coset_reps(G, A, B):
-        rep = lat.rep_of(from_indices(G, conjugate_meet(G, A, B, g)))
+    for _, meet in double_coset_reps(G, A, B):
+        rep = rep_of(meet)
         counts[rep] = counts.get(rep, 0) + 1
     return tuple(counts.items())
 
@@ -252,8 +256,8 @@ def fixed_point_functor(P: FiniteGroup, x: BurnsideElement) -> BurnsideElement:
     G = x.group
     if not G.contains_group(P):
         raise GroupMismatch("subgroup over a different group")
-    N = normalizer(G, P)
     Q = normalizer_quotient(G, P)
+    N = Q.parent
     nums = _on_reps(Q.group, (
         (Q.project_subgroup(from_indices(G, stab)), c)
         for L, c in x.nums.items()

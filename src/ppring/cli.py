@@ -25,9 +25,9 @@ import sys
 
 from . import burnside as bd
 from . import ffq, idem, species
-from .grp import (DEFAULT_ORDER_CAP, FiniteGroup, GroupError, Permutation,
-                  alternating, check_prime, close_generators, cyclic, dihedral,
-                  direct_product, klein_four, quaternion8, symmetric)
+from .grp import (DEFAULT_ORDER_CAP, FiniteGroup, GroupError, OrderCapExceeded,
+                  Permutation, alternating, check_prime, close_generators, cyclic,
+                  dihedral, direct_product, klein_four, quaternion8, symmetric)
 from .lattice import subgroup_lattice
 from .ppelem import default_conductor
 
@@ -115,9 +115,9 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGro
             gens = [Permutation.from_cycles(degree, [tuple(c) for c in g])
                     for g in data["generators"]]
             return close_generators(degree, gens, max_order)
+        except OrderCapExceeded:
+            raise
         except (TypeError, ValueError, GroupError) as exc:
-            if isinstance(exc, GroupError) and "cap" in str(exc):
-                raise
             raise ParseError(f"bad group spec: {exc}") from exc
     return _named_group(text, max_order)
 

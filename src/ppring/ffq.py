@@ -579,6 +579,8 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     """
     if gen.group != pair.group:
         raise ValueError("pair and generator over different groups")
+    if F.p != pair.p:
+        raise ValueError(f"field of characteristic {F.p} for a pair at p = {pair.p}")
     d = gen.dimension
     if d > dim_cap:
         raise CapExceeded(f"dimension {d} exceeds the oracle cap {dim_cap}")

@@ -459,7 +459,6 @@ def check_prime(p: int) -> None:
             raise ValueError(f"{p} is not prime")
 
 
-@lru_cache(maxsize=None)
 def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup of G.
 
@@ -578,7 +577,6 @@ def quotient(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
     return QuotientGroup(G, N)
 
 
-@lru_cache(maxsize=None)
 def normalizer_quotient(G: FiniteGroup, P: FiniteGroup) -> QuotientGroup:
     """N_G(P)/P; its ``parent`` is the normalizer N_G(P)."""
     return quotient(normalizer(G, P), P)
@@ -605,24 +603,27 @@ def coset_indices(G: FiniteGroup, H: FiniteGroup) -> tuple[tuple[int, ...], tupl
     return tuple(reps), tuple(rep_of)
 
 
-def double_coset_reps(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup) -> list[int]:
-    """The index of one minimal representative per double coset A g B, in
-    canonical order.
+def double_coset_reps(G: FiniteGroup, A: FiniteGroup,
+                      B: FiniteGroup) -> list[tuple[int, FiniteGroup]]:
+    """One minimal representative g per double coset A g B, in canonical
+    order, each with the subgroup A cap gBg^-1 of its Mackey term.
 
     A g B is the union of the left cosets a g B, and the cosets covered so
     far are whole left cosets of B, so a coset whose first element is
-    already covered is skipped without walking it.
+    already covered is skipped without walking it.  The meet holds the a in
+    A with g^-1 a g in B.
     """
     if not (G.contains_group(A) and G.contains_group(B)):
         raise NotSubgroup("the group does not contain the subgroup")
-    table = G.table
-    a_members, b_members = A.indices, B.indices
+    table, conj = G.table, G.conj
+    a_members, b_members, b_mask = A.indices, B.indices, B.mask
     covered = bytearray(len(table))
     reps = []
     for g in G.indices:
         if covered[g]:
             continue
-        reps.append(g)
+        by_g = conj[g]  # by_g[a] = g^-1 a g
+        reps.append((g, from_indices(G, [a for a in a_members if b_mask >> by_g[a] & 1])))
         for a in a_members:
             ag = table[a][g]
             if covered[ag]:
@@ -631,13 +632,6 @@ def double_coset_reps(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup) -> list[in
             for b in b_members:
                 covered[row[b]] = 1
     return reps
-
-
-def conjugate_meet(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup, g: int) -> list[int]:
-    """Sorted indices of A cap g B g^-1, the subgroup of a Mackey term."""
-    row = G.conj[G.inv[g]]
-    conjugate = {row[b] for b in B.indices}
-    return [a for a in A.indices if a in conjugate]
 
 
 @lru_cache(maxsize=None)

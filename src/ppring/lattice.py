@@ -28,14 +28,16 @@ class NotComparable(Exception):
 
 
 class SubgroupLattice:
-    """All subgroups of a finite group, with containment and Moebius data.
+    """All subgroups of a finite group, with Moebius data and classes.
 
     Subgroups are listed in a deterministic order (by order, then canonical
-    form).  ``moebius(A, B)`` is the Moebius function of the subgroup poset.
-    ``mu_top[i]`` is mu(subgroups[i], top), filled top down: mu(top, top) = 1
-    and mu(L, top) = -sum of mu(M, top) over the M strictly above L, which
-    all come later in the list.  Every other value comes from the defining
-    recursion mu(A, B) = -sum_{A <= M < B} mu(A, M), memoized.
+    form), so a subgroup comes after every subgroup it contains; containment
+    is read from their masks.  ``moebius(A, B)`` is the Moebius function of
+    the subgroup poset.  ``mu_top[i]`` is mu(subgroups[i], top), filled top
+    down: mu(top, top) = 1 and mu(L, top) = -sum of mu(M, top) over the M
+    strictly above L, which all come later in the list.  Every other value
+    comes from the defining recursion mu(A, B) = -sum_{A <= M < B} mu(A, M),
+    memoized.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -44,24 +46,20 @@ class SubgroupLattice:
         self.top = self.subgroups[-1]
         self.bottom = self.subgroups[0]
         self._index = {H: i for i, H in enumerate(self.subgroups)}
-        # below[i] = bitmask of the subgroups contained in subgroup i
-        masks = [H.mask for H in self.subgroups]
-        self._below = [sum(1 << j for j, K in enumerate(masks) if not K & ~H)
-                       for H in masks]
         self._mu: dict[tuple[int, int], int] = {}
-        self._rep_of = {self._index[H]: cls[0] for cls in self._classes for H in cls}
-        top = len(masks) - 1
+        self._reps = tuple(cls[0] for cls in self._classes)
+        self._rep_of = {H: cls[0] for cls in self._classes for H in cls}
+        masks = [H.mask for H in self.subgroups]
         mu = [0] * len(masks)
-        mu[top] = 1
-        for j in range(top, -1, -1):  # mu[j] is final once every M above it is done
+        mu[-1] = 1
+        for j in reversed(range(len(masks))):  # mu[j] is final once every M above it is done
             m = mu[j]
             if not m:
                 continue
-            below = self._below[j] & ~(1 << j)
-            while below:  # subtract mu(M, top) at each L strictly below M
-                low = below & -below
-                mu[low.bit_length() - 1] -= m
-                below ^= low
+            M = masks[j]
+            for i in range(j):  # subtract mu(M, top) at each L strictly below M
+                if not masks[i] & ~M:
+                    mu[i] -= m
         self.mu_top = tuple(mu)
 
     def index(self, H: FiniteGroup) -> int:
@@ -70,21 +68,9 @@ class SubgroupLattice:
         except KeyError:
             raise NotComparable(f"{H!r} is not a subgroup of {self.group!r}") from None
 
-    def leq(self, A: FiniteGroup, B: FiniteGroup) -> bool:
-        return bool(self._below[self.index(B)] >> self.index(A) & 1)
-
-    def interval(self, A: FiniteGroup, B: FiniteGroup) -> list[FiniteGroup]:
-        """All M with A <= M <= B."""
-        ia, ib = self.index(A), self.index(B)
-        out = []
-        for j in range(len(self.subgroups)):
-            if self._below[ib] >> j & 1 and self._below[j] >> ia & 1:
-                out.append(self.subgroups[j])
-        return out
-
     def moebius(self, A: FiniteGroup, B: FiniteGroup) -> int:
         ia, ib = self.index(A), self.index(B)
-        if not (self._below[ib] >> ia & 1):
+        if not B.contains_group(A):
             raise NotComparable("first argument is not contained in the second")
         if ib == len(self.subgroups) - 1:
             return self.mu_top[ia]
@@ -95,22 +81,26 @@ class SubgroupLattice:
             return 1
         key = (ia, ib)
         if key not in self._mu:
-            total = 0
-            for j in range(len(self.subgroups)):
-                if j != ib and self._below[ib] >> j & 1 and self._below[j] >> ia & 1:
-                    total += self._moebius_idx(ia, j)
-            self._mu[key] = -total
+            # every M with A <= M < B lies between them in the list
+            subgroups = self.subgroups
+            A, B = subgroups[ia], subgroups[ib]
+            self._mu[key] = -sum(self._moebius_idx(ia, j) for j in range(ia, ib)
+                                 if subgroups[j].contains_group(A)
+                                 and B.contains_group(subgroups[j]))
         return self._mu[key]
 
     def conjugacy_classes(self) -> tuple[tuple[FiniteGroup, ...], ...]:
         return self._classes
 
     def class_reps(self) -> tuple[FiniteGroup, ...]:
-        return tuple(cls[0] for cls in self._classes)
+        return self._reps
 
     def rep_of(self, H: FiniteGroup) -> FiniteGroup:
         """Canonical representative of the conjugacy class of H."""
-        return self._rep_of[self.index(H)]
+        try:
+            return self._rep_of[H]
+        except KeyError:
+            raise NotComparable(f"{H!r} is not a subgroup of {self.group!r}") from None
 
 
 def _all_subgroups(group: FiniteGroup) -> tuple[tuple[FiniteGroup, ...],

@@ -32,9 +32,8 @@ from itertools import product
 from typing import Iterable, Mapping, Union
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest
-from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, conjugate_meet,
-                  double_coset_reps, from_indices, is_p_power, normalizer,
-                  normalizer_quotient, quotient)
+from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, double_coset_reps,
+                  from_indices, is_p_power, normalizer_quotient, quotient)
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -406,19 +405,19 @@ def char_pullback(H: FiniteGroup, P: FiniteGroup, s_lift: int, j: int,
 @lru_cache(maxsize=None)
 def _res_gen(gen: Generator, H: FiniteGroup) -> tuple[tuple[Generator, int], ...]:
     """Restriction of one generator to H, by the Mackey double-coset
-    expansion, as (generator over H, multiplicity) pairs."""
+    expansion, as (generator over H, multiplicity) pairs: one term per double
+    coset H g L, over the meet H cap gLg^-1 that ``double_coset_reps``
+    returns with g."""
     G = gen.group
     n = gen.character.conductor
     conj = G.conj
     L = gen.subgroup
     exp_of = dict(zip(L.indices, gen.character.table()))
     counts: dict[Generator, int] = {}
-    for g in double_coset_reps(G, H, L):
-        # the term's character sends x in H cap gLg^-1 to chi(g^-1 x g)
-        meet = conjugate_meet(G, H, L, g)
+    for g, meet in double_coset_reps(G, H, L):
+        # the term's character sends x in the meet to chi(g^-1 x g)
         row = conj[g]
-        inter = from_indices(H, meet)
-        new = make_generator(H, inter, LinChar(inter, [exp_of[row[i]] for i in meet], n))
+        new = make_generator(H, meet, LinChar(meet, [exp_of[row[i]] for i in meet.indices], n))
         counts[new] = counts.get(new, 0) + 1
     return tuple(counts.items())
 
@@ -487,8 +486,8 @@ def brauer_elt(x: PPElement, P: FiniteGroup) -> PPElement:
         raise NotPGroup(f"subgroup order {P.order} is not a power of {x.p}")
     if P.order == 1:
         return x
-    y = res_elt(x, normalizer(x.group, P))
     Q = normalizer_quotient(x.group, P)
+    y = res_elt(x, Q.parent)
     n = x.conductor
     parts = []
     for gen, coeff in y.terms.items():

@@ -40,8 +40,8 @@ from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce
 from .grp import (FiniteGroup, centralizer, conjugacy_classes, coset_indices,
-                  from_indices, is_p_power, normalizer, normalizer_quotient,
-                  p_prime_part, subgroup_closure)
+                  from_indices, is_p_power, normalizer_quotient, p_prime_part,
+                  subgroup_closure)
 from .lattice import subgroup_lattice
 from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
                      make_generator)
@@ -97,11 +97,11 @@ def build_pair(G: FiniteGroup, p: int, P: FiniteGroup, lift: int) -> SpeciesPair
     table, inv, conj, orders = G.table, G.inv, G.conj, G.orders
     if math.gcd(orders[lift], p) != 1:
         raise ValueError("lift does not have p'-order")
-    N = normalizer(G, P)
+    Q = normalizer_quotient(G, P)
+    N = Q.parent
     if lift not in N:
         raise ValueError("lift does not normalize the subgroup")
     ps = subgroup_closure(G, P.generators + (lift,))
-    Q = normalizer_quotient(G, P)
     sbar = Q.proj[lift]
     s_order = Q.group.orders[sbar]
     if orders[lift] != s_order:

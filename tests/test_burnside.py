@@ -5,17 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppring import burnside
+from ppring import burnside, clear_caches, ppelem
 from ppring.burnside import (BurnsideElement, burnside_ind, burnside_product,
                              burnside_res, fixed_point_functor, gluck_yoshida,
                              linearize, mark, mark_element, transitive)
 from ppring.cyclo import Cyclotomic
 from ppring.grp import (Permutation, alternating, coset_indices, cyclic,
-                        dihedral, direct_product, from_indices, normalizer,
-                        normalizer_quotient, quotient, symmetric, sylow)
+                        dihedral, direct_product, from_indices, klein_four,
+                        normalizer, normalizer_quotient, quotient, symmetric,
+                        sylow)
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import (LinChar, default_conductor, ind_elt, make_generator,
-                           res_elt)
+from ppring.ppelem import (GroupMismatch, LinChar, default_conductor, ind_elt,
+                           make_generator, res_elt)
 from ppring.species import equal_elements
 
 
@@ -41,6 +42,17 @@ class TestMark:
         T = G.trivial_subgroup()
         assert mark(G, T, T) == 6
         assert mark(G, T, G) == 0
+
+    def test_refuses_a_subgroup_of_another_group(self):
+        G = symmetric(4)
+        L = subgroup_lattice(G).class_reps()[1]
+        H = subgroup_lattice(klein_four()).subgroups[1]  # a C2 of another root
+        assert not G.contains_group(H)
+        with pytest.raises(GroupMismatch):
+            mark(G, L, H)
+        for x in (transitive(G, L), BurnsideElement.zero(G)):
+            with pytest.raises(GroupMismatch):
+                mark_element(x, H)
 
 
 class TestProduct:
@@ -360,3 +372,31 @@ def test_zero_is_no_terms_over_one():
         assert zero.nums == {} and zero.den == 1
         assert_canonical(zero)
     assert x.den == 6 and x.nums[reps[0]] == 1
+
+
+class MackeyCalled(Exception):
+    pass
+
+
+def test_orbit_algorithms_do_not_read_the_double_cosets(monkeypatch):
+    """The orbit algorithms are checked against the Mackey expansions, so
+    they must not compute anything through ``double_coset_reps``."""
+    def refuse(G, A, B):
+        raise MackeyCalled
+
+    clear_caches()
+    monkeypatch.setattr(burnside, "double_coset_reps", refuse)
+    monkeypatch.setattr(ppelem, "double_coset_reps", refuse)
+    G = symmetric(4)
+    reps = subgroup_lattice(G).class_reps()
+    for L in reps:
+        x = transitive(G, L)
+        for H in reps:
+            burnside_res(x, H)
+            fixed_point_functor(H, x)
+            mark(G, L, H)
+    x = transitive(G, reps[1])
+    with pytest.raises(MackeyCalled):
+        burnside_product(x, x)
+    with pytest.raises(MackeyCalled):
+        res_elt(linearize(x, 2), reps[1])

@@ -48,6 +48,15 @@ class TestParseGroupSpec:
         with pytest.raises(OrderCapExceeded):
             parse_group_spec("S5", max_order=100)
 
+    def test_json_generators_over_the_cap_exit_2(self, capsys):
+        spec = '{"degree": 5, "generators": [[[0, 1]], [[0, 1, 2, 3, 4]]]}'
+        with pytest.raises(OrderCapExceeded):
+            parse_group_spec(spec, max_order=100)
+        assert main(["pairs", "--group", spec, "--max-order", "100"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: closure exceeds the order cap 100\n"
+
     def test_symmetric_bound(self):
         with pytest.raises(UnknownName):
             parse_group_spec("S6")

@@ -411,6 +411,15 @@ class TestOracleTau:
         gen = make_generator(G, T, LinChar.trivial(T, 1))
         assert oracle_tau(pair, gen, F).is_zero()
 
+    def test_refuses_a_field_of_another_characteristic(self):
+        G = alternating(4)
+        n = default_conductor(G, 3)
+        F = build_field(5, n)
+        for pair in enumerate_pairs(G, 3):
+            for gen in standard_generators(G, 3, n):
+                with pytest.raises(ValueError, match="characteristic 5"):
+                    oracle_tau(pair, gen, F)
+
     def test_dim_cap(self, monkeypatch):
         def refuse(field, gen):
             raise AssertionError("the module was built before the cap was checked")

@@ -9,9 +9,8 @@ from ppring import grp
 from ppring.grp import (PRIME_TEST_BOUND, InvalidPermutation, NotSubgroup,
                         OrderCapExceeded, Permutation, alternating,
                         centralizer, check_prime, close_generators,
-                        close_indices, conjugacy_classes, conjugate_meet,
-                        coset_indices, cyclic, dihedral,
-                        direct_product, double_coset_reps, is_p_power,
+                        close_indices, conjugacy_classes, coset_indices,
+                        cyclic, dihedral, direct_product, double_coset_reps, is_p_power,
                         klein_four, normalizer,
                         from_indices, normalizer_quotient, p_prime_part,
                         quaternion8, quotient, subgroup_closure,
@@ -391,7 +390,7 @@ class TestDoubleCosets:
     def test_full_group(self):
         G = symmetric(3)
         reps = double_coset_reps(G, G, G)
-        assert [G.elements[g] for g in reps] == [G.identity]
+        assert [(G.elements[g], meet) for g, meet in reps] == [(G.identity, G)]
 
     def test_s3_sylow3_two_reps(self):
         G = symmetric(3)
@@ -409,7 +408,7 @@ class TestDoubleCosets:
         B = sylow(G, 3)
         reps = double_coset_reps(G, A, B)
         seen = set()
-        for g in (G.elements[i] for i in reps):
+        for g in (G.elements[i] for i, _ in reps):
             coset = {a * g * b for a in A.elements for b in B.elements}
             assert not (coset & seen)
             seen |= coset
@@ -562,12 +561,11 @@ def test_double_cosets_partition_generated_groups(G, data):
     B = G.closure(data.draw(st.lists(elements, max_size=2)))
     covered = set()
     total = 0
-    for gi in double_coset_reps(G, A, B):
+    for gi, meet in double_coset_reps(G, A, B):
         g = G.elements[gi]
         double_coset = {a * g * b for a in A.elements for b in B.elements}
         assert not double_coset & covered
-        meet = [G.elements[i] for i in conjugate_meet(G, A, B, gi)]
-        assert meet == [a for a in A.elements if a.conj(g) in B.elements]
+        assert list(meet.elements) == [a for a in A.elements if a.conj(g) in B.elements]
         covered |= double_coset
         total += len(double_coset)
     assert total == G.order

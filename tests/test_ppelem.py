@@ -407,7 +407,7 @@ class TestMackeyCoherence:
         # independent expansion straight from the double-coset formula
         L = gen.subgroup
         expected = PPElement.zero(K, p, n)
-        for g in (G.elements[i] for i in double_coset_reps(G, K, L)):
+        for g in (G.elements[i] for i, _ in double_coset_reps(G, K, L)):
             gi = g.inverse()
             inter = K.subgroup(
                 frozenset(K.elements) & frozenset(y.conj(gi) for y in L.elements))
