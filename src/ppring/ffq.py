@@ -35,7 +35,7 @@ import itertools
 import math
 from functools import lru_cache
 
-from .cyclo import Cyclotomic, zeta_power
+from .cyclo import ConductorMismatch, Cyclotomic, zeta_power
 from .grp import FiniteGroup, coset_indices
 from .lattice import subgroup_lattice
 from .ppelem import Generator
@@ -581,6 +581,8 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
         raise ValueError("pair and generator over different groups")
     if F.p != pair.p:
         raise ValueError(f"field of characteristic {F.p} for a pair at p = {pair.p}")
+    if gen.character.conductor % pair.s_order != 0:
+        raise ConductorMismatch("conductor incompatible with the pair")
     d = gen.dimension
     if d > dim_cap:
         raise CapExceeded(f"dimension {d} exceeds the oracle cap {dim_cap}")

@@ -11,16 +11,16 @@ shares its root's tables and numbering and adds the sorted ``indices`` and
 the ``mask`` of its members.  So an element has one index, its index in
 ``G.root.elements``, in every group that contains it.  Roots are interned
 per element set and subgroups per root and member set (:func:`from_indices`),
-so group equality is identity, a group is a subgroup of another when
-:meth:`FiniteGroup.contains_group` says so, and a subgroup of H found in the
-lattice of H is the very object found in the lattice of any group that
-contains H.  :class:`Permutation` objects appear only where a group is
-parsed and where a report is written; :func:`close_generators` is the one
-place that composes them.  This module builds the tables and
-defines the conjugation convention, g^-1 x g read from ``conj[g][x]``, which
-other modules read from the tables directly; it also forms G/N and N_G(P)/P
-(:class:`QuotientGroup`, :func:`normalizer_quotient`): G/1 is G itself, so
-N_G(1)/1 is G and shares its tables and its lattice.
+so a group is its own identity, for equality and for hashing, a group is a
+subgroup of another when :meth:`FiniteGroup.contains_group` says so, and a
+subgroup of H found in the lattice of H is the very object found in the
+lattice of any group that contains H.  :class:`Permutation` objects appear
+only where a group is parsed and where a report is written;
+:func:`close_generators` is the one place that composes them.  This module
+builds the tables and defines the conjugation convention, g^-1 x g read from
+``conj[g][x]``, which other modules read from the tables directly; it also
+forms G/N and N_G(P)/P (:class:`QuotientGroup`, :func:`normalizer_quotient`):
+G/1 is G itself, so N_G(1)/1 is G and shares its tables and its lattice.
 The canonical element order is lexicographic on image tuples, and every
 "choose a representative" step picks the minimum in that order, so all
 outputs are deterministic; index order is element order in every group.
@@ -242,7 +242,7 @@ class FiniteGroup:
     """
 
     __slots__ = ("degree", "elements", "order", "table", "inv", "conj", "orders",
-                 "root", "indices", "mask", "_generators", "_index", "_hash")
+                 "root", "indices", "mask", "_generators", "_index")
 
     def __init__(self, degree: int, elements: tuple[Permutation, ...],
                  table: tuple[tuple[int, ...], ...], root: FiniteGroup | None = None,
@@ -259,7 +259,6 @@ class FiniteGroup:
             self.conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(n))
             self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
             self._index = {x: i for i, x in enumerate(elements)}
-            self._hash = hash((degree, elements))
         else:
             self.root = root
             self.elements = tuple(elements[i] for i in indices)
@@ -267,7 +266,6 @@ class FiniteGroup:
             self.mask = sum(1 << i for i in indices)
             self.inv, self.conj, self.orders = root.inv, root.conj, root.orders
             self._index = root._index
-            self._hash = hash((root, indices))
         self.order = len(self.indices)
         self._generators = None
 
@@ -339,9 +337,6 @@ class FiniteGroup:
 
     def __lt__(self, other: FiniteGroup) -> bool:
         return (self.order, self.indices) < (other.order, other.indices)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"FiniteGroup(degree={self.degree}, order={self.order})"
@@ -656,10 +651,11 @@ def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 # named constructors
 
 
-def _check_order(order: int, max_order: int) -> None:
-    """Refuse a named group from its known order, before building anything."""
+def _check_order(order: int, max_order: int, shown: str | None = None) -> None:
+    """Refuse a named group from its known order, before building anything;
+    ``shown`` names an order too long to print in digits, such as n!."""
     if order > max_order:
-        raise OrderCapExceeded(f"group order {order} exceeds the order cap {max_order}")
+        raise OrderCapExceeded(f"group order {shown or order} exceeds the order cap {max_order}")
 
 
 def cyclic(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -672,16 +668,16 @@ def cyclic(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def symmetric(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    if not 1 <= n <= 5:
-        raise ValueError("symmetric groups supported for 1 <= n <= 5")
+    _check_degree(n)
+    _check_order(math.factorial(n), max_order, f"{n}!")
     gens = [Permutation.from_cycles(n, [(0, 1)]),
             Permutation.from_cycles(n, [tuple(range(n))])] if n > 1 else []
     return close_generators(n, gens, max_order)
 
 
 def alternating(n: int, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    if not 1 <= n <= 5:
-        raise ValueError("alternating groups supported for 1 <= n <= 5")
+    _check_degree(n)
+    _check_order(math.factorial(n) // 2, max_order, f"{n}!/2")
     if n <= 2:
         return close_generators(n, [], max_order)
     # (0 1 2) and an odd-length cycle through n or n - 1 points

@@ -10,11 +10,12 @@ tensor product reads it through the projection formula, the Brauer morphism
 restricts to N_G(P) first, and induction and inflation move each generator
 on its own.
 
-Generators are kept in canonical form: the pair (subgroup, character) is
-normalized to its minimal conjugate, so collecting terms is a dictionary
-merge.  Equal terms imply equal elements but not conversely (the generators
-only span); :func:`ppring.species.equal_elements` decides equality,
-coefficients first, then by the species of the difference.
+Generators are kept in canonical form, one object per form: the pair
+(subgroup, character) is normalized to its minimal conjugate, so a generator
+is its own identity, for equality and for hashing, and collecting terms is a
+dictionary merge.  Equal terms imply equal elements but not conversely (the
+generators only span); :func:`ppring.species.equal_elements` decides
+equality, coefficients first, then by the species of the difference.
 
 Sums and the expansions accumulate late in :func:`collect`, as
 :func:`ppring.species.tau_element` does: the integer numerators of each
@@ -69,8 +70,8 @@ class LinChar:
     x of the domain, aligned with ``domain.indices`` and reduced mod the
     conductor; it is the one form of the character.  The domain is one
     object in every group that contains it, so the character serves all of
-    them unchanged.  The constructor makes no homomorphism check
-    (:meth:`check_homomorphism` does).  When n is prime
+    them unchanged.  The constructor checks the table's length but not that
+    it is a homomorphism (:meth:`check_homomorphism` does).  When n is prime
     to p, the homomorphism property forces every p-element to exponent 0,
     which keeps the class closed under the whole calculus.
     """
@@ -81,6 +82,8 @@ class LinChar:
         self.domain = domain
         self.conductor = conductor
         self._table = tuple(e % conductor for e in table)
+        if len(self._table) != domain.order:
+            raise ValueError(f"{len(self._table)} exponents for a domain of order {domain.order}")
         self._hash = hash((domain, self._table, conductor))
 
     @classmethod
@@ -99,9 +102,8 @@ class LinChar:
         table = self.domain.table
         n = self.conductor
         exp_of = dict(zip(self.domain.indices, self._table))
-        if len(self._table) != self.domain.order or any(
-                (ea + eb) % n != exp_of[table[a][b]]
-                for a, ea in exp_of.items() for b, eb in exp_of.items()):
+        if any((ea + eb) % n != exp_of[table[a][b]]
+               for a, ea in exp_of.items() for b, eb in exp_of.items()):
             raise ValueError("table is not a homomorphism")
 
     def restrict(self, sub: FiniteGroup) -> LinChar:
@@ -174,18 +176,17 @@ def linear_characters(L: FiniteGroup, conductor: int) -> tuple[LinChar, ...]:
 class Generator:
     """The class of the module induced from a linear character of a subgroup.
 
-    Instances are always in canonical form; build them with
-    :func:`make_generator`, which conjugates (subgroup, character) to the
-    minimal representative.
+    Instances are in canonical form, one object per form, so a generator is
+    equal only to itself; :func:`make_generator` builds them, conjugating
+    (subgroup, character) to the minimal representative.
     """
 
-    __slots__ = ("group", "subgroup", "character", "_hash")
+    __slots__ = ("group", "subgroup", "character")
 
     def __init__(self, group: FiniteGroup, subgroup: FiniteGroup, character: LinChar):
         self.group = group
         self.subgroup = subgroup
         self.character = character
-        self._hash = hash((group, subgroup, character))
 
     @property
     def dimension(self) -> int:
@@ -193,15 +194,6 @@ class Generator:
 
     def sort_key(self):
         return (self.subgroup.order, self.subgroup.indices, self.character.table())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Generator):
-            return NotImplemented
-        return (self.group == other.group and self.subgroup == other.subgroup
-                and self.character == other.character)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         tag = "triv" if self.character.is_trivial() else self.character.table()
@@ -214,7 +206,8 @@ def make_generator(group: FiniteGroup, subgroup: FiniteGroup, character: LinChar
 
     The key of a conjugate is its sorted index tuple, then its exponents
     aligned to those indices, compared as two tuples: the order of
-    ``(FiniteGroup.indices, LinChar.table())``.
+    ``(FiniteGroup.indices, LinChar.table())``.  Calls whose minimal keys
+    agree return the same object.
     """
     if not group.contains_group(subgroup):
         raise GroupMismatch("subgroup does not live in the given group")
@@ -234,8 +227,15 @@ def make_generator(group: FiniteGroup, subgroup: FiniteGroup, character: LinChar
         aligned = [exp_of[x] for x in sub]
         if best_sub is None or sub < best_sub or aligned < best_exps:
             best_sub, best_exps = sub, aligned
-    sub = from_indices(group, best_sub)
-    return Generator(group, sub, LinChar(sub, best_exps, character.conductor))
+    return _generator(group, tuple(best_sub), tuple(best_exps), character.conductor)
+
+
+@lru_cache(maxsize=None)
+def _generator(group: FiniteGroup, indices: tuple[int, ...], exps: tuple[int, ...],
+               n: int) -> Generator:
+    """The one generator with these subgroup members and aligned exponents."""
+    sub = from_indices(group, indices)
+    return Generator(group, sub, LinChar(sub, exps, n))
 
 
 class PPElement:

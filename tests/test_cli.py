@@ -58,8 +58,19 @@ class TestParseGroupSpec:
         assert captured.err == "error: closure exceeds the order cap 100\n"
 
     def test_symmetric_bound(self):
-        with pytest.raises(UnknownName):
+        with pytest.raises(OrderCapExceeded):
             parse_group_spec("S6")
+
+    def test_alternating_under_the_cap(self):
+        assert parse_group_spec("A6").order == 360
+
+    def test_factorial_over_the_cap_exits_2(self, capsys):
+        # 4096! has more digits than Python converts to a string by default
+        for spec, order in (("S4096", "4096!"), ("A7", "7!/2")):
+            assert main(["pairs", "--group", spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: group order {order} exceeds the order cap 384\n"
 
 
 class TestCommands:

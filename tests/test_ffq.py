@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ppring import clear_caches, ffq
 from ppring.cli import RunConfig, run
-from ppring.cyclo import Cyclotomic
+from ppring.cyclo import ConductorMismatch, Cyclotomic
 from ppring.ffq import (TABLE_MAX_Q, CapExceeded, FqField, _is_irreducible,
                        _mat_mul, _pmod, _pmul, _prime_factors, _ptrim,
                        build_field, oracle_tau, realize_generator)
@@ -419,6 +419,16 @@ class TestOracleTau:
             for gen in standard_generators(G, 3, n):
                 with pytest.raises(ValueError, match="characteristic 5"):
                     oracle_tau(pair, gen, F)
+
+    def test_refuses_a_conductor_the_order_of_s_does_not_divide(self):
+        # the fixed-line formula refuses the same input with the same error
+        C = cyclic(3)
+        pair = next(q for q in enumerate_pairs(C, 2) if q.s_order == 3)
+        gen = make_generator(C, C, LinChar.trivial(C, 1))
+        with pytest.raises(ConductorMismatch):
+            oracle_tau(pair, gen, build_field(2, 1))
+        with pytest.raises(ConductorMismatch):
+            tau_generator(pair, gen)
 
     def test_dim_cap(self, monkeypatch):
         def refuse(field, gen):

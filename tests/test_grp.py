@@ -117,6 +117,21 @@ class TestCloseGenerators:
             with pytest.raises(OrderCapExceeded, match="exceeds the order cap"):
                 build()
 
+    def test_symmetric_and_alternating_capped_by_order(self, monkeypatch):
+        assert alternating(6).order == 360
+        assert symmetric(6, max_order=720).order == 720
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(Permutation, "__init__", refuse)
+        monkeypatch.setattr(grp, "close_generators", refuse)
+        for build, order in ((lambda: symmetric(6), "6!"), (lambda: alternating(7), "7!/2"),
+                             (lambda: symmetric(5, max_order=100), "5!"),
+                             (lambda: alternating(4096), "4096!/2")):
+            with pytest.raises(OrderCapExceeded, match=f"group order {order} exceeds"):
+                build()
+
     def test_degree_bound(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an image list was built before the degree was checked")

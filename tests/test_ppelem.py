@@ -84,6 +84,13 @@ class TestLinChar:
         with pytest.raises(ValueError):
             LinChar(L, (1, 0), 2).check_homomorphism()  # chi(1) = -1
 
+    def test_table_length_must_match_the_domain(self):
+        G = symmetric(3)
+        L = next(H for H in subgroup_lattice(G).subgroups if H.order == 2)
+        for table in ([0, 1, 1], [0]):
+            with pytest.raises(ValueError, match="exponents for a domain of order 2"):
+                LinChar(L, table, 2)
+
     def test_p_elements_killed_automatically(self):
         # a homomorphism into mu_n with n odd must kill elements of order 2
         G = cyclic(6)
@@ -471,10 +478,27 @@ class TestCanonicalForm:
             for chi in linear_characters(L, n):
                 ref = reference_make_generator(G, L, chi)
                 got = make_generator(G, L, chi)
-                assert got == ref
+                assert (got.group, got.subgroup, got.character) == \
+                    (ref.group, ref.subgroup, ref.character)
                 assert got.character.table() == ref.character.table()
                 checked += 1
         assert checked >= len(subgroup_lattice(G).subgroups)
+
+    # forms: the classes of (subgroup, character) pairs, counted by hand as the
+    # N_G(L)-orbits on the characters of each class representative L
+    @pytest.mark.parametrize("build,n,forms", [(lambda: symmetric(4), 3, 13),
+                                               (lambda: alternating(5), 15, 14)])
+    def test_one_object_per_canonical_form(self, build, n, forms):
+        G = build()
+        for cls in subgroup_lattice(G).conjugacy_classes():
+            made = {}  # canonical form -> the first generator made with it
+            for L in cls:
+                for chi in linear_characters(L, n):
+                    gen = make_generator(G, L, chi)
+                    form = (gen.subgroup.indices, gen.character.table())
+                    assert made.setdefault(form, gen) is gen
+            forms -= len(made)
+        assert forms == 0
 
 
 class TestPPElementPlumbing:
