@@ -24,11 +24,9 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .cyclo import Cyclotomic, _reduction_terms
-from .grp import (FiniteGroup, coset_indices, double_coset_reps, from_indices, normalizer,
-                  normalizer_quotient)
+from .grp import FiniteGroup, coset_indices, from_indices, normalizer, normalizer_quotient
 from .lattice import subgroup_lattice
-from .ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
-                     make_generator)
+from .ppelem import GroupMismatch, PPElement, _canonical, _mackey, default_conductor
 
 
 class BurnsideElement:
@@ -159,10 +157,11 @@ def mark_element(x: BurnsideElement, H: FiniteGroup) -> Fraction:
 def _transitive_product(G: FiniteGroup, A: FiniteGroup,
                         B: FiniteGroup) -> tuple[tuple[FiniteGroup, int], ...]:
     """[G/A].[G/B] = sum over A\\G/B of [G/(A cap gBg^-1)], as (class
-    representative, multiplicity) pairs."""
+    representative, multiplicity) pairs, read off the meets of the Mackey
+    skeleton that restriction in :mod:`ppring.ppelem` shares."""
     rep_of = subgroup_lattice(G).rep_of
     counts: dict[FiniteGroup, int] = {}
-    for _, meet in double_coset_reps(G, A, B):
+    for meet, _ in _mackey(G, A, B):
         rep = rep_of(meet)
         counts[rep] = counts.get(rep, 0) + 1
     return tuple(counts.items())
@@ -271,11 +270,12 @@ def linearize(x: BurnsideElement, p: int, conductor: int | None = None) -> PPEle
     distinct generators, so each coefficient is one rational c / den."""
     G = x.group
     n = default_conductor(G, p) if conductor is None else conductor
+    if n % p == 0:
+        raise ValueError("conductor must be prime to p")
     pad = (0,) * (_reduction_terms(n)[0] - 1)
     den = x.den
     terms = {}
     for L, c in x.nums.items():
         g = gcd(c, den)
-        terms[make_generator(G, L, LinChar.trivial(L, n))] = \
-            Cyclotomic._new(n, (c // g,) + pad, den // g)
-    return PPElement(G, p, n, terms)
+        terms[_canonical(G, L, (0,) * L.order, n)] = Cyclotomic._new(n, (c // g,) + pad, den // g)
+    return PPElement._trusted(G, p, n, terms)

@@ -5,11 +5,14 @@ computes them (the suites behind ``verify`` live in :mod:`ppring.idem`).
 
 Exit codes: 0 when every requested verification passes, 1 on a verification
 failure, 2 on a usage or configuration error, 3 on an I/O error (such as an
-unwritable ``--out``) and 4 on an internal error (an unexpected exception,
-reported as one ``error: internal: ...`` line naming where it was raised).
-Errors go to stderr and write no report; ``--out`` replaces a regular file
-only with a whole report.
-Identical configurations produce byte-identical reports.
+unwritable ``--out`` or a full stdout) and 4 on an internal error (an
+unexpected exception, reported as one ``error: internal: ...`` line naming
+where it was raised).  Errors go to stderr and write no report; ``--out``
+replaces a regular file only with a whole report.
+Identical configurations produce byte-identical reports.  The command-line
+process ends through :func:`entry`, which flushes and leaves by
+``os._exit``, so no ``atexit`` hook runs in it; :func:`main` returns the
+exit code to callers in process.
 """
 
 from __future__ import annotations
@@ -17,11 +20,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import burnside as bd
 from . import ffq, idem, species
@@ -72,6 +77,8 @@ def _named_group(name: str, max_order: int) -> FiniteGroup:
     name = name.strip()
     if "x" in name:
         parts = name.split("x")
+        if not all(part.strip() for part in parts):
+            raise UnknownName(f"empty factor in group name {name!r}")
         group = _named_group(parts[0], max_order)
         for part in parts[1:]:
             group = direct_product(group, _named_group(part, max_order), max_order)
@@ -275,9 +282,66 @@ COMMANDS = {
 }
 
 
+def _json_text(report: dict | list) -> str:
+    """The bytes of ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``,
+    written in chunks by :func:`_json_chunks` instead of through the
+    pure-Python encoder that ``json.dumps`` falls back to under ``indent``."""
+    out: list[str] = []
+    _json_chunks(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _json_chunks(obj, newline: str, out: list[str]) -> None:
+    """Append the indented JSON of a dict or list to ``out``; ``newline`` is
+    the line break and indent that precede its closing bracket.  Dict keys
+    are strings, as in every report (any other key raises TypeError)."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(obj):
+            head = f"{sep}{encode_basestring_ascii(key)}: "
+            value = obj[key]
+            if isinstance(value, (dict, list, tuple)):
+                out.append(head)
+                _json_chunks(value, inner, out)
+            else:
+                out.append(head + _json_scalar(value))
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        if not obj:
+            out.append("[]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            if isinstance(value, (dict, list, tuple)):
+                out.append(sep)
+                _json_chunks(value, inner, out)
+            else:
+                out.append(sep + _json_scalar(value))
+            sep = "," + inner
+        out.append(newline + "]")
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _format_report(config: RunConfig, report: dict) -> str:
     if config.fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json_text(report)
     if config.fmt == "csv":
         return _format_csv(config, report)
     return _format_pretty(config, report)
@@ -300,7 +364,7 @@ def _format_csv(config: RunConfig, report: dict) -> str:
         for c in report["checks"]:
             writer.writerow([c["check"], c["ok"]])
     else:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json_text(report)
     return buf.getvalue()
 
 
@@ -424,9 +488,40 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 3
     else:
-        sys.stdout.write(text)
+        try:
+            if sys.stdout is None:  # the process started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            _report_unwritable(exc)
+            return 3
     return code
 
 
+def _report_unwritable(exc: OSError) -> None:
+    print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+
+
+def entry() -> None:
+    """Run :func:`main` on the command line and end the process with its
+    exit code: flush stdout and stderr, then leave through ``os._exit``,
+    which skips the interpreter's teardown of the memos (and so any
+    ``atexit`` hook).  A failed flush of stdout exits 3."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        code = exc.code or 0
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        _report_unwritable(exc)
+        code = 3
+    with contextlib.suppress(AttributeError, OSError):  # stderr may be closed too
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -38,9 +38,9 @@ from .burnside import (burnside_ind, burnside_product, burnside_res,
 from .cyclo import zeta_power
 from .grp import FiniteGroup, is_p_power, normalizer_quotient, quotient, sylow
 from .lattice import subgroup_lattice
-from .ppelem import (GroupMismatch, LinChar, PPElement, brauer_elt,
-                     char_pullback, collect, default_conductor, ind_elt,
-                     inf_elt, make_generator, res_elt, tensor_elt)
+from .ppelem import (GroupMismatch, LinChar, PPElement, _canonical, _pullback_log,
+                     brauer_elt, collect, default_conductor, ind_elt, inf_elt,
+                     make_generator, res_elt, tensor_elt)
 from .species import (SpeciesPair, SpeciesVector, build_pair, enumerate_pairs,
                       equal_elements, pairs_conjugate, species_vector,
                       standard_generators, tau_element, tau_generator)
@@ -165,6 +165,7 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
     lat = subgroup_lattice(H)
     denom = P.order * r * pair.centralizer_order
     step = n // r
+    a, _ = _pullback_log(H, P, pair.lift)
     parts = []
     for L, mu in zip(lat.subgroups, lat.mu_top):
         # PL = <Ps>: P is normal in <Ps>, so |PL| = |P| |L| / |P cap L|
@@ -172,9 +173,10 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
             continue
         weight = Fraction(L.order * mu, denom)
         for j in range(r):
-            chi = char_pullback(H, P, pair.lift, j, L, n)
+            # the j-th character of <Ps>/P = <s> pulled back to L, as char_pullback
+            exps = tuple([j * a[x] % r * step for x in L.indices])
             coeff = zeta_power(n, (-j) % r * step) * weight
-            parts.append((make_generator(G, L, chi), coeff, 1))
+            parts.append((_canonical(G, L, exps, n), coeff, 1))
     return collect(G, p, n, parts)
 
 
@@ -238,11 +240,24 @@ def verify_restriction(G: FiniteGroup, p: int, H: FiniteGroup, pair: SpeciesPair
     the H-idempotents at the H-classes of G-conjugates of the pair lying in
     H (possibly the empty sum)."""
     n = default_conductor(G, p)
+    return _restriction_law(G, p, H, pair, _fused_terms(G, p, H, n), n)
+
+
+def _fused_terms(G: FiniteGroup, p: int, H: FiniteGroup,
+                 n: int) -> dict[SpeciesPair, list]:
+    """The terms of the H-idempotents as ``collect`` parts, grouped by the
+    canonical G-pair that their H-pair fuses to."""
+    out: dict[SpeciesPair, list] = {}
+    for hp, fused in _fusion(G, p, H).items():
+        out.setdefault(fused, []).extend(
+            (gen, coeff, 1) for gen, coeff in idempotent_theorem(H, p, hp, n).terms.items())
+    return out
+
+
+def _restriction_law(G: FiniteGroup, p: int, H: FiniteGroup, pair: SpeciesPair,
+                     fused: dict[SpeciesPair, list], n: int) -> bool:
     lhs = res_elt(idempotent_theorem(G, p, pair, n), H)
-    rep = _canonical_pair(pair)
-    rhs = collect(H, p, n, [
-        (gen, coeff, 1) for hp, fused in _fusion(G, p, H).items() if fused is rep
-        for gen, coeff in idempotent_theorem(H, p, hp, n).terms.items()])
+    rhs = collect(H, p, n, fused.get(_canonical_pair(pair), []))
     return equal_elements(lhs, rhs)
 
 
@@ -304,10 +319,12 @@ def identity_suite(G: FiniteGroup, p: int) -> list[dict]:
         checks.append(_check(f"routes {q.label()}", rep.routes_agree))
     checks.append(_check("partition of unity", partition_of_unity(G, p)))
 
+    n = default_conductor(G, p)
     for H in lat.class_reps():
+        fused = _fused_terms(G, p, H, n)
         for q in pairs:
             checks.append(_check(f"restriction law |H|={H.order} {q.label()}",
-                                 verify_restriction(G, p, H, q)))
+                                 _restriction_law(G, p, H, q, fused, n)))
         for hq in enumerate_pairs(H, p):
             checks.append(_check(f"induction law |H|={H.order} {hq.label()}",
                                  verify_induction(G, p, H, hq)))

@@ -5,17 +5,24 @@ classes of modules induced from one-dimensional characters of subgroups,
 ``Ind_L^G k_{L,chi}`` with chi a linear character of p'-order.  The spanning
 set is closed under restriction, induction, inflation, tensor product and
 the Brauer morphism.  Restriction is the one double-coset (Mackey)
-expansion, memoized per (generator, subgroup) in :func:`_res_gen`; the
-tensor product reads it through the projection formula, the Brauer morphism
-restricts to N_G(P) first, and induction and inflation move each generator
-on its own.
+expansion, memoized per (generator, subgroup) in :func:`_res_gen`, which
+reads the Mackey skeleton of :func:`_mackey`: one per (G, H, L), shared by
+every character of L, holding each double coset's meet with the positions
+in L of its conjugated members, so that a term costs one tuple and one memo
+lookup.  The tensor product reads the expansion through the projection
+formula, the Brauer morphism restricts to N_G(P) first (unless P is already
+normal), and induction and inflation move each generator on its own.
 
 Generators are kept in canonical form, one object per form: the pair
 (subgroup, character) is normalized to its minimal conjugate, so a generator
 is its own identity, for equality and for hashing, and collecting terms is a
-dictionary merge.  Equal terms imply equal elements but not conversely (the
-generators only span); :func:`ppring.species.equal_elements` decides
-equality, coefficients first, then by the species of the difference.
+dictionary merge.  The canonical form is memoized in :func:`_canonical`,
+keyed on the group, the subgroup, the exponent tuple and the conductor, and
+the calculus calls it with exponent tuples directly; :func:`make_generator`
+is its checked entry from a :class:`LinChar`.  Equal terms imply equal
+elements but not conversely (the generators only span);
+:func:`ppring.species.equal_elements` decides equality, coefficients first,
+then by the species of the difference.
 
 Sums and the expansions accumulate late in :func:`collect`, as
 :func:`ppring.species.tau_element` does: the integer numerators of each
@@ -76,7 +83,7 @@ class LinChar:
     which keeps the class closed under the whole calculus.
     """
 
-    __slots__ = ("domain", "conductor", "_table", "_hash")
+    __slots__ = ("domain", "conductor", "_table")
 
     def __init__(self, domain: FiniteGroup, table: Iterable[int], conductor: int):
         self.domain = domain
@@ -84,7 +91,6 @@ class LinChar:
         self._table = tuple(e % conductor for e in table)
         if len(self._table) != domain.order:
             raise ValueError(f"{len(self._table)} exponents for a domain of order {domain.order}")
-        self._hash = hash((domain, self._table, conductor))
 
     @classmethod
     def trivial(cls, domain: FiniteGroup, conductor: int) -> LinChar:
@@ -127,7 +133,7 @@ class LinChar:
                 and self.conductor == other.conductor)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.domain, self._table, self.conductor))
 
     def __repr__(self) -> str:
         return f"LinChar(order={self.domain.order}, exps={self._table}, n={self.conductor})"
@@ -200,7 +206,6 @@ class Generator:
         return f"gen(|L|={self.subgroup.order}, chi={tag})"
 
 
-@lru_cache(maxsize=None)
 def make_generator(group: FiniteGroup, subgroup: FiniteGroup, character: LinChar) -> Generator:
     """Canonical generator: minimize (subgroup, character) over conjugation.
 
@@ -213,9 +218,16 @@ def make_generator(group: FiniteGroup, subgroup: FiniteGroup, character: LinChar
         raise GroupMismatch("subgroup does not live in the given group")
     if character.domain != subgroup:
         raise GroupMismatch("character domain differs from the subgroup")
+    return _canonical(group, subgroup, character.table(), character.conductor)
+
+
+@lru_cache(maxsize=None)
+def _canonical(group: FiniteGroup, subgroup: FiniteGroup, exps: tuple[int, ...],
+               n: int) -> Generator:
+    """The generator of :func:`make_generator` from a subgroup of the group
+    and its exponents mod n, aligned with ``subgroup.indices``, unchecked."""
     conj = group.conj
     members = subgroup.indices
-    exps = character.table()
     best_sub = best_exps = None
     for g in group.indices:
         row = conj[g]
@@ -227,7 +239,7 @@ def make_generator(group: FiniteGroup, subgroup: FiniteGroup, character: LinChar
         aligned = [exp_of[x] for x in sub]
         if best_sub is None or sub < best_sub or aligned < best_exps:
             best_sub, best_exps = sub, aligned
-    return _generator(group, tuple(best_sub), tuple(best_exps), character.conductor)
+    return _generator(group, tuple(best_sub), tuple(best_exps), n)
 
 
 @lru_cache(maxsize=None)
@@ -383,41 +395,58 @@ def char_pullback(H: FiniteGroup, P: FiniteGroup, s_lift: int, j: int,
     """
     if s_lift not in H or not H.contains_group(L):
         raise NotSubgroup("the lift or L does not lie in the group")
+    a, r = _pullback_log(H, P, s_lift)
+    if not 0 <= j < max(r, 1):
+        raise BadIndex(f"character index {j} outside 0..{r - 1}")
+    if conductor % r != 0:
+        raise ConductorMismatch("lift order does not divide the conductor")
+    step = conductor // r
+    return LinChar(L, [j * a[x] * step for x in L.indices], conductor)
+
+
+def _pullback_log(H: FiniteGroup, P: FiniteGroup, s_lift: int) -> tuple[dict[int, int], int]:
+    """The exponent a(x) of each x of H, whose image in H/P is the a(x)-th
+    power of the image s of the element with index ``s_lift``, and the order
+    r of s; raises NotNormal unless s generates H/P."""
     Q = quotient(H, P)
     s = Q.proj[s_lift]
     table = Q.group.table
     r = Q.group.orders[s]
     if r != Q.group.order:
         raise NotNormal("quotient is not cyclic generated by the image of the lift")
-    if not 0 <= j < max(r, 1):
-        raise BadIndex(f"character index {j} outside 0..{r - 1}")
-    if conductor % r != 0:
-        raise ConductorMismatch("lift order does not divide the conductor")
     dlog = {}
     power = 0
     for a in range(r):
         dlog[power] = a
         power = table[power][s]
-    step = conductor // r
-    return LinChar(L, [j * dlog[Q.proj[x]] * step for x in L.indices], conductor)
+    proj = Q.proj
+    return {x: dlog[proj[x]] for x in H.indices}, r
+
+
+@lru_cache(maxsize=None)
+def _mackey(G: FiniteGroup, H: FiniteGroup,
+            L: FiniteGroup) -> tuple[tuple[FiniteGroup, tuple[int, ...]], ...]:
+    """The Mackey skeleton of (G, H, L), shared by every character of L: one
+    entry per double coset H g L of ``double_coset_reps``, holding the meet
+    H cap gLg^-1 and, for each member x of the meet in order, the position
+    in ``L.indices`` of g^-1 x g."""
+    at = {x: i for i, x in enumerate(L.indices)}
+    conj = G.conj
+    return tuple((meet, tuple(at[conj[g][x]] for x in meet.indices))
+                 for g, meet in double_coset_reps(G, H, L))
 
 
 @lru_cache(maxsize=None)
 def _res_gen(gen: Generator, H: FiniteGroup) -> tuple[tuple[Generator, int], ...]:
     """Restriction of one generator to H, by the Mackey double-coset
     expansion, as (generator over H, multiplicity) pairs: one term per double
-    coset H g L, over the meet H cap gLg^-1 that ``double_coset_reps``
-    returns with g."""
-    G = gen.group
+    coset H g L, over its meet in the skeleton :func:`_mackey`, whose
+    character sends x to chi(g^-1 x g)."""
     n = gen.character.conductor
-    conj = G.conj
-    L = gen.subgroup
-    exp_of = dict(zip(L.indices, gen.character.table()))
+    exps = gen.character.table()
     counts: dict[Generator, int] = {}
-    for g, meet in double_coset_reps(G, H, L):
-        # the term's character sends x in the meet to chi(g^-1 x g)
-        row = conj[g]
-        new = make_generator(H, meet, LinChar(meet, [exp_of[row[i]] for i in meet.indices], n))
+    for meet, at in _mackey(gen.group, H, gen.subgroup):
+        new = _canonical(H, meet, tuple([exps[i] for i in at]), n)
         counts[new] = counts.get(new, 0) + 1
     return tuple(counts.items())
 
@@ -436,7 +465,7 @@ def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
     if not G.contains_group(x.group):
         raise NotSubgroup("the element's group is not a subgroup of the target")
     return collect(G, x.p, x.conductor,
-                   [(make_generator(G, gen.subgroup, gen.character), coeff, 1)
+                   [(_canonical(G, gen.subgroup, gen.character.table(), x.conductor), coeff, 1)
                     for gen, coeff in x.terms.items()])
 
 
@@ -475,7 +504,8 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
 def brauer_elt(x: PPElement, P: FiniteGroup) -> PPElement:
     """The Brauer morphism at a p-subgroup P, landing over N_G(P)/P.
 
-    First restrict to N_G(P) so that P is normal; then a generator (L, chi)
+    First restrict to N_G(P) so that P is normal (nothing to do when P is
+    already normal in the element's group); then a generator (L, chi)
     survives exactly when P <= L, in which case it maps to (L/P, chi
     transported), since chi is automatically trivial on the p-group P.
     For the trivial P the element is returned unchanged.
@@ -487,15 +517,16 @@ def brauer_elt(x: PPElement, P: FiniteGroup) -> PPElement:
     if P.order == 1:
         return x
     Q = normalizer_quotient(x.group, P)
-    y = res_elt(x, Q.parent)
+    y = x if Q.parent is x.group else res_elt(x, Q.parent)
     n = x.conductor
+    proj = Q.proj
     parts = []
     for gen, coeff in y.terms.items():
         L = gen.subgroup
         if not L.contains_group(P):
             continue
         Lbar = Q.project_subgroup(L)
-        exp_of = {Q.proj[l]: e for l, e in zip(L.indices, gen.character.table())}
-        chi = LinChar(Lbar, [exp_of[q] for q in Lbar.indices], n)
-        parts.append((make_generator(Q.group, Lbar, chi), coeff, 1))
+        exp_of = {proj[l]: e for l, e in zip(L.indices, gen.character.table())}
+        parts.append((_canonical(Q.group, Lbar, tuple([exp_of[q] for q in Lbar.indices]), n),
+                      coeff, 1))
     return collect(Q.group, x.p, n, parts)

@@ -374,6 +374,12 @@ def test_zero_is_no_terms_over_one():
     assert x.den == 6 and x.nums[reps[0]] == 1
 
 
+def test_linearize_refuses_a_conductor_divisible_by_p():
+    G = symmetric(4)
+    with pytest.raises(ValueError, match="prime to p"):
+        linearize(transitive(G, G), 2, 6)
+
+
 class MackeyCalled(Exception):
     pass
 
@@ -385,7 +391,10 @@ def test_orbit_algorithms_do_not_read_the_double_cosets(monkeypatch):
         raise MackeyCalled
 
     clear_caches()
-    monkeypatch.setattr(burnside, "double_coset_reps", refuse)
+    # every name through which burnside reaches the double cosets: its own
+    # binding, if it ever gets one again, and the Mackey skeleton it reads
+    monkeypatch.setattr(burnside, "double_coset_reps", refuse, raising=False)
+    monkeypatch.setattr(burnside, "_mackey", refuse)
     monkeypatch.setattr(ppelem, "double_coset_reps", refuse)
     G = symmetric(4)
     reps = subgroup_lattice(G).class_reps()

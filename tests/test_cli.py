@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import os
 import re
@@ -9,8 +11,8 @@ import time
 import pytest
 
 from ppring import clear_caches, cli, ffq, idem, ppelem, species
-from ppring.cli import (ParseError, RunConfig, UnknownName, build_parser, main,
-                        parse_group_spec, run)
+from ppring.cli import (COMMANDS, ParseError, RunConfig, UnknownName, build_parser,
+                        main, parse_group_spec, run)
 from ppring.grp import MAX_DEGREE, PRIME_TEST_BOUND, OrderCapExceeded, Permutation
 
 
@@ -39,6 +41,16 @@ class TestParseGroupSpec:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             parse_group_spec("E8")
+
+    @pytest.mark.parametrize("name", ["S4x", "x", "xC2", "S4xxC2", "S4x C2x "])
+    def test_empty_factor_exit_2(self, name, capsys):
+        message = f"empty factor in group name {name.strip()!r}"
+        with pytest.raises(UnknownName, match=re.escape(message)):
+            parse_group_spec(name)
+        assert main(["pairs", "--group", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_bad_json(self):
         with pytest.raises(ParseError):
@@ -292,6 +304,21 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    def test_failed_stdout_write_exit_3(self, monkeypatch, capsys):
+        """A report that cannot reach stdout is an I/O error, not a failed
+        verification."""
+        class Full:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        assert main(["verify", "--group", "C3", "--p", "2"]) == 3
+        assert capsys.readouterr().err == \
+            f"error: cannot write the report: {os.strerror(errno.ENOSPC)}\n"
+
     def test_unwritable_out_exit_3(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "report.json"
         code = main(["pairs", "--group", "C2", "--p", "2", "--out", str(out)])
@@ -498,3 +525,85 @@ class TestMain:
             [sys.executable, "-c", "import sys, ppring.cli; print('dataclasses' in sys.modules)"],
             env=env, capture_output=True, text=True, check=True).stdout
         assert out == "False\n"
+
+
+class TestJsonWriter:
+    """The report writer gives the bytes of ``json.dumps(indent=2,
+    sort_keys=True)``, which every pinned digest was taken from."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("group,p", [("S4", 2), ("A5", 2)])
+    def test_every_report(self, command, group, p):
+        config = RunConfig(command=command, group=group, p=p, fmt="json", samples=5)
+        _, report = COMMANDS[command](config, parse_group_spec(group))
+        assert cli._json_text(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {}, [], {"empty": {}, "none": [], "nested": [[], {}, [[]]]},
+        {"flags": [True, 1, False, 0, {"1": 1, "t": True, "f": False, "0": 0}]},
+        {"ints": [-1, -2**70, 2**64, 2**64 + 1, 3**90, 0]},
+        {"none": None, "list": [None, 1.5, -0.0, 1e300]},
+        {"strings": ['say "hi"', "back\\slash", "\x00\x01\x1f\n\r\t\x7f",
+                     "caf\u00e9 \u4e2d \U0001f600", ""]},
+        {"10": {"2": [1], "1": {"b": 2, "a": 1}}, "2": "x", "": 0, "A": [], "a": {},
+         "k\u00e9y \"q\"\n": 1},
+        ["top", {"b": [1, 2], "a": True}], ("a", "tuple"),
+    ])
+    def test_edge_values(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    def test_unsupported_values_raise(self):
+        """What ``json.dumps`` refuses, and keys other than strings, which no
+        report has, raise TypeError rather than give other bytes."""
+        for value in ({(1, 2): 0}, {"x": {1, 2}}, [object()], {1: "one"}, {None: 0}):
+            with pytest.raises(TypeError):
+                cli._json_text(value)
+
+
+class TestProcessExit:
+    """``python -m ppring.cli`` ends through ``cli.entry``, which flushes and
+    leaves by ``os._exit``; in-process calls of ``main`` never reach it."""
+
+    VERIFY_S4_P2 = "fd3b3e1d83ac95f861e0e564a81490b55aad3e33a6e16989745f5a6864b8ac68"
+
+    @staticmethod
+    def cli_process(*args, stdout=subprocess.PIPE):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        return subprocess.run([sys.executable, "-m", "ppring.cli", *args], env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, check=False)
+
+    def test_passing_verify_exit_0(self):
+        proc = self.cli_process("verify", "--group", "S4", "--p", "2", "--format", "json")
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.VERIFY_S4_P2
+
+    def test_usage_error_exit_2(self):
+        proc = self.cli_process("verify", "--group", "S4", "--p", "4")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"error: 4 is not prime\n"
+        proc = self.cli_process("verify", "--p", "2")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"usage: ppring")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["verify", "pairs"])
+    def test_full_stdout_exit_3(self, command):
+        """A report larger than the stdout buffer fails in the write, a small
+        one in the flush; both exit 3."""
+        with open("/dev/full", "wb") as full:
+            proc = self.cli_process(command, "--group", "S4", "--p", "2", "--format", "json",
+                                    stdout=full)
+        assert proc.returncode == 3
+        assert proc.stderr == \
+            f"error: cannot write the report: {os.strerror(errno.ENOSPC)}\n".encode()
+
+    def test_closed_stdout_exit_3(self):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m ppring.cli pairs --group C2 --format json >&-',
+             sys.executable], env=env, stderr=subprocess.PIPE, check=False)
+        assert proc.returncode == 3
+        assert proc.stderr == \
+            f"error: cannot write the report: {os.strerror(errno.EBADF)}\n".encode()

@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import ppring
-from ppring import ffq
+from ppring import ffq, ppelem
 from ppring.cli import COMMANDS, RunConfig, run
 
 PACKAGE = Path(ppring.__file__).resolve().parent
@@ -175,6 +175,8 @@ def test_clear_caches_empties_every_memo():
     run(RunConfig(command="oracle-check", group="S3", p=3, fmt="json", samples=5, seed=0))
     oracle_memos = (ffq.realize_generator, ffq._brauer_quotient, ffq.oracle_tau)
     assert all(memo.cache_info().currsize for memo in oracle_memos)
+    calculus_memos = (ppelem._canonical, ppelem._mackey, ppelem._res_gen)
+    assert all(memo.cache_info().currsize for memo in calculus_memos)
     ppring.clear_caches()
     modules = [importlib.import_module(f"ppring.{m.name}")
                for m in pkgutil.iter_modules(ppring.__path__)]
@@ -182,6 +184,7 @@ def test_clear_caches_empties_every_memo():
               if hasattr(obj, "cache_info")}
     assert len(caches) >= 24
     assert [c for c in caches.values() if c.cache_info().currsize != 0] == []
+    assert all(id(memo) in caches for memo in calculus_memos)
     code, text = run(RunConfig(command="verify", group="S4", p=2, fmt="json"))
     assert code == 0
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DIGESTS["verify S4 p=2"]

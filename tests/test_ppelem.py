@@ -424,6 +424,32 @@ class TestMackeyCoherence:
                 p, make_generator(K, inter, chi2))
         assert equal_elements(got, expected)
 
+    def test_each_expansion_matches_the_permutation_double_cosets(self):
+        """Every generator's restriction, read through the Mackey skeleton
+        that all characters of its subgroup share, has one term per double
+        coset H g L found by multiplying permutations, over H cap gLg^-1 with
+        x -> chi(g^-1 x g)."""
+        G = symmetric(4)
+        p = 3
+        n = default_conductor(G, p)
+        for H in subgroup_lattice(G).class_reps():
+            for gen in standard_generators(G, p, n):
+                L, chi = gen.subgroup, exps(gen.character)
+                expected = {}
+                covered = set()
+                for g in G.elements:
+                    if g in covered:
+                        continue
+                    covered |= {h * g * l for h in H.elements for l in L.elements}
+                    meet = H.subgroup(x for x in H.elements if x.conj(g) in chi)
+                    term = reference_make_generator(
+                        H, meet, LinChar(meet, [chi[x.conj(g)] for x in meet.elements], n))
+                    key = (term.subgroup.indices, term.character.table())
+                    expected[key] = expected.get(key, 0) + 1
+                got = {(new.subgroup.indices, new.character.table()): m
+                       for new, m in ppelem._res_gen(gen, H)}
+                assert got == expected
+
 
 class TestResInfComposite:
     @pytest.mark.parametrize("p,build", [(2, lambda: dihedral(8)),
