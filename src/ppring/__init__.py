@@ -8,7 +8,7 @@ from .grp import (FiniteGroup, InvalidPermutation, NotNormal, NotSubgroup,
                   double_coset_reps, klein_four, normalizer, normalizer_quotient,
                   p_prime_part, quaternion8, quotient, symmetric, sylow)
 from .lattice import SubgroupLattice, subgroup_lattice
-from .ppelem import (Generator, LinChar, PPElement, brauer_elt, char_pullback,
+from .ppelem import (Generator, PPElement, brauer_elt, check_homomorphism,
                      default_conductor, ind_elt, inf_elt, linear_characters,
                      make_generator, res_elt, tensor_elt)
 from .burnside import (BurnsideElement, burnside_product, fixed_point_functor,

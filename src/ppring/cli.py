@@ -101,6 +101,13 @@ def _named_group(name: str, max_order: int) -> FiniteGroup:
     raise UnknownName(f"unknown group name {name!r}")
 
 
+def _json_int(value) -> int:
+    """A JSON integer; floats, strings and booleans raise TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{json.dumps(value)} is not an integer")
+    return value
+
+
 def parse_group_spec(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a name like ``S4`` / ``C2xC2`` or a JSON object
     ``{"degree": d, "generators": [[cycle, ...], ...]}`` (cycles are integer
@@ -118,8 +125,8 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGro
         if "degree" not in data or "generators" not in data:
             raise ParseError("JSON group spec needs 'name' or 'degree'+'generators'")
         try:
-            degree = int(data["degree"])
-            gens = [Permutation.from_cycles(degree, [tuple(c) for c in g])
+            degree = _json_int(data["degree"])
+            gens = [Permutation.from_cycles(degree, [tuple(map(_json_int, c)) for c in g])
                     for g in data["generators"]]
             return close_generators(degree, gens, max_order)
         except OrderCapExceeded:
@@ -203,7 +210,7 @@ def cmd_species_table(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
         "columns": [q.label() for q in pairs],
         "rows": [
             {"subgroup_order": g.subgroup.order,
-             "character": list(g.character.table()),
+             "character": list(g.exps),
              "values": row}
             for g, row in zip(gens, table)
         ],
@@ -256,7 +263,7 @@ def cmd_oracle_check(config: RunConfig, G: FiniteGroup) -> tuple[bool, dict]:
         sample = {
             "pair": q.label(),
             "generator_subgroup_order": gen.subgroup.order,
-            "character": list(gen.character.table()),
+            "character": list(gen.exps),
             "value": str(expected),
             "agree": agree,
         }

@@ -363,7 +363,8 @@ def _field(p: int, n: int, generator_index: int) -> FqField:
         raise RuntimeError(f"no monic irreducible polynomial of degree {m} over F_{p}")
     q = p ** m
     factors = _prime_factors(q - 1)
-    generators = (x for x in range(1, q)
+    # when m >= 2 the codes below p are the constants, of order dividing p - 1
+    generators = (x for x in range(p if m > 1 else 1, q)
                   if all(_ppowmod(_digits(x, p), (q - 1) // ell, modulus, p) != (1,)
                          for ell in factors))
     gen = next(itertools.islice(generators, generator_index, None), None)
@@ -382,7 +383,7 @@ class FqModule:
         self.field = field
         self.group = gen.group
         self._reps, self._rep_of = coset_indices(gen.group, gen.subgroup)
-        self._exp_of = dict(zip(gen.subgroup.indices, gen.character.table()))
+        self._exp_of = dict(zip(gen.subgroup.indices, gen.exps))
         self.zeta_powers = sorted(field.theta, key=field.theta.get)  # zeta^0, zeta^1, ...
         self.dimension = len(self._reps)
         self._cache: dict[int, tuple] = {}
@@ -514,7 +515,7 @@ def _nullspace(F: FqField, mat, ncols):
 @lru_cache(maxsize=None)
 def realize_generator(gen: Generator, F: FqField) -> FqModule:
     """The module of a generator over F, built once per (generator, field)."""
-    if gen.character.conductor != F.n:
+    if gen.conductor != F.n:
         raise ValueError("realize the generator at the field's own conductor")
     return FqModule(F, gen)
 
@@ -581,13 +582,13 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
         raise ValueError("pair and generator over different groups")
     if F.p != pair.p:
         raise ValueError(f"field of characteristic {F.p} for a pair at p = {pair.p}")
-    if gen.character.conductor % pair.s_order != 0:
+    if gen.conductor % pair.s_order != 0:
         raise ConductorMismatch("conductor incompatible with the pair")
     d = gen.dimension
     if d > dim_cap:
         raise CapExceeded(f"dimension {d} exceeds the oracle cap {dim_cap}")
     module = realize_generator(gen, F)
-    n = gen.character.conductor
+    n = gen.conductor
     basis, free, trace_rows, trace_pivots, quotient = _brauer_quotient(gen, F, pair.P)
     dim_quot = len(quotient)
     if dim_quot == 0:

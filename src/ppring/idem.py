@@ -38,9 +38,9 @@ from .burnside import (burnside_ind, burnside_product, burnside_res,
 from .cyclo import zeta_power
 from .grp import FiniteGroup, is_p_power, normalizer_quotient, quotient, sylow
 from .lattice import subgroup_lattice
-from .ppelem import (GroupMismatch, LinChar, PPElement, _canonical, _pullback_log,
+from .ppelem import (GroupMismatch, PPElement, _canonical, _pullback_log,
                      brauer_elt, collect, default_conductor, ind_elt, inf_elt,
-                     make_generator, res_elt, tensor_elt)
+                     res_elt, tensor_elt)
 from .species import (SpeciesPair, SpeciesVector, build_pair, enumerate_pairs,
                       equal_elements, pairs_conjugate, species_vector,
                       standard_generators, tau_element, tau_generator)
@@ -102,9 +102,9 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
     b = powers[t]
     parts = []
     for j in range(r):
-        chi = LinChar(C, [j * powers[x] * step for x in C.indices], conductor)
+        exps = tuple([j * powers[x] % r * step for x in C.indices])
         coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
-        parts.append((make_generator(C, C, chi), coeff, 1))
+        parts.append((_canonical(C, C, exps, conductor), coeff, 1))
     return collect(C, p, conductor, parts)
 
 
@@ -173,7 +173,7 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
             continue
         weight = Fraction(L.order * mu, denom)
         for j in range(r):
-            # the j-th character of <Ps>/P = <s> pulled back to L, as char_pullback
+            # the j-th character of <Ps>/P = <s> pulled back to L
             exps = tuple([j * a[x] % r * step for x in L.indices])
             coeff = zeta_power(n, (-j) % r * step) * weight
             parts.append((_canonical(G, L, exps, n), coeff, 1))

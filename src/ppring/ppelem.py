@@ -2,7 +2,11 @@
 
 An element is a formal cyclotomic-linear combination of monomial generators:
 classes of modules induced from one-dimensional characters of subgroups,
-``Ind_L^G k_{L,chi}`` with chi a linear character of p'-order.  The spanning
+``Ind_L^G k_{L,chi}`` with chi a linear character of p'-order.  A character
+of L is its exponent tuple: the e(x) with chi(x) = zeta_n^e(x) for each
+element x of L, aligned with ``L.indices`` and reduced mod the conductor n.
+When n is prime to p, the homomorphism property forces every p-element to
+exponent 0, which keeps the characters closed under the calculus.  The spanning
 set is closed under restriction, induction, inflation, tensor product and
 the Brauer morphism.  Restriction is the one double-coset (Mackey)
 expansion, memoized per (generator, subgroup) in :func:`_res_gen`, which
@@ -17,9 +21,9 @@ Generators are kept in canonical form, one object per form: the pair
 (subgroup, character) is normalized to its minimal conjugate, so a generator
 is its own identity, for equality and for hashing, and collecting terms is a
 dictionary merge.  The canonical form is memoized in :func:`_canonical`,
-keyed on the group, the subgroup, the exponent tuple and the conductor, and
-the calculus calls it with exponent tuples directly; :func:`make_generator`
-is its checked entry from a :class:`LinChar`.  Equal terms imply equal
+keyed on the group, the subgroup, the exponent tuple and the conductor,
+which the calculus calls directly; :func:`make_generator` is its checked
+entry.  Equal terms imply equal
 elements but not conversely (the generators only span);
 :func:`ppring.species.equal_elements` decides equality, coefficients first,
 then by the species of the difference.
@@ -58,10 +62,6 @@ class NotPGroup(Exception):
     """Raised when the Brauer morphism is taken at a non-p-subgroup."""
 
 
-class BadIndex(Exception):
-    """Raised for a character index outside the valid range."""
-
-
 def default_conductor(G: FiniteGroup, p: int) -> int:
     """The p'-part of the exponent of G: all character values live in Q(zeta_n)."""
     n = G.exponent()
@@ -70,87 +70,37 @@ def default_conductor(G: FiniteGroup, p: int) -> int:
     return n
 
 
-class LinChar:
-    """A linear character of a subgroup with values in mu_n, stored as exponents.
-
-    The table holds the exponent e(x), chi(x) = zeta_n^e(x), of each element
-    x of the domain, aligned with ``domain.indices`` and reduced mod the
-    conductor; it is the one form of the character.  The domain is one
-    object in every group that contains it, so the character serves all of
-    them unchanged.  The constructor checks the table's length but not that
-    it is a homomorphism (:meth:`check_homomorphism` does).  When n is prime
-    to p, the homomorphism property forces every p-element to exponent 0,
-    which keeps the class closed under the whole calculus.
-    """
-
-    __slots__ = ("domain", "conductor", "_table")
-
-    def __init__(self, domain: FiniteGroup, table: Iterable[int], conductor: int):
-        self.domain = domain
-        self.conductor = conductor
-        self._table = tuple(e % conductor for e in table)
-        if len(self._table) != domain.order:
-            raise ValueError(f"{len(self._table)} exponents for a domain of order {domain.order}")
-
-    @classmethod
-    def trivial(cls, domain: FiniteGroup, conductor: int) -> LinChar:
-        return cls(domain, (0,) * domain.order, conductor)
-
-    def table(self) -> tuple[int, ...]:
-        """Exponents aligned with the sorted element list of the domain."""
-        return self._table
-
-    def is_trivial(self) -> bool:
-        return all(e == 0 for e in self._table)
-
-    def check_homomorphism(self) -> None:
-        """Raise ValueError unless the table is a homomorphism on the domain."""
-        table = self.domain.table
-        n = self.conductor
-        exp_of = dict(zip(self.domain.indices, self._table))
-        if any((ea + eb) % n != exp_of[table[a][b]]
-               for a, ea in exp_of.items() for b, eb in exp_of.items()):
-            raise ValueError("table is not a homomorphism")
-
-    def restrict(self, sub: FiniteGroup) -> LinChar:
-        if not self.domain.contains_group(sub):
-            raise NotSubgroup("restriction target is not contained in the domain")
-        exp_of = dict(zip(self.domain.indices, self._table))
-        return LinChar(sub, [exp_of[x] for x in sub.indices], self.conductor)
-
-    def __mul__(self, other: LinChar) -> LinChar:
-        if other.domain != self.domain:
-            raise GroupMismatch("character domains differ")
-        if other.conductor != self.conductor:
-            raise ConductorMismatch("character conductors differ")
-        return LinChar(self.domain, [a + b for a, b in zip(self._table, other._table)],
-                       self.conductor)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinChar):
-            return NotImplemented
-        return (self.domain == other.domain and self._table == other._table
-                and self.conductor == other.conductor)
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self._table, self.conductor))
-
-    def __repr__(self) -> str:
-        return f"LinChar(order={self.domain.order}, exps={self._table}, n={self.conductor})"
+def _aligned(L: FiniteGroup, exps: Iterable[int], n: int) -> tuple[int, ...]:
+    """The exponents reduced mod n, checked to give one per element of L."""
+    exps = tuple(e % n for e in exps)
+    if len(exps) != L.order:
+        raise ValueError(f"{len(exps)} exponents for a domain of order {L.order}")
+    return exps
 
 
-def linear_characters(L: FiniteGroup, conductor: int) -> tuple[LinChar, ...]:
-    """All linear characters of L with values in mu_conductor.
+def check_homomorphism(L: FiniteGroup, exps: Iterable[int], n: int) -> None:
+    """Raise ValueError unless the exponents, aligned with ``L.indices``,
+    are a homomorphism from L to Z/n, one per element of L."""
+    table = L.table
+    exp_of = dict(zip(L.indices, _aligned(L, exps, n)))
+    if any((ea + eb) % n != exp_of[table[a][b]]
+           for a, ea in exp_of.items() for b, eb in exp_of.items()):
+        raise ValueError("table is not a homomorphism")
+
+
+def linear_characters(L: FiniteGroup, conductor: int) -> tuple[tuple[int, ...], ...]:
+    """All linear characters of L with values in mu_conductor, as sorted
+    exponent tuples aligned with ``L.indices``.
 
     Characters are built by assigning admissible exponents to a generating
     set and propagating them along the multiplication table; inconsistent
     assignments are discarded.  A consistent propagation is a homomorphism,
-    which :meth:`LinChar.check_homomorphism` confirms for every result.
+    which :func:`check_homomorphism` confirms for every result.
     """
     n = conductor
     gens = L.generators
     if not gens:
-        return (LinChar.trivial(L, n),)
+        return ((0,) * L.order,)
     table, orders = L.table, L.orders
     choices = []
     for g in gens:
@@ -173,59 +123,70 @@ def linear_characters(L: FiniteGroup, conductor: int) -> tuple[LinChar, ...]:
             if not consistent:
                 break
         if consistent:
-            chi = LinChar(L, [exp_of[x] for x in L.indices], n)
-            chi.check_homomorphism()
+            chi = tuple([exp_of[x] for x in L.indices])
+            check_homomorphism(L, chi, n)
             out.append(chi)
-    return tuple(sorted(out, key=lambda c: c.table()))
+    return tuple(sorted(out))
 
 
 class Generator:
     """The class of the module induced from a linear character of a subgroup.
 
-    Instances are in canonical form, one object per form, so a generator is
-    equal only to itself; :func:`make_generator` builds them, conjugating
-    (subgroup, character) to the minimal representative.
+    The character is ``exps``, the exponent e(x) of each element x of the
+    subgroup, chi(x) = zeta_n^e(x) for n the ``conductor``, aligned with
+    ``subgroup.indices`` and reduced mod n.  Instances are in canonical
+    form, one object per form, so a generator is equal only to itself;
+    :func:`make_generator` builds them, conjugating (subgroup, character) to
+    the minimal representative.
     """
 
-    __slots__ = ("group", "subgroup", "character")
+    __slots__ = ("group", "subgroup", "exps", "conductor")
 
-    def __init__(self, group: FiniteGroup, subgroup: FiniteGroup, character: LinChar):
+    def __init__(self, group: FiniteGroup, subgroup: FiniteGroup, exps: tuple[int, ...],
+                 conductor: int):
         self.group = group
         self.subgroup = subgroup
-        self.character = character
+        self.exps = exps
+        self.conductor = conductor
 
     @property
     def dimension(self) -> int:
         return self.group.order // self.subgroup.order
 
     def sort_key(self):
-        return (self.subgroup.order, self.subgroup.indices, self.character.table())
+        return (self.subgroup.order, self.subgroup.indices, self.exps)
 
     def __repr__(self) -> str:
-        tag = "triv" if self.character.is_trivial() else self.character.table()
+        tag = self.exps if any(self.exps) else "triv"
         return f"gen(|L|={self.subgroup.order}, chi={tag})"
 
 
-def make_generator(group: FiniteGroup, subgroup: FiniteGroup, character: LinChar) -> Generator:
-    """Canonical generator: minimize (subgroup, character) over conjugation.
+def make_generator(group: FiniteGroup, subgroup: FiniteGroup, exps: Iterable[int],
+                   conductor: int) -> Generator:
+    """Canonical generator of a subgroup of the group and a character of it,
+    given by its exponents mod the conductor aligned with
+    ``subgroup.indices``: the checked entry of :func:`_canonical`.
 
-    The key of a conjugate is its sorted index tuple, then its exponents
-    aligned to those indices, compared as two tuples: the order of
-    ``(FiniteGroup.indices, LinChar.table())``.  Calls whose minimal keys
-    agree return the same object.
+    The exponents are reduced mod the conductor but not checked to be a
+    homomorphism (:func:`check_homomorphism` does that).
     """
     if not group.contains_group(subgroup):
         raise GroupMismatch("subgroup does not live in the given group")
-    if character.domain != subgroup:
-        raise GroupMismatch("character domain differs from the subgroup")
-    return _canonical(group, subgroup, character.table(), character.conductor)
+    return _canonical(group, subgroup, _aligned(subgroup, exps, conductor), conductor)
 
 
 @lru_cache(maxsize=None)
 def _canonical(group: FiniteGroup, subgroup: FiniteGroup, exps: tuple[int, ...],
                n: int) -> Generator:
-    """The generator of :func:`make_generator` from a subgroup of the group
-    and its exponents mod n, aligned with ``subgroup.indices``, unchecked."""
+    """The generator of a subgroup of the group and its exponents mod n,
+    aligned with ``subgroup.indices``, unchecked: (subgroup, exponents)
+    minimized over conjugation.
+
+    The key of a conjugate is its sorted index tuple, then its exponents
+    aligned to those indices, compared as two tuples.  The minimal form is
+    interned by calling this memo on it, and only that call builds the
+    :class:`Generator`, so every input of one form returns the same object.
+    """
     conj = group.conj
     members = subgroup.indices
     best_sub = best_exps = None
@@ -239,15 +200,10 @@ def _canonical(group: FiniteGroup, subgroup: FiniteGroup, exps: tuple[int, ...],
         aligned = [exp_of[x] for x in sub]
         if best_sub is None or sub < best_sub or aligned < best_exps:
             best_sub, best_exps = sub, aligned
-    return _generator(group, tuple(best_sub), tuple(best_exps), n)
-
-
-@lru_cache(maxsize=None)
-def _generator(group: FiniteGroup, indices: tuple[int, ...], exps: tuple[int, ...],
-               n: int) -> Generator:
-    """The one generator with these subgroup members and aligned exponents."""
-    sub = from_indices(group, indices)
-    return Generator(group, sub, LinChar(sub, exps, n))
+    best_sub, best_exps = tuple(best_sub), tuple(best_exps)
+    if best_sub == members and best_exps == exps:
+        return Generator(group, subgroup, exps, n)
+    return _canonical(group, from_indices(group, best_sub), best_exps, n)
 
 
 class PPElement:
@@ -266,7 +222,7 @@ class PPElement:
         for gen, coeff in (terms or {}).items():
             if gen.group != group:
                 raise GroupMismatch("term over a different group")
-            if gen.character.conductor != conductor or coeff.conductor != conductor:
+            if gen.conductor != conductor or coeff.conductor != conductor:
                 raise ConductorMismatch("term at a different conductor")
             if not coeff.is_zero():
                 clean[gen] = coeff
@@ -288,13 +244,13 @@ class PPElement:
     @classmethod
     def one(cls, group: FiniteGroup, p: int, conductor: int) -> PPElement:
         """The class of the trivial module."""
-        gen = make_generator(group, group, LinChar.trivial(group, conductor))
+        gen = _canonical(group, group, (0,) * group.order, conductor)
         return cls(group, p, conductor, {gen: Cyclotomic.one(conductor)})
 
     @classmethod
     def from_generator(cls, p: int, gen: Generator,
                        coeff: Scalar = 1) -> PPElement:
-        n = gen.character.conductor
+        n = gen.conductor
         return cls(gen.group, p, n, {gen: _as_cyclo(coeff, n)})
 
     def _compatible(self, other: PPElement) -> None:
@@ -342,7 +298,7 @@ class PPElement:
         for gen, coeff in self.sorted_terms():
             out.append({
                 "subgroup": [list(elements[g].images) for g in gen.subgroup.generators],
-                "character": {str(i): e for i, e in enumerate(gen.character.table())},
+                "character": {str(i): e for i, e in enumerate(gen.exps)},
                 "coeff": coeff.to_json(),
             })
         return out
@@ -384,30 +340,11 @@ def _as_cyclo(c: Scalar, n: int) -> Cyclotomic:
 # the calculus on generators
 
 
-def char_pullback(H: FiniteGroup, P: FiniteGroup, s_lift: int, j: int,
-                  L: FiniteGroup, conductor: int) -> LinChar:
-    """Restriction to L of the j-th power character of H/P pulled back to H.
-
-    H must have normal subgroup P with cyclic quotient generated by the
-    image of the element of H with index ``s_lift``; the resulting character
-    sends x to zeta_r^(j*a(x)) where the image of x is the a(x)-th power of
-    the image of ``s_lift``, embedded at the given conductor.
-    """
-    if s_lift not in H or not H.contains_group(L):
-        raise NotSubgroup("the lift or L does not lie in the group")
-    a, r = _pullback_log(H, P, s_lift)
-    if not 0 <= j < max(r, 1):
-        raise BadIndex(f"character index {j} outside 0..{r - 1}")
-    if conductor % r != 0:
-        raise ConductorMismatch("lift order does not divide the conductor")
-    step = conductor // r
-    return LinChar(L, [j * a[x] * step for x in L.indices], conductor)
-
-
 def _pullback_log(H: FiniteGroup, P: FiniteGroup, s_lift: int) -> tuple[dict[int, int], int]:
     """The exponent a(x) of each x of H, whose image in H/P is the a(x)-th
     power of the image s of the element with index ``s_lift``, and the order
-    r of s; raises NotNormal unless s generates H/P."""
+    r of s; raises NotNormal unless s generates H/P.  The j-th character of
+    H/P pulled back to x is then zeta_r^(j a(x))."""
     Q = quotient(H, P)
     s = Q.proj[s_lift]
     table = Q.group.table
@@ -442,8 +379,8 @@ def _res_gen(gen: Generator, H: FiniteGroup) -> tuple[tuple[Generator, int], ...
     expansion, as (generator over H, multiplicity) pairs: one term per double
     coset H g L, over its meet in the skeleton :func:`_mackey`, whose
     character sends x to chi(g^-1 x g)."""
-    n = gen.character.conductor
-    exps = gen.character.table()
+    n = gen.conductor
+    exps = gen.exps
     counts: dict[Generator, int] = {}
     for meet, at in _mackey(gen.group, H, gen.subgroup):
         new = _canonical(H, meet, tuple([exps[i] for i in at]), n)
@@ -465,7 +402,7 @@ def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
     if not G.contains_group(x.group):
         raise NotSubgroup("the element's group is not a subgroup of the target")
     return collect(G, x.p, x.conductor,
-                   [(_canonical(G, gen.subgroup, gen.character.table(), x.conductor), coeff, 1)
+                   [(_canonical(G, gen.subgroup, gen.exps, x.conductor), coeff, 1)
                     for gen, coeff in x.terms.items()])
 
 
@@ -474,12 +411,13 @@ def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
     if x.group != Q.group:
         raise QuotientMismatch("element does not live over the quotient group")
     G = Q.parent
+    proj = Q.proj
     parts = []
     for gen, coeff in x.terms.items():
         pre = Q.preimage(gen.subgroup)
-        exp_of = dict(zip(gen.subgroup.indices, gen.character.table()))
-        chi = LinChar(pre, [exp_of[Q.proj[g]] for g in pre.indices], x.conductor)
-        parts.append((make_generator(G, pre, chi), coeff, 1))
+        exp_of = dict(zip(gen.subgroup.indices, gen.exps))
+        exps = tuple([exp_of[proj[g]] for g in pre.indices])
+        parts.append((_canonical(G, pre, exps, x.conductor), coeff, 1))
     return collect(G, x.p, x.conductor, parts)
 
 
@@ -492,12 +430,13 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
     n = x.conductor
     parts = []
     for genx, cx in x.terms.items():
-        A, alpha = genx.subgroup, genx.character
+        alpha = dict(zip(genx.subgroup.indices, genx.exps))
         for geny, cy in y.terms.items():
             c = cx * cy
-            for h, m in _res_gen(geny, A):
+            for h, m in _res_gen(geny, genx.subgroup):
                 K = h.subgroup
-                parts.append((make_generator(G, K, alpha.restrict(K) * h.character), c, m))
+                exps = tuple([(alpha[k] + e) % n for k, e in zip(K.indices, h.exps)])
+                parts.append((_canonical(G, K, exps, n), c, m))
     return collect(G, x.p, n, parts)
 
 
@@ -526,7 +465,7 @@ def brauer_elt(x: PPElement, P: FiniteGroup) -> PPElement:
         if not L.contains_group(P):
             continue
         Lbar = Q.project_subgroup(L)
-        exp_of = {proj[l]: e for l, e in zip(L.indices, gen.character.table())}
+        exp_of = {proj[l]: e for l, e in zip(L.indices, gen.exps)}
         parts.append((_canonical(Q.group, Lbar, tuple([exp_of[q] for q in Lbar.indices]), n),
                       coeff, 1))
     return collect(Q.group, x.p, n, parts)

@@ -176,7 +176,7 @@ def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...
     terms: the value is the sum of count * zeta_n^exponent."""
     L = gen.subgroup
     conj = pair.group.conj
-    exp_of = dict(zip(L.indices, gen.character.table()))
+    exp_of = dict(zip(L.indices, gen.exps))
     pgens = pair.P.generators
     t = pair.lift
     counts: dict[int, int] = {}
@@ -194,7 +194,7 @@ def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...
 def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
     """Species value of a monomial generator at a pair: its fixed-line sum
     read as roots of unity."""
-    n = gen.character.conductor
+    n = gen.conductor
     _check_pair(pair, gen.group, n)
     acc = [0] * n
     for e, count in _tau_counts(pair, gen):
@@ -267,5 +267,5 @@ def standard_generators(G: FiniteGroup, p: int, conductor: int) -> tuple[Generat
     seen: dict[Generator, None] = {}
     for L in lat.class_reps():
         for chi in linear_characters(L, conductor):
-            seen[make_generator(G, L, chi)] = None
+            seen[make_generator(G, L, chi, conductor)] = None
     return tuple(sorted(seen, key=Generator.sort_key))

@@ -38,6 +38,24 @@ class TestParseGroupSpec:
         G = parse_group_spec('{"degree": 3, "generators": [[[0, 1, 2]]]}')
         assert G.order == 3
 
+    @pytest.mark.parametrize("spec,shown", [
+        ('{"degree": 2.5, "generators": [[[0, 1]]]}', "2.5"),
+        ('{"degree": "3", "generators": [[[0, 1]]]}', '"3"'),
+        ('{"degree": true, "generators": []}', "true"),
+        ('{"degree": 3, "generators": [[[0, true]]]}', "true"),
+        ('{"degree": 3, "generators": [[[0, 1.0]]]}', "1.0"),
+        ('{"degree": 1e400, "generators": [[[0, 1]]]}', "Infinity"),
+    ], ids=["float-degree", "string-degree", "bool-degree", "bool-point", "float-point",
+            "overflowing-degree"])
+    def test_json_values_must_be_integers(self, spec, shown, capsys):
+        message = f"bad group spec: {shown} is not an integer"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_group_spec(spec)
+        assert main(["pairs", "--group", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             parse_group_spec("E8")

@@ -14,8 +14,7 @@ from ppring.ffq import (TABLE_MAX_Q, CapExceeded, FqField, _is_irreducible,
                        build_field, oracle_tau, realize_generator)
 from ppring.grp import alternating, cyclic, dihedral, symmetric, sylow
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import (LinChar, default_conductor, linear_characters,
-                           make_generator)
+from ppring.ppelem import default_conductor, linear_characters, make_generator
 from ppring.species import enumerate_pairs, standard_generators, tau_generator
 
 
@@ -200,6 +199,26 @@ class TestBuildField:
         assert F.q == 2
         assert F.theta == {F.one(): 0}
 
+    def test_generator_search_skips_the_constants(self):
+        """For m >= 2 no constant generates the multiplicative group, so the
+        search starts at code p; it still picks the generator_index-th
+        generator in counter order."""
+        F = build_field(1000000007, 6)
+        assert F.m == 2 and F.generator >= F.p
+
+        def order(F, x):
+            k, y = 1, x
+            while y != F.one():
+                k, y = k + 1, F.mul(y, x)
+            return k
+
+        for p, n in [(2, 3), (3, 4), (5, 8), (2, 7)]:
+            for index in (0, 1):
+                F = build_field(p, n, generator_index=index)
+                assert F.m >= 2
+                found = [x for x in range(1, F.q) if order(F, x) == F.q - 1]
+                assert F.generator == found[index]
+
     def test_zeta_has_exact_order(self):
         for p, n in [(2, 3), (3, 4), (2, 7), (5, 6)]:
             F = build_field(p, n)
@@ -322,8 +341,8 @@ def test_row_operations_match_the_elementwise_reference(p, n, data):
 def reference_action(F, gen, g):
     """Permutation-level matrix of g on Ind_L^G: the coset of c_i goes to that
     of c_j with scalar chi(c_j^-1 g c_i), over minimal coset representatives."""
-    L, chi = gen.subgroup, gen.character
-    value = dict(zip(L.elements, chi.table()))
+    L = gen.subgroup
+    value = dict(zip(L.elements, gen.exps))
     transversal, rep_of = [], {}
     for x in gen.group.elements:
         if x not in rep_of:  # the first element met is minimal in its coset
@@ -348,9 +367,9 @@ class TestRealizeGenerator:
         checked = 0
         for L in subgroup_lattice(G).class_reps():
             for chi in linear_characters(L, n):
-                if chi.is_trivial():
+                if not any(chi):
                     continue
-                gen = make_generator(G, L, chi)
+                gen = make_generator(G, L, chi, n)
                 module = realize_generator(gen, F)
                 for i, g in enumerate(G.elements):
                     assert module.action(i) == reference_action(F, gen, g)
@@ -362,7 +381,7 @@ class TestRealizeGenerator:
         n = default_conductor(G, 3)
         F = build_field(3, n)
         L = G
-        gen = make_generator(G, L, LinChar.trivial(L, n))
+        gen = make_generator(G, L, (0,) * L.order, n)
         mod = realize_generator(gen, F)
         assert mod.dimension == 1
         for g in G.generators:
@@ -372,7 +391,7 @@ class TestRealizeGenerator:
         G = cyclic(2)
         F = build_field(2, 1)
         T = G.trivial_subgroup()
-        gen = make_generator(G, T, LinChar.trivial(T, 1))
+        gen = make_generator(G, T, (0,) * T.order, 1)
         mod = realize_generator(gen, F)
         assert mod.dimension == 2
         flip = next(i for i, x in enumerate(G.elements) if not x.is_identity())
@@ -384,8 +403,8 @@ class TestRealizeGenerator:
         F = build_field(2, 3)
         s = next(x for x in G.elements if x.order() == 3)
         chi = next(c for c in linear_characters(G, 3)
-                   if dict(zip(c.domain.elements, c.table()))[s] == 1)
-        gen = make_generator(G, G, chi)
+                   if dict(zip(G.elements, c))[s] == 1)
+        gen = make_generator(G, G, chi, 3)
         mod = realize_generator(gen, F)
         assert mod.dimension == 1
         assert mod.action(G.elements.index(s))[0][0] in (F.zeta, F.mul(F.zeta, F.zeta))
@@ -399,7 +418,7 @@ class TestOracleTau:
         F = build_field(p, n)
         pair = enumerate_pairs(G, p)[0]
         L = sylow(G, 3)
-        gen = make_generator(G, L, LinChar.trivial(L, n))
+        gen = make_generator(G, L, (0,) * L.order, n)
         assert oracle_tau(pair, gen, F) == Cyclotomic.from_rational(n, 2)
 
     def test_c2_regular_dies(self):
@@ -408,7 +427,7 @@ class TestOracleTau:
         F = build_field(2, 1)
         pair = enumerate_pairs(G, 2)[1]
         T = G.trivial_subgroup()
-        gen = make_generator(G, T, LinChar.trivial(T, 1))
+        gen = make_generator(G, T, (0,) * T.order, 1)
         assert oracle_tau(pair, gen, F).is_zero()
 
     def test_refuses_a_field_of_another_characteristic(self):
@@ -424,7 +443,7 @@ class TestOracleTau:
         # the fixed-line formula refuses the same input with the same error
         C = cyclic(3)
         pair = next(q for q in enumerate_pairs(C, 2) if q.s_order == 3)
-        gen = make_generator(C, C, LinChar.trivial(C, 1))
+        gen = make_generator(C, C, (0,) * C.order, 1)
         with pytest.raises(ConductorMismatch):
             oracle_tau(pair, gen, build_field(2, 1))
         with pytest.raises(ConductorMismatch):
@@ -439,7 +458,7 @@ class TestOracleTau:
         F = build_field(3, n)
         pair = enumerate_pairs(G, 3)[0]
         T = G.trivial_subgroup()
-        gen = make_generator(G, T, LinChar.trivial(T, n))
+        gen = make_generator(G, T, (0,) * T.order, n)
         ffq.realize_generator.cache_clear()
         monkeypatch.setattr(ffq, "FqModule", refuse)
         with pytest.raises(CapExceeded, match="dimension 6 exceeds the oracle cap 5"):
@@ -511,7 +530,7 @@ class TestOracleTau:
         lat = subgroup_lattice(G)
         for pair in enumerate_pairs(G, p):
             for L in lat.class_reps():
-                gen = make_generator(G, L, LinChar.trivial(L, n))
+                gen = make_generator(G, L, (0,) * L.order, n)
                 # combinatorial count of P-fixed lines
                 members = frozenset(gen.subgroup.elements)
                 lines = sum(

@@ -28,7 +28,7 @@ class TestCyclicIdempotent:
         C = cyclic(2)
         sigma = next(i for i, x in enumerate(C.elements) if x.order() == 2)
         x = cyclic_idempotent(C, sigma, 3, 2)
-        by_char = {gen.character.table(): coeff for gen, coeff in x.terms.items()}
+        by_char = {gen.exps: coeff for gen, coeff in x.terms.items()}
         assert by_char[(0, 0)].as_rational() == Fraction(1, 2)
         assert by_char[(0, 1)].as_rational() == Fraction(-1, 2)
 
@@ -37,7 +37,7 @@ class TestCyclicIdempotent:
         s = next(i for i, x in enumerate(C.elements) if x.order() == 3)
         x = cyclic_idempotent(C, s, 2, 3)
         # each character lives on the whole of C, so its table is indexed by element
-        gen_exp = {gen.character.table()[s]: coeff for gen, coeff in x.terms.items()}
+        gen_exp = {gen.exps[s]: coeff for gen, coeff in x.terms.items()}
         third = Fraction(1, 3)
         assert gen_exp[0] == Cyclotomic.from_rational(3, third)
         assert gen_exp[1] == zeta_power(3, 2) * third

@@ -121,8 +121,8 @@ def test_one_object_per_member_set(name):
     for H in lat.class_reps():
         for K in subgroup_lattice(H).class_reps():
             chi = linear_characters(K, n)[-1]
-            gen = make_generator(G, K, chi)
-            x = PPElement.from_generator(2, make_generator(H, K, chi))
+            gen = make_generator(G, K, chi, n)
+            x = PPElement.from_generator(2, make_generator(H, K, chi, n))
             assert ind_elt(x, G).terms == {gen: Cyclotomic.one(n)}
 
 

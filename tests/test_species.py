@@ -11,7 +11,7 @@ from ppring.grp import (Permutation, alternating, cyclic, dihedral,
                         p_prime_part, symmetric, sylow)
 from ppring.idem import idempotent_theorem
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import (GroupMismatch, LinChar, PPElement, default_conductor,
+from ppring.ppelem import (GroupMismatch, PPElement, default_conductor,
                            linear_characters, make_generator, tensor_elt)
 from ppring.species import (_tau_counts, build_pair, enumerate_pairs,
                             equal_elements, pairs_conjugate, species_vector,
@@ -95,14 +95,14 @@ class TestTauGenerator:
         n = default_conductor(G, p)
         dim_pair = enumerate_pairs(G, p)[0]
         L = sylow(G, 3)
-        gen = make_generator(G, L, LinChar.trivial(L, n))
+        gen = make_generator(G, L, (0,) * L.order, n)
         assert tau_generator(dim_pair, gen) == Cyclotomic.from_rational(n, 2)
 
     def test_regular_c2_vector(self):
         G = cyclic(2)
         n = 1
         T = G.trivial_subgroup()
-        gen = make_generator(G, T, LinChar.trivial(T, n))
+        gen = make_generator(G, T, (0,), n)
         x = PPElement.from_generator(2, gen)
         vec = species_vector(x)
         assert [v.as_rational() for v in vec.values] == [2, 0]
@@ -116,7 +116,7 @@ class TestTauGenerator:
         pair = enumerate_pairs(G, p)[1]  # (1, transposition)
         L = sylow(G, 3)
         for chi in linear_characters(L, n):
-            gen = make_generator(G, L, chi)
+            gen = make_generator(G, L, chi, n)
             assert tau_generator(pair, gen).is_zero()
 
     def test_trivial_module_all_ones(self):
@@ -238,7 +238,7 @@ class TestSpeciesProperties:
         one = PPElement.one(G, p, n)
         L = sylow(G, 3)
         other = PPElement.from_generator(
-            p, make_generator(G, L, LinChar.trivial(L, n)))
+            p, make_generator(G, L, (0,) * L.order, n))
         assert not equal_elements(one, other)
         assert equal_elements(one, one)
 
