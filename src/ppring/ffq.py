@@ -18,10 +18,13 @@ generator, field, dimension cap).  ``build_field`` interns its fields, so
 repeated runs in one process hit the same entries.
 
 Field elements are ints 0..q-1, the base-p codes of their coefficient
-tuples.  Fields with q <= TABLE_MAX_Q multiply, invert and add through
-exp/log/Zech tables built once per field, and run each row operation of the
-elimination (``FqField.scaled``, ``FqField.sub_scaled``) in one pass over
-them; larger fields, such as F_(2^28), multiply and reduce coefficient
+tuples.  The linear algebra is sparse: a vector is a dict {index: nonzero
+code} and a matrix a tuple of such columns, so the action of an element
+holds d entries, and the elimination reduces each row once against the
+pivots found so far.  Fields with q <= TABLE_MAX_Q multiply, invert and add
+through exp/log/Zech tables built once per field, and run the one row
+operation, ``FqField.add_scaled`` (row += f * other), in one pass over them;
+larger fields, such as F_(2^28), multiply and reduce coefficient
 polynomials on the same codes, element by element.
 
 It shares no code with the combinatorial fixed-line formula in
@@ -262,39 +265,35 @@ class FqField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def scaled(self, row, f: int) -> list[int]:
-        """f times each entry of row."""
+    def add_scaled(self, row: dict, f: int, other: dict) -> None:
+        """row += f * other, in place, on sparse vectors {index: nonzero code}:
+        an entry that cancels is deleted, so a vector never stores a zero."""
+        if not f:
+            return
         log = self._log
         if log is None:
-            mul = self.mul
-            return [mul(f, x) for x in row]
-        if not f:
-            return [0] * len(row)
-        exp, lf = self._exp, log[f]
-        return [exp[lf + log[x]] if x else 0 for x in row]
-
-    def sub_scaled(self, row, f: int, pivot) -> list[int]:
-        """row - f * pivot, entry by entry."""
-        log = self._log
-        if log is None:
-            mul, sub = self.mul, self.sub
-            return [sub(x, mul(f, y)) if y else x for x, y in zip(row, pivot)]
-        if not f:
-            return list(row)
-        exp, zech, q1 = self._exp, self._zech, self.q - 1
-        lf = log[self._neg[f]]  # x - f y = x + g^(lf + log y)
-        out = []
-        for x, y in zip(row, pivot):
-            if y:
-                t = lf + log[y]
+            add, mul = self.add, self.mul
+            for k, y in other.items():
+                x = add(row.get(k, 0), mul(f, y))
                 if x:
-                    lx = log[x]
-                    z = zech[(t - lx) % q1]
-                    x = 0 if z is None else exp[lx + z]
+                    row[k] = x
                 else:
-                    x = exp[t]
-            out.append(x)
-        return out
+                    del row[k]
+            return
+        exp, zech, q1 = self._exp, self._zech, self.q - 1
+        lf = log[f]  # x + f y = g^lx (1 + g^(lf + log y - lx))
+        for k, y in other.items():
+            t = lf + log[y]
+            x = row.get(k)
+            if x:
+                lx = log[x]
+                z = zech[(t - lx) % q1]
+                if z is None:
+                    del row[k]
+                else:
+                    row[k] = exp[lx + z]
+            else:
+                row[k] = exp[t]
 
     def mul(self, a: int, b: int) -> int:
         if not (a and b):
@@ -374,15 +373,18 @@ def _field(p: int, n: int, generator_index: int) -> FqField:
 
 
 class FqModule:
-    """A monomial matrix realization of a generator over a finite field."""
+    """A monomial matrix realization of a generator over a finite field: the
+    matrix of an element is a tuple of d sparse columns of one entry each,
+    and the homomorphism property is spot-checked on pairs of generators."""
 
     __slots__ = ("field", "group", "dimension", "zeta_powers", "_reps", "_rep_of",
-                 "_exp_of", "_cache")
+                 "_position", "_exp_of", "_cache")
 
     def __init__(self, field: FqField, gen: Generator):
         self.field = field
         self.group = gen.group
         self._reps, self._rep_of = coset_indices(gen.group, gen.subgroup)
+        self._position = {c: i for i, c in enumerate(self._reps)}
         self._exp_of = dict(zip(gen.subgroup.indices, gen.exps))
         self.zeta_powers = sorted(field.theta, key=field.theta.get)  # zeta^0, zeta^1, ...
         self.dimension = len(self._reps)
@@ -399,95 +401,84 @@ class FqModule:
         """The matrix of the element with index g: coset c_i goes to c_j with
         scalar chi(c_j^-1 g c_i)."""
         if g not in self._cache:
-            d = self.dimension
             table, inv = self.group.table, self.group.inv
-            row = table[g]
-            position = {c: i for i, c in enumerate(self._reps)}
-            rows = [[0] * d for _ in range(d)]
-            for i, ci in enumerate(self._reps):
+            row, position = table[g], self._position
+            cols = []
+            for ci in self._reps:
                 gc = row[ci]
                 cj = self._rep_of[gc]
                 e = self._exp_of[table[inv[cj]][gc]]  # chi(c_j^-1 g c_i)
-                rows[position[cj]][i] = self.zeta_powers[e]
-            self._cache[g] = tuple(tuple(r) for r in rows)
+                cols.append({position[cj]: self.zeta_powers[e]})
+            self._cache[g] = tuple(cols)
         return self._cache[g]
 
 
 # ---------------------------------------------------------------------------
-# dense linear algebra over FqField; entries are field codes, so a zero entry
-# is the falsy int 0
+# sparse linear algebra over FqField: a vector is a dict {index: nonzero
+# code}, a matrix a tuple of column vectors, and _rref and _nullspace take
+# the rows of a matrix as vectors
 
 
-def _mat_mul(F: FqField, a, b):
-    """Row times matrix: each row of the product accumulates x * b[t] over the
-    nonzero entries x = a[i][t] of the row of a."""
-    add, mul = F.add, F.mul
-    m = len(b[0]) if b else 0
+def _mat_vec(F: FqField, a, v) -> dict:
+    """a v: the sum of v[t] times column t of a."""
+    out: dict = {}
+    add_scaled = F.add_scaled
+    for t, y in v.items():
+        add_scaled(out, y, a[t])
+    return out
+
+
+def _mat_mul(F: FqField, a, b) -> tuple:
+    """a b, column by column."""
+    return tuple(_mat_vec(F, a, col) for col in b)
+
+
+def _mat_add(F: FqField, a, b) -> tuple:
+    out = tuple(dict(col) for col in a)
+    for col, other in zip(out, b):
+        F.add_scaled(col, 1, other)
+    return out
+
+
+def _minus_scalar(F: FqField, vecs, lam: int) -> list[dict]:
+    """The rows (or columns) of mat - lam I, copied from those of mat."""
+    add, minus_lam = F.add, F.neg(lam)
     out = []
-    for a_row in a:
-        acc = [0] * m
-        for x, b_row in zip(a_row, b):
-            if x:
-                for j, y in enumerate(b_row):
-                    if y:
-                        acc[j] = add(acc[j], mul(x, y))
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def _mat_add(F: FqField, a, b):
-    add = F.add
-    return tuple(tuple(add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_vec(F: FqField, a, v):
-    """a v, summed over the nonzero entries of v only."""
-    add, mul = F.add, F.mul
-    support = [(t, y) for t, y in enumerate(v) if y]
-    out = []
-    for row in a:
-        acc = 0
-        for t, y in support:
-            x = row[t]
-            if x:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
-def _minus_scalar(F: FqField, mat, lam: int) -> list[list[int]]:
-    """The rows of mat - lam I: copies with only the diagonal changed."""
-    sub = F.sub
-    rows = []
-    for i, row in enumerate(mat):
-        row = list(row)
-        row[i] = sub(row[i], lam)
-        rows.append(row)
-    return rows
+    for i, v in enumerate(vecs):
+        v = dict(v)
+        x = add(v.pop(i, 0), minus_lam)
+        if x:
+            v[i] = x
+        out.append(v)
+    return out
 
 
 def _rref(F: FqField, rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    scaled, sub_scaled = F.scaled, F.sub_scaled
-    rows = list(rows)
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+    """The reduced row echelon form of a matrix given by its rows, as (rows,
+    pivot column list) in pivot order.  Each row is reduced once against the
+    pivot rows found so far; if it is not zero then, its smallest column
+    becomes a pivot, cleared from the earlier rows.  Every pivot row stays 1
+    at its pivot and 0 at the others and left of it: the unique rref."""
+    add_scaled, neg = F.add_scaled, F.neg
+    pivot_rows: dict[int, dict] = {}
+    for row in rows:
+        row = dict(row)
+        for c in [c for c in row if c in pivot_rows]:
+            add_scaled(row, neg(row[c]), pivot_rows[c])
+        if not row:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r] = scaled(rows[r], F.inv(rows[r][c]))
-        for i, row in enumerate(rows):
-            factor = row[c]
-            if i != r and factor:
-                rows[i] = sub_scaled(row, factor, pivot)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivots
+        c = min(row)
+        if row[c] != 1:
+            pivot: dict = {}
+            add_scaled(pivot, F.inv(row[c]), row)
+            row = pivot
+        for other in pivot_rows.values():
+            factor = other.get(c)
+            if factor:
+                add_scaled(other, neg(factor), row)
+        pivot_rows[c] = row
+    pivots = sorted(pivot_rows)
+    return [pivot_rows[c] for c in pivots], pivots
 
 
 def _nullspace(F: FqField, mat, ncols):
@@ -496,15 +487,16 @@ def _nullspace(F: FqField, mat, ncols):
     other free columns, so the entries of a null vector at the free columns
     are its coordinates in the basis."""
     rows, pivots = _rref(F, mat)
-    free = [c for c in range(ncols) if c not in pivots]
+    free = sorted(set(range(ncols)).difference(pivots))
     neg = F.neg
     basis = []
     for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
+        v = {fc: 1}
         for r, pc in zip(rows, pivots):
-            v[pc] = neg(r[fc])
-        basis.append(tuple(v))
+            x = r.get(fc)
+            if x:
+                v[pc] = neg(x)
+        basis.append(v)
     return basis, free
 
 
@@ -537,7 +529,7 @@ def _brauer_quotient(gen: Generator, F: FqField, P: FiniteGroup) -> tuple:
     coordinates ``w[c] for c in free`` to every fixed vector w; the rref of
     the images of the relative traces from the maximal proper subgroups of
     P, in those coordinates; and the indices of the basis rows at no trace
-    pivot, whose classes form a basis of the quotient.
+    pivot, whose classes form a basis of the quotient.  Vectors are sparse.
     """
     module = realize_generator(gen, F)
     d = module.dimension
@@ -546,10 +538,15 @@ def _brauer_quotient(gen: Generator, F: FqField, P: FiniteGroup) -> tuple:
         """The common fixed space of the elements of G with indices gens."""
         rows = []
         for u in gens:
-            rows.extend(_minus_scalar(F, module.action(u), 1))
+            a_rows = [{} for _ in range(d)]  # the rows of A_u, from its columns
+            for j, col in enumerate(module.action(u)):
+                for i, x in col.items():
+                    a_rows[i][j] = x
+            rows.extend(_minus_scalar(F, a_rows, 1))
         return _nullspace(F, rows, d)
 
     basis, free = fixed_space(P.generators)
+    coordinate = {c: i for i, c in enumerate(free)}
     trace_vectors = []
     for Qsub in _maximal_proper_subgroups(P):
         tr = None
@@ -557,9 +554,10 @@ def _brauer_quotient(gen: Generator, F: FqField, P: FiniteGroup) -> tuple:
             mat = module.action(x)
             tr = mat if tr is None else _mat_add(F, tr, mat)
         for v in fixed_space(Qsub.generators)[0]:
-            trace_vectors.append(_mat_vec(F, tr, v))
+            w = _mat_vec(F, tr, v)
+            trace_vectors.append({coordinate[c]: y for c, y in w.items() if c in coordinate})
 
-    trace_rows, trace_pivots = _rref(F, [tuple(v[c] for c in free) for v in trace_vectors])
+    trace_rows, trace_pivots = _rref(F, trace_vectors)
     quotient = tuple(i for i in range(len(basis)) if i not in trace_pivots)
     return tuple(basis), tuple(free), tuple(trace_rows), tuple(trace_pivots), quotient
 
@@ -572,8 +570,9 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
 
     Reads the Brauer quotient at P from ``_brauer_quotient``, acts on it by
     the pair's lift, and adds up the multiplicities of the eigenvalues
-    lambda = zeta^j of that action, each the dimension of the quotient less
-    the rank of A - lambda I, for every r-th root of unity (r the order of
+    lambda = zeta^j of that action A, each the dimension of the quotient
+    less the rank of A - lambda I, read as the rank of its transpose, whose
+    rows are the columns of A, for every r-th root of unity (r the order of
     s), weighted by the theta-transported roots of unity.  The
     multiplicities must fill the quotient, or the action is not semisimple
     and a RuntimeError is raised.
@@ -594,25 +593,26 @@ def oracle_tau(pair: SpeciesPair, gen: Generator, F: FqField,
     if dim_quot == 0:
         return Cyclotomic.zero(n)
 
-    sub_scaled = F.sub_scaled
+    add_scaled, neg = F.add_scaled, F.neg
     t_action = module.action(pair.lift)
+    coordinate = {c: k for k, c in enumerate(free)}
+    position = {j: k for k, j in enumerate(quotient)}
     cols = []
     for i in quotient:
         w = _mat_vec(F, t_action, basis[i])
-        cw = [w[c] for c in free]
+        cw = {coordinate[c]: x for c, x in w.items() if c in coordinate}
         for row, pc in zip(trace_rows, trace_pivots):  # reduce modulo the traces
-            factor = cw[pc]
+            factor = cw.get(pc)
             if factor:
-                cw = sub_scaled(cw, factor, row)
-        cols.append([cw[j] for j in quotient])
-    A = tuple(zip(*cols))
+                add_scaled(cw, neg(factor), row)
+        cols.append({position[j]: x for j, x in cw.items()})
 
     r = pair.s_order
     total = Cyclotomic.zero(n)
     seen_dim = 0
     for j in range(r):
         lam = module.zeta_powers[j * (n // r)]
-        mult = dim_quot - len(_rref(F, _minus_scalar(F, A, lam))[1])
+        mult = dim_quot - len(_rref(F, _minus_scalar(F, cols, lam))[1])
         if mult:
             total = total + zeta_power(n, F.theta[lam]) * mult
             seen_dim += mult
