@@ -19,7 +19,7 @@ from .species import (SpeciesPair, SpeciesVector, build_pair, enumerate_pairs,
 from .idem import (IdempotentReport, cyclic_idempotent, idempotent_normal_case,
                    idempotent_report, idempotent_theorem,
                    idempotent_via_reduction, partition_of_unity, top_E,
-                   verify_E_decomposition, verify_induction, verify_restriction)
+                   verify_E_decomposition, verify_induction)
 from .ffq import FqField, FqModule, build_field, oracle_tau, realize_generator
 
 from . import burnside, cyclo, ffq, grp, idem, lattice, ppelem, species

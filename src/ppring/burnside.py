@@ -31,7 +31,8 @@ from .ppelem import GroupMismatch, PPElement, _canonical, _mackey, default_condu
 
 class BurnsideElement:
     """A rational combination of transitive G-sets, on canonical class reps,
-    as integer numerators over one positive denominator in lowest terms."""
+    as integer numerators over one positive denominator in lowest terms;
+    ``BurnsideElement(G)``, with no coefficients, is zero."""
 
     __slots__ = ("group", "nums", "den")
 
@@ -59,10 +60,6 @@ class BurnsideElement:
         """The coefficients as rationals, a fresh read-only view."""
         den = self.den
         return {L: Fraction(c, den) for L, c in self.nums.items()}
-
-    @classmethod
-    def zero(cls, group: FiniteGroup) -> BurnsideElement:
-        return cls(group)
 
     def __add__(self, other: BurnsideElement) -> BurnsideElement:
         if other.group != self.group:

@@ -13,7 +13,8 @@ numerators and reduces modulo the monic integer Phi_n; both then divide out
 the gcd.  At phi(n) == 1 (conductors 1 and 2) an element is one rational
 and multiplication is a single product.  Fractions appear only at the
 edge: parsing input coefficients, the read-only ``coeffs`` view used for
-printing and JSON, ``from_rational``, ``as_rational`` and ``from_json``.
+printing and JSON, and ``from_rational``.  A value compares equal to an int
+or a Fraction when it is that rational number.
 There is no floating point anywhere.
 """
 
@@ -29,22 +30,6 @@ Rational = Union[int, Fraction]
 
 class ConductorMismatch(Exception):
     """Raised when combining cyclotomic values with different conductors."""
-
-
-@lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 def _polymul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -242,15 +227,6 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_one(self) -> bool:
-        return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
-
-    def as_rational(self) -> Fraction | None:
-        """The value as a rational number, or None if it is irrational."""
-        if any(self.num[1:]):
-            return None
-        return Fraction(self.num[0], self.den)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Cyclotomic):
             return (self.conductor == other.conductor and self.den == other.den
@@ -288,10 +264,6 @@ class Cyclotomic:
     def to_json(self) -> dict:
         return {"conductor": self.conductor,
                 "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> Cyclotomic:
-        return cls(data["conductor"], [Fraction(c) for c in data["coeffs"]])
 
 
 @lru_cache(maxsize=None)

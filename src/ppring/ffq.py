@@ -173,11 +173,10 @@ class FqField:
 
     An element is an int in 0..q-1: the base-p code sum c_i p^i of its
     coefficients c_0, ..., c_(m-1) over F_p with respect to the irreducible
-    ``modulus``, so 0 and 1 are the field's zero and one and ``elements()``
-    is counter order.  ``generator`` is the generator g of the multiplicative
-    group that ``build_field`` chose, zeta = g^((q-1)/n), and ``theta`` maps
-    each n-th root of unity zeta^j to j, the exponent of the corresponding
-    complex root zeta_n.
+    ``modulus``, so 0 and 1 are the field's zero and one.  ``generator`` is
+    the generator g of the multiplicative group that ``build_field`` chose,
+    zeta = g^((q-1)/n), and ``theta`` maps each n-th root of unity zeta^j to
+    j, the exponent of the corresponding complex root zeta_n.
 
     For q <= TABLE_MAX_Q the arithmetic reads tables built once from g: exp
     and log, and the Zech logarithms zech[k] = log(1 + g^k) (Huber, IEEE
@@ -238,12 +237,6 @@ class FqField:
         neg = [0] + [exp[log[x] + half] for x in range(1, q)]
         self._exp, self._log, self._zech, self._neg = exp, log, zech, neg
 
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
     def add(self, a: int, b: int) -> int:
         if not (a and b):
             return a or b
@@ -261,9 +254,6 @@ class FqField:
             return self._neg[a]
         p = self.p
         return _code(tuple(-d % p for d in _digits(a, p)), p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def add_scaled(self, row: dict, f: int, other: dict) -> None:
         """row += f * other, in place, on sparse vectors {index: nonzero code}:
@@ -318,10 +308,6 @@ class FqField:
             p = self.p
             return _code(_ppowmod(_digits(a, p), e, self.modulus, p), p)
         return self._exp[self._log[a] * e % (self.q - 1)]
-
-    def elements(self) -> range:
-        """All field elements in counter order."""
-        return range(self.q)
 
     def __repr__(self) -> str:
         return f"FqField(p={self.p}, m={self.m}, n={self.n})"

@@ -14,8 +14,10 @@ per element set and subgroups per root and member set (:func:`from_indices`),
 so a group is its own identity, for equality and for hashing, a group is a
 subgroup of another when :meth:`FiniteGroup.contains_group` says so, and a
 subgroup of H found in the lattice of H is the very object found in the
-lattice of any group that contains H.  :class:`Permutation` objects appear
-only where a group is parsed and where a report is written;
+lattice of any group that contains H.  A subgroup is built from member
+indices only, by :func:`subgroup_closure` or :func:`from_indices`; no
+function takes its members as permutations.  :class:`Permutation` objects
+appear only where a group is parsed and where a report is written;
 :func:`close_generators` is the one place that composes them.  This module
 builds the tables and defines the conjugation convention, g^-1 x g read from
 ``conj[g][x]``, which other modules read from the tables directly; it also
@@ -61,8 +63,9 @@ class NotSubgroup(GroupError):
 class Permutation:
     """A bijection of {0..d-1} stored as its tuple of images.
 
-    ``(a * b)(i) == a(b(i))`` (apply the right factor first), and the
-    conjugate ``x.conj(g)`` is ``g^-1 * x * g``.
+    ``(a * b).images[i] == a.images[b.images[i]]``: the right factor acts
+    first.  A permutation is only parsed, multiplied during a closure and
+    printed; a group conjugates, inverts and takes orders on its tables.
     """
 
     __slots__ = ("images", "_hash")
@@ -107,38 +110,11 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
     def __mul__(self, other: Permutation) -> Permutation:
         if self.degree != other.degree:
             raise InvalidPermutation("degree mismatch in product")
         imgs = self.images
         return Permutation._trusted(tuple(imgs[j] for j in other.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._trusted(tuple(inv))
-
-    def __pow__(self, n: int) -> Permutation:
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = Permutation.identity(self.degree)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conj(self, g: Permutation) -> Permutation:
-        """g^-1 * self * g."""
-        return g.inverse() * self * g
-
-    def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles()))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each rotated minimum-first, sorted."""
@@ -236,13 +212,14 @@ class FiniteGroup:
     order, so ``G.root.elements[i]`` is the element with root index i.
     ``generators`` are member indices, found greedily in index order on
     first read.  Build groups through :func:`close_generators`, the named
-    constructors, :class:`QuotientGroup` and :func:`from_indices`, which
-    intern them; the constructor trusts its arguments and derives a root's
-    other tables from ``table``.  Groups sort by ``(order, indices)``.
+    constructors, :class:`QuotientGroup`, :func:`subgroup_closure` and
+    :func:`from_indices`, which intern them; the constructor trusts its
+    arguments and derives a root's other tables from ``table``.  Groups sort
+    by ``(order, indices)``.
     """
 
     __slots__ = ("degree", "elements", "order", "table", "inv", "conj", "orders",
-                 "root", "indices", "mask", "_generators", "_index")
+                 "root", "indices", "mask", "_generators")
 
     def __init__(self, degree: int, elements: tuple[Permutation, ...],
                  table: tuple[tuple[int, ...], ...], root: FiniteGroup | None = None,
@@ -258,20 +235,14 @@ class FiniteGroup:
             self.inv = inv = tuple(row.index(0) for row in table)
             self.conj = tuple(tuple(table[y][g] for y in table[inv[g]]) for g in range(n))
             self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
-            self._index = {x: i for i, x in enumerate(elements)}
         else:
             self.root = root
             self.elements = tuple(elements[i] for i in indices)
             self.indices = indices
             self.mask = sum(1 << i for i in indices)
             self.inv, self.conj, self.orders = root.inv, root.conj, root.orders
-            self._index = root._index
         self.order = len(self.indices)
         self._generators = None
-
-    @property
-    def identity(self) -> Permutation:
-        return self.elements[0]  # the identity is lexicographically minimal
 
     @property
     def generators(self) -> tuple[int, ...]:
@@ -307,30 +278,6 @@ class FiniteGroup:
             raise NotSubgroup("the group does not contain the subgroup")
         conj, mask = self.conj, self.mask
         return all(mask >> conj[g][x] & 1 for g in G.generators for x in self.generators)
-
-    def _members(self, elements: Iterable[Permutation]) -> list[int]:
-        """The sorted distinct indices of the given elements of this group;
-        raises :class:`NotSubgroup` if one is not in it."""
-        members = sorted({self._index.get(x, -1) for x in elements})
-        if not all(x in self for x in members):
-            raise NotSubgroup("elements not contained in the parent group")
-        return members
-
-    def subgroup(self, elements: Iterable[Permutation]) -> FiniteGroup:
-        """The subgroup with exactly the given elements, checked against the
-        multiplication table; raises :class:`NotSubgroup` if they are not one."""
-        members = self._members(elements)
-        if not members:
-            raise NotSubgroup("a subgroup cannot be empty")
-        if members[0] != 0:
-            raise NotSubgroup("identity missing")
-        if len(close_indices(self.table, members)) != len(members):
-            raise NotSubgroup("not closed under product")
-        return from_indices(self, members)
-
-    def closure(self, elements: Iterable[Permutation]) -> FiniteGroup:
-        """The subgroup generated by the given elements of this group."""
-        return subgroup_closure(self, self._members(elements))
 
     def trivial_subgroup(self) -> FiniteGroup:
         return from_indices(self, (0,))

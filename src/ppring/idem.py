@@ -190,14 +190,6 @@ def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair) -> PPEle
     return ind_elt(f, G).scale(Fraction(pair.s_order, pair.centralizer_order))
 
 
-def delta_property(pair: SpeciesPair, element: PPElement) -> bool:
-    """True iff the species vector of the element is the orbit indicator of
-    the pair: 1 at pairs conjugate to it, 0 elsewhere."""
-    if pair.group != element.group or pair.p != element.p:
-        raise GroupMismatch("pair and element live over different groups")
-    return _is_orbit_indicator(pair, species_vector(element))
-
-
 def _is_orbit_indicator(pair: SpeciesPair, vec: SpeciesVector) -> bool:
     rep = _canonical_pair(pair)
     return all(v == (1 if q is rep else 0) for q, v in vec)
@@ -233,14 +225,6 @@ def _fusion(G: FiniteGroup, p: int, H: FiniteGroup) -> Mapping[SpeciesPair, Spec
     return MappingProxyType({
         hp: _canonical_pair(build_pair(G, p, hp.P, hp.lift))
         for hp in enumerate_pairs(H, p)})
-
-
-def verify_restriction(G: FiniteGroup, p: int, H: FiniteGroup, pair: SpeciesPair) -> bool:
-    """Check that restricting the idempotent of a pair to H gives the sum of
-    the H-idempotents at the H-classes of G-conjugates of the pair lying in
-    H (possibly the empty sum)."""
-    n = default_conductor(G, p)
-    return _restriction_law(G, p, H, pair, _fused_terms(G, p, H, n), n)
 
 
 def _fused_terms(G: FiniteGroup, p: int, H: FiniteGroup,

@@ -12,8 +12,9 @@ says why the search finds every subgroup.
 
 The Moebius values mu(L, G) that the idempotent formulas sum over are one
 vector per lattice, ``mu_top``, filled once from the top down in index order
-(after Pfeiffer, Experiment. Math. 6, 1997); ``moebius(A, B)`` for any other
-B runs the defining recursion.
+(after Pfeiffer, Experiment. Math. 6, 1997).  mu(A, B) for any other B is
+read from the lattice of B: the subgroups of B are the same interned objects
+in both lattices, so it is ``subgroup_lattice(B).mu_top`` at A.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .grp import FiniteGroup, close_indices, from_indices
 
 
 class NotComparable(Exception):
-    """Raised when a Moebius value is requested for an incomparable pair."""
+    """Raised when a subgroup of another group is looked up in a lattice."""
 
 
 class SubgroupLattice:
@@ -32,21 +33,15 @@ class SubgroupLattice:
 
     Subgroups are listed in a deterministic order (by order, then canonical
     form), so a subgroup comes after every subgroup it contains; containment
-    is read from their masks.  ``moebius(A, B)`` is the Moebius function of
-    the subgroup poset.  ``mu_top[i]`` is mu(subgroups[i], top), filled top
-    down: mu(top, top) = 1 and mu(L, top) = -sum of mu(M, top) over the M
-    strictly above L, which all come later in the list.  Every other value
-    comes from the defining recursion mu(A, B) = -sum_{A <= M < B} mu(A, M),
-    memoized.
+    is read from their masks, and the group itself comes last.
+    ``mu_top[i]`` is mu(subgroups[i], G) for the group G, filled top down:
+    mu(G, G) = 1 and mu(L, G) = -sum of mu(M, G) over the M strictly above
+    L, which all come later in the list.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         self.subgroups, self._classes = _all_subgroups(group)
-        self.top = self.subgroups[-1]
-        self.bottom = self.subgroups[0]
-        self._index = {H: i for i, H in enumerate(self.subgroups)}
-        self._mu: dict[tuple[int, int], int] = {}
         self._reps = tuple(cls[0] for cls in self._classes)
         self._rep_of = {H: cls[0] for cls in self._classes for H in cls}
         masks = [H.mask for H in self.subgroups]
@@ -57,37 +52,10 @@ class SubgroupLattice:
             if not m:
                 continue
             M = masks[j]
-            for i in range(j):  # subtract mu(M, top) at each L strictly below M
+            for i in range(j):  # subtract mu(M, G) at each L strictly below M
                 if not masks[i] & ~M:
                     mu[i] -= m
         self.mu_top = tuple(mu)
-
-    def index(self, H: FiniteGroup) -> int:
-        try:
-            return self._index[H]
-        except KeyError:
-            raise NotComparable(f"{H!r} is not a subgroup of {self.group!r}") from None
-
-    def moebius(self, A: FiniteGroup, B: FiniteGroup) -> int:
-        ia, ib = self.index(A), self.index(B)
-        if not B.contains_group(A):
-            raise NotComparable("first argument is not contained in the second")
-        if ib == len(self.subgroups) - 1:
-            return self.mu_top[ia]
-        return self._moebius_idx(ia, ib)
-
-    def _moebius_idx(self, ia: int, ib: int) -> int:
-        if ia == ib:
-            return 1
-        key = (ia, ib)
-        if key not in self._mu:
-            # every M with A <= M < B lies between them in the list
-            subgroups = self.subgroups
-            A, B = subgroups[ia], subgroups[ib]
-            self._mu[key] = -sum(self._moebius_idx(ia, j) for j in range(ia, ib)
-                                 if subgroups[j].contains_group(A)
-                                 and B.contains_group(subgroups[j]))
-        return self._mu[key]
 
     def conjugacy_classes(self) -> tuple[tuple[FiniteGroup, ...], ...]:
         return self._classes

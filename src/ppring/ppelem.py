@@ -207,7 +207,8 @@ def _canonical(group: FiniteGroup, subgroup: FiniteGroup, exps: tuple[int, ...],
 
 
 class PPElement:
-    """A formal cyclotomic-linear combination of canonical generators."""
+    """A formal cyclotomic-linear combination of canonical generators;
+    ``PPElement(G, p, n)``, with no terms, is zero."""
 
     __slots__ = ("group", "p", "conductor", "terms")
 
@@ -236,10 +237,6 @@ class PPElement:
         x = object.__new__(cls)
         x.group, x.p, x.conductor, x.terms = group, p, conductor, terms
         return x
-
-    @classmethod
-    def zero(cls, group: FiniteGroup, p: int, conductor: int) -> PPElement:
-        return cls(group, p, conductor)
 
     @classmethod
     def one(cls, group: FiniteGroup, p: int, conductor: int) -> PPElement:
@@ -278,10 +275,6 @@ class PPElement:
         c = _as_cyclo(c, self.conductor)
         return PPElement(self.group, self.p, self.conductor,
                          {gen: coeff * c for gen, coeff in self.terms.items()})
-
-    def is_zero_formal(self) -> bool:
-        """True when no terms remain (sufficient, not necessary, for zero)."""
-        return not self.terms
 
     def sorted_terms(self) -> list[tuple[Generator, Cyclotomic]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())

@@ -12,15 +12,15 @@ import time
 import pytest
 
 from ppring.grp import alternating, cyclic, dihedral, quaternion8, symmetric
-from ppring.idem import (burnside_suite, delta_property, factorization_suite,
+from ppring.idem import (_is_orbit_indicator, burnside_suite, factorization_suite,
                          idempotent_theorem, idempotent_via_reduction,
-                         partition_of_unity, verify_induction,
-                         verify_restriction)
+                         partition_of_unity, verify_induction)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (PPElement, brauer_elt, default_conductor,
                            tensor_elt)
 from ppring.species import (enumerate_pairs, equal_elements, species_vector,
                             standard_generators, tau_element)
+from test_idem import restriction_law
 
 CORPUS = [
     ("C2", lambda: cyclic(2)),
@@ -54,7 +54,8 @@ def test_criterion_1_delta_property():
         for p in PRIMES:
             t0 = time.monotonic()
             for pair in enumerate_pairs(G, p):
-                if not delta_property(pair, idempotent_theorem(G, p, pair)):
+                vec = species_vector(idempotent_theorem(G, p, pair))
+                if not _is_orbit_indicator(pair, vec):
                     ok = False
             elapsed = time.monotonic() - t0
             slowest = max(slowest, elapsed)
@@ -94,7 +95,7 @@ def test_criterion_4_restriction_induction_laws():
             pairs = enumerate_pairs(G, p)
             for H in subgroup_lattice(G).class_reps():
                 for pair in pairs:
-                    if not verify_restriction(G, p, H, pair):
+                    if not restriction_law(G, p, H, pair):
                         ok = False
                     checked += 1
                 for hpair in enumerate_pairs(H, p):

@@ -5,10 +5,9 @@ import pytest
 
 from ppring.cli import parse_group_spec
 from ppring.grp import alternating, cyclic, symmetric
-from ppring.idem import (delta_property, identity_suite, idempotent_theorem,
-                         idempotent_via_reduction, partition_of_unity,
+from ppring.idem import (identity_suite, idempotent_report, partition_of_unity,
                          verify_E_decomposition)
-from ppring.species import enumerate_pairs, equal_elements
+from ppring.species import enumerate_pairs
 
 
 @pytest.mark.parametrize("p,expected_pairs", [(2, 8), (3, 6), (5, 5)])
@@ -17,9 +16,8 @@ def test_a5_all_primes(p, expected_pairs):
     pairs = enumerate_pairs(G, p)
     assert len(pairs) == expected_pairs
     for q in pairs:
-        F = idempotent_theorem(G, p, q)
-        assert delta_property(q, F)
-        assert equal_elements(F, idempotent_via_reduction(G, p, q))
+        rep = idempotent_report(G, p, q)
+        assert rep.delta_ok and rep.routes_agree
     assert partition_of_unity(G, p)
 
 
@@ -29,9 +27,8 @@ def test_s5_all_primes(p, expected_pairs):
     pairs = enumerate_pairs(G, p)
     assert len(pairs) == expected_pairs
     for q in pairs:
-        F = idempotent_theorem(G, p, q)
-        assert delta_property(q, F)
-        assert equal_elements(F, idempotent_via_reduction(G, p, q))
+        rep = idempotent_report(G, p, q)
+        assert rep.delta_ok and rep.routes_agree
     assert partition_of_unity(G, p)
 
 
@@ -61,4 +58,4 @@ def test_prime_not_dividing_order():
     assert all(q.P.order == 1 for q in pairs)
     assert len(pairs) == 5
     for q in pairs:
-        assert delta_property(q, idempotent_theorem(G, 3, q))
+        assert idempotent_report(G, 3, q).delta_ok

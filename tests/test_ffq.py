@@ -16,6 +16,7 @@ from ppring.grp import alternating, cyclic, dihedral, symmetric, sylow
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import default_conductor, linear_characters, make_generator
 from ppring.species import enumerate_pairs, standard_generators, tau_generator
+from test_grp import inverse
 
 
 class TupleField:
@@ -129,14 +130,14 @@ class TestAgainstTupleReference:
         R, _ = tuple_field(p, n)
         q = F.q
         elems = [R.element(c) for c in range(q)]
-        assert list(F.elements()) == [R.code(x) for x in elems]
+        assert [R.code(x) for x in elems] == list(range(q))
         for a, x in enumerate(elems):
             assert F.neg(a) == R.code(R.neg(x))
             if a:
                 assert F.inv(a) == R.code(R.inv(x))
             for b, y in enumerate(elems):
                 assert F.add(a, b) == R.code(R.add(x, y))
-                assert F.sub(a, b) == R.code(R.sub(x, y))
+                assert F.add(a, F.neg(b)) == R.code(R.sub(x, y))
                 assert F.mul(a, b) == R.code(R.mul(x, y))
                 if a:
                     e = b - q // 2  # negative exponents too
@@ -152,7 +153,7 @@ class TestAgainstTupleReference:
             x, y = R.element(a), R.element(b)
             e = rng.randrange(-F.q, F.q)
             assert F.add(a, b) == R.code(R.add(x, y))
-            assert F.sub(a, b) == R.code(R.sub(x, y))
+            assert F.add(a, F.neg(b)) == R.code(R.sub(x, y))
             assert F.neg(a) == R.code(R.neg(x))
             assert F.mul(a, b) == R.code(R.mul(x, y))
             assert F.inv(a) == R.code(R.inv(x))
@@ -197,7 +198,7 @@ class TestBuildField:
     def test_p2_n1(self):
         F = build_field(2, 1)
         assert F.q == 2
-        assert F.theta == {F.one(): 0}
+        assert F.theta == {1: 0}
 
     def test_generator_search_skips_the_constants(self):
         """For m >= 2 no constant generates the multiplicative group, so the
@@ -208,7 +209,7 @@ class TestBuildField:
 
         def order(F, x):
             k, y = 1, x
-            while y != F.one():
+            while y != 1:
                 k, y = k + 1, F.mul(y, x)
             return k
 
@@ -222,11 +223,11 @@ class TestBuildField:
     def test_zeta_has_exact_order(self):
         for p, n in [(2, 3), (3, 4), (2, 7), (5, 6)]:
             F = build_field(p, n)
-            x = F.one()
+            x = 1
             for _ in range(n - 1):
                 x = F.mul(x, F.zeta)
-                assert x != F.one()
-            assert F.mul(x, F.zeta) == F.one()
+                assert x != 1
+            assert F.mul(x, F.zeta) == 1
 
     def test_modulus_irreducible_brute_force(self):
         # no roots and no low-degree factors, checked by exhaustive division
@@ -279,18 +280,18 @@ class TestBuildField:
 
     def test_field_axioms_sample(self):
         F = build_field(2, 3)
-        elems = list(F.elements())
+        elems = list(range(F.q))
         for a in elems:
             for b in elems:
                 assert F.add(a, b) == F.add(b, a)
                 assert F.mul(a, b) == F.mul(b, a)
-                if a != F.zero():
-                    assert F.mul(a, F.inv(a)) == F.one()
+                if a:
+                    assert F.mul(a, F.inv(a)) == 1
 
 
     def test_mat_mul_matches_entrywise_definition(self):
         F = build_field(2, 3)
-        elems = list(F.elements())
+        elems = list(range(F.q))
         rng = random.Random(0)
         # half the entries zero, as in the sparse action matrices
         a = [[rng.choice(elems[:1] * 3 + elems[1:]) for _ in range(5)] for _ in range(4)]
@@ -299,7 +300,7 @@ class TestBuildField:
         for i in range(4):
             row = []
             for j in range(3):
-                acc = F.zero()
+                acc = 0
                 for t in range(5):
                     acc = F.add(acc, F.mul(a[i][t], b[t][j]))
                 row.append(acc)
@@ -371,7 +372,7 @@ def reference_rref(F, rows, ncols):
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [F.add(x, F.neg(F.mul(f, y))) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
     return [tuple(row) for row in rows[:len(pivots)]], pivots
 
@@ -443,10 +444,10 @@ def reference_action(F, gen, g):
             for h in L.elements:
                 rep_of[x * h] = x
     d = len(transversal)
-    rows = [[F.zero()] * d for _ in range(d)]
+    rows = [[0] * d for _ in range(d)]
     for i, ci in enumerate(transversal):
         cj = rep_of[g * ci]
-        rows[transversal.index(cj)][i] = F.pow(F.zeta, value[cj.inverse() * g * ci])
+        rows[transversal.index(cj)][i] = F.pow(F.zeta, value[inverse(cj) * g * ci])
     return tuple(tuple(r) for r in rows)
 
 
@@ -478,7 +479,7 @@ class TestRealizeGenerator:
         mod = realize_generator(gen, F)
         assert mod.dimension == 1
         for g in G.generators:
-            assert dense(mod.action(g), 1) == ((F.one(),),)
+            assert dense(mod.action(g), 1) == ((1,),)
 
     def test_regular_c2(self):
         G = cyclic(2)
@@ -489,12 +490,12 @@ class TestRealizeGenerator:
         assert mod.dimension == 2
         flip = next(i for i, x in enumerate(G.elements) if not x.is_identity())
         m = dense(mod.action(flip), 2)
-        assert m == ((F.zero(), F.one()), (F.one(), F.zero()))
+        assert m == ((0, 1), (1, 0))
 
     def test_faithful_c3_character_at_p2(self):
         G = cyclic(3)
         F = build_field(2, 3)
-        s = next(x for x in G.elements if x.order() == 3)
+        s = G.elements[G.orders.index(3)]
         chi = next(c for c in linear_characters(G, 3)
                    if dict(zip(G.elements, c))[s] == 1)
         gen = make_generator(G, G, chi, 3)
@@ -625,10 +626,9 @@ class TestOracleTau:
             for L in lat.class_reps():
                 gen = make_generator(G, L, (0,) * L.order, n)
                 # combinatorial count of P-fixed lines
-                members = frozenset(gen.subgroup.elements)
                 lines = sum(
-                    1 for g in (G.elements[i] for i in coset_indices(G, gen.subgroup)[0])
-                    if all(u.conj(g) in members for u in pair.P.elements))
+                    1 for g in coset_indices(G, gen.subgroup)[0]
+                    if all(G.conj[g][u] in gen.subgroup for u in pair.P.indices))
                 # oracle dimension: evaluate at s = 1 by summing multiplicities
                 value = oracle_tau(
                     build_pair_dim(G, p, pair), gen, F)

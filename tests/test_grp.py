@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -28,11 +29,36 @@ def brute_closure(degree, gens):
         elems |= new
 
 
+def inverse(x):
+    """The inverse permutation, read off the images: the points sorted by
+    their images."""
+    return Permutation(sorted(range(x.degree), key=x.images.__getitem__))
+
+
+def conj(x, g):
+    """The conjugate g^-1 x g of a permutation."""
+    return inverse(g) * x * g
+
+
+def closure(G, elements):
+    """The subgroup of G generated by the given elements of its root."""
+    index = {x: i for i, x in enumerate(G.root.elements)}
+    return subgroup_closure(G, [index[x] for x in elements])
+
+
+@lru_cache(maxsize=None)
+def sympy_order(x):
+    """The order of a permutation, computed by sympy (about 0.2 ms a call,
+    so each permutation is asked once)."""
+    comb = pytest.importorskip("sympy.combinatorics")
+    return int(comb.Permutation(list(x.images)).order())
+
+
 class TestPermutation:
     def test_identity_and_call(self):
         e = Permutation.identity(4)
-        assert e(2) == 2
-        assert e.order() == 1
+        assert e.images[2] == 2
+        assert close_generators(4, [e]).order == 1
         assert e.is_identity()
 
     def test_rejects_non_bijection(self):
@@ -43,23 +69,29 @@ class TestPermutation:
         # (a*b)(i) = a(b(i))
         a = Permutation.from_cycles(3, [(0, 1)])
         b = Permutation.from_cycles(3, [(1, 2)])
-        assert (a * b)(1) == a(b(1)) == a(2) == 2
+        assert (a * b).images[1] == a.images[b.images[1]] == a.images[2] == 2
 
     def test_inverse_and_pow(self):
         g = Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])
-        assert g * g.inverse() == Permutation.identity(5)
-        assert g ** 5 == Permutation.identity(5)
-        assert g ** -2 == g ** 3
+        C = close_generators(5, [g])
+        table, x = C.table, C.elements.index(g)
+        assert C.elements[C.inv[x]] == inverse(g)
+        assert table[x][C.inv[x]] == 0
+        assert C.orders[x] == 5
+        square = table[x][x]
+        assert C.inv[square] == table[x][square]  # g^-2 == g^3
 
     def test_conj(self):
         g = Permutation.from_cycles(3, [(0, 1, 2)])
         t = Permutation.from_cycles(3, [(0, 1)])
-        assert g.conj(t) == t.inverse() * g * t
+        G = symmetric(3)
+        row = G.conj[G.elements.index(t)]
+        assert G.elements[row[G.elements.index(g)]] == inverse(t) * g * t
 
     def test_cycles_roundtrip(self):
         g = Permutation.from_cycles(6, [(0, 3), (1, 4, 5)])
         assert g == Permutation.from_cycles(6, g.cycles())
-        assert g.order() == 6
+        assert close_generators(6, [g]).order == 6
 
     @pytest.mark.parametrize("cycles", [
         [(0, 1), (0, 1)],      # two cycles share both points
@@ -175,8 +207,8 @@ class TestNamedConstructors:
         # Q8 has a unique involution, D8 has five
         Q = quaternion8()
         D = dihedral(8)
-        assert sum(1 for x in Q.elements if x.order() == 2) == 1
-        assert sum(1 for x in D.elements if x.order() == 2) == 5
+        assert Q.orders.count(2) == 1
+        assert D.orders.count(2) == 5
 
     def test_exponent(self):
         assert symmetric(4).exponent() == 12
@@ -184,23 +216,10 @@ class TestNamedConstructors:
 
 
 class TestSubgroup:
-    def test_lagrange_and_validation(self):
+    def test_lagrange(self):
         G = symmetric(3)
-        H = G.subgroup([G.identity, Permutation.from_cycles(3, [(0, 1)])])
-        assert G.order % H.order == 0
-        t = Permutation.from_cycles(3, [(0, 1)])
-        c = Permutation.from_cycles(3, [(0, 1, 2)])
-        A4 = alternating(4)
-        for group, elements, message in [
-            (G, [t], "identity missing"),
-            (G, [], "cannot be empty"),
-            (G, [G.identity, c], "not closed"),
-            (G, [G.identity, t, Permutation.from_cycles(3, [(1, 2)])], "not closed"),
-            (G, [G.identity, Permutation.from_cycles(4, [(0, 1)])], "not contained"),
-            (A4, [A4.identity, Permutation.from_cycles(4, [(0, 1)])], "not contained"),
-        ]:
-            with pytest.raises(NotSubgroup, match=message):
-                group.subgroup(elements)
+        H = closure(G, [Permutation.from_cycles(3, [(0, 1)])])
+        assert H.order == 2 and G.order % H.order == 0
 
     def test_generators_regenerate(self):
         G = symmetric(4)
@@ -245,8 +264,7 @@ class TestSylow:
             order //= p
         S = sylow(G, p)
         assert S.order == part
-        assert all(set(x.conj(g) for x in S.elements) <= set(G.elements)
-                   for g in S.elements)
+        assert all(G.conj[g][x] in G for x in S.indices for g in S.indices)
 
 
 class TestPPrimePart:
@@ -257,26 +275,27 @@ class TestPPrimePart:
 
     def test_c6_generator(self):
         G = cyclic(6)
-        gen6 = next(g for g in G.elements if g.order() == 6)
-        part = G.elements[p_prime_part(G, G.elements.index(gen6), 2)]
-        assert part == gen6 ** 4
-        assert part.order() == 3
+        gen6 = G.orders.index(6)
+        part = p_prime_part(G, gen6, 2)
+        g = G.elements[gen6]
+        assert G.elements[part] == g * g * g * g
+        assert G.orders[part] == 3
 
     def test_pure_p_element(self):
         G = cyclic(4)
-        gen4 = next(g for g in G.elements if g.order() == 4)
-        assert G.elements[p_prime_part(G, G.elements.index(gen4), 2)] == G.identity
+        assert p_prime_part(G, G.orders.index(4), 2) == 0
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_factorization_properties(self, p):
         G = symmetric(4)
-        for i, x in enumerate(G.elements):
-            xp_prime = G.elements[p_prime_part(G, i, p)]
-            xp = x * xp_prime.inverse()
-            assert xp * xp_prime == x
-            assert xp * xp_prime == xp_prime * xp
-            assert math.gcd(xp_prime.order(), p) == 1
-            n = xp.order()
+        table = G.table
+        for x in G.indices:
+            xp_prime = p_prime_part(G, x, p)
+            xp = table[x][G.inv[xp_prime]]
+            assert table[xp][xp_prime] == x
+            assert table[xp][xp_prime] == table[xp_prime][xp]
+            assert math.gcd(G.orders[xp_prime], p) == 1
+            n = G.orders[xp]
             while n % p == 0:
                 n //= p
             assert n == 1
@@ -289,12 +308,12 @@ class TestNormalizerCentralizer:
 
     def test_self_normalizing_transposition(self):
         G = symmetric(3)
-        H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
+        H = closure(G, [Permutation.from_cycles(3, [(0, 1)])])
         N = normalizer(G, H)
         assert frozenset(N.elements) == frozenset(H.elements)
         # oracle: conjugate the subgroup by every element
         expected = {g for g in G.elements
-                    if {x.conj(g) for x in H.elements} == set(H.elements)}
+                    if {conj(x, g) for x in H.elements} == set(H.elements)}
         assert frozenset(N.elements) == expected
 
     def test_centralizer_three_cycle(self):
@@ -311,9 +330,8 @@ class TestConjugationTable:
                              ids=["S4", "D8xC2"])
     def test_matches_permutation_conj(self, build):
         G = build()
-        conj = G.conj
-        for gi, g in enumerate(G.elements):
-            assert [G.elements[i] for i in conj[gi]] == [x.conj(g) for x in G.elements]
+        for row, g in zip(G.conj, G.elements):
+            assert [G.elements[i] for i in row] == [conj(x, g) for x in G.elements]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_normalizer_quotient_order(self, p):
@@ -343,8 +361,7 @@ class TestQuotient:
         C2 = sylow(G, 2)
         Q = quotient(G, C2)
         assert Q.group.order == 3
-        gen6 = next(g for g in G.elements if g.order() == 6)
-        assert Q.group.elements[Q.proj[G.elements.index(gen6)]].order() == 3
+        assert Q.group.orders[Q.proj[G.orders.index(6)]] == 3
 
     def test_project_is_homomorphism_everywhere(self):
         G = symmetric(3)
@@ -396,7 +413,7 @@ class TestQuotient:
     def test_not_normal_rejected(self):
         from ppring.grp import NotNormal
         G = symmetric(3)
-        H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
+        H = closure(G, [Permutation.from_cycles(3, [(0, 1)])])
         with pytest.raises(NotNormal):
             quotient(G, H)
 
@@ -405,7 +422,7 @@ class TestDoubleCosets:
     def test_full_group(self):
         G = symmetric(3)
         reps = double_coset_reps(G, G, G)
-        assert [(G.elements[g], meet) for g, meet in reps] == [(G.identity, G)]
+        assert reps == [(0, G)]
 
     def test_s3_sylow3_two_reps(self):
         G = symmetric(3)
@@ -499,7 +516,7 @@ class TestCheckPrime:
 @given(st.permutations(list(range(5))), st.permutations(list(range(5))))
 def test_generated_groups_satisfy_lagrange(imga, imgb):
     G = close_generators(5, [Permutation(imga), Permutation(imgb)], max_order=384)
-    H = G.closure([Permutation(imga)])
+    H = closure(G, [Permutation(imga)])
     assert G.order % H.order == 0
 
 
@@ -556,7 +573,7 @@ def test_order_classes_and_sylow_agree_with_sympy(G):
 def test_normalizer_and_centralizer_orders_agree_with_sympy(G, data):
     elements = st.sampled_from(G.elements)
     x = data.draw(elements)
-    H = G.closure(data.draw(st.lists(elements, min_size=1, max_size=2)))
+    H = closure(G, data.draw(st.lists(elements, min_size=1, max_size=2)))
     theirs = sympy_group(G)
     comb = pytest.importorskip("sympy.combinatorics")
     as_sympy = {g: comb.Permutation(list(g.images)) for g in G.elements}
@@ -572,15 +589,15 @@ def test_normalizer_and_centralizer_orders_agree_with_sympy(G, data):
 @given(generated_groups(), st.data())
 def test_double_cosets_partition_generated_groups(G, data):
     elements = st.sampled_from(G.elements)
-    A = G.closure(data.draw(st.lists(elements, max_size=2)))
-    B = G.closure(data.draw(st.lists(elements, max_size=2)))
+    A = closure(G, data.draw(st.lists(elements, max_size=2)))
+    B = closure(G, data.draw(st.lists(elements, max_size=2)))
     covered = set()
     total = 0
     for gi, meet in double_coset_reps(G, A, B):
         g = G.elements[gi]
         double_coset = {a * g * b for a in A.elements for b in B.elements}
         assert not double_coset & covered
-        assert list(meet.elements) == [a for a in A.elements if a.conj(g) in B.elements]
+        assert list(meet.elements) == [a for a in A.elements if conj(a, g) in B.elements]
         covered |= double_coset
         total += len(double_coset)
     assert total == G.order
@@ -624,9 +641,9 @@ def composed_tables(G):
     tables of G by composing its permutations."""
     index = {x: i for i, x in enumerate(G.elements)}
     table = tuple(tuple(index[a * b] for b in G.elements) for a in G.elements)
-    inv = tuple(index[x.inverse()] for x in G.elements)
-    conj = tuple(tuple(index[x.conj(g)] for x in G.elements) for g in G.elements)
-    return table, inv, conj, tuple(x.order() for x in G.elements)
+    inv = tuple(index[inverse(x)] for x in G.elements)
+    conjugates = tuple(tuple(index[conj(x, g)] for x in G.elements) for g in G.elements)
+    return table, inv, conjugates, tuple(map(sympy_order, G.elements))
 
 
 def assert_tables_compose(G):
@@ -674,7 +691,7 @@ def test_promoted_groups_number_elements_as_their_root(build):
         assert H.table is G.table and H.conj is G.conj and H.orders is G.orders
         assert H.mask == sum(1 << i for i in H.indices)
         assert H.elements == tuple(G.elements[i] for i in H.indices)
-        assert H.exponent() == math.lcm(*(x.order() for x in H.elements))
+        assert H.exponent() == math.lcm(*map(sympy_order, H.elements))
         assert all(x in H for x in H.indices)
         assert not any(x in H for x in G.indices if x not in H.indices)
 
@@ -687,20 +704,6 @@ class TestPromotedGroupMembers:
         G = symmetric(4)
         self.G, self.H = G, sylow(G, 3)
         self.outside = Permutation.from_cycles(4, [(0, 1)])
-
-    def test_subgroup_refuses_a_root_element_outside(self):
-        H, x = self.H, self.outside
-        with pytest.raises(NotSubgroup, match="not contained"):
-            H.subgroup([H.identity, x])
-        assert H.subgroup(H.elements) is H
-
-    def test_closure_refuses_a_root_element_outside(self):
-        H, x = self.H, self.outside
-        with pytest.raises(NotSubgroup, match="not contained"):
-            H.closure([x])
-        with pytest.raises(NotSubgroup, match="not contained"):
-            H.closure([Permutation.from_cycles(5, [(0, 4)])])  # not in the root
-        assert H.closure(H.root.elements[g] for g in H.generators) is H
 
     def test_element_checks_refuse_a_root_index_outside(self):
         G, H = self.G, self.H
@@ -731,7 +734,7 @@ class TestIdentity:
             assert normalizer_quotient(G, P).parent is N
             # the same elements reached through the normalizer are one group
             assert from_indices(N, P.indices) is P
-            assert subgroup_lattice(N).subgroups[subgroup_lattice(N).index(P)] is P
+            assert any(H is P for H in subgroup_lattice(N).subgroups)
 
     def test_equality_is_identity(self):
         G = symmetric(4)

@@ -6,15 +6,23 @@ from ppring.cyclo import Cyclotomic, zeta_power
 from ppring.grp import (Permutation, cyclic, dihedral, from_indices, symmetric,
                         sylow)
 from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, _canonical_pair,
-                         cyclic_idempotent, delta_property, idempotent_normal_case,
+                         _fused_terms, _is_orbit_indicator, _restriction_law,
+                         cyclic_idempotent, idempotent_normal_case,
                          idempotent_report, idempotent_theorem,
                          idempotent_via_reduction, partition_of_unity, top_E,
-                         verify_E_decomposition, verify_induction,
-                         verify_restriction)
+                         verify_E_decomposition, verify_induction)
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import PPElement, tensor_elt
+from ppring.ppelem import PPElement, default_conductor, tensor_elt
 from ppring.species import (build_pair, enumerate_pairs, equal_elements,
                             species_vector, tau_element)
+from test_grp import closure
+
+
+def restriction_law(G, p, H, pair):
+    """The restriction law that identity_suite checks, for one subgroup H
+    and one pair."""
+    n = default_conductor(G, p)
+    return _restriction_law(G, p, H, pair, _fused_terms(G, p, H, n), n)
 
 
 class TestCyclicIdempotent:
@@ -22,19 +30,19 @@ class TestCyclicIdempotent:
         C = cyclic(1)
         x = cyclic_idempotent(C, 0, 2, 1)  # index 0 is the identity
         (gen, coeff), = x.terms.items()
-        assert coeff.is_one() and gen.subgroup.order == 1
+        assert coeff == 1 and gen.subgroup.order == 1
 
     def test_c2_at_p3(self):
         C = cyclic(2)
-        sigma = next(i for i, x in enumerate(C.elements) if x.order() == 2)
+        sigma = C.orders.index(2)
         x = cyclic_idempotent(C, sigma, 3, 2)
         by_char = {gen.exps: coeff for gen, coeff in x.terms.items()}
-        assert by_char[(0, 0)].as_rational() == Fraction(1, 2)
-        assert by_char[(0, 1)].as_rational() == Fraction(-1, 2)
+        assert by_char[(0, 0)] == Fraction(1, 2)
+        assert by_char[(0, 1)] == Fraction(-1, 2)
 
     def test_c3_at_p2(self):
         C = cyclic(3)
-        s = next(i for i, x in enumerate(C.elements) if x.order() == 3)
+        s = C.orders.index(3)
         x = cyclic_idempotent(C, s, 2, 3)
         # each character lives on the whole of C, so its table is indexed by element
         gen_exp = {gen.exps[s]: coeff for gen, coeff in x.terms.items()}
@@ -67,8 +75,8 @@ class TestTopE:
         G = cyclic(2)
         E = top_E(G, 2)
         coeffs = {gen.subgroup.order: coeff for gen, coeff in E.terms.items()}
-        assert coeffs[2].is_one()
-        assert coeffs[1].as_rational() == Fraction(-1, 2)
+        assert coeffs[2] == 1
+        assert coeffs[1] == Fraction(-1, 2)
 
     def test_trivial_group(self):
         G = cyclic(1)
@@ -79,8 +87,8 @@ class TestTopE:
         G = cyclic(3)
         E = top_E(G, 2)
         coeffs = {gen.subgroup.order: coeff for gen, coeff in E.terms.items()}
-        assert coeffs[3].is_one()
-        assert coeffs[1].as_rational() == Fraction(-1, 3)
+        assert coeffs[3] == 1
+        assert coeffs[1] == Fraction(-1, 3)
 
 
 class TestNormalCase:
@@ -91,7 +99,7 @@ class TestNormalCase:
 
     def test_c3_is_cyclic_idempotent(self):
         G = cyclic(3)
-        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
+        s = G.orders.index(3)
         x = idempotent_normal_case(G, s, 2)
         assert equal_elements(x, cyclic_idempotent(G, s, 2, 3))
 
@@ -112,9 +120,9 @@ class TestTheoremFormula:
         pair = enumerate_pairs(G, 2)[1]
         F = idempotent_theorem(G, 2, pair)
         coeffs = {gen.subgroup.order: coeff for gen, coeff in F.terms.items()}
-        assert coeffs[2].is_one()
-        assert coeffs[1].as_rational() == Fraction(-1, 2)
-        assert [v.as_rational() for v in species_vector(F).values] == [0, 1]
+        assert coeffs[2] == 1
+        assert coeffs[1] == Fraction(-1, 2)
+        assert list(species_vector(F).values) == [0, 1]
 
     def test_c2_trivial_pair(self):
         G = cyclic(2)
@@ -122,8 +130,8 @@ class TestTheoremFormula:
         F = idempotent_theorem(G, 2, pair)
         (gen, coeff), = F.terms.items()
         assert gen.subgroup.order == 1
-        assert coeff.as_rational() == Fraction(1, 2)
-        assert [v.as_rational() for v in species_vector(F).values] == [1, 0]
+        assert coeff == Fraction(1, 2)
+        assert list(species_vector(F).values) == [1, 0]
 
     @pytest.mark.parametrize("build,p", [
         (lambda: symmetric(3), 3), (lambda: dihedral(8), 2), (lambda: cyclic(6), 2),
@@ -134,7 +142,7 @@ class TestTheoremFormula:
         pair = enumerate_pairs(G, p)[0]
         assert pair.P.order == 1 and pair.s_order == 1
         F = idempotent_theorem(G, p, pair)
-        assert tau_element(pair, F).is_one()
+        assert tau_element(pair, F) == 1
 
 
 class TestReductionRoute:
@@ -163,7 +171,7 @@ class TestDeltaAndPartition:
     def test_delta_property(self, build, p):
         G = build()
         for pair in enumerate_pairs(G, p):
-            assert delta_property(pair, idempotent_theorem(G, p, pair))
+            assert idempotent_report(G, p, pair).delta_ok
 
     def test_partition_of_unity(self):
         assert partition_of_unity(symmetric(3), 3)
@@ -191,9 +199,8 @@ class TestDeltaAndPartition:
         for q in pairs:
             F = idempotent_theorem(G, p, q)
             for r, v in species_vector(F):
-                subconj = any(
-                    frozenset(x.conj(g) for x in r.P.elements) <= frozenset(q.P.elements)
-                    for g in G.elements)
+                subconj = any(all(G.conj[g][x] in q.P for x in r.P.indices)
+                              for g in G.indices)
                 if not subconj:
                     assert v.is_zero()
 
@@ -203,7 +210,7 @@ class TestRestrictionLaw:
         G = symmetric(3)
         p = 3
         for q in enumerate_pairs(G, p):
-            assert verify_restriction(G, p, G, q)
+            assert restriction_law(G, p, G, q)
 
     def test_transposition_pair_restricts_to_zero_on_c3(self):
         G = symmetric(3)
@@ -214,7 +221,7 @@ class TestRestrictionLaw:
         F = idempotent_theorem(G, p, pair)
         restricted = res_elt(F, H)
         assert all(v.is_zero() for v in species_vector(restricted).values)
-        assert verify_restriction(G, p, H, pair)
+        assert restriction_law(G, p, H, pair)
 
     def test_c2_to_trivial(self):
         G = cyclic(2)
@@ -223,7 +230,7 @@ class TestRestrictionLaw:
         F = idempotent_theorem(G, 2, pair)
         restricted = res_elt(F, G.trivial_subgroup())
         assert all(v.is_zero() for v in species_vector(restricted).values)
-        assert verify_restriction(G, 2, G.trivial_subgroup(), pair)
+        assert restriction_law(G, 2, G.trivial_subgroup(), pair)
 
 
 class TestInductionLaw:
@@ -247,7 +254,7 @@ class TestInductionLaw:
     def test_s3_from_transposition_subgroup(self):
         G = symmetric(3)
         p = 3
-        H = G.closure([Permutation.from_cycles(3, [(0, 1)])])
+        H = closure(G, [Permutation.from_cycles(3, [(0, 1)])])
         hpair = next(q for q in enumerate_pairs(H, p) if q.s_order == 2)
         as_g = build_pair(G, p, hpair.P, hpair.lift)
         assert Fraction(as_g.stabilizer.order,
@@ -287,12 +294,12 @@ def test_laws_hold_at_non_canonical_pairs(build, p):
     assert moved
     pairs = enumerate_pairs(G, p)
     for q in moved:
-        assert delta_property(q, idempotent_theorem(G, p, q))
+        assert _is_orbit_indicator(q, species_vector(idempotent_theorem(G, p, q)))
         assert any(_canonical_pair(q) is r for r in pairs)
     seen_hpairs = 0
     for H in subgroup_lattice(G).class_reps():
         for q in moved:
-            assert verify_restriction(G, p, H, q)
+            assert restriction_law(G, p, H, q)
         for hq in non_canonical_conjugates(H, p):
             seen_hpairs += 1
             assert verify_induction(G, p, H, hq)
@@ -344,9 +351,3 @@ class TestReport:
         assert rep.delta_ok and rep.routes_agree
         assert rep.pair is q
         assert rep.species == species_vector(rep.element)
-
-    def test_delta_property_refuses_a_pair_of_another_group(self):
-        from ppring.ppelem import GroupMismatch
-        pair = enumerate_pairs(cyclic(2), 2)[0]
-        with pytest.raises(GroupMismatch):
-            delta_property(pair, PPElement.one(cyclic(3), 2, 3))

@@ -17,11 +17,12 @@ from ppring.ppelem import (Generator, GroupMismatch, NotPGroup, PPElement,
                            res_elt, tensor_elt)
 from ppring.species import (enumerate_pairs, equal_elements, standard_generators,
                             tau_element)
+from test_grp import closure, conj, inverse
 
 
 def gen_of(G, p, sub_elems, exps=None, n=None):
     n = default_conductor(G, p) if n is None else n
-    L = G.closure(sub_elems)
+    L = closure(G, sub_elems)
     if exps is None:
         chi = (0,) * L.order
     else:
@@ -44,9 +45,9 @@ def reference_make_generator(group, subgroup, chi, n):
     minimal (image tuples of the sorted elements, exponents aligned to them)."""
     best = best_key = None
     for g in group.elements:
-        gi = g.inverse()
+        gi = inverse(g)
         moved = {gi * x * g: e % n for x, e in exps(subgroup, chi).items()}
-        sub = group.subgroup(moved.keys())
+        sub = closure(group, moved.keys())
         key = (tuple(x.images for x in sub.elements), tuple(moved[x] for x in sub.elements))
         if best_key is None or key < best_key:
             best_key, best = key, (sub, moved)
@@ -67,8 +68,8 @@ def reference_tensor(G, genx, geny):
         if g in covered:
             continue
         covered |= {a * g * b for a in A.elements for b in B.elements}
-        inter = G.subgroup(x for x in A.elements if x.conj(g) in beta)
-        chi = [alpha[x] + beta[x.conj(g)] for x in inter.elements]
+        inter = closure(G, [x for x in A.elements if conj(x, g) in beta])
+        chi = [alpha[x] + beta[conj(x, g)] for x in inter.elements]
         check_homomorphism(inter, chi, n)
         gen = make_generator(G, inter, chi, n)
         counts[gen] = counts.get(gen, 0) + 1
@@ -100,7 +101,7 @@ class TestLinChar:
         G = cyclic(6)
         chars = linear_characters(G, 3)
         assert len(chars) == 3
-        invol = next(x for x in G.elements if x.order() == 2)
+        invol = G.elements[G.orders.index(2)]
         assert all(exps(G, chi)[invol] == 0 for chi in chars)
 
     def test_character_counts(self):
@@ -137,7 +138,7 @@ class TestCharPullback:
     def test_trivial_index(self):
         G = cyclic(6)
         P = sylow(G, 2)
-        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
+        s = G.orders.index(3)
         a, r = ppelem._pullback_log(G, P, s)
         assert r == 3
         assert [x for x in G.indices if a[x] == 0] == list(P.indices)
@@ -145,16 +146,16 @@ class TestCharPullback:
     def test_identity_pullback_on_c3(self):
         G = cyclic(3)
         P = G.trivial_subgroup()
-        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
+        s = G.orders.index(3)
         a, r = ppelem._pullback_log(G, P, s)
         assert a[s] == 1  # s maps to zeta_3
 
     def test_c6_mod_c2(self):
         G = cyclic(6)
         P = sylow(G, 2)
-        s = next(i for i, x in enumerate(G.elements) if x.order() == 3)
+        s = G.orders.index(3)
         a, _ = ppelem._pullback_log(G, P, s)
-        invol = next(i for i, x in enumerate(G.elements) if x.order() == 2)
+        invol = G.orders.index(2)
         assert a[invol] == 0  # kills the involution
         assert sorted(a.values()) == [0, 0, 1, 1, 2, 2]
 
@@ -218,14 +219,14 @@ class TestInduction:
         assert y.group == G
         (gen, coeff), = y.terms.items()
         assert gen.subgroup.order == 3
-        assert coeff.is_one()
+        assert coeff == 1
 
     def test_transitivity(self):
         G = symmetric(4)
         p = 2
-        H = G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
-                       Permutation.from_cycles(4, [(0, 1)])])
-        K = G.closure([Permutation.from_cycles(4, [(0, 1, 2)])])
+        H = closure(G, [Permutation.from_cycles(4, [(0, 1, 2)]),
+                        Permutation.from_cycles(4, [(0, 1)])])
+        K = closure(G, [Permutation.from_cycles(4, [(0, 1, 2)])])
         n = default_conductor(G, p)
         chi = linear_characters(K, n)[1]
         x = PPElement.from_generator(p, make_generator(K, K, chi, n))
@@ -293,7 +294,7 @@ class TestTensor:
               for c in chars]
         prod = tensor_elt(xs[1], xs[2])
         (gen, coeff), = prod.terms.items()
-        assert coeff.is_one()
+        assert coeff == 1
         assert gen.exps == tuple((a + b) % 3 for a, b in zip(chars[1], chars[2]))
 
     @pytest.mark.parametrize("build,p", [(lambda: symmetric(4), 2),
@@ -318,9 +319,9 @@ class TestTensor:
         x = single(G, p, gen_of(G, p, [Permutation.from_cycles(3, [(0, 1)])]))
         y = single(G, p, gen_of(G, p, [Permutation.from_cycles(3, [(0, 1, 2)])]))
         dim_pair = enumerate_pairs(G, p)[0]
-        dx = tau_element(dim_pair, x).as_rational()
-        dy = tau_element(dim_pair, y).as_rational()
-        dxy = tau_element(dim_pair, tensor_elt(x, y)).as_rational()
+        dx = tau_element(dim_pair, x)
+        dy = tau_element(dim_pair, y)
+        dxy = tau_element(dim_pair, tensor_elt(x, y))
         assert dxy == dx * dy == 6
 
 
@@ -334,7 +335,7 @@ class TestBrauer:
         G = cyclic(2)
         x = single(G, 2, gen_of(G, 2, []))
         y = brauer_elt(x, G)
-        assert y.is_zero_formal()
+        assert not y.terms
 
     def test_s3_at_sylow3_gives_regular_quotient_module(self):
         G = symmetric(3)
@@ -344,7 +345,7 @@ class TestBrauer:
         assert y.group.order == 2
         (gen, coeff), = y.terms.items()
         assert gen.subgroup.order == 1  # the regular module of the quotient
-        assert coeff.is_one()
+        assert coeff == 1
 
     def test_rejects_non_p_subgroup(self):
         G = symmetric(3)
@@ -370,22 +371,21 @@ class TestMackeyCoherence:
         G = symmetric(4)
         p = 2
         n = default_conductor(G, p)
-        H = G.closure([Permutation.from_cycles(4, [(0, 1, 2)]),
-                       Permutation.from_cycles(4, [(0, 1)])])
+        H = closure(G, [Permutation.from_cycles(4, [(0, 1, 2)]),
+                        Permutation.from_cycles(4, [(0, 1)])])
         K = sylow(G, 2)
-        C3 = H.closure([Permutation.from_cycles(4, [(0, 1, 2)])])
+        C3 = closure(H, [Permutation.from_cycles(4, [(0, 1, 2)])])
         gen = make_generator(H, C3, linear_characters(C3, n)[1], n)
         x = PPElement.from_generator(p, gen)
         got = res_elt(ind_elt(x, G), K)
 
         # independent expansion straight from the double-coset formula
         L = gen.subgroup
-        expected = PPElement.zero(K, p, n)
+        expected = PPElement(K, p, n)
         for g in (G.elements[i] for i, _ in double_coset_reps(G, K, L)):
-            gi = g.inverse()
-            inter = K.subgroup(
-                frozenset(K.elements) & frozenset(y.conj(gi) for y in L.elements))
-            chi2 = [exps(L, gen.exps)[u.conj(g)] for u in inter.elements]
+            gi = inverse(g)
+            inter = closure(K, frozenset(K.elements) & {conj(y, gi) for y in L.elements})
+            chi2 = [exps(L, gen.exps)[conj(u, g)] for u in inter.elements]
             check_homomorphism(inter, chi2, n)
             expected = expected + PPElement.from_generator(
                 p, make_generator(K, inter, chi2, n))
@@ -408,9 +408,9 @@ class TestMackeyCoherence:
                     if g in covered:
                         continue
                     covered |= {h * g * l for h in H.elements for l in L.elements}
-                    meet = H.subgroup(x for x in H.elements if x.conj(g) in chi)
+                    meet = closure(H, [x for x in H.elements if conj(x, g) in chi])
                     term = reference_make_generator(
-                        H, meet, [chi[x.conj(g)] for x in meet.elements], n)
+                        H, meet, [chi[conj(x, g)] for x in meet.elements], n)
                     key = (term.subgroup.indices, term.exps)
                     expected[key] = expected.get(key, 0) + 1
                 got = {(new.subgroup.indices, new.exps): m
@@ -443,10 +443,10 @@ class TestResInfComposite:
                 # pull back along L -> LP/P directly
                 LPbar = Q.project_subgroup(L)
                 z = res_elt(x, LPbar)
-                rhs = PPElement.zero(L, p, n)
+                rhs = PPElement(L, p, n)
                 for gen, coeff in z.terms.items():
-                    pre = L.subgroup(l for l in L.elements
-                                      if project(l) in gen.subgroup.elements)
+                    pre = closure(L, [l for l in L.elements
+                                       if project(l) in gen.subgroup.elements])
                     chi2 = [exps(gen.subgroup, gen.exps)[project(l)] for l in pre.elements]
                     rhs = rhs + PPElement.from_generator(
                         p, make_generator(L, pre, chi2, n)).scale(coeff)
@@ -495,7 +495,7 @@ class TestCanonicalForm:
         """A subgroup of C4 with the very indices of a C2 of S3 does not live
         in S3."""
         G = symmetric(3)
-        C2 = G.closure([Permutation.from_cycles(3, [(0, 1)])])
+        C2 = closure(G, [Permutation.from_cycles(3, [(0, 1)])])
         foreign = next(H for H in subgroup_lattice(cyclic(4)).subgroups
                        if H.indices == C2.indices)
         make_generator(G, C2, (0, 1), 2)
@@ -508,7 +508,7 @@ class TestPPElementPlumbing:
         G = cyclic(2)
         gen = gen_of(G, 2, [])
         x = PPElement(G, 2, 1, {gen: Cyclotomic.zero(1)})
-        assert x.is_zero_formal()
+        assert not x.terms
 
     def test_mismatched_groups_rejected(self):
         a = PPElement.one(cyclic(2), 2, 1)

@@ -35,9 +35,8 @@ class TestEnumeratePairs:
         import math
         for G, p in [(symmetric(4), 2), (dihedral(12), 2), (dihedral(12), 3)]:
             for q in enumerate_pairs(G, p):
-                lift = G.elements[q.lift]
-                assert math.gcd(lift.order(), p) == 1
-                assert frozenset(x.conj(lift) for x in q.P.elements) == frozenset(q.P.elements)
+                assert math.gcd(G.orders[q.lift], p) == 1
+                assert {G.conj[q.lift][x] for x in q.P.indices} == set(q.P.indices)
 
     def test_ses_invariant(self):
         for G, p in [(symmetric(4), 2), (quotient_testcase(), 2)]:
@@ -105,7 +104,7 @@ class TestTauGenerator:
         gen = make_generator(G, T, (0,), n)
         x = PPElement.from_generator(2, gen)
         vec = species_vector(x)
-        assert [v.as_rational() for v in vec.values] == [2, 0]
+        assert list(vec.values) == [2, 0]
 
     def test_transposition_swaps_c3_cosets(self):
         # the transposition swaps the two cosets of C3, so every character
@@ -123,11 +122,11 @@ class TestTauGenerator:
         for G, p in [(symmetric(3), 2), (dihedral(8), 2)]:
             one = PPElement.one(G, p, default_conductor(G, p))
             vec = species_vector(one)
-            assert all(v.is_one() for v in vec.values)
+            assert all(v == 1 for v in vec.values)
 
     def test_zero_vector(self):
         G = symmetric(3)
-        vec = species_vector(PPElement.zero(G, 2, default_conductor(G, 2)))
+        vec = species_vector(PPElement(G, 2, default_conductor(G, 2)))
         assert all(v.is_zero() for v in vec.values)
 
 
@@ -139,21 +138,21 @@ class TestTauElementChecks:
         pair = enumerate_pairs(symmetric(3), 2)[0]
         C5 = cyclic(5)
         with pytest.raises(GroupMismatch):
-            tau_element(pair, PPElement.zero(C5, 2, 5))
+            tau_element(pair, PPElement(C5, 2, 5))
         with pytest.raises(GroupMismatch):
             tau_element(pair, PPElement.one(C5, 2, 5))
 
     def test_conductor_not_divisible_by_the_order_of_s(self):
         G = symmetric(3)
         pair = enumerate_pairs(G, 3)[1]  # (1, transposition): s has order 2
-        for x in (PPElement.zero(G, 3, 1), PPElement.one(G, 3, 1)):
+        for x in (PPElement(G, 3, 1), PPElement.one(G, 3, 1)):
             with pytest.raises(ConductorMismatch):
                 tau_element(pair, x)
 
     def test_conductor_divisible_by_p(self):
         G = symmetric(3)
         pair = enumerate_pairs(G, 3)[0]
-        for x in (PPElement.zero(G, 2, 3), PPElement.one(G, 2, 3)):
+        for x in (PPElement(G, 2, 3), PPElement.one(G, 2, 3)):
             with pytest.raises(ConductorMismatch):
                 tau_element(pair, x)
 
@@ -178,7 +177,7 @@ def test_tau_element_matches_the_term_by_term_sum(case, data):
              for i, a, b, k in data.draw(st.lists(term, max_size=6))]
     if data.draw(st.booleans()):  # cancel the first half of the terms
         parts += [part.scale(-1) for part in parts[:len(parts) // 2]]
-    x = PPElement.zero(G, p, n)
+    x = PPElement(G, p, n)
     for part in parts:
         x = x + part
     for pair in enumerate_pairs(G, p):
@@ -253,7 +252,7 @@ def idempotent_relation(G, p):
     """The sum of the primitive idempotents minus 1: zero in the ring, though
     its coefficients on the spanning set need not vanish."""
     n = default_conductor(G, p)
-    total = PPElement.zero(G, p, n)
+    total = PPElement(G, p, n)
     for pair in enumerate_pairs(G, p):
         total = total + idempotent_theorem(G, p, pair, n)
     return total - PPElement.one(G, p, n)
@@ -266,7 +265,7 @@ def random_elements(G, p):
                      st.integers(1, 4), st.integers(0, n - 1))
 
     def build(terms):
-        x = PPElement.zero(G, p, n)
+        x = PPElement(G, p, n)
         for i, a, b, k in terms:
             x = x + PPElement.from_generator(p, gens[i], zeta_power(n, k) * Fraction(a, b))
         return x
@@ -334,7 +333,7 @@ def test_formally_equal_elements_skip_the_species(monkeypatch):
     monkeypatch.setattr(species, "tau_element", refuse)
     assert equal_elements(x, y)
     assert equal_elements(x + rel - rel, x)
-    assert equal_elements(PPElement.zero(G, p, n), x - y)
+    assert equal_elements(PPElement(G, p, n), x - y)
     with pytest.raises(RuntimeError, match="species evaluated"):
         equal_elements(x, x + rel)
 
