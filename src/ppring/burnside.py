@@ -6,10 +6,10 @@ so equality here is plain coefficient equality.  As in
 :class:`~ppring.cyclo.Cyclotomic`, the coefficients are integer numerators
 ``nums`` over one positive denominator ``den``, in lowest terms:
 ``gcd(den, *nums.values()) == 1``, zero coefficients are absent, and zero
-is stored with ``den == 1``.  Sums, products, restriction, induction, fixed
+is stored with ``den == 1``.  Products, restriction, induction, fixed
 points, marks and linearization therefore run on ints; ``Fraction``s appear
-only where coefficients are parsed (``__init__``, :meth:`BurnsideElement.scale`)
-or read (``coeffs``, :func:`mark_element`).
+only where coefficients are parsed (``__init__``) or read (``coeffs``,
+:func:`mark_element`).
 
 Restriction and induction are implemented by explicit orbit algorithms on
 coset spaces (not through mark vectors), so the commutation tests against
@@ -60,28 +60,6 @@ class BurnsideElement:
         """The coefficients as rationals, a fresh read-only view."""
         den = self.den
         return {L: Fraction(c, den) for L, c in self.nums.items()}
-
-    def __add__(self, other: BurnsideElement) -> BurnsideElement:
-        if other.group != self.group:
-            raise GroupMismatch("elements over different groups")
-        den = lcm(self.den, other.den)
-        nums = {L: c * (den // self.den) for L, c in self.nums.items()}
-        k = den // other.den
-        for L, c in other.nums.items():
-            nums[L] = nums.get(L, 0) + c * k
-        return BurnsideElement._trusted(self.group, nums, den)
-
-    def __neg__(self) -> BurnsideElement:
-        return self.scale(-1)
-
-    def __sub__(self, other: BurnsideElement) -> BurnsideElement:
-        return self + (-other)
-
-    def scale(self, c: Union[int, Fraction]) -> BurnsideElement:
-        c = Fraction(c)
-        k = c.numerator
-        return BurnsideElement._trusted(self.group, {L: k * v for L, v in self.nums.items()},
-                                        self.den * c.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BurnsideElement):

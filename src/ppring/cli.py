@@ -118,7 +118,7 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGro
     if text.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ParseError(f"invalid JSON: {exc}") from exc
         if "name" in data:
             return _named_group(str(data["name"]), max_order)

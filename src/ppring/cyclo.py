@@ -5,7 +5,7 @@ the n-th cyclotomic polynomial Phi_n (the power-basis canonical form).  It
 is stored as a tuple ``num`` of phi(n) integer numerators over one positive
 integer denominator ``den``, in lowest terms: ``gcd(den, *num) == 1``, so
 zero is stored with ``den == 1``.  Every value therefore has exactly one
-representation, and equality and hashing compare ``(conductor, num, den)``.
+representation, and equality compares ``(conductor, num, den)``.
 
 All arithmetic is on Python ints.  Addition adds numerators over a common
 denominator and needs no polynomial reduction; multiplication convolves the
@@ -128,7 +128,7 @@ class Cyclotomic:
     numerators ``num`` over the positive denominator ``den``, in lowest
     terms."""
 
-    __slots__ = ("conductor", "num", "den", "_hash")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs: Sequence[Rational]):
         values = [Fraction(c) for c in coeffs]
@@ -137,7 +137,6 @@ class Cyclotomic:
                       conductor)
         self.conductor = conductor
         self.num, self.den = _lowest(num, den)
-        self._hash = None
 
     @classmethod
     def _new(cls, n: int, num: tuple[int, ...], den: int) -> Cyclotomic:
@@ -147,7 +146,6 @@ class Cyclotomic:
         self.conductor = n
         self.num = num
         self.den = den
-        self._hash = None
         return self
 
     @classmethod
@@ -169,7 +167,7 @@ class Cyclotomic:
         """The coefficients of 1, zeta, ..., zeta^(phi-1) as rationals."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
-    def _add(self, other, sign: int):
+    def __add__(self, other):
         n = self.conductor
         operand = _operand(n, other)
         if operand is None:
@@ -182,26 +180,10 @@ class Cyclotomic:
             den *= oden
         if len(onum) == 1:
             out = list(num)
-            out[0] += onum[0] if sign > 0 else -onum[0]
-        elif sign > 0:
-            out = [a + b for a, b in zip(num, onum)]
+            out[0] += onum[0]
         else:
-            out = [a - b for a, b in zip(num, onum)]
+            out = [a + b for a, b in zip(num, onum)]
         return Cyclotomic._new(n, *_lowest(out, den))
-
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Cyclotomic._new(self.conductor, tuple(-c for c in self.num), self.den)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        return (-self)._add(other, 1)
 
     def __mul__(self, other):
         n = self.conductor
@@ -222,8 +204,6 @@ class Cyclotomic:
                     out[i + j] += c * b
         return Cyclotomic._new(n, *_lowest(_reduce(out, n), den))
 
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -236,11 +216,6 @@ class Cyclotomic:
             return NotImplemented
         (value,), den = operand
         return self.den == den and self.num[0] == value and not any(self.num[1:])
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.conductor, self.num, self.den))
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Cyclotomic({self.conductor}, {self})"

@@ -34,7 +34,6 @@ checks of the test suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -313,27 +312,25 @@ class FqField:
         return f"FqField(p={self.p}, m={self.m}, n={self.n})"
 
 
-def build_field(p: int, n: int, n_cap: int = DEFAULT_N_CAP,
-                generator_index: int = 0) -> FqField:
+def build_field(p: int, n: int, n_cap: int = DEFAULT_N_CAP) -> FqField:
     """The smallest field F_(p^m) whose multiplicative group contains mu_n.
 
     m is the multiplicative order of p mod n; the modulus is the first
     irreducible monic polynomial of degree m in counter order, and the
-    distinguished n-th root of unity is g^((q-1)/n) for the
-    ``generator_index``-th generator g of the multiplicative group in
-    counter order.  Fields are interned per (p, n, generator_index), so the
-    memos keyed on a field are shared by every run that asks for it; the cap
-    is checked before the lookup.
+    distinguished n-th root of unity is g^((q-1)/n) for the first generator
+    g of the multiplicative group in counter order.  Fields are interned per
+    (p, n), so the memos keyed on a field are shared by every run that asks
+    for it; the cap is checked before the lookup.
     """
     if math.gcd(p, n) != 1:
         raise ValueError("n must be prime to p")
     if n > n_cap:
         raise CapExceeded(f"conductor {n} exceeds the oracle cap {n_cap}")
-    return _field(p, n, generator_index)
+    return _field(p, n)
 
 
 @lru_cache(maxsize=None)
-def _field(p: int, n: int, generator_index: int) -> FqField:
+def _field(p: int, n: int) -> FqField:
     m = 1
     while (p ** m - 1) % n:
         m += 1
@@ -348,13 +345,11 @@ def _field(p: int, n: int, generator_index: int) -> FqField:
         raise RuntimeError(f"no monic irreducible polynomial of degree {m} over F_{p}")
     q = p ** m
     factors = _prime_factors(q - 1)
-    # when m >= 2 the codes below p are the constants, of order dividing p - 1
-    generators = (x for x in range(p if m > 1 else 1, q)
-                  if all(_ppowmod(_digits(x, p), (q - 1) // ell, modulus, p) != (1,)
-                         for ell in factors))
-    gen = next(itertools.islice(generators, generator_index, None), None)
-    if gen is None:
-        raise ValueError(f"fewer than {generator_index + 1} generators found")
+    # when m >= 2 the codes below p are the constants, of order dividing p - 1;
+    # the multiplicative group is cyclic, so the search finds a generator
+    gen = next(x for x in range(p if m > 1 else 1, q)
+               if all(_ppowmod(_digits(x, p), (q - 1) // ell, modulus, p) != (1,)
+                      for ell in factors))
     return FqField(p, n, m, modulus, gen)
 
 
@@ -363,11 +358,10 @@ class FqModule:
     matrix of an element is a tuple of d sparse columns of one entry each,
     and the homomorphism property is spot-checked on pairs of generators."""
 
-    __slots__ = ("field", "group", "dimension", "zeta_powers", "_reps", "_rep_of",
+    __slots__ = ("group", "dimension", "zeta_powers", "_reps", "_rep_of",
                  "_position", "_exp_of", "_cache")
 
     def __init__(self, field: FqField, gen: Generator):
-        self.field = field
         self.group = gen.group
         self._reps, self._rep_of = coset_indices(gen.group, gen.subgroup)
         self._position = {c: i for i, c in enumerate(self._reps)}

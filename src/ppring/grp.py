@@ -470,13 +470,12 @@ class QuotientGroup:
     ``tuple(range(|root|))`` for the trivial kernel.
     """
 
-    __slots__ = ("parent", "kernel", "group", "proj", "lifts")
+    __slots__ = ("parent", "group", "proj", "lifts")
 
     def __init__(self, parent: FiniteGroup, kernel: FiniteGroup):
         if not kernel.is_normal_in(parent):
             raise NotNormal("kernel is not normal")
         self.parent = parent
-        self.kernel = kernel
         if kernel.order == 1:
             self.group = parent
             self.proj = self.lifts = tuple(range(len(parent.table)))

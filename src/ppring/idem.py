@@ -62,11 +62,10 @@ class IdempotentReport:
     """Outcome of assembling and checking one primitive idempotent, with
     the species vector that the delta check read."""
 
-    __slots__ = ("pair", "element", "species", "delta_ok", "routes_agree")
+    __slots__ = ("element", "species", "delta_ok", "routes_agree")
 
-    def __init__(self, pair: SpeciesPair, element: PPElement,
-                 species: SpeciesVector, delta_ok: bool, routes_agree: bool):
-        self.pair = pair
+    def __init__(self, element: PPElement, species: SpeciesVector, delta_ok: bool,
+                 routes_agree: bool):
         self.element = element
         self.species = species
         self.delta_ok = delta_ok
@@ -200,7 +199,6 @@ def idempotent_report(G: FiniteGroup, p: int, pair: SpeciesPair) -> IdempotentRe
     other = idempotent_via_reduction(G, p, pair)
     vec = species_vector(element)
     return IdempotentReport(
-        pair=pair,
         element=element,
         species=vec,
         delta_ok=_is_orbit_indicator(pair, vec),

@@ -245,31 +245,15 @@ class PPElement:
         return cls(group, p, conductor, {gen: Cyclotomic.one(conductor)})
 
     @classmethod
-    def from_generator(cls, p: int, gen: Generator,
-                       coeff: Scalar = 1) -> PPElement:
+    def from_generator(cls, p: int, gen: Generator) -> PPElement:
         n = gen.conductor
-        return cls(gen.group, p, n, {gen: _as_cyclo(coeff, n)})
+        return cls(gen.group, p, n, {gen: Cyclotomic.one(n)})
 
     def _compatible(self, other: PPElement) -> None:
         if self.group != other.group or self.p != other.p:
             raise GroupMismatch("elements live over different groups")
         if self.conductor != other.conductor:
             raise ConductorMismatch("elements at different conductors")
-
-    def __add__(self, other: PPElement) -> PPElement:
-        return self._combine(other, 1)
-
-    def __neg__(self) -> PPElement:
-        return self.scale(-1)
-
-    def __sub__(self, other: PPElement) -> PPElement:
-        return self._combine(other, -1)
-
-    def _combine(self, other: PPElement, sign: int) -> PPElement:
-        self._compatible(other)
-        parts = [(gen, coeff, 1) for gen, coeff in self.terms.items()]
-        parts += [(gen, coeff, sign) for gen, coeff in other.terms.items()]
-        return collect(self.group, self.p, self.conductor, parts)
 
     def scale(self, c: Scalar) -> PPElement:
         c = _as_cyclo(c, self.conductor)

@@ -43,7 +43,7 @@ from .grp import (FiniteGroup, centralizer, conjugacy_classes, coset_indices,
                   from_indices, is_p_power, normalizer_quotient, p_prime_part,
                   subgroup_closure)
 from .lattice import subgroup_lattice
-from .ppelem import (Generator, GroupMismatch, PPElement, linear_characters,
+from .ppelem import (Generator, GroupMismatch, PPElement, collect, linear_characters,
                      make_generator)
 
 
@@ -228,11 +228,6 @@ class SpeciesVector:
         self.pairs = pairs
         self.values = values
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpeciesVector):
-            return NotImplemented
-        return self.pairs == other.pairs and self.values == other.values
-
     def __iter__(self):
         return iter(zip(self.pairs, self.values))
 
@@ -256,7 +251,9 @@ def equal_elements(x: PPElement, y: PPElement) -> bool:
     x._compatible(y)
     if x.terms == y.terms:
         return True
-    d = x - y
+    d = collect(x.group, x.p, x.conductor,
+                [(gen, coeff, 1) for gen, coeff in x.terms.items()]
+                + [(gen, coeff, -1) for gen, coeff in y.terms.items()])
     return all(tau_element(q, d).is_zero() for q in enumerate_pairs(x.group, x.p))
 
 

@@ -70,9 +70,20 @@ class TestParseGroupSpec:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_bad_json(self):
-        with pytest.raises(ParseError):
-            parse_group_spec("{not json")
+    def test_bad_json(self, capsys):
+        # nested past every Python's recursion limit for the decoder, as an
+        # object and as an array: malformed input, not an internal error
+        depth = 100_000
+        nested_object = '{"a":' * depth + "1" + "}" * depth
+        nested_array = '{"a":' + "[" * depth + "]" * depth + "}"
+        for spec in ("{not json", nested_object, nested_array):
+            with pytest.raises(ParseError, match="^invalid JSON: "):
+                parse_group_spec(spec)
+            assert main(["pairs", "--group", spec]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid JSON: ")
+            assert captured.err.count("\n") == 1
 
     def test_cap(self):
         with pytest.raises(OrderCapExceeded):

@@ -349,5 +349,6 @@ class TestReport:
         q = enumerate_pairs(G, 2)[1]
         rep = idempotent_report(G, 2, q)
         assert rep.delta_ok and rep.routes_agree
-        assert rep.pair is q
-        assert rep.species == species_vector(rep.element)
+        assert [v for _, v in rep.species] == [1 if pair is q else 0 for pair in rep.species.pairs]
+        vec = species_vector(rep.element)
+        assert (rep.species.pairs, rep.species.values) == (vec.pairs, vec.values)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from ppring.grp import (Permutation, alternating, cyclic, dihedral,
                         p_prime_part, symmetric, sylow)
 from ppring.idem import idempotent_theorem
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import (GroupMismatch, PPElement, default_conductor,
+from ppring.ppelem import (GroupMismatch, PPElement, collect, default_conductor,
                            linear_characters, make_generator, tensor_elt)
 from ppring.species import (_tau_counts, build_pair, enumerate_pairs,
                             equal_elements, pairs_conjugate, species_vector,
@@ -173,13 +174,11 @@ def test_tau_element_matches_the_term_by_term_sum(case, data):
     gens = standard_generators(G, p, n)
     term = st.tuples(st.integers(0, len(gens) - 1), st.integers(-6, 6),
                      st.integers(1, 12), st.integers(0, n - 1))
-    parts = [PPElement.from_generator(p, gens[i], zeta_power(n, k) * Fraction(a, b))
+    parts = [(gens[i], zeta_power(n, k) * Fraction(a, b), 1)
              for i, a, b, k in data.draw(st.lists(term, max_size=6))]
     if data.draw(st.booleans()):  # cancel the first half of the terms
-        parts += [part.scale(-1) for part in parts[:len(parts) // 2]]
-    x = PPElement(G, p, n)
-    for part in parts:
-        x = x + part
+        parts += [(gen, c, -1) for gen, c, _ in parts[:len(parts) // 2]]
+    x = collect(G, p, n, parts)
     for pair in enumerate_pairs(G, p):
         expected = Cyclotomic.zero(n)
         for gen, coeff in x.terms.items():
@@ -248,14 +247,20 @@ EQUALITY_CASES = {"D8-p2": (dihedral(8), 2), "S4-p2": (symmetric(4), 2),
                   "A5-p2": (alternating(5), 2)}
 
 
+def combine(*signed):
+    """The sum of m * x over the (m, x) pairs, all over one group, as one
+    ``collect`` of their terms."""
+    x = signed[0][1]
+    return collect(x.group, x.p, x.conductor,
+                   [(gen, c, m) for m, y in signed for gen, c in y.terms.items()])
+
+
 def idempotent_relation(G, p):
     """The sum of the primitive idempotents minus 1: zero in the ring, though
     its coefficients on the spanning set need not vanish."""
     n = default_conductor(G, p)
-    total = PPElement(G, p, n)
-    for pair in enumerate_pairs(G, p):
-        total = total + idempotent_theorem(G, p, pair, n)
-    return total - PPElement.one(G, p, n)
+    return combine(*[(1, idempotent_theorem(G, p, pair, n)) for pair in enumerate_pairs(G, p)],
+                   (-1, PPElement.one(G, p, n)))
 
 
 def random_elements(G, p):
@@ -265,10 +270,8 @@ def random_elements(G, p):
                      st.integers(1, 4), st.integers(0, n - 1))
 
     def build(terms):
-        x = PPElement(G, p, n)
-        for i, a, b, k in terms:
-            x = x + PPElement.from_generator(p, gens[i], zeta_power(n, k) * Fraction(a, b))
-        return x
+        return collect(G, p, n, [(gens[i], zeta_power(n, k) * Fraction(a, b), 1)
+                                 for i, a, b, k in terms])
 
     return st.lists(term, max_size=4).map(build)
 
@@ -288,9 +291,9 @@ def test_equal_elements_agrees_with_the_species_vectors(case, data):
     else:
         c = zeta_power(n, data.draw(st.integers(0, n - 1))) * data.draw(
             st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]))
-        y = x + idempotent_relation(G, p).scale(c)
+        y = combine((1, x), (1, idempotent_relation(G, p).scale(c)))
         assert equal_elements(x, y)
-    assert equal_elements(x, y) == (species_vector(x) == species_vector(y))
+    assert equal_elements(x, y) == (species_vector(x).values == species_vector(y).values)
     assert equal_elements(y, x) == equal_elements(x, y)
 
 
@@ -313,9 +316,9 @@ def test_a_difference_at_one_species_is_seen(case):
     rel = idempotent_relation(G, p)
     for pair in enumerate_pairs(G, p):
         e = idempotent_theorem(G, p, pair, n)
-        assert not equal_elements(one, one + e)
-        assert not equal_elements(one + rel, one + e)
-        assert equal_elements(e, e + rel.scale(zeta_power(n, 1)))
+        assert not equal_elements(one, combine((1, one), (1, e)))
+        assert not equal_elements(combine((1, one), (1, rel)), combine((1, one), (1, e)))
+        assert equal_elements(e, combine((1, e), (1, rel.scale(zeta_power(n, 1)))))
 
 
 def test_formally_equal_elements_skip_the_species(monkeypatch):
@@ -325,17 +328,17 @@ def test_formally_equal_elements_skip_the_species(monkeypatch):
     G, p = symmetric(4), 2
     n = default_conductor(G, p)
     gens = standard_generators(G, p, n)
-    x = PPElement.from_generator(p, gens[3], Fraction(2, 3)) + \
-        PPElement.from_generator(p, gens[7], zeta_power(n, 1))
-    y = PPElement.from_generator(p, gens[7], zeta_power(n, 1)) + \
-        PPElement.from_generator(p, gens[3], Fraction(1, 3)).scale(2)
+    x = PPElement(G, p, n, {gens[3]: Cyclotomic.from_rational(n, Fraction(2, 3)),
+                            gens[7]: zeta_power(n, 1)})
+    y = collect(G, p, n, [(gens[7], zeta_power(n, 1), 1),
+                          (gens[3], Cyclotomic.from_rational(n, Fraction(1, 3)), 2)])
     rel = idempotent_relation(G, p)
     monkeypatch.setattr(species, "tau_element", refuse)
     assert equal_elements(x, y)
-    assert equal_elements(x + rel - rel, x)
-    assert equal_elements(PPElement(G, p, n), x - y)
+    assert equal_elements(combine((1, x), (1, rel), (-1, rel)), x)
+    assert equal_elements(PPElement(G, p, n), combine((1, x), (-1, y)))
     with pytest.raises(RuntimeError, match="species evaluated"):
-        equal_elements(x, x + rel)
+        equal_elements(x, combine((1, x), (1, rel)))
 
 
 def test_build_pair_refuses_a_lift_outside_the_group():
@@ -405,4 +408,4 @@ class TestStandardGenerators:
         gens = standard_generators(G, p, n)
         rows = [tuple(tau_generator(q, g) for g in gens)
                 for q in enumerate_pairs(G, p)]
-        assert len(set(rows)) == len(rows)
+        assert all(a != b for a, b in combinations(rows, 2))
