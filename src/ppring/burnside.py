@@ -13,7 +13,12 @@ only where coefficients are parsed (``__init__``) or read (``coeffs``,
 
 Restriction and induction are implemented by explicit orbit algorithms on
 coset spaces (not through mark vectors), so the commutation tests against
-the module-theoretic side exercise genuinely independent code.
+the module-theoretic side exercise genuinely independent code.  Marks and
+the orbit algorithms read the conjugate masks of
+:func:`~ppring.grp.conjugate_masks`: H fixes the coset gL when H <= gLg^-1,
+and stabilizes it in H cap gLg^-1.  The Mackey expansions never read those
+masks; their meets are tested element by element in
+:func:`~ppring.grp.double_coset_reps`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from math import gcd, lcm
 from typing import Mapping, Union
 
 from .cyclo import Cyclotomic, _reduction_terms
-from .grp import FiniteGroup, coset_indices, from_indices, normalizer, normalizer_quotient
+from .grp import (FiniteGroup, conjugate_masks, coset_indices, from_mask, normalizer,
+                  normalizer_quotient)
 from .lattice import subgroup_lattice
 from .ppelem import GroupMismatch, PPElement, _canonical, _mackey, default_conductor
 
@@ -112,12 +118,10 @@ def mark(G: FiniteGroup, L: FiniteGroup, H: FiniteGroup) -> int:
 
 
 def _fixed_cosets(G: FiniteGroup, L: FiniteGroup, H: FiniteGroup) -> list[int]:
-    """Indices of the minimal representatives g of the cosets gL fixed by H."""
-    conj = G.conj
-    mask = L.mask
-    hgens = H.generators
-    return [g for g in coset_indices(G, L)[0]
-            if all(mask >> conj[g][h] & 1 for h in hgens)]
+    """Indices of the minimal representatives g of the cosets gL fixed by H:
+    those with H <= gLg^-1, one mask test each."""
+    hmask = H.mask
+    return [g for g, m in conjugate_masks(G, L).items() if m & hmask == hmask]
 
 
 def mark_element(x: BurnsideElement, H: FiniteGroup) -> Fraction:
@@ -171,34 +175,26 @@ def gluck_yoshida(G: FiniteGroup, H: FiniteGroup) -> BurnsideElement:
 
 
 def _orbit_stabilizers(H: FiniteGroup, G: FiniteGroup, L: FiniteGroup,
-                       fixed: list[int]) -> list[list[int]]:
+                       fixed: list[int]) -> list[FiniteGroup]:
     """Orbits of H acting by left multiplication on a set of cosets of L.
 
-    ``fixed`` lists coset representatives as indices of G; returns, as
-    indices of G, the stabilizer in H of each orbit's minimal coset.
+    ``fixed`` lists coset representatives, in increasing order, as indices
+    of G, and must be a union of H-orbits; returns the stabilizer in H of
+    each orbit's minimal coset gL, H cap gLg^-1.  The orbit of gL is read
+    as the cosets of hg = g (g^-1 h g) over the members h of H.
     """
     table, conj = G.table, G.conj
+    masks = conjugate_masks(G, L)
     rep_of = coset_indices(G, L)[1]
-    hgens = H.generators
-    remaining = set(fixed)
+    members, hmask = H.indices, H.mask
+    seen: set[int] = set()
     out = []
-    mask = L.mask
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for c in frontier:
-                for h in hgens:
-                    d = rep_of[table[h][c]]
-                    if d not in orbit:
-                        orbit.add(d)
-                        new.append(d)
-            frontier = new
-        remaining -= orbit
-        row = conj[start]
-        out.append([h for h in H.indices if mask >> row[h] & 1])
+    for start in fixed:
+        if start in seen:
+            continue
+        out.append(from_mask(G.root, hmask & masks[start]))
+        row, by_start = table[start], conj[start]
+        seen.update([rep_of[row[by_start[h]]] for h in members])
     return out
 
 
@@ -207,7 +203,7 @@ def burnside_res(x: BurnsideElement, H: FiniteGroup) -> BurnsideElement:
     G = x.group
     if not G.contains_group(H):
         raise GroupMismatch("subgroup over a different group")
-    nums = _on_reps(H, ((from_indices(H, stab), c)
+    nums = _on_reps(H, ((stab, c)
                         for L, c in x.nums.items()
                         for stab in _orbit_stabilizers(H, G, L, coset_indices(G, L)[0])))
     return BurnsideElement._trusted(H, nums, x.den)
@@ -233,7 +229,7 @@ def fixed_point_functor(P: FiniteGroup, x: BurnsideElement) -> BurnsideElement:
     Q = normalizer_quotient(G, P)
     N = Q.parent
     nums = _on_reps(Q.group, (
-        (Q.project_subgroup(from_indices(G, stab)), c)
+        (Q.project_subgroup(stab), c)
         for L, c in x.nums.items()
         for stab in _orbit_stabilizers(N, G, L, _fixed_cosets(G, L, P))))
     return BurnsideElement._trusted(Q.group, nums, x.den)

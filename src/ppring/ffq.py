@@ -38,7 +38,7 @@ import math
 from functools import lru_cache
 
 from .cyclo import ConductorMismatch, Cyclotomic, zeta_power
-from .grp import FiniteGroup, coset_indices
+from .grp import FiniteGroup, check_prime, coset_indices
 from .lattice import subgroup_lattice
 from .ppelem import Generator
 from .species import SpeciesPair
@@ -52,6 +52,18 @@ DEFAULT_DIM_CAP = 200
 # tables than the polynomial path spends on the whole run (C5 at p = 13:
 # 0.17 s on polynomials, 0.32 s with tables).
 TABLE_MAX_Q = 1 << 12
+# The search for a field stops with CapExceeded past these bounds, so that no
+# conductor under the n cap runs unbounded.  The work of the modulus and
+# generator searches is counted in the coefficient products of their powers
+# (:func:`_ppowmod`): F_(2^28) takes 333,084 and F_(7^10) 144,910, while C29
+# at p = 31, whose degree-28 search found no modulus in 400 candidates (10 s),
+# stops at the cap after about 0.6 s on a 2-core Xeon VM (Python 3.11).  A
+# product of large coefficients costs more, so over F_(1000000007^4) the cap
+# takes about 3 s to reach.
+FIELD_WORK_CAP = 1 << 22
+# Trial divisors tried on q - 1, about 0.85 s at the cap; a cofactor with no
+# divisor below the bound is accepted only if it is prime.
+FACTOR_TRIAL_CAP = 1 << 22
 
 
 class CapExceeded(Exception):
@@ -111,10 +123,15 @@ def _pgcd(a, b, p):
     return a
 
 
-def _ppowmod(base, e, m, p):
+def _ppowmod(base, e, m, p, charge=None):
+    """base^e modulo m; ``charge``, when given, is called before each step
+    with its coefficient products, the length of the base times the lengths
+    of the base and the result."""
     result = (1,)
     base = _pmod(base, m, p)
     while e:
+        if charge is not None:
+            charge(len(base) * (len(base) + len(result)))
         if e & 1:
             result = _pmod(_pmul(result, base, p), m, p)
         base = _pmod(_pmul(base, base, p), m, p)
@@ -122,14 +139,15 @@ def _ppowmod(base, e, m, p):
     return result
 
 
-def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
-    """Rabin test: x^(p^m) = x mod f, and gcd(x^(p^(m/l)) - x, f) = 1."""
+def _is_irreducible(f: tuple[int, ...], p: int, charge=None) -> bool:
+    """Rabin test: x^(p^m) = x mod f, and gcd(x^(p^(m/l)) - x, f) = 1; the
+    powers report their work to ``charge`` (see :func:`_ppowmod`)."""
     m = len(f) - 1
     x = (0, 1)
-    if _ppowmod(x, p ** m, f, p) != _pmod(x, f, p):
+    if _ppowmod(x, p ** m, f, p, charge) != _pmod(x, f, p):
         return False
     for ell in _prime_factors(m):
-        g = _padd(_ppowmod(x, p ** (m // ell), f, p),
+        g = _padd(_ppowmod(x, p ** (m // ell), f, p, charge),
                   tuple((-c) % p for c in x), p)
         gcd = _pgcd(f, g, p)
         if len(gcd) - 1 > 0:
@@ -138,9 +156,19 @@ def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
 
 
 def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n in increasing order, by trial division
+    up to FACTOR_TRIAL_CAP; past it, the cofactor must be prime, or
+    CapExceeded is raised."""
     out = []
     d = 2
     while d * d <= n:
+        if d > FACTOR_TRIAL_CAP:
+            try:
+                check_prime(n)
+            except ValueError:
+                raise CapExceeded(f"factoring exceeds the trial division cap "
+                                  f"{FACTOR_TRIAL_CAP}") from None
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -334,23 +362,33 @@ def _field(p: int, n: int) -> FqField:
     m = 1
     while (p ** m - 1) % n:
         m += 1
+    q = p ** m
+    work = 0
+
+    def charge(products: int) -> None:
+        nonlocal work
+        work += products
+        if work > FIELD_WORK_CAP:
+            raise CapExceeded(f"the search for F_({p}^{m}) exceeds the field work cap "
+                              f"{FIELD_WORK_CAP}")
+
     modulus = None
-    for code in range(p ** m):
+    for code in range(q):
         digits = _digits(code, p)
         cand = digits + (0,) * (m - len(digits)) + (1,)
-        if _is_irreducible(cand, p):
+        if _is_irreducible(cand, p, charge):
             modulus = cand
             break
     if modulus is None:
         raise RuntimeError(f"no monic irreducible polynomial of degree {m} over F_{p}")
-    q = p ** m
     factors = _prime_factors(q - 1)
     # when m >= 2 the codes below p are the constants, of order dividing p - 1;
     # the multiplicative group is cyclic, so the search finds a generator
-    gen = next(x for x in range(p if m > 1 else 1, q)
-               if all(_ppowmod(_digits(x, p), (q - 1) // ell, modulus, p) != (1,)
-                      for ell in factors))
-    return FqField(p, n, m, modulus, gen)
+    for gen in range(p if m > 1 else 1, q):
+        if all(_ppowmod(_digits(gen, p), (q - 1) // ell, modulus, p, charge) != (1,)
+               for ell in factors):
+            return FqField(p, n, m, modulus, gen)
+    raise RuntimeError(f"no generator of the multiplicative group of F_{q}")
 
 
 class FqModule:

@@ -1,9 +1,13 @@
 """Finite permutation-group engine.
 
-Groups are fully enumerated permutation groups on ``{0..degree-1}``.  Every
-operation is brute force over the whole group: at the scale this library
-targets (orders up to a few hundred) exhaustive loops are fast, exactly
-reproducible and easy to audit.  A root, a group closed from generators or
+Groups are fully enumerated permutation groups on ``{0..degree-1}``.  At
+the scale this library targets (orders up to a few hundred) exhaustive
+loops over the elements are fast, exactly reproducible and easy to audit;
+where a question is asked of many subgroups, the answer is read from masks
+instead.  :func:`conjugate_masks` keeps, per (G, L), the mask of gLg^-1 for
+each left coset gL, so a subgroup H fixes gL exactly when its mask lies in
+that one int, and its stabilizer is the meet of the two masks
+(:func:`from_mask` interns it).  A root, a group closed from generators or
 a quotient group, is its index tables (multiplication, inverse, conjugation,
 orders) over the positions of its sorted elements, set when it is built.
 A subgroup is a group in its own right, the group made of its members: it
@@ -237,9 +241,9 @@ class FiniteGroup:
             self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
         else:
             self.root = root
-            self.elements = tuple(elements[i] for i in indices)
+            self.elements = tuple([elements[i] for i in indices])
             self.indices = indices
-            self.mask = sum(1 << i for i in indices)
+            self.mask = sum([1 << i for i in indices])
             self.inv, self.conj, self.orders = root.inv, root.conj, root.orders
         self.order = len(self.indices)
         self._generators = None
@@ -254,7 +258,7 @@ class FiniteGroup:
             for i in self.indices:
                 if i not in closed:
                     gens.append(i)
-                    closed = close_indices(self.table, gens)
+                    closed = close_indices(self.table, gens, closed)
                     if len(closed) == self.order:
                         break
             self._generators = tuple(gens)
@@ -320,6 +324,15 @@ def from_indices(G: FiniteGroup, indices: Iterable[int]) -> FiniteGroup:
     if len(indices) == root.order:
         return root
     return _proper_subgroup(root, indices)
+
+
+@lru_cache(maxsize=None)
+def from_mask(root: FiniteGroup, mask: int) -> FiniteGroup:
+    """The subgroup of a root whose members are the set bits of ``mask``,
+    which must be closed (no check is made): :func:`from_indices` keyed on
+    the mask."""
+    bits = bin(mask)[:1:-1]  # bit i of the mask is bits[i]
+    return from_indices(root, [i for i, b in enumerate(bits) if b == "1"])
 
 
 @lru_cache(maxsize=None)
@@ -437,13 +450,27 @@ def p_prime_part(G: FiniteGroup, x: int, p: int) -> int:
 
 @lru_cache(maxsize=None)
 def normalizer(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
+    """N_G(H), a union of left cosets gH.  gHg^-1 is the same for every
+    element of gH, so the generators of H are conjugated by one minimal
+    representative per coset."""
     if not G.contains_group(H):
         raise NotSubgroup("the group does not contain the subgroup")
-    conj = G.conj
-    mask = H.mask
+    table, conj, inv = G.table, G.conj, G.inv
+    members, mask = H.indices, H.mask
     hgens = H.generators
-    return from_indices(
-        G, [g for g in G.indices if all(mask >> conj[g][h] & 1 for h in hgens)])
+    seen = bytearray(len(table))
+    kept = []
+    for g in G.indices:
+        if seen[g]:
+            continue
+        row = table[g]
+        coset = [row[h] for h in members]
+        for x in coset:
+            seen[x] = 1
+        by_g = conj[inv[g]]  # by_g[h] = g h g^-1
+        if all(mask >> by_g[h] & 1 for h in hgens):
+            kept += coset
+    return from_indices(G, sorted(kept))
 
 
 @lru_cache(maxsize=None)
@@ -518,6 +545,7 @@ def quotient(G: FiniteGroup, N: FiniteGroup) -> QuotientGroup:
     return QuotientGroup(G, N)
 
 
+@lru_cache(maxsize=None)
 def normalizer_quotient(G: FiniteGroup, P: FiniteGroup) -> QuotientGroup:
     """N_G(P)/P; its ``parent`` is the normalizer N_G(P)."""
     return quotient(normalizer(G, P), P)
@@ -544,34 +572,48 @@ def coset_indices(G: FiniteGroup, H: FiniteGroup) -> tuple[tuple[int, ...], tupl
     return tuple(reps), tuple(rep_of)
 
 
+@lru_cache(maxsize=None)
+def conjugate_masks(G: FiniteGroup, L: FiniteGroup) -> dict[int, int]:
+    """For each minimal representative g of a left coset gL of L in G, in
+    order, the mask of gLg^-1, which is the same for every element of gL.
+    A subgroup H fixes the coset gL exactly when H <= gLg^-1, and the
+    stabilizer of gL in H is H cap gLg^-1.  Built once per (G, L) and read
+    by the Burnside orbit algorithms and the species; the returned mapping
+    is shared and must not be changed."""
+    conj, inv = G.conj, G.inv
+    members = L.indices
+    masks = {}
+    for g in coset_indices(G, L)[0]:
+        row = conj[inv[g]]  # row[x] = g x g^-1
+        masks[g] = sum([1 << row[x] for x in members])
+    return masks
+
+
 def double_coset_reps(G: FiniteGroup, A: FiniteGroup,
                       B: FiniteGroup) -> list[tuple[int, FiniteGroup]]:
     """One minimal representative g per double coset A g B, in canonical
     order, each with the subgroup A cap gBg^-1 of its Mackey term.
 
-    A g B is the union of the left cosets a g B, and the cosets covered so
-    far are whole left cosets of B, so a coset whose first element is
-    already covered is skipped without walking it.  The meet holds the a in
-    A with g^-1 a g in B.
+    The minimal element of A g B is minimal in its left coset of B, so only
+    the minimal coset representatives of :func:`coset_indices` are
+    candidates.  A g B is the union of the left cosets a g B, each marked
+    covered by its representative, and ag = g (g^-1 a g) is read from the
+    tables.  The meet holds the a in A with g^-1 a g in B.
     """
     if not (G.contains_group(A) and G.contains_group(B)):
         raise NotSubgroup("the group does not contain the subgroup")
     table, conj = G.table, G.conj
-    a_members, b_members, b_mask = A.indices, B.indices, B.mask
-    covered = bytearray(len(table))
+    a_members, b_mask = A.indices, B.mask
+    b_reps, rep_of = coset_indices(G, B)
+    covered: set[int] = set()
     reps = []
-    for g in G.indices:
-        if covered[g]:
+    for g in b_reps:
+        if g in covered:
             continue
         by_g = conj[g]  # by_g[a] = g^-1 a g
         reps.append((g, from_indices(G, [a for a in a_members if b_mask >> by_g[a] & 1])))
-        for a in a_members:
-            ag = table[a][g]
-            if covered[ag]:
-                continue
-            row = table[ag]
-            for b in b_members:
-                covered[row[b]] = 1
+        row = table[g]
+        covered.update([rep_of[row[by_g[a]]] for a in a_members])
     return reps
 
 

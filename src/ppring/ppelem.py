@@ -23,16 +23,19 @@ is its own identity, for equality and for hashing, and collecting terms is a
 dictionary merge.  The canonical form is memoized in :func:`_canonical`,
 keyed on the group, the subgroup, the exponent tuple and the conductor,
 which the calculus calls directly; :func:`make_generator` is its checked
-entry.  Equal terms imply equal
+entry.  It reads the minimal conjugate subgroup and a conjugator to it from
+the lattice of the group, and aligns the character over the normalizer of
+that subgroup alone.  Equal terms imply equal
 elements but not conversely (the generators only span);
 :func:`ppring.species.equal_elements` decides equality, coefficients first,
 then by the species of the difference.
 
 Sums and the expansions accumulate late in :func:`collect`, as
 :func:`ppring.species.tau_element` does: the integer numerators of each
-output coefficient are summed over the least common denominator of the
+output coefficient are summed over the least common denominator of its
 inputs, and each :class:`Cyclotomic` is built once, in lowest terms, rather
-than once per Mackey term.
+than once per Mackey term; a generator met once, with multiplicity 1, keeps
+its coefficient as it is.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from typing import Iterable, Mapping, Union
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, double_coset_reps,
-                  from_indices, is_p_power, normalizer_quotient, quotient)
+                  is_p_power, normalizer, normalizer_quotient, quotient)
+from .lattice import subgroup_lattice
 
 Scalar = Union[int, Fraction, Cyclotomic]
 
@@ -62,6 +66,7 @@ class NotPGroup(Exception):
     """Raised when the Brauer morphism is taken at a non-p-subgroup."""
 
 
+@lru_cache(maxsize=None)
 def default_conductor(G: FiniteGroup, p: int) -> int:
     """The p'-part of the exponent of G: all character values live in Q(zeta_n)."""
     n = G.exponent()
@@ -81,11 +86,19 @@ def _aligned(L: FiniteGroup, exps: Iterable[int], n: int) -> tuple[int, ...]:
 def check_homomorphism(L: FiniteGroup, exps: Iterable[int], n: int) -> None:
     """Raise ValueError unless the exponents, aligned with ``L.indices``,
     are a homomorphism from L to Z/n, one per element of L."""
-    table = L.table
-    exp_of = dict(zip(L.indices, _aligned(L, exps, n)))
-    if any((ea + eb) % n != exp_of[table[a][b]]
-           for a, ea in exp_of.items() for b, eb in exp_of.items()):
-        raise ValueError("table is not a homomorphism")
+    table, members = L.table, L.indices
+    exps = _aligned(L, exps, n)
+    exp_at = [0] * len(table)  # exp_at[x] = e(x) for each member x
+    for x, e in zip(members, exps):
+        exp_at[x] = e
+    sums: dict[int, list[int]] = {}  # ea -> the (ea + e(b)) % n over the members b
+    for a, ea in zip(members, exps):
+        want = sums.get(ea)
+        if want is None:
+            want = sums[ea] = [(ea + eb) % n for eb in exps]
+        row = table[a]  # row[b] = a * b
+        if [exp_at[row[b]] for b in members] != want:
+            raise ValueError("table is not a homomorphism")
 
 
 def linear_characters(L: FiniteGroup, conductor: int) -> tuple[tuple[int, ...], ...]:
@@ -183,27 +196,32 @@ def _canonical(group: FiniteGroup, subgroup: FiniteGroup, exps: tuple[int, ...],
     minimized over conjugation.
 
     The key of a conjugate is its sorted index tuple, then its exponents
-    aligned to those indices, compared as two tuples.  The minimal form is
-    interned by calling this memo on it, and only that call builds the
-    :class:`Generator`, so every input of one form returns the same object.
+    aligned to those indices, compared as two tuples.  The least index
+    tuple is the class representative J = ``rep_of(subgroup)`` of the
+    lattice of the group, and the elements x with x^-1 L x = J are y m,
+    for y the lattice's recorded conjugator of L and m in N(J); the
+    exponents are aligned over those alone, and a trivial character needs
+    none.  The minimal form is interned by calling this memo on it, and
+    only that call builds the :class:`Generator`, so every input of one
+    form returns the same object.
     """
-    conj = group.conj
-    members = subgroup.indices
-    best_sub = best_exps = None
-    for g in group.indices:
-        row = conj[g]
-        moved = [row[x] for x in members]
-        sub = sorted(moved)
-        if best_sub is not None and sub > best_sub:
-            continue
-        exp_of = dict(zip(moved, exps))
-        aligned = [exp_of[x] for x in sub]
-        if best_sub is None or sub < best_sub or aligned < best_exps:
-            best_sub, best_exps = sub, aligned
-    best_sub, best_exps = tuple(best_sub), tuple(best_exps)
-    if best_sub == members and best_exps == exps:
+    lat = subgroup_lattice(group)
+    J = lat.rep_of(subgroup)
+    best = exps
+    if any(exps):
+        conj, row_y = group.conj, group.table[lat.conjugator(subgroup)]
+        members, target = subgroup.indices, J.indices
+        best = None
+        for m in normalizer(group, J).indices:
+            row = conj[row_y[m]]
+            exp_of = {row[x]: e for x, e in zip(members, exps)}
+            aligned = [exp_of[x] for x in target]
+            if best is None or aligned < best:
+                best = aligned
+        best = tuple(best)
+    if J is subgroup and best == exps:
         return Generator(group, subgroup, exps, n)
-    return _canonical(group, from_indices(group, best_sub), best_exps, n)
+    return _canonical(group, J, best, n)
 
 
 class PPElement:
@@ -285,24 +303,36 @@ def collect(group: FiniteGroup, p: int, n: int,
             parts: list[tuple[Generator, Cyclotomic, int]]) -> PPElement:
     """The element sum of m * coeff * gen over the (gen, coeff, m) parts.
 
-    The numerators of each generator's coefficient are accumulated over the
-    least common denominator of the parts, and each nonzero coefficient is
-    then built once, in lowest terms.  Numerators are added in the power
-    basis, so no reduction modulo Phi_n is needed.
+    A generator met once, with m = 1, keeps its coefficient object.  For
+    any other, the numerators of its coefficients are accumulated over
+    their least common denominator, and the coefficient is then built once,
+    in lowest terms.  Numerators are added in the power basis, so no
+    reduction modulo Phi_n is needed.
     """
-    den = math.lcm(*(coeff.den for _, coeff, _ in parts))
-    acc: dict[Generator, list[int]] = {}
-    for gen, coeff, m in parts:
-        k = m * (den // coeff.den)
-        row = acc.get(gen)
-        if row is None:
-            acc[gen] = [c * k for c in coeff.num]
+    by_gen: dict[Generator, list[tuple[Generator, Cyclotomic, int]]] = {}
+    for part in parts:
+        entries = by_gen.get(part[0])
+        if entries is None:
+            by_gen[part[0]] = [part]
         else:
+            entries.append(part)
+    terms = {}
+    for gen, entries in by_gen.items():
+        if len(entries) == 1 and entries[0][2] == 1:
+            coeff = entries[0][1]
+            if any(coeff.num):
+                terms[gen] = coeff
+            continue
+        den = math.lcm(*[part[1].den for part in entries])
+        acc = [0] * len(entries[0][1].num)
+        for _, coeff, m in entries:
+            k = m * (den // coeff.den)
             for i, c in enumerate(coeff.num):
                 if c:
-                    row[i] += c * k
-    return PPElement._trusted(group, p, n, {
-        gen: Cyclotomic._new(n, *_lowest(num, den)) for gen, num in acc.items() if any(num)})
+                    acc[i] += c * k
+        if any(acc):
+            terms[gen] = Cyclotomic._new(n, *_lowest(acc, den))
+    return PPElement._trusted(group, p, n, terms)
 
 
 def _as_cyclo(c: Scalar, n: int) -> Cyclotomic:
@@ -346,8 +376,8 @@ def _mackey(G: FiniteGroup, H: FiniteGroup,
     in ``L.indices`` of g^-1 x g."""
     at = {x: i for i, x in enumerate(L.indices)}
     conj = G.conj
-    return tuple((meet, tuple(at[conj[g][x]] for x in meet.indices))
-                 for g, meet in double_coset_reps(G, H, L))
+    return tuple([(meet, tuple([at[conj[g][x]] for x in meet.indices]))
+                  for g, meet in double_coset_reps(G, H, L)])
 
 
 @lru_cache(maxsize=None)

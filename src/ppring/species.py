@@ -39,7 +39,7 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce
-from .grp import (FiniteGroup, centralizer, conjugacy_classes, coset_indices,
+from .grp import (FiniteGroup, centralizer, conjugacy_classes, conjugate_masks,
                   from_indices, is_p_power, normalizer_quotient, p_prime_part,
                   subgroup_closure)
 from .lattice import subgroup_lattice
@@ -56,11 +56,12 @@ class SpeciesPair:
     Derived data is precomputed: the subgroup generated by P and the lift,
     the order of s, the pair stabilizer and the centralizer order of s in
     N_G(P)/P.  These satisfy |stabilizer| = |P| * |centralizer|.
-    Build pairs with :func:`build_pair`: equality is identity.
+    Its label is formatted once, when it is built.  Build pairs with
+    :func:`build_pair`: equality is identity.
     """
 
     __slots__ = ("group", "p", "P", "lift", "ps", "s_order", "stabilizer",
-                 "centralizer_order")
+                 "centralizer_order", "_label")
 
     def __init__(self, group: FiniteGroup, p: int, P: FiniteGroup, lift: int,
                  ps: FiniteGroup, s_order: int, stabilizer: FiniteGroup,
@@ -73,12 +74,13 @@ class SpeciesPair:
         self.s_order = s_order
         self.stabilizer = stabilizer
         self.centralizer_order = centralizer_order
+        self._label = f"(|P|={P.order}, s={group.root.elements[lift]!r})"
 
     def sort_key(self):
         return (self.P.order, self.P.indices, self.s_order, self.lift)
 
     def label(self) -> str:
-        return f"(|P|={self.P.order}, s={self.group.root.elements[self.lift]!r})"
+        return self._label
 
     def __repr__(self) -> str:
         return f"SpeciesPair{self.label()}"
@@ -173,18 +175,20 @@ def _check_pair(pair: SpeciesPair, group: FiniteGroup, n: int) -> None:
 @lru_cache(maxsize=None)
 def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...]:
     """The fixed-line sum of a generator at a pair as (exponent, count)
-    terms: the value is the sum of count * zeta_n^exponent."""
+    terms: the value is the sum of count * zeta_n^exponent.  The line of
+    the coset gL is P-fixed when P <= gLg^-1, one mask test against
+    :func:`~ppring.grp.conjugate_masks`, and the lift t fixes it when
+    g^-1 t g lies in L."""
     L = gen.subgroup
     conj = pair.group.conj
     exp_of = dict(zip(L.indices, gen.exps))
-    pgens = pair.P.generators
+    pmask = pair.P.mask
     t = pair.lift
     counts: dict[int, int] = {}
-    for g in coset_indices(pair.group, L)[0]:
-        row = conj[g]
-        if any(row[u] not in exp_of for u in pgens):
+    for g, m in conjugate_masks(pair.group, L).items():
+        if m & pmask != pmask:
             continue  # coset line not P-fixed
-        e = exp_of.get(row[t])
+        e = exp_of.get(conj[g][t])
         if e is None:
             continue  # line moved by the lift: no trace contribution
         counts[e] = counts.get(e, 0) + 1
@@ -204,14 +208,22 @@ def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
 
 def tau_element(pair: SpeciesPair, x: PPElement) -> Cyclotomic:
     """Linear extension of :func:`tau_generator` over the terms of x,
-    accumulated in Z[x]/(x^n - 1) and reduced modulo Phi_n once."""
+    accumulated in Z[x]/(x^n - 1) over the common denominator of the terms
+    with a fixed line, and reduced modulo Phi_n once."""
     n = x.conductor
     _check_pair(pair, x.group, n)
-    den = math.lcm(*(coeff.den for coeff in x.terms.values()))
-    acc = [0] * n
+    fixed = []  # the terms with a fixed line, the only ones that add
     for gen, coeff in x.terms.items():
+        counts = _tau_counts(pair, gen)
+        if counts:
+            fixed.append((coeff, counts))
+    if not fixed:
+        return Cyclotomic.zero(n)
+    den = math.lcm(*[coeff.den for coeff, _ in fixed])
+    acc = [0] * n
+    for coeff, counts in fixed:
         scale = den // coeff.den
-        for e, count in _tau_counts(pair, gen):
+        for e, count in counts:
             k = count * scale
             for i, c in enumerate(coeff.num, e):
                 if c:

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppring import burnside, clear_caches, ppelem
+from ppring import burnside, clear_caches, grp, ppelem, species
 from ppring.burnside import (BurnsideElement, burnside_ind, burnside_product,
                              burnside_res, fixed_point_functor, gluck_yoshida,
                              linearize, mark, mark_element, transitive)
+from ppring.cli import parse_group_spec
 from ppring.cyclo import Cyclotomic
 from ppring.grp import (Permutation, alternating, coset_indices, cyclic,
-                        dihedral, direct_product, from_indices, klein_four,
+                        dihedral, direct_product, double_coset_reps, from_indices, klein_four,
                         normalizer, normalizer_quotient, quotient, symmetric,
                         sylow)
 from ppring.lattice import subgroup_lattice
-from ppring.ppelem import (GroupMismatch, default_conductor, ind_elt,
+from ppring.ppelem import (GroupMismatch, default_conductor, ind_elt, linear_characters,
                            make_generator, res_elt)
 from ppring.species import equal_elements
-from test_grp import closure
+from test_grp import KERNEL_GROUPS, closure
 
 
 class TestMark:
@@ -262,7 +263,7 @@ def ref_product(G, a, b):
 
 def ref_res(G, a, H):
     return ref_collect(H, [
-        (from_indices(H, stab), c) for L, c in a.items()
+        (stab, c) for L, c in a.items()
         for stab in burnside._orbit_stabilizers(H, G, L, coset_indices(G, L)[0])])
 
 
@@ -273,7 +274,7 @@ def ref_ind(a, G):
 def ref_fixed_points(G, a, P):
     N, Q = normalizer(G, P), normalizer_quotient(G, P)
     return ref_collect(Q.group, [
-        (Q.project_subgroup(from_indices(Q.parent, stab)), c)
+        (Q.project_subgroup(stab), c)
         for L, c in a.items()
         for stab in burnside._orbit_stabilizers(N, G, L, burnside._fixed_cosets(G, L, P))])
 
@@ -410,3 +411,64 @@ def test_orbit_algorithms_do_not_read_the_double_cosets(monkeypatch):
         burnside_product(x, x)
     with pytest.raises(MackeyCalled):
         res_elt(linearize(x, 2), reps[1])
+
+
+class MasksRead(Exception):
+    pass
+
+
+def test_mackey_side_does_not_read_the_conjugate_masks(monkeypatch):
+    """The Mackey expansions are checked against the orbit algorithms,
+    which read the conjugate masks, so the double cosets, their meets and
+    the restrictions must not compute anything through them."""
+    def refuse(G, L):
+        raise MasksRead
+
+    clear_caches()
+    # every name through which the package reaches the masks
+    for module in (grp, burnside, species):
+        monkeypatch.setattr(module, "conjugate_masks", refuse)
+    for name in KERNEL_GROUPS:
+        G = parse_group_spec(name)
+        n = default_conductor(G, 2)
+        reps = subgroup_lattice(G).class_reps()
+        for H in reps:
+            for L in reps:
+                assert double_coset_reps(G, H, L)
+                assert ppelem._mackey(G, H, L)
+                for chi in linear_characters(L, n):
+                    assert ppelem._res_gen(make_generator(G, L, chi, n), H)
+    with pytest.raises(MasksRead):
+        mark(G, reps[1], reps[0])
+
+
+def orbit_walk_stabilizers(H, G, L, fixed):
+    """The stabilizer in H of the least coset of each H-orbit on the cosets
+    ``fixed``, from the permutations: orbits walked element by element."""
+    elements = G.root.elements
+    index = {x: i for i, x in enumerate(elements)}
+    rep_of = coset_indices(G, L)[1]
+    left, out = set(fixed), []
+    while left:
+        start = min(left)
+        g = elements[start]
+        left -= {rep_of[index[elements[h] * g]] for h in H.indices}
+        out.append(sorted(h for h in H.indices
+                          if rep_of[index[elements[h] * g]] == start))
+    return out
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_orbit_stabilizers_match_an_orbit_walk(name):
+    """As restriction runs them (H on every coset) and as the fixed-point
+    functor does (N_G(P) on the P-fixed cosets)."""
+    G = parse_group_spec(name)
+    reps = subgroup_lattice(G).class_reps()
+    for H in reps:
+        N = normalizer(G, H)
+        for L in reps:
+            for acting, fixed in ((H, coset_indices(G, L)[0]),
+                                  (N, burnside._fixed_cosets(G, L, H))):
+                got = burnside._orbit_stabilizers(acting, G, L, fixed)
+                assert [list(S.indices) for S in got] == \
+                    orbit_walk_stabilizers(acting, G, L, fixed)

@@ -444,6 +444,16 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "error: dimension 3 exceeds the oracle cap 1\n"
 
+    def test_unbounded_field_search_exits_2_at_its_cap(self, capsys):
+        """C29 at p = 31 needs F_(31^28), whose modulus search finds nothing
+        within the work cap: the call stops there and names the cap."""
+        code = main(["oracle-check", "--group", "C29", "--p", "31"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the search for F_(31^28) exceeds the field work "
+                                f"cap {ffq.FIELD_WORK_CAP}\n")
+
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_non_positive_dim_cap_exit_2(self, cap, capsys):
         code = main(["oracle-check", "--group", "S3", "--p", "3",

@@ -249,6 +249,20 @@ class TestBuildField:
         with pytest.raises(CapExceeded):
             build_field(2, 33)
 
+    def test_trial_division_stops_at_its_cap(self, monkeypatch):
+        """Past the cap a cofactor is kept only if it is prime."""
+        monkeypatch.setattr(ffq, "FACTOR_TRIAL_CAP", 100)
+        assert _prime_factors(2 * 3 * 10007) == [2, 3, 10007]
+        with pytest.raises(CapExceeded, match="trial division cap 100$"):
+            _prime_factors(101 * 103)
+
+    def test_field_search_stops_at_its_work_cap(self, monkeypatch):
+        """The search for F_(2^18) counts 151,409 coefficient products in
+        its powers; under a cap of 1,000 it stops and names the field."""
+        monkeypatch.setattr(ffq, "FIELD_WORK_CAP", 1000)
+        with pytest.raises(CapExceeded, match=r"F_\(2\^18\) exceeds the field work cap 1000$"):
+            ffq._field.__wrapped__(2, 19)
+
     def test_fields_are_interned_and_the_cap_still_holds(self):
         F = build_field(3, 8)
         assert build_field(3, 8) is F

@@ -7,13 +7,14 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from ppring import grp
+from ppring.cli import parse_group_spec
 from ppring.grp import (PRIME_TEST_BOUND, InvalidPermutation, NotSubgroup,
                         OrderCapExceeded, Permutation, alternating,
                         centralizer, check_prime, close_generators,
-                        close_indices, conjugacy_classes, coset_indices,
+                        close_indices, conjugacy_classes, conjugate_masks, coset_indices,
                         cyclic, dihedral, direct_product, double_coset_reps, is_p_power,
                         klein_four, normalizer,
-                        from_indices, normalizer_quotient, p_prime_part,
+                        from_indices, from_mask, normalizer_quotient, p_prime_part,
                         quaternion8, quotient, subgroup_closure,
                         symmetric, sylow)
 from ppring.lattice import subgroup_lattice
@@ -454,6 +455,38 @@ class TestCosetIndices:
         first = coset_indices(G, H)
         assert isinstance(first, tuple) and all(isinstance(part, tuple) for part in first)
         assert coset_indices(G, H) is first
+
+
+# the groups whose every subgroup the conjugacy tables are checked on
+KERNEL_GROUPS = ["S4", "A5", "D8xC2", "S3xC3"]
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_conjugate_masks_match_the_elementwise_conjugates(name):
+    """For each minimal coset representative g of L, in order, the mask of
+    gLg^-1, formed from the permutations; every element of the coset gL
+    conjugates L the same way."""
+    G = parse_group_spec(name)
+    elements = G.root.elements
+    index = {x: i for i, x in enumerate(elements)}
+    for L in subgroup_lattice(G).subgroups:
+        reps, rep_of = coset_indices(G, L)
+        masks = conjugate_masks(G, L)
+        assert list(masks) == list(reps)
+        for g, mask in masks.items():
+            x = elements[g]
+            assert mask == sum(1 << index[x * y * inverse(x)] for y in L.elements)
+            assert from_mask(G.root, mask).order == L.order
+        for g in G.indices:
+            x = elements[g]
+            assert masks[rep_of[g]] == sum(1 << index[x * y * inverse(x)] for y in L.elements)
+
+
+def test_from_mask_is_the_interned_subgroup():
+    G = symmetric(4)
+    for H in subgroup_lattice(G).subgroups:
+        assert from_mask(G, H.mask) is H
+        assert from_mask(G, H.mask) is from_indices(G, H.indices)
 
 
 class TestCloseIndices:

@@ -7,10 +7,10 @@ from ppring.cli import parse_group_spec
 from ppring.cyclo import Cyclotomic
 from ppring.grp import (alternating, close_indices, cyclic, dihedral,
                         direct_product, quaternion8, symmetric)
-from ppring.lattice import NotComparable, subgroup_lattice
+from ppring.lattice import NotComparable, _all_subgroups, subgroup_lattice
 from ppring.ppelem import (PPElement, default_conductor, ind_elt, linear_characters,
                            make_generator)
-from test_grp import conj, generated_groups
+from test_grp import KERNEL_GROUPS, conj, generated_groups, inverse
 
 
 def brute_force_subgroups(G):
@@ -112,6 +112,44 @@ class TestAgainstReferenceSearch:
     @given(generated_groups(max_order=120))
     def test_generated(self, G):
         assert_matches_reference(G)
+
+
+def assert_conjugators(lat):
+    """Each recorded conjugator y lies in the group and carries its subgroup
+    H to its class representative, y^-1 H y = rep_of(H), checked on the
+    permutations."""
+    G = lat.group
+    elements = G.root.elements
+    for H in lat.subgroups:
+        y = lat.conjugator(H)
+        assert y in G
+        x = elements[y]
+        moved = {inverse(x) * h * x for h in H.elements}
+        assert moved == set(lat.rep_of(H).elements)
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_sub_lattices_match_the_search_run_directly(name):
+    """The lattice of every subgroup H, read off the lattice of its root, is
+    the one the cyclic-extension search finds on H itself: the same
+    subgroups, classes, representatives and Moebius vector, and every
+    conjugator of either carries its subgroup to the representative."""
+    G = parse_group_spec(name)
+    root_lattice = subgroup_lattice(G)
+    assert_conjugators(root_lattice)
+    for H in root_lattice.subgroups[:-1]:
+        lat = subgroup_lattice(H)
+        subgroups, classes, conjugators = _all_subgroups(H)
+        assert lat.subgroups == subgroups
+        assert lat.conjugacy_classes() == classes
+        assert lat.class_reps() == tuple(cls[0] for cls in classes)
+        assert list(lat.mu_top) == reference_moebius_to_top(
+            [list(K.indices) for K in subgroups])
+        assert_conjugators(lat)
+        searched = {K: y for K, y in zip(subgroups, conjugators)}
+        for K in subgroups:
+            x = H.root.elements[searched[K]]
+            assert {inverse(x) * k * x for k in K.elements} == set(lat.rep_of(K).elements)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "S4xC2"])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from ppring.ppelem import (Generator, GroupMismatch, NotPGroup, PPElement,
                            res_elt, tensor_elt)
 from ppring.species import (enumerate_pairs, equal_elements, standard_generators,
                             tau_element)
-from test_grp import closure, conj, inverse
+from ppring.cli import parse_group_spec
+from test_grp import KERNEL_GROUPS, closure, conj, inverse
 
 
 def gen_of(G, p, sub_elems, exps=None, n=None):
@@ -499,6 +501,45 @@ class TestCanonicalForm:
         make_generator(G, C2, (0, 1), 2)
         with pytest.raises(GroupMismatch):
             make_generator(G, foreign, (0, 1), 2)
+
+
+def minimum_over_every_conjugate(group, subgroup, chi):
+    """(indices, exponents) of the least conjugate of (subgroup, chi) by any
+    element of the group, from the conjugation table: the sorted conjugated
+    indices, then the exponents aligned to them."""
+    best = None
+    for g in group.indices:
+        row = group.conj[g]
+        exp_of = {row[x]: e for x, e in zip(subgroup.indices, chi)}
+        sub = tuple(sorted(exp_of))
+        key = (sub, tuple(exp_of[x] for x in sub))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@pytest.mark.parametrize("name", KERNEL_GROUPS)
+def test_canonical_is_the_minimum_over_every_conjugate(name):
+    """Seeded draws of (H, L, chi), H any subgroup and L <= H, the trivial
+    character always among them: the generator over H is the least
+    conjugate under all of H, whether H is a root or reads its lattice off
+    its root's."""
+    G = parse_group_spec(name)
+    n = G.exponent()
+    rng = random.Random(0)
+    seen_nonabelian = seen_nontrivial = False
+    for H in [G] + rng.sample(subgroup_lattice(G).subgroups, 6):
+        below = subgroup_lattice(H).subgroups
+        for L in rng.sample(below, min(8, len(below))):
+            chars = linear_characters(L, n)
+            for chi in dict.fromkeys([chars[0], rng.choice(chars)]):
+                gen = make_generator(H, L, chi, n)
+                assert (gen.subgroup.indices, gen.exps) == minimum_over_every_conjugate(H, L, chi)
+                seen_nontrivial = seen_nontrivial or any(chi)
+            table = L.table
+            seen_nonabelian = seen_nonabelian or any(
+                table[a][b] != table[b][a] for a in L.indices for b in L.indices)
+    assert seen_nontrivial and seen_nonabelian
 
 
 class TestPPElementPlumbing:
