@@ -34,6 +34,7 @@ checks of the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -53,17 +54,25 @@ DEFAULT_DIM_CAP = 200
 # 0.17 s on polynomials, 0.32 s with tables).
 TABLE_MAX_Q = 1 << 12
 # The search for a field stops with CapExceeded past these bounds, so that no
-# conductor under the n cap runs unbounded.  The work of the modulus and
-# generator searches is counted in the coefficient products of their powers
-# (:func:`_ppowmod`): F_(2^28) takes 333,084 and F_(7^10) 144,910, while C29
-# at p = 31, whose degree-28 search found no modulus in 400 candidates (10 s),
-# stops at the cap after about 0.6 s on a 2-core Xeon VM (Python 3.11).  A
-# product of large coefficients costs more, so over F_(1000000007^4) the cap
-# takes about 3 s to reach.
-FIELD_WORK_CAP = 1 << 22
-# Trial divisors tried on q - 1, about 0.85 s at the cap; a cofactor with no
-# divisor below the bound is accepted only if it is prime.
-FACTOR_TRIAL_CAP = 1 << 22
+# conductor under the n cap runs unbounded.  The modulus search counts its work
+# in the coefficient products of its powers and gcds (:func:`_ppowmod`, with
+# STEP_WORK products charged for the calls of each powering step): F_(2^18)
+# takes 21,728, F_(13^20) 883,042 and F_(929^12) 3,804,459, the most of the
+# sampled fields (conductor up to 32, characteristic below 1000) that a search
+# without bounds builds in under 2 s.  C29 at p = 31, whose counter-order
+# search for a degree-28 modulus meets 973 reducible candidates before an
+# irreducible one, stops at the cap and exits in about 0.8 s on a 2-core Xeon
+# VM (Python 3.11).  The search for a generator, once q - 1 is factored, is
+# not charged: it ends, since the group is cyclic, but in counter order it can
+# pass thousands of codes (the first generator of F_(61^10) is code 3,782,
+# about 9 s in).
+FIELD_WORK_CAP = 6_000_000
+STEP_WORK = 64
+# The largest trial divisor of q - 1, reached in about 1 s; a cofactor with
+# no divisor below it is accepted only if it is prime.  Among the fields of
+# characteristic below 100 and conductor up to 32, 71^14 - 1 (C29 at p = 71)
+# needs the largest divisor, 21,020,917.
+FACTOR_TRIAL_CAP = 1 << 25
 
 
 class CapExceeded(Exception):
@@ -125,13 +134,15 @@ def _pgcd(a, b, p):
 
 def _ppowmod(base, e, m, p, charge=None):
     """base^e modulo m; ``charge``, when given, is called before each step
-    with its coefficient products, the length of the base times the lengths
-    of the base and the result."""
+    with its work in coefficient products: the length of the base times
+    itself, and times the length of the result when the step multiplies into
+    it, plus STEP_WORK for the calls of the step, which dominate when m has a
+    small degree."""
     result = (1,)
     base = _pmod(base, m, p)
     while e:
         if charge is not None:
-            charge(len(base) * (len(base) + len(result)))
+            charge(STEP_WORK + len(base) * (len(base) + (len(result) if e & 1 else 0)))
         if e & 1:
             result = _pmod(_pmul(result, base, p), m, p)
         base = _pmod(_pmul(base, base, p), m, p)
@@ -139,44 +150,57 @@ def _ppowmod(base, e, m, p, charge=None):
     return result
 
 
-def _is_irreducible(f: tuple[int, ...], p: int, charge=None) -> bool:
-    """Rabin test: x^(p^m) = x mod f, and gcd(x^(p^(m/l)) - x, f) = 1; the
-    powers report their work to ``charge`` (see :func:`_ppowmod`)."""
+def _is_irreducible(f: tuple[int, ...], p: int, charge) -> bool:
+    """Ben-Or test: a monic f of degree m is irreducible when gcd(x^(p^k) - x,
+    f) = 1 for k = 1 .. m/2, since a reducible f has a factor of degree k <=
+    m/2, which divides x^(p^k) - x.  Most reducible candidates have a small
+    factor and stop at a small k.  The powers and the gcds report their
+    coefficient products to ``charge`` (see :func:`_ppowmod`), or to nothing
+    when it is None."""
     m = len(f) - 1
-    x = (0, 1)
-    if _ppowmod(x, p ** m, f, p, charge) != _pmod(x, f, p):
-        return False
-    for ell in _prime_factors(m):
-        g = _padd(_ppowmod(x, p ** (m // ell), f, p, charge),
-                  tuple((-c) % p for c in x), p)
-        gcd = _pgcd(f, g, p)
-        if len(gcd) - 1 > 0:
+    minus_x = (0, p - 1)
+    h = (0, 1)  # x^(p^k) mod f
+    for _ in range(m // 2):
+        h = _ppowmod(h, p, f, p, charge)
+        if charge is not None:
+            charge(m * m)
+        if len(_pgcd(f, _padd(h, minus_x, p), p)) > 1:
             return False
     return True
 
 
 def _prime_factors(n: int) -> list[int]:
     """The distinct prime factors of n in increasing order, by trial division
-    up to FACTOR_TRIAL_CAP; past it, the cofactor must be prime, or
+    by 2 and the odd numbers up to FACTOR_TRIAL_CAP.  It stops early once the
+    cofactor left is prime; past the cap the cofactor must be prime, or
     CapExceeded is raised."""
     out = []
-    d = 2
-    while d * d <= n:
-        if d > FACTOR_TRIAL_CAP:
-            try:
-                check_prime(n)
-            except ValueError:
-                raise CapExceeded(f"factoring exceeds the trial division cap "
-                                  f"{FACTOR_TRIAL_CAP}") from None
+    limit = min(math.isqrt(n), FACTOR_TRIAL_CAP)
+    for d in itertools.chain((2,), range(3, FACTOR_TRIAL_CAP + 1, 2)):
+        if d > limit:
             break
         if n % d == 0:
             out.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+            if _is_prime(n):
+                break
+            limit = min(math.isqrt(n), FACTOR_TRIAL_CAP)
     if n > 1:
+        if math.isqrt(n) > FACTOR_TRIAL_CAP and not _is_prime(n):
+            raise CapExceeded(f"factoring exceeds the trial division cap {FACTOR_TRIAL_CAP}")
         out.append(n)
     return out
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, decided by :func:`~ppring.grp.check_prime`; a
+    cofactor too large for it to decide counts as not prime."""
+    try:
+        check_prime(n)
+    except ValueError:
+        return False
+    return True
 
 
 def _digits(code: int, p: int) -> tuple[int, ...]:
@@ -369,7 +393,7 @@ def _field(p: int, n: int) -> FqField:
         nonlocal work
         work += products
         if work > FIELD_WORK_CAP:
-            raise CapExceeded(f"the search for F_({p}^{m}) exceeds the field work cap "
+            raise CapExceeded(f"the modulus search for F_({p}^{m}) exceeds the field work cap "
                               f"{FIELD_WORK_CAP}")
 
     modulus = None
@@ -384,11 +408,10 @@ def _field(p: int, n: int) -> FqField:
     factors = _prime_factors(q - 1)
     # when m >= 2 the codes below p are the constants, of order dividing p - 1;
     # the multiplicative group is cyclic, so the search finds a generator
-    for gen in range(p if m > 1 else 1, q):
-        if all(_ppowmod(_digits(gen, p), (q - 1) // ell, modulus, p, charge) != (1,)
-               for ell in factors):
-            return FqField(p, n, m, modulus, gen)
-    raise RuntimeError(f"no generator of the multiplicative group of F_{q}")
+    gen = next(x for x in range(p if m > 1 else 1, q)
+               if all(_ppowmod(_digits(x, p), (q - 1) // ell, modulus, p) != (1,)
+                      for ell in factors))
+    return FqField(p, n, m, modulus, gen)
 
 
 class FqModule:

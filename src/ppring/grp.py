@@ -241,9 +241,9 @@ class FiniteGroup:
             self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
         else:
             self.root = root
-            self.elements = tuple([elements[i] for i in indices])
+            self.elements = tuple(elements[i] for i in indices)
             self.indices = indices
-            self.mask = sum([1 << i for i in indices])
+            self.mask = sum(1 << i for i in indices)
             self.inv, self.conj, self.orders = root.inv, root.conj, root.orders
         self.order = len(self.indices)
         self._generators = None
@@ -258,7 +258,7 @@ class FiniteGroup:
             for i in self.indices:
                 if i not in closed:
                     gens.append(i)
-                    closed = close_indices(self.table, gens, closed)
+                    closed = close_indices(self.table, gens)
                     if len(closed) == self.order:
                         break
             self._generators = tuple(gens)
@@ -455,22 +455,12 @@ def normalizer(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     representative per coset."""
     if not G.contains_group(H):
         raise NotSubgroup("the group does not contain the subgroup")
-    table, conj, inv = G.table, G.conj, G.inv
-    members, mask = H.indices, H.mask
-    hgens = H.generators
-    seen = bytearray(len(table))
-    kept = []
-    for g in G.indices:
-        if seen[g]:
-            continue
-        row = table[g]
-        coset = [row[h] for h in members]
-        for x in coset:
-            seen[x] = 1
-        by_g = conj[inv[g]]  # by_g[h] = g h g^-1
-        if all(mask >> by_g[h] & 1 for h in hgens):
-            kept += coset
-    return from_indices(G, sorted(kept))
+    conj, inv = G.conj, G.inv
+    mask, hgens = H.mask, H.generators
+    reps, rep_of = _left_cosets(G, H)
+    # conj[inv[g]][h] = g h g^-1
+    kept = {g for g in reps if all(mask >> conj[inv[g]][h] & 1 for h in hgens)}
+    return from_indices(G, [x for x in G.indices if rep_of[x] in kept])
 
 
 @lru_cache(maxsize=None)
@@ -559,6 +549,13 @@ def coset_indices(G: FiniteGroup, H: FiniteGroup) -> tuple[tuple[int, ...], tupl
     caller."""
     if not G.contains_group(H):
         raise NotSubgroup("the group does not contain the subgroup")
+    reps, rep_of = _left_cosets(G, H)
+    return tuple(reps), tuple(rep_of)
+
+
+def _left_cosets(G: FiniteGroup, H: FiniteGroup) -> tuple[list[int], list[int]]:
+    """The cosets of :func:`coset_indices`, as lists and not memoized, for a
+    caller that reads them once."""
     table = G.table
     members = H.indices
     rep_of = [-1] * len(table)
@@ -569,7 +566,7 @@ def coset_indices(G: FiniteGroup, H: FiniteGroup) -> tuple[tuple[int, ...], tupl
             row = table[g]
             for h in members:
                 rep_of[row[h]] = g
-    return tuple(reps), tuple(rep_of)
+    return reps, rep_of
 
 
 @lru_cache(maxsize=None)

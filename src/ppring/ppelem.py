@@ -32,10 +32,9 @@ then by the species of the difference.
 
 Sums and the expansions accumulate late in :func:`collect`, as
 :func:`ppring.species.tau_element` does: the integer numerators of each
-output coefficient are summed over the least common denominator of its
+output coefficient are summed over the least common denominator of the
 inputs, and each :class:`Cyclotomic` is built once, in lowest terms, rather
-than once per Mackey term; a generator met once, with multiplicity 1, keeps
-its coefficient as it is.
+than once per Mackey term.
 """
 
 from __future__ import annotations
@@ -86,19 +85,11 @@ def _aligned(L: FiniteGroup, exps: Iterable[int], n: int) -> tuple[int, ...]:
 def check_homomorphism(L: FiniteGroup, exps: Iterable[int], n: int) -> None:
     """Raise ValueError unless the exponents, aligned with ``L.indices``,
     are a homomorphism from L to Z/n, one per element of L."""
-    table, members = L.table, L.indices
-    exps = _aligned(L, exps, n)
-    exp_at = [0] * len(table)  # exp_at[x] = e(x) for each member x
-    for x, e in zip(members, exps):
-        exp_at[x] = e
-    sums: dict[int, list[int]] = {}  # ea -> the (ea + e(b)) % n over the members b
-    for a, ea in zip(members, exps):
-        want = sums.get(ea)
-        if want is None:
-            want = sums[ea] = [(ea + eb) % n for eb in exps]
-        row = table[a]  # row[b] = a * b
-        if [exp_at[row[b]] for b in members] != want:
-            raise ValueError("table is not a homomorphism")
+    table = L.table
+    exp_of = dict(zip(L.indices, _aligned(L, exps, n)))
+    if any((ea + eb) % n != exp_of[table[a][b]]
+           for a, ea in exp_of.items() for b, eb in exp_of.items()):
+        raise ValueError("table is not a homomorphism")
 
 
 def linear_characters(L: FiniteGroup, conductor: int) -> tuple[tuple[int, ...], ...]:
@@ -303,36 +294,24 @@ def collect(group: FiniteGroup, p: int, n: int,
             parts: list[tuple[Generator, Cyclotomic, int]]) -> PPElement:
     """The element sum of m * coeff * gen over the (gen, coeff, m) parts.
 
-    A generator met once, with m = 1, keeps its coefficient object.  For
-    any other, the numerators of its coefficients are accumulated over
-    their least common denominator, and the coefficient is then built once,
-    in lowest terms.  Numerators are added in the power basis, so no
-    reduction modulo Phi_n is needed.
+    The numerators of each generator's coefficient are accumulated over the
+    least common denominator of the parts, and each nonzero coefficient is
+    then built once, in lowest terms.  Numerators are added in the power
+    basis, so no reduction modulo Phi_n is needed.
     """
-    by_gen: dict[Generator, list[tuple[Generator, Cyclotomic, int]]] = {}
-    for part in parts:
-        entries = by_gen.get(part[0])
-        if entries is None:
-            by_gen[part[0]] = [part]
+    den = math.lcm(*(coeff.den for _, coeff, _ in parts))
+    acc: dict[Generator, list[int]] = {}
+    for gen, coeff, m in parts:
+        k = m * (den // coeff.den)
+        row = acc.get(gen)
+        if row is None:
+            acc[gen] = [c * k for c in coeff.num]
         else:
-            entries.append(part)
-    terms = {}
-    for gen, entries in by_gen.items():
-        if len(entries) == 1 and entries[0][2] == 1:
-            coeff = entries[0][1]
-            if any(coeff.num):
-                terms[gen] = coeff
-            continue
-        den = math.lcm(*[part[1].den for part in entries])
-        acc = [0] * len(entries[0][1].num)
-        for _, coeff, m in entries:
-            k = m * (den // coeff.den)
             for i, c in enumerate(coeff.num):
                 if c:
-                    acc[i] += c * k
-        if any(acc):
-            terms[gen] = Cyclotomic._new(n, *_lowest(acc, den))
-    return PPElement._trusted(group, p, n, terms)
+                    row[i] += c * k
+    return PPElement._trusted(group, p, n, {
+        gen: Cyclotomic._new(n, *_lowest(num, den)) for gen, num in acc.items() if any(num)})
 
 
 def _as_cyclo(c: Scalar, n: int) -> Cyclotomic:

@@ -208,22 +208,14 @@ def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
 
 def tau_element(pair: SpeciesPair, x: PPElement) -> Cyclotomic:
     """Linear extension of :func:`tau_generator` over the terms of x,
-    accumulated in Z[x]/(x^n - 1) over the common denominator of the terms
-    with a fixed line, and reduced modulo Phi_n once."""
+    accumulated in Z[x]/(x^n - 1) and reduced modulo Phi_n once."""
     n = x.conductor
     _check_pair(pair, x.group, n)
-    fixed = []  # the terms with a fixed line, the only ones that add
-    for gen, coeff in x.terms.items():
-        counts = _tau_counts(pair, gen)
-        if counts:
-            fixed.append((coeff, counts))
-    if not fixed:
-        return Cyclotomic.zero(n)
-    den = math.lcm(*[coeff.den for coeff, _ in fixed])
+    den = math.lcm(*(coeff.den for coeff in x.terms.values()))
     acc = [0] * n
-    for coeff, counts in fixed:
+    for gen, coeff in x.terms.items():
         scale = den // coeff.den
-        for e, count in counts:
+        for e, count in _tau_counts(pair, gen):
             k = count * scale
             for i, c in enumerate(coeff.num, e):
                 if c:

@@ -451,7 +451,7 @@ class TestMain:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: the search for F_(31^28) exceeds the field work "
+        assert captured.err == ("error: the modulus search for F_(31^28) exceeds the field work "
                                 f"cap {ffq.FIELD_WORK_CAP}\n")
 
     @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -92,7 +92,7 @@ def tuple_field(p, n, generator_index=0):
     while pow(p, m, n) != 1:
         m += 1
     modulus = next(cand for cand in (coefficients(c, p, m) + (1,) for c in range(p ** m))
-                   if _is_irreducible(cand, p))
+                   if _is_irreducible(cand, p, None))
     F = TupleField(p, 1, m, modulus, (1,) + (0,) * (m - 1))
     q = p ** m
     factors = _prime_factors(q - 1)
@@ -253,15 +253,42 @@ class TestBuildField:
         """Past the cap a cofactor is kept only if it is prime."""
         monkeypatch.setattr(ffq, "FACTOR_TRIAL_CAP", 100)
         assert _prime_factors(2 * 3 * 10007) == [2, 3, 10007]
+        assert _prime_factors(2 * 3 * 1000003) == [2, 3, 1000003]
         with pytest.raises(CapExceeded, match="trial division cap 100$"):
             _prime_factors(101 * 103)
 
     def test_field_search_stops_at_its_work_cap(self, monkeypatch):
-        """The search for F_(2^18) counts 151,409 coefficient products in
-        its powers; under a cap of 1,000 it stops and names the field."""
+        """The modulus search for F_(2^18) counts 21,728 coefficient
+        products; under a cap of 1,000 it stops and names the field."""
         monkeypatch.setattr(ffq, "FIELD_WORK_CAP", 1000)
         with pytest.raises(CapExceeded, match=r"F_\(2\^18\) exceeds the field work cap 1000$"):
             ffq._field.__wrapped__(2, 19)
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 6), (2, 8), (3, 4), (3, 5), (5, 3), (7, 2)])
+    def test_irreducible_count_is_gauss_formula(self, p, m):
+        """The monic irreducibles of degree m over F_p number
+        (1/m) sum_{d | m} mu(d) p^(m/d) (Gauss)."""
+        def mu(d):
+            sign, k = 1, 2
+            while d > 1:
+                if d % k == 0:
+                    d //= k
+                    if d % k == 0:
+                        return 0
+                    sign = -sign
+                k += 1
+            return sign
+        want = sum(mu(d) * p ** (m // d) for d in range(1, m + 1) if m % d == 0) // m
+        got = sum(_is_irreducible(coefficients(c, p, m) + (1,), p, None) for c in range(p ** m))
+        assert got == want
+
+    def test_field_search_keeps_the_counter_order_modulus_within_its_cap(self):
+        """F_(31^16) for C17 at p = 31: the Ben-Or search reaches the first
+        irreducible of counter order, x^16 + 7x + 1, after 576,587 of the
+        work cap's products, and the generator is the first in counter
+        order, code 38 (x + 7)."""
+        F = build_field(31, 17)
+        assert (F.m, F.modulus, F.generator) == (16, (1, 7) + (0,) * 14 + (1,), 38)
 
     def test_fields_are_interned_and_the_cap_still_holds(self):
         F = build_field(3, 8)
