@@ -13,8 +13,8 @@ from .ppelem import (Generator, PPElement, brauer_elt, check_homomorphism,
                      make_generator, res_elt, tensor_elt)
 from .burnside import (BurnsideElement, burnside_product, fixed_point_functor,
                        gluck_yoshida, linearize, mark, mark_element, transitive)
-from .species import (SpeciesPair, SpeciesVector, build_pair, enumerate_pairs,
-                      equal_elements, pairs_conjugate, species_vector,
+from .species import (SpeciesPair, SpeciesVector, build_pair, canonical_pair,
+                      enumerate_pairs, equal_elements, species_vector,
                       standard_generators, tau_element, tau_generator)
 from .idem import (IdempotentReport, cyclic_idempotent, idempotent_normal_case,
                    idempotent_report, idempotent_theorem,

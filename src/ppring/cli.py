@@ -116,9 +116,11 @@ def parse_group_spec(text: str, max_order: int = DEFAULT_ORDER_CAP) -> FiniteGro
     if not text:
         raise ParseError("empty group specification")
     if text.startswith("{"):
+        # ValueError covers JSONDecodeError and an integer literal past the
+        # interpreter's digit limit; RecursionError, nesting too deep
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from exc
         if "name" in data:
             return _named_group(str(data["name"]), max_order)

@@ -13,9 +13,9 @@ Two independent routes are provided for the idempotent attached to a pair
 
 The verification helpers check the restriction and induction laws for
 idempotents and the decomposition of the linearized top Burnside idempotent.
-Both laws read one memo per (G, p, H), :func:`_fusion`: the canonical G-pair
-that each canonical pair of H fuses to, found once by conjugacy search
-instead of once per law checked.
+Both laws send each pair of a subgroup H to the canonical G-pair it fuses
+to with :func:`~ppring.species.canonical_pair`, which reads it from the
+lattice of G.
 The suites assemble every identity the library verifies for one (group,
 prime) run into a list of named checks: :func:`identity_suite` runs the
 idempotent checks and the two suites below it, :func:`burnside_suite` the
@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 from .burnside import (burnside_ind, burnside_product, burnside_res,
                        fixed_point_functor, gluck_yoshida, linearize,
@@ -41,8 +39,8 @@ from .lattice import subgroup_lattice
 from .ppelem import (GroupMismatch, PPElement, _canonical, _pullback_log,
                      brauer_elt, collect, default_conductor, ind_elt, inf_elt,
                      res_elt, tensor_elt)
-from .species import (SpeciesPair, SpeciesVector, build_pair, enumerate_pairs,
-                      equal_elements, pairs_conjugate, species_vector,
+from .species import (SpeciesPair, SpeciesVector, build_pair, canonical_pair,
+                      enumerate_pairs, equal_elements, species_vector,
                       standard_generators, tau_element, tau_generator)
 
 
@@ -190,7 +188,7 @@ def idempotent_via_reduction(G: FiniteGroup, p: int, pair: SpeciesPair) -> PPEle
 
 
 def _is_orbit_indicator(pair: SpeciesPair, vec: SpeciesVector) -> bool:
-    rep = _canonical_pair(pair)
+    rep = canonical_pair(pair.group, pair.p, pair.P, pair.lift)
     return all(v == (1 if q is rep else 0) for q, v in vec)
 
 
@@ -206,32 +204,13 @@ def idempotent_report(G: FiniteGroup, p: int, pair: SpeciesPair) -> IdempotentRe
     )
 
 
-def _canonical_pair(pair: SpeciesPair) -> SpeciesPair:
-    """The canonical pair of :func:`enumerate_pairs` conjugate to a pair:
-    the pair itself when it is canonical."""
-    pairs = enumerate_pairs(pair.group, pair.p)
-    if pair in pairs:
-        return pair
-    return next(q for q in pairs if pairs_conjugate(q, pair))
-
-
-@lru_cache(maxsize=None)
-def _fusion(G: FiniteGroup, p: int, H: FiniteGroup) -> Mapping[SpeciesPair, SpeciesPair]:
-    """The canonical G-pair that each canonical pair of H fuses to, as a
-    read-only mapping: the pair is seen in G, then brought to its canonical
-    G-pair."""
-    return MappingProxyType({
-        hp: _canonical_pair(build_pair(G, p, hp.P, hp.lift))
-        for hp in enumerate_pairs(H, p)})
-
-
 def _fused_terms(G: FiniteGroup, p: int, H: FiniteGroup,
                  n: int) -> dict[SpeciesPair, list]:
     """The terms of the H-idempotents as ``collect`` parts, grouped by the
     canonical G-pair that their H-pair fuses to."""
     out: dict[SpeciesPair, list] = {}
-    for hp, fused in _fusion(G, p, H).items():
-        out.setdefault(fused, []).extend(
+    for hp in enumerate_pairs(H, p):
+        out.setdefault(canonical_pair(G, p, hp.P, hp.lift), []).extend(
             (gen, coeff, 1) for gen, coeff in idempotent_theorem(H, p, hp, n).terms.items())
     return out
 
@@ -239,7 +218,7 @@ def _fused_terms(G: FiniteGroup, p: int, H: FiniteGroup,
 def _restriction_law(G: FiniteGroup, p: int, H: FiniteGroup, pair: SpeciesPair,
                      fused: dict[SpeciesPair, list], n: int) -> bool:
     lhs = res_elt(idempotent_theorem(G, p, pair, n), H)
-    rhs = collect(H, p, n, fused.get(_canonical_pair(pair), []))
+    rhs = collect(H, p, n, fused.get(canonical_pair(G, p, pair.P, pair.lift), []))
     return equal_elements(lhs, rhs)
 
 
@@ -251,7 +230,7 @@ def verify_induction(G: FiniteGroup, p: int, H: FiniteGroup, hpair: SpeciesPair)
         raise GroupMismatch("pair does not live over the subgroup")
     lhs = ind_elt(idempotent_theorem(H, p, hpair, n), G)
     # N_H(Q,t) is the stabilizer of the pair in H; both orders are class invariants
-    rep = _fusion(G, p, H)[_canonical_pair(hpair)]
+    rep = canonical_pair(G, p, hpair.P, hpair.lift)
     c = Fraction(rep.stabilizer.order, hpair.stabilizer.order)
     rhs = idempotent_theorem(G, p, rep, n).scale(c)
     return equal_elements(lhs, rhs)

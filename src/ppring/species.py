@@ -15,6 +15,12 @@ and cycles of length greater than one have root-of-unity eigenvalue packets
 summing to zero.  The finite-field oracle in :mod:`ppring.ffq` checks this
 formula by literal linear algebra.
 
+A pair is canonical when :func:`enumerate_pairs` lists it.  Canonical pairs,
+like canonical generators, are read from the subgroup lattice's class
+representative and recorded conjugator: :func:`canonical_pair` carries P to
+its representative J and names s by the minimal member of its class in
+N_G(J)/J, whose lift is the one :func:`enumerate_pairs` takes.
+
 The fixed-line sum of a generator is kept as (exponent, count) terms, one
 per root of unity it meets: :func:`_tau_counts`, the one memo of species
 values, which both :func:`tau_generator` and :func:`tau_element` read.  The
@@ -39,9 +45,9 @@ import math
 from functools import lru_cache
 
 from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _reduce
-from .grp import (FiniteGroup, centralizer, conjugacy_classes, conjugate_masks,
-                  from_indices, is_p_power, normalizer_quotient, p_prime_part,
-                  subgroup_closure)
+from .grp import (FiniteGroup, QuotientGroup, centralizer, conjugacy_classes,
+                  conjugate_masks, from_indices, is_p_power, normalizer_quotient,
+                  p_prime_part, subgroup_closure)
 from .lattice import subgroup_lattice
 from .ppelem import (Generator, GroupMismatch, PPElement, collect, linear_characters,
                      make_generator)
@@ -138,29 +144,33 @@ def enumerate_pairs(G: FiniteGroup, p: int) -> tuple[SpeciesPair, ...]:
             s = cls[0]
             if math.gcd(orders[s], p) != 1:
                 continue
-            lift = p_prime_part(Q.parent, Q.lifts[s], p)
-            pairs.append(build_pair(G, p, P, lift))
+            pairs.append(build_pair(G, p, P, _canonical_lift(Q, s, p)))
     return tuple(sorted(pairs, key=SpeciesPair.sort_key))
 
 
-def pairs_conjugate(a: SpeciesPair, b: SpeciesPair) -> bool:
-    """True iff some g in G carries (P_a, s_a) to (P_b, s_b)."""
-    if a.group != b.group or a.p != b.p:
-        raise GroupMismatch("pairs live over different groups")
-    if a.P.order != b.P.order or a.s_order != b.s_order:
-        return False
-    table, inv, conj = a.group.table, a.group.inv, a.group.conj
-    target = b.P.mask
-    members = a.P.indices
-    t = a.lift
-    b_inv = inv[b.lift]
-    for g in a.group.indices:
-        row = conj[g]
-        if any(not target >> row[x] & 1 for x in members):
-            continue
-        if target >> table[row[t]][b_inv] & 1:
-            return True
-    return False
+def _canonical_lift(Q: QuotientGroup, s: int, p: int) -> int:
+    """The lift that a canonical pair takes for the element s of
+    Q = N_G(P)/P: the p'-part of the minimal representative of its coset."""
+    return p_prime_part(Q.parent, Q.lifts[s], p)
+
+
+@lru_cache(maxsize=None)
+def canonical_pair(G: FiniteGroup, p: int, P: FiniteGroup, lift: int) -> SpeciesPair:
+    """The pair of :func:`enumerate_pairs` that is G-conjugate to (P, s),
+    for s the image of the p'-element ``lift`` of N_G(P).  The lattice's
+    recorded conjugator y carries P to J = ``rep_of(P)`` and the lift to
+    y^-1 lift y in N_G(J); pairs at J are conjugate exactly when their
+    images in N_G(J)/J are, so the minimal member of that image's class
+    names the canonical pair."""
+    lat = subgroup_lattice(G)
+    J = lat.rep_of(P)
+    t = G.conj[lat.conjugator(P)][lift]
+    Q = normalizer_quotient(G, J)
+    if t not in Q.parent or math.gcd(G.orders[lift], p) != 1:
+        raise ValueError("lift is not a p'-element normalizing the subgroup")
+    conj, sbar = Q.group.conj, Q.proj[t]
+    s = min([conj[g][sbar] for g in Q.group.indices])
+    return build_pair(G, p, J, _canonical_lift(Q, s, p))
 
 
 def _check_pair(pair: SpeciesPair, group: FiniteGroup, n: int) -> None:

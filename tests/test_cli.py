@@ -85,6 +85,19 @@ class TestParseGroupSpec:
             assert captured.err.startswith("error: invalid JSON: ")
             assert captured.err.count("\n") == 1
 
+    def test_integer_literal_past_the_digit_limit_exit_2(self, capsys):
+        """A 5,000-digit literal is past the interpreter's limit for integer
+        string conversion (4,300 digits by default): a usage error, not an
+        internal one."""
+        spec = '{"degree": ' + "9" * 5000 + ', "generators": []}'
+        with pytest.raises(ParseError):
+            parse_group_spec(spec)
+        assert main(["pairs", "--group", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "internal" not in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_cap(self):
         with pytest.raises(OrderCapExceeded):
             parse_group_spec("S5", max_order=100)
@@ -247,26 +260,29 @@ class TestCommands:
         assert not all(family["species Brauer factorization"])
 
     def test_wrong_fusion_fails_verify(self, monkeypatch):
-        """One pair of the whole group fused to the wrong class is caught by
-        both laws that read the fusion memo, so neither passes vacuously."""
-        fusion = idem._fusion
+        """One pair of a proper subgroup that is not a canonical pair of the
+        whole group, fused to the wrong class, is caught by both laws that
+        read the fusion, so neither passes vacuously."""
+        fuse = idem.canonical_pair
+        victim = []  # the first (P, lift) asked for that is not canonical in G
 
-        def wrong(G, p, H):
-            fused = fusion(G, p, H)
-            if H.order != G.order:
-                return fused
+        def wrong(G, p, P, lift):
+            right = fuse(G, p, P, lift)
+            if not victim and (P, lift) != (right.P, right.lift):
+                victim.append((P, lift))
+            if victim != [(P, lift)]:
+                return right
             pairs = species.enumerate_pairs(G, p)
-            hp = next(iter(fused))
-            return {**fused, hp: pairs[1] if fused[hp] is pairs[0] else pairs[0]}
+            return pairs[1] if right is pairs[0] else pairs[0]
 
         clear_caches()
         try:
             with monkeypatch.context() as m:
-                m.setattr(idem, "_fusion", wrong)
+                m.setattr(idem, "canonical_pair", wrong)
                 code, text = run(RunConfig(command="verify", group="D8", p=2, fmt="json"))
         finally:
             clear_caches()
-        assert code == 1
+        assert victim and code == 1
         report = json.loads(text)
         assert not report["all_ok"]
         failing = {c["check"].split(" |")[0] for c in report["checks"] if not c["ok"]}

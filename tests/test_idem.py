@@ -5,16 +5,16 @@ import pytest
 from ppring.cyclo import Cyclotomic, zeta_power
 from ppring.grp import (Permutation, cyclic, dihedral, from_indices, symmetric,
                         sylow)
-from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, _canonical_pair,
-                         _fused_terms, _is_orbit_indicator, _restriction_law,
+from ppring.idem import (NotCyclic, NotPPrime, ShapeMismatch, _fused_terms,
+                         _is_orbit_indicator, _restriction_law,
                          cyclic_idempotent, idempotent_normal_case,
                          idempotent_report, idempotent_theorem,
                          idempotent_via_reduction, partition_of_unity, top_E,
                          verify_E_decomposition, verify_induction)
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import PPElement, default_conductor, tensor_elt
-from ppring.species import (build_pair, enumerate_pairs, equal_elements,
-                            species_vector, tau_element)
+from ppring.species import (build_pair, canonical_pair, enumerate_pairs,
+                            equal_elements, species_vector, tau_element)
 from test_grp import closure
 
 
@@ -295,7 +295,7 @@ def test_laws_hold_at_non_canonical_pairs(build, p):
     pairs = enumerate_pairs(G, p)
     for q in moved:
         assert _is_orbit_indicator(q, species_vector(idempotent_theorem(G, p, q)))
-        assert any(_canonical_pair(q) is r for r in pairs)
+        assert any(canonical_pair(G, p, q.P, q.lift) is r for r in pairs)
     seen_hpairs = 0
     for H in subgroup_lattice(G).class_reps():
         for q in moved:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,15 +9,16 @@ from hypothesis import strategies as st
 
 from ppring import clear_caches, species
 from ppring.cyclo import ConductorMismatch, Cyclotomic, zeta_power
-from ppring.grp import (Permutation, alternating, cyclic, dihedral,
-                        p_prime_part, symmetric, sylow)
+from ppring.grp import (Permutation, alternating, cyclic, dihedral, is_p_power,
+                        normalizer, p_prime_part, symmetric, sylow)
 from ppring.idem import idempotent_theorem
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import (GroupMismatch, PPElement, collect, default_conductor,
                            linear_characters, make_generator, tensor_elt)
-from ppring.species import (_tau_counts, build_pair, enumerate_pairs,
-                            equal_elements, pairs_conjugate, species_vector,
-                            standard_generators, tau_element, tau_generator)
+from ppring.species import (_tau_counts, build_pair, canonical_pair, enumerate_pairs,
+                            equal_elements, species_vector, standard_generators,
+                            tau_element, tau_generator)
+from test_idem import conjugate_pair
 
 
 class TestEnumeratePairs:
@@ -33,7 +35,6 @@ class TestEnumeratePairs:
         assert len(enumerate_pairs(cyclic(3), 3)) == 2
 
     def test_lifts_are_p_prime_normalizing(self):
-        import math
         for G, p in [(symmetric(4), 2), (dihedral(12), 2), (dihedral(12), 3)]:
             for q in enumerate_pairs(G, p):
                 assert math.gcd(G.orders[q.lift], p) == 1
@@ -56,10 +57,40 @@ def quotient_testcase():
     return dihedral(8)
 
 
+def pairs_conjugate(a, b):
+    """Brute-force reference: True iff some g in the group of the pairs
+    carries (P_a, s_a) to (P_b, s_b)."""
+    if a.P.order != b.P.order or a.s_order != b.s_order:
+        return False
+    table, inv, conj = a.group.table, a.group.inv, a.group.conj
+    target = b.P.mask
+    b_inv = inv[b.lift]
+    for g in a.group.indices:
+        row = conj[g]
+        if any(not target >> row[x] & 1 for x in a.P.indices):
+            continue
+        if target >> table[row[a.lift]][b_inv] & 1:
+            return True
+    return False
+
+
+def canonical(pair):
+    return canonical_pair(pair.group, pair.p, pair.P, pair.lift)
+
+
+CANONICAL_PAIR_CASES = {"S3-p3": (symmetric(3), 3), "S4-p2": (symmetric(4), 2),
+                        "S4-p3": (symmetric(4), 3), "D8-p2": (dihedral(8), 2),
+                        "A5-p2": (alternating(5), 2)}
+
+
 class TestPairsConjugate:
+    """Pairs are conjugate exactly when :func:`canonical_pair` sends them to
+    the same canonical pair, checked against the brute-force reference."""
+
     def test_reflexive(self):
-        q = enumerate_pairs(symmetric(3), 3)[1]
-        assert pairs_conjugate(q, q)
+        for q in enumerate_pairs(symmetric(3), 3):
+            assert pairs_conjugate(q, q)
+            assert canonical(q) is q
 
     def test_transpositions_conjugate(self):
         G = symmetric(3)
@@ -69,11 +100,13 @@ class TestPairsConjugate:
         a = build_pair(G, 3, G.trivial_subgroup(), t1)
         b = build_pair(G, 3, G.trivial_subgroup(), t2)
         assert pairs_conjugate(a, b)
+        assert canonical(a) is canonical(b) is enumerate_pairs(G, 3)[1]
 
     def test_different_p_order(self):
         G = cyclic(2)
         pairs = enumerate_pairs(G, 2)
         assert not pairs_conjugate(pairs[0], pairs[1])
+        assert canonical(pairs[0]) is not canonical(pairs[1])
 
     def test_only_the_group_s_own_elements_conjugate(self):
         """Over V4 in S4 the tables are those of S4, but two
@@ -82,10 +115,45 @@ class TestPairsConjugate:
         V = next(H for H in subgroup_lattice(G).subgroups
                  if H.order == 4 and H.is_normal_in(G))
         a, b = V.indices[1:3]
-        assert pairs_conjugate(build_pair(G, 3, G.trivial_subgroup(), a),
-                               build_pair(G, 3, G.trivial_subgroup(), b))
-        assert not pairs_conjugate(build_pair(V, 3, V.trivial_subgroup(), a),
-                                   build_pair(V, 3, V.trivial_subgroup(), b))
+        in_g = [build_pair(G, 3, G.trivial_subgroup(), x) for x in (a, b)]
+        in_v = [build_pair(V, 3, V.trivial_subgroup(), x) for x in (a, b)]
+        assert pairs_conjugate(*in_g) and not pairs_conjugate(*in_v)
+        assert canonical(in_g[0]) is canonical(in_g[1])
+        assert [canonical(q) for q in in_v] == in_v  # V4 is abelian: every pair is canonical
+
+    def test_refuses_a_lift_that_is_not_a_normalizing_p_prime_element(self):
+        G = symmetric(3)
+        C2 = next(H for H in subgroup_lattice(G).subgroups if H.order == 2)
+        t = next(x for x in G.indices if G.orders[x] == 3)
+        for p, P in ((3, G.trivial_subgroup()), (2, C2)):
+            with pytest.raises(ValueError, match="p'-element normalizing"):
+                canonical_pair(G, p, P, t)
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_PAIR_CASES))
+def test_canonical_pair_fixes_every_conjugate_of_a_canonical_pair(case):
+    """Every G-conjugate of a canonical pair is sent back to the very object
+    that :func:`enumerate_pairs` lists."""
+    G, p = CANONICAL_PAIR_CASES[case]
+    for q in enumerate_pairs(G, p):
+        for g in G.indices:
+            assert canonical(conjugate_pair(q, g)) is q
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_PAIR_CASES))
+def test_canonical_pairs_agree_with_the_reference(case):
+    """Two pairs share a canonical pair exactly when the reference finds them
+    conjugate, over one pair per (P, lift) with P a p-subgroup and the lift
+    a p'-element of N_G(P)."""
+    G, p = CANONICAL_PAIR_CASES[case]
+    pairs = []
+    for P in subgroup_lattice(G).subgroups:
+        if not is_p_power(P.order, p):
+            continue
+        pairs.extend(build_pair(G, p, P, t) for t in normalizer(G, P).indices
+                     if math.gcd(G.orders[t], p) == 1)
+    for a, b in combinations(pairs, 2):
+        assert (canonical(a) is canonical(b)) == pairs_conjugate(a, b)
 
 
 class TestTauGenerator:
