@@ -3,8 +3,9 @@
 Elements are rational combinations of transitive G-sets [G/L], stored on
 canonical conjugacy-class representatives of subgroups, which *is* a basis,
 so equality here is plain coefficient equality.  As in
-:class:`~ppring.cyclo.Cyclotomic`, the coefficients are integer numerators
-``nums`` over one positive denominator ``den``, in lowest terms:
+:class:`~ppring.cyclo.Cyclotomic` and :class:`~ppring.ppelem.PPElement`,
+the coefficients are integer numerators ``nums`` over one positive
+denominator ``den``, in lowest terms:
 ``gcd(den, *nums.values()) == 1``, zero coefficients are absent, and zero
 is stored with ``den == 1``.  Products, restriction, induction, fixed
 points, marks and linearization therefore run on ints; ``Fraction``s appear
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Mapping, Union
 
-from .cyclo import Cyclotomic, _reduction_terms
+from .cyclo import _reduction_terms
 from .grp import (FiniteGroup, conjugate_masks, coset_indices, from_mask, normalizer,
                   normalizer_quotient)
 from .lattice import subgroup_lattice
@@ -238,15 +239,12 @@ def fixed_point_functor(P: FiniteGroup, x: BurnsideElement) -> BurnsideElement:
 def linearize(x: BurnsideElement, p: int, conductor: int | None = None) -> PPElement:
     """The image in the p-permutation ring: [G/L] becomes the monomial
     generator with trivial character.  Distinct class representatives give
-    distinct generators, so each coefficient is one rational c / den."""
+    distinct generators, so the numerators and denominator pass through,
+    each numerator as the constant term of its row."""
     G = x.group
     n = default_conductor(G, p) if conductor is None else conductor
     if n % p == 0:
         raise ValueError("conductor must be prime to p")
     pad = (0,) * (_reduction_terms(n)[0] - 1)
-    den = x.den
-    terms = {}
-    for L, c in x.nums.items():
-        g = gcd(c, den)
-        terms[_canonical(G, L, (0,) * L.order, n)] = Cyclotomic._new(n, (c // g,) + pad, den // g)
-    return PPElement._trusted(G, p, n, terms)
+    return PPElement._trusted(G, p, n, {_canonical(G, L, (0,) * L.order, n): (c,) + pad
+                                        for L, c in x.nums.items()}, x.den)

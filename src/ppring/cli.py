@@ -45,6 +45,9 @@ class UnknownName(ParseError):
     """Raised for group names outside the built-in list."""
 
 
+MAX_SAMPLES = 100_000  # the most oracle samples of one run: each keeps about 1.4 KB
+
+
 class RunConfig:
     """Everything one CLI invocation needs, in one deterministic bundle."""
 
@@ -69,8 +72,8 @@ class RunConfig:
         check_prime(self.p)
         if self.max_order <= 0 or self.oracle_n_cap <= 0 or self.oracle_dim_cap <= 0:
             raise ParseError("caps must be positive")
-        if self.samples < 1:
-            raise ParseError("--samples must be at least 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ParseError(f"--samples must be between 1 and {MAX_SAMPLES}")
 
 
 def _named_group(name: str, max_order: int) -> FiniteGroup:
@@ -83,14 +86,15 @@ def _named_group(name: str, max_order: int) -> FiniteGroup:
         for part in parts[1:]:
             group = direct_product(group, _named_group(part, max_order), max_order)
         return group
+    numbered = name[1:].isascii() and name[1:].isdigit()  # isdigit alone takes any Unicode digit
     try:
-        if name.startswith("C") and name[1:].isdigit():
+        if numbered and name.startswith("C"):
             return cyclic(int(name[1:]), max_order)
-        if name.startswith("S") and name[1:].isdigit():
+        if numbered and name.startswith("S"):
             return symmetric(int(name[1:]), max_order)
-        if name.startswith("A") and name[1:].isdigit():
+        if numbered and name.startswith("A"):
             return alternating(int(name[1:]), max_order)
-        if name.startswith("D") and name[1:].isdigit():
+        if numbered and name.startswith("D"):
             return dihedral(int(name[1:]), max_order)
         if name == "Q8":
             return quaternion8(max_order)

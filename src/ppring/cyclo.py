@@ -99,6 +99,22 @@ def _reduce(num: list[int], n: int) -> list[int]:
     return num
 
 
+def _row_product(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The product of two numerator rows in Z[zeta_n], reduced modulo Phi_n,
+    for Cyclotomic values and PPElement rows alike; a one-entry row is an
+    integer."""
+    if len(b) == 1:
+        k = b[0]
+        return [c * k for c in a]
+    nonzero = [(j, c) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in nonzero:
+                out[i + j] += c * d
+    return _reduce(out, n)
+
+
 def _lowest(num, den: int) -> tuple[tuple[int, ...], int]:
     """Numerators and denominator num/den with their common factor removed;
     a zero numerator vector gets denominator 1."""
@@ -191,18 +207,7 @@ class Cyclotomic:
         if operand is None:
             return NotImplemented
         onum, oden = operand
-        a = self.num
-        den = self.den * oden
-        if len(onum) == 1:
-            b = onum[0]
-            return Cyclotomic._new(n, *_lowest([c * b for c in a], den))
-        nonzero = [(j, b) for j, b in enumerate(onum) if b]
-        out = [0] * (len(a) + len(onum) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, b in nonzero:
-                    out[i + j] += c * b
-        return Cyclotomic._new(n, *_lowest(_reduce(out, n), den))
+        return Cyclotomic._new(n, *_lowest(_row_product(self.num, onum, n), self.den * oden))
 
     def is_zero(self) -> bool:
         return not any(self.num)

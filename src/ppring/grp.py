@@ -212,8 +212,9 @@ class FiniteGroup:
     identity is index 0.  The members are the sorted root indices
     ``indices``, with ``mask`` their bitmask and ``order`` their number:
     every root index reads the tables, but only a member lies in the group
-    (``x in G``).  ``elements`` are the members as permutations, in index
-    order, so ``G.root.elements[i]`` is the element with root index i.
+    (``x in G``).  A root's ``elements`` are its members as permutations, in
+    index order, so ``G.root.elements[i]`` is the element with root index i;
+    a subgroup has no ``elements`` of its own.
     ``generators`` are member indices, found greedily in index order on
     first read.  Build groups through :func:`close_generators`, the named
     constructors, :class:`QuotientGroup`, :func:`subgroup_closure` and
@@ -241,7 +242,6 @@ class FiniteGroup:
             self.orders = tuple(len(close_indices(table, (a,))) for a in range(n))
         else:
             self.root = root
-            self.elements = tuple(elements[i] for i in indices)
             self.indices = indices
             self.mask = sum(1 << i for i in indices)
             self.inv, self.conj, self.orders = root.inv, root.conj, root.orders
@@ -338,7 +338,7 @@ def from_mask(root: FiniteGroup, mask: int) -> FiniteGroup:
 @lru_cache(maxsize=None)
 def _proper_subgroup(root: FiniteGroup, indices: tuple[int, ...]) -> FiniteGroup:
     """The one group of a root with these members, fewer than all."""
-    return FiniteGroup(root.degree, root.elements, root.table, root, indices)
+    return FiniteGroup(root.degree, (), root.table, root, indices)
 
 
 def close_indices(table: tuple[tuple[int, ...], ...], seed: Iterable[int],

@@ -100,8 +100,8 @@ def cyclic_idempotent(C: FiniteGroup, t: int, p: int,
     parts = []
     for j in range(r):
         exps = tuple([j * powers[x] % r * step for x in C.indices])
-        coeff = zeta_power(conductor, (-j * b) % r * step) * Fraction(1, r)
-        parts.append((_canonical(C, C, exps, conductor), coeff, 1))
+        row = zeta_power(conductor, (-j * b) % r * step).num
+        parts.append((_canonical(C, C, exps, conductor), row, r, 1))
     return collect(C, p, conductor, parts)
 
 
@@ -168,12 +168,12 @@ def _idempotent_theorem(G: FiniteGroup, p: int, pair: SpeciesPair, n: int) -> PP
         # PL = <Ps>: P is normal in <Ps>, so |PL| = |P| |L| / |P cap L|
         if not mu or P.order * L.order != H.order * (P.mask & L.mask).bit_count():
             continue
-        weight = Fraction(L.order * mu, denom)
+        weight = L.order * mu
         for j in range(r):
             # the j-th character of <Ps>/P = <s> pulled back to L
             exps = tuple([j * a[x] % r * step for x in L.indices])
-            coeff = zeta_power(n, (-j) % r * step) * weight
-            parts.append((_canonical(G, L, exps, n), coeff, 1))
+            row = zeta_power(n, (-j) % r * step).num
+            parts.append((_canonical(G, L, exps, n), row, denom, weight))
     return collect(G, p, n, parts)
 
 
@@ -206,12 +206,13 @@ def idempotent_report(G: FiniteGroup, p: int, pair: SpeciesPair) -> IdempotentRe
 
 def _fused_terms(G: FiniteGroup, p: int, H: FiniteGroup,
                  n: int) -> dict[SpeciesPair, list]:
-    """The terms of the H-idempotents as ``collect`` parts, grouped by the
+    """The rows of the H-idempotents as ``collect`` parts, grouped by the
     canonical G-pair that their H-pair fuses to."""
     out: dict[SpeciesPair, list] = {}
     for hp in enumerate_pairs(H, p):
+        e = idempotent_theorem(H, p, hp, n)
         out.setdefault(canonical_pair(G, p, hp.P, hp.lift), []).extend(
-            (gen, coeff, 1) for gen, coeff in idempotent_theorem(H, p, hp, n).terms.items())
+            (gen, row, e.den, 1) for gen, row in e.rows.items())
     return out
 
 
@@ -255,9 +256,8 @@ def partition_of_unity(G: FiniteGroup, p: int) -> bool:
     """The idempotents over all pairs sum to the class of the trivial module
     (all-ones species vector)."""
     n = default_conductor(G, p)
-    total = collect(G, p, n, [
-        (gen, coeff, 1) for pair in enumerate_pairs(G, p)
-        for gen, coeff in idempotent_theorem(G, p, pair, n).terms.items()])
+    idems = [idempotent_theorem(G, p, pair, n) for pair in enumerate_pairs(G, p)]
+    total = collect(G, p, n, [(gen, row, e.den, 1) for e in idems for gen, row in e.rows.items()])
     return equal_elements(total, PPElement.one(G, p, n))
 
 

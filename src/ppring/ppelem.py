@@ -30,11 +30,11 @@ elements but not conversely (the generators only span);
 :func:`ppring.species.equal_elements` decides equality, coefficients first,
 then by the species of the difference.
 
-Sums and the expansions accumulate late in :func:`collect`, as
-:func:`ppring.species.tau_element` does: the integer numerators of each
-output coefficient are summed over the least common denominator of the
-inputs, and each :class:`Cyclotomic` is built once, in lowest terms, rather
-than once per Mackey term.
+An element holds, as :class:`Cyclotomic` and the Burnside ring do, integer
+numerators over one denominator in lowest terms: a row of phi(n) numerators
+per generator.  Sums and the expansions accumulate in :func:`collect`, which
+divides out the common factor once per element; a :class:`Cyclotomic`
+coefficient is built only at the edge, by the read-only ``terms`` view.
 """
 
 from __future__ import annotations
@@ -42,16 +42,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from typing import Iterable, Mapping, Union
+from itertools import chain, product
+from typing import Iterable, Mapping
 
-from .cyclo import Cyclotomic, ConductorMismatch, _lowest
+from .cyclo import Cyclotomic, ConductorMismatch, _lowest, _row_product
 from .grp import (FiniteGroup, NotNormal, NotSubgroup, QuotientGroup, double_coset_reps,
                   is_p_power, normalizer, normalizer_quotient, quotient)
 from .lattice import subgroup_lattice
-
-Scalar = Union[int, Fraction, Cyclotomic]
-
 
 class GroupMismatch(Exception):
     """Raised when combining elements over different groups."""
@@ -216,35 +213,34 @@ def _canonical(group: FiniteGroup, subgroup: FiniteGroup, exps: tuple[int, ...],
 
 
 class PPElement:
-    """A formal cyclotomic-linear combination of canonical generators;
-    ``PPElement(G, p, n)``, with no terms, is zero."""
+    """A formal cyclotomic-linear combination of canonical generators: ``rows``
+    maps each generator to the phi(n) numerators of its coefficient over one
+    positive ``den``, in lowest terms as a whole (gcd 1, no zero row, and zero
+    has ``den == 1``).  ``PPElement(G, p, n)``, with no terms, is zero."""
 
-    __slots__ = ("group", "p", "conductor", "terms")
+    __slots__ = ("group", "p", "conductor", "rows", "den")
 
     def __init__(self, group: FiniteGroup, p: int, conductor: int,
                  terms: Mapping[Generator, Cyclotomic] | None = None):
         if conductor % p == 0:
             raise ValueError("conductor must be prime to p")
-        self.group = group
-        self.p = p
-        self.conductor = conductor
-        clean: dict[Generator, Cyclotomic] = {}
-        for gen, coeff in (terms or {}).items():
+        terms = terms or {}
+        for gen, coeff in terms.items():
             if gen.group != group:
                 raise GroupMismatch("term over a different group")
             if gen.conductor != conductor or coeff.conductor != conductor:
                 raise ConductorMismatch("term at a different conductor")
-            if not coeff.is_zero():
-                clean[gen] = coeff
-        self.terms = clean
+        x = collect(group, p, conductor, [(gen, c.num, c.den, 1) for gen, c in terms.items()])
+        self.group, self.p, self.conductor = group, p, conductor
+        self.rows, self.den = x.rows, x.den
 
     @classmethod
     def _trusted(cls, group: FiniteGroup, p: int, conductor: int,
-                 terms: dict[Generator, Cyclotomic]) -> PPElement:
-        """Nonzero coefficients at the conductor on canonical generators over
-        the group, taken without the checks of ``__init__``."""
+                 rows: dict[Generator, tuple[int, ...]], den: int) -> PPElement:
+        """Rows over a denominator in lowest terms, on canonical generators
+        over the group at the conductor, without the checks of ``__init__``."""
         x = object.__new__(cls)
-        x.group, x.p, x.conductor, x.terms = group, p, conductor, terms
+        x.group, x.p, x.conductor, x.rows, x.den = group, p, conductor, rows, den
         return x
 
     @classmethod
@@ -258,22 +254,33 @@ class PPElement:
         n = gen.conductor
         return cls(gen.group, p, n, {gen: Cyclotomic.one(n)})
 
+    @property
+    def terms(self) -> dict[Generator, Cyclotomic]:
+        """The coefficients as cyclotomic values, a fresh read-only view."""
+        n, den = self.conductor, self.den
+        return {gen: Cyclotomic._new(n, *_lowest(row, den)) for gen, row in self.rows.items()}
+
     def _compatible(self, other: PPElement) -> None:
         if self.group != other.group or self.p != other.p:
             raise GroupMismatch("elements live over different groups")
         if self.conductor != other.conductor:
             raise ConductorMismatch("elements at different conductors")
 
-    def scale(self, c: Scalar) -> PPElement:
-        c = _as_cyclo(c, self.conductor)
-        return PPElement(self.group, self.p, self.conductor,
-                         {gen: coeff * c for gen, coeff in self.terms.items()})
+    def scale(self, c: int | Fraction | Cyclotomic) -> PPElement:
+        n = self.conductor
+        if not isinstance(c, Cyclotomic):
+            c = Cyclotomic.from_rational(n, c)
+        elif c.conductor != n:
+            raise ConductorMismatch("scalar at a different conductor")
+        den = self.den * c.den
+        return collect(self.group, self.p, n, [(gen, _row_product(row, c.num, n), den, 1)
+                                               for gen, row in self.rows.items()])
 
     def sorted_terms(self) -> list[tuple[Generator, Cyclotomic]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.rows:
             return "PPElement(0)"
         body = " + ".join(f"({coeff})*{gen!r}" for gen, coeff in self.sorted_terms())
         return f"PPElement({body})"
@@ -291,35 +298,28 @@ class PPElement:
 
 
 def collect(group: FiniteGroup, p: int, n: int,
-            parts: list[tuple[Generator, Cyclotomic, int]]) -> PPElement:
-    """The element sum of m * coeff * gen over the (gen, coeff, m) parts.
-
-    The numerators of each generator's coefficient are accumulated over the
-    least common denominator of the parts, and each nonzero coefficient is
-    then built once, in lowest terms.  Numerators are added in the power
-    basis, so no reduction modulo Phi_n is needed.
-    """
-    den = math.lcm(*(coeff.den for _, coeff, _ in parts))
+            parts: list[tuple[Generator, tuple[int, ...], int, int]]) -> PPElement:
+    """The element sum of m * (row / den) * gen over the (gen, row, den, m)
+    parts: each row is scaled to the least common denominator of the parts and
+    added into its generator's row, and the common factor is divided out once."""
+    den = math.lcm(*{d for _, _, d, _ in parts})
     acc: dict[Generator, list[int]] = {}
-    for gen, coeff, m in parts:
-        k = m * (den // coeff.den)
-        row = acc.get(gen)
-        if row is None:
-            acc[gen] = [c * k for c in coeff.num]
+    for gen, row, d, m in parts:
+        k = m * (den // d)
+        out = acc.get(gen)
+        if out is None:
+            acc[gen] = [c * k for c in row]
         else:
-            for i, c in enumerate(coeff.num):
+            for i, c in enumerate(row):
                 if c:
-                    row[i] += c * k
-    return PPElement._trusted(group, p, n, {
-        gen: Cyclotomic._new(n, *_lowest(num, den)) for gen, num in acc.items() if any(num)})
-
-
-def _as_cyclo(c: Scalar, n: int) -> Cyclotomic:
-    if isinstance(c, Cyclotomic):
-        if c.conductor != n:
-            raise ConductorMismatch("scalar at a different conductor")
-        return c
-    return Cyclotomic.from_rational(n, c)
+                    out[i] += c * k
+    rows = {gen: tuple(row) for gen, row in acc.items() if any(row)}
+    if den != 1:
+        g = math.gcd(den, *chain.from_iterable(rows.values()))
+        if g != 1:
+            rows = {gen: tuple([c // g for c in row]) for gen, row in rows.items()}
+            den //= g
+    return PPElement._trusted(group, p, n, rows, den)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def res_elt(x: PPElement, H: FiniteGroup) -> PPElement:
     if not x.group.contains_group(H):
         raise GroupMismatch("subgroup does not live in the element's group")
     return collect(H, x.p, x.conductor,
-                   [(new, coeff, m) for gen, coeff in x.terms.items()
+                   [(new, row, x.den, m) for gen, row in x.rows.items()
                     for new, m in _res_gen(gen, H)])
 
 
@@ -388,8 +388,8 @@ def ind_elt(x: PPElement, G: FiniteGroup) -> PPElement:
     if not G.contains_group(x.group):
         raise NotSubgroup("the element's group is not a subgroup of the target")
     return collect(G, x.p, x.conductor,
-                   [(_canonical(G, gen.subgroup, gen.exps, x.conductor), coeff, 1)
-                    for gen, coeff in x.terms.items()])
+                   [(_canonical(G, gen.subgroup, gen.exps, x.conductor), row, x.den, 1)
+                    for gen, row in x.rows.items()])
 
 
 def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
@@ -399,11 +399,11 @@ def inf_elt(x: PPElement, Q: QuotientGroup) -> PPElement:
     G = Q.parent
     proj = Q.proj
     parts = []
-    for gen, coeff in x.terms.items():
+    for gen, row in x.rows.items():
         pre = Q.preimage(gen.subgroup)
         exp_of = dict(zip(gen.subgroup.indices, gen.exps))
         exps = tuple([exp_of[proj[g]] for g in pre.indices])
-        parts.append((_canonical(G, pre, exps, x.conductor), coeff, 1))
+        parts.append((_canonical(G, pre, exps, x.conductor), row, x.den, 1))
     return collect(G, x.p, x.conductor, parts)
 
 
@@ -414,15 +414,16 @@ def tensor_elt(x: PPElement, y: PPElement) -> PPElement:
     x._compatible(y)
     G = x.group
     n = x.conductor
+    den = x.den * y.den
     parts = []
-    for genx, cx in x.terms.items():
+    for genx, rx in x.rows.items():
         alpha = dict(zip(genx.subgroup.indices, genx.exps))
-        for geny, cy in y.terms.items():
-            c = cx * cy
+        for geny, ry in y.rows.items():
+            row = _row_product(rx, ry, n)
             for h, m in _res_gen(geny, genx.subgroup):
                 K = h.subgroup
                 exps = tuple([(alpha[k] + e) % n for k, e in zip(K.indices, h.exps)])
-                parts.append((_canonical(G, K, exps, n), c, m))
+                parts.append((_canonical(G, K, exps, n), row, den, m))
     return collect(G, x.p, n, parts)
 
 
@@ -446,12 +447,12 @@ def brauer_elt(x: PPElement, P: FiniteGroup) -> PPElement:
     n = x.conductor
     proj = Q.proj
     parts = []
-    for gen, coeff in y.terms.items():
+    for gen, row in y.rows.items():
         L = gen.subgroup
         if not L.contains_group(P):
             continue
         Lbar = Q.project_subgroup(L)
         exp_of = {proj[l]: e for l, e in zip(L.indices, gen.exps)}
         parts.append((_canonical(Q.group, Lbar, tuple([exp_of[q] for q in Lbar.indices]), n),
-                      coeff, 1))
+                      row, y.den, 1))
     return collect(Q.group, x.p, n, parts)

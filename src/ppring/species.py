@@ -23,20 +23,20 @@ N_G(J)/J, whose lift is the one :func:`enumerate_pairs` takes.
 
 The fixed-line sum of a generator is kept as (exponent, count) terms, one
 per root of unity it meets: :func:`_tau_counts`, the one memo of species
-values, which both :func:`tau_generator` and :func:`tau_element` read.  The
-value of an element is accumulated late (after Breuer, AAECC 1997): each
-term of the element adds its numerators times the count, rotated by the
-exponent, into one integer vector in Z[x]/(x^n - 1) over the common
-denominator of its coefficients.  Since Phi_n divides x^n - 1, one
-reduction modulo Phi_n at the end gives the same canonical value as
-reducing after every term.
+values.  A value is accumulated late (after Breuer, AAECC 1997), in the
+one routine :func:`_tau_sum` that both :func:`tau_generator` and
+:func:`tau_element` call: each numerator row of the element adds its
+numerators times the count, rotated by the exponent, into one integer
+vector in Z[x]/(x^n - 1) over the element's one denominator.  Since Phi_n
+divides x^n - 1, one reduction modulo Phi_n at the end gives the same
+canonical value as reducing after every term.
 
 The species vectors separate elements, which is what makes
 :func:`equal_elements` a sound equality oracle for the spanning-set
 representation.  It decides equality coefficients first, then by the species
-of the difference: identical canonical coefficients are formal equality, and
-only a nonzero difference is evaluated, pair by pair, until a species fails
-to vanish.
+of the difference: identical rows over the same denominator are formal
+equality, and only a nonzero difference is evaluated, pair by pair, until a
+species fails to vanish.
 """
 
 from __future__ import annotations
@@ -173,15 +173,6 @@ def canonical_pair(G: FiniteGroup, p: int, P: FiniteGroup, lift: int) -> Species
     return build_pair(G, p, J, _canonical_lift(Q, s, p))
 
 
-def _check_pair(pair: SpeciesPair, group: FiniteGroup, n: int) -> None:
-    """Raise unless values over ``group`` at conductor n can be taken at the
-    pair: same group, n divisible by the order of s and prime to p."""
-    if group != pair.group:
-        raise GroupMismatch("value taken over a different group than the pair")
-    if n % pair.s_order != 0 or n % pair.p == 0:
-        raise ConductorMismatch("conductor incompatible with the pair")
-
-
 @lru_cache(maxsize=None)
 def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...]:
     """The fixed-line sum of a generator at a pair as (exponent, count)
@@ -205,32 +196,32 @@ def _tau_counts(pair: SpeciesPair, gen: Generator) -> tuple[tuple[int, int], ...
     return tuple(sorted(counts.items()))
 
 
+def _tau_sum(pair: SpeciesPair, group: FiniteGroup, n: int, rows, den: int) -> Cyclotomic:
+    """The value at the pair of the sum of (row / den) * gen over the (gen, row)
+    items, reduced modulo Phi_n once; raises unless the pair takes values over
+    ``group`` at conductor n: same group, n divisible by |s| and prime to p."""
+    if group != pair.group:
+        raise GroupMismatch("value taken over a different group than the pair")
+    if n % pair.s_order != 0 or n % pair.p == 0:
+        raise ConductorMismatch("conductor incompatible with the pair")
+    acc = [0] * n
+    for gen, row in rows:
+        for e, count in _tau_counts(pair, gen):
+            for i, c in enumerate(row, e):
+                if c:
+                    acc[i % n] += c * count
+    return Cyclotomic._new(n, *_lowest(_reduce(acc, n), den))
+
+
 def tau_generator(pair: SpeciesPair, gen: Generator) -> Cyclotomic:
     """Species value of a monomial generator at a pair: its fixed-line sum
     read as roots of unity."""
-    n = gen.conductor
-    _check_pair(pair, gen.group, n)
-    acc = [0] * n
-    for e, count in _tau_counts(pair, gen):
-        acc[e] = count
-    return Cyclotomic._new(n, tuple(_reduce(acc, n)), 1)
+    return _tau_sum(pair, gen.group, gen.conductor, ((gen, (1,)),), 1)
 
 
 def tau_element(pair: SpeciesPair, x: PPElement) -> Cyclotomic:
-    """Linear extension of :func:`tau_generator` over the terms of x,
-    accumulated in Z[x]/(x^n - 1) and reduced modulo Phi_n once."""
-    n = x.conductor
-    _check_pair(pair, x.group, n)
-    den = math.lcm(*(coeff.den for coeff in x.terms.values()))
-    acc = [0] * n
-    for gen, coeff in x.terms.items():
-        scale = den // coeff.den
-        for e, count in _tau_counts(pair, gen):
-            k = count * scale
-            for i, c in enumerate(coeff.num, e):
-                if c:
-                    acc[i % n] += c * k
-    return Cyclotomic._new(n, *_lowest(_reduce(acc, n), den))
+    """Linear extension of :func:`tau_generator` over the rows of x."""
+    return _tau_sum(pair, x.group, x.conductor, x.rows.items(), x.den)
 
 
 class SpeciesVector:
@@ -260,14 +251,14 @@ def species_vector(x: PPElement) -> SpeciesVector:
 
 def equal_elements(x: PPElement, y: PPElement) -> bool:
     """Equality in the ring: coefficients first, then the species of the
-    difference.  Equal canonical coefficients are formal equality; otherwise
-    x = y exactly when every species of x - y vanishes."""
+    difference.  Equal rows over equal denominators are formal equality;
+    otherwise x = y exactly when every species of x - y vanishes."""
     x._compatible(y)
-    if x.terms == y.terms:
+    if x.den == y.den and x.rows == y.rows:
         return True
     d = collect(x.group, x.p, x.conductor,
-                [(gen, coeff, 1) for gen, coeff in x.terms.items()]
-                + [(gen, coeff, -1) for gen, coeff in y.terms.items()])
+                [(gen, row, x.den, 1) for gen, row in x.rows.items()]
+                + [(gen, row, y.den, -1) for gen, row in y.rows.items()])
     return all(tau_element(q, d).is_zero() for q in enumerate_pairs(x.group, x.p))
 
 

@@ -57,8 +57,16 @@ class TestParseGroupSpec:
         assert captured.err == f"error: {message}\n"
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownName):
-            parse_group_spec("E8")
+        # C, S and D with an Arabic-Indic or a fullwidth digit
+        for spec in ["E8", "C\u0663", "S\uff14", "D\u0668", '{"name": "C\u0663"}']:
+            with pytest.raises(UnknownName):
+                parse_group_spec(spec)
+
+    def test_non_ascii_digit_exit_2(self, capsys):
+        assert main(["pairs", "--group", "C\u0663"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unknown group name 'C\u0663'\n"
 
     @pytest.mark.parametrize("name", ["S4x", "x", "xC2", "S4xxC2", "S4x C2x "])
     def test_empty_factor_exit_2(self, name, capsys):
@@ -238,10 +246,11 @@ class TestCommands:
 
         def dropped(x, P):
             y = brauer(x, P)
-            terms = list(y.terms.items())
-            if len(terms) < 2:
+            rows = list(y.rows.items())
+            if len(rows) < 2:
                 return y
-            return ppelem.PPElement._trusted(y.group, y.p, y.conductor, dict(terms[:-1]))
+            return ppelem.collect(y.group, y.p, y.conductor,
+                                  [(gen, row, y.den, 1) for gen, row in rows[:-1]])
 
         clear_caches()
         try:
@@ -348,6 +357,16 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_samples_above_the_cap_exit_2(self, capsys):
+        with pytest.raises(ParseError, match="between 1 and 100000"):
+            RunConfig(command="oracle-check", group="S3", p=3, samples=10**9)
+        code = main(["oracle-check", "--group", "S3", "--p", "3",
+                     "--samples", str(10**9)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be between 1 and 100000\n"
 
     def test_failed_stdout_write_exit_3(self, monkeypatch, capsys):
         """A report that cannot reach stdout is an I/O error, not a failed

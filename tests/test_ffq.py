@@ -16,7 +16,7 @@ from ppring.grp import alternating, cyclic, dihedral, symmetric, sylow
 from ppring.lattice import subgroup_lattice
 from ppring.ppelem import default_conductor, linear_characters, make_generator
 from ppring.species import enumerate_pairs, standard_generators, tau_generator
-from test_grp import inverse
+from test_grp import inverse, members
 
 
 class TupleField:
@@ -476,12 +476,12 @@ def reference_action(F, gen, g):
     """Permutation-level matrix of g on Ind_L^G: the coset of c_i goes to that
     of c_j with scalar chi(c_j^-1 g c_i), over minimal coset representatives."""
     L = gen.subgroup
-    value = dict(zip(L.elements, gen.exps))
+    value = dict(zip(members(L), gen.exps))
     transversal, rep_of = [], {}
-    for x in gen.group.elements:
+    for x in members(gen.group):
         if x not in rep_of:  # the first element met is minimal in its coset
             transversal.append(x)
-            for h in L.elements:
+            for h in members(L):
                 rep_of[x * h] = x
     d = len(transversal)
     rows = [[0] * d for _ in range(d)]

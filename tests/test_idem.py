@@ -15,7 +15,7 @@ from ppring.lattice import subgroup_lattice
 from ppring.ppelem import PPElement, default_conductor, tensor_elt
 from ppring.species import (build_pair, canonical_pair, enumerate_pairs,
                             equal_elements, species_vector, tau_element)
-from test_grp import closure
+from test_grp import closure, members
 
 
 def restriction_law(G, p, H, pair):
@@ -248,7 +248,7 @@ class TestInductionLaw:
         hpair = next(q for q in enumerate_pairs(H, p) if q.P.order == 3)
         as_g = build_pair(G, p, hpair.P, hpair.lift)
         assert as_g.stabilizer.order == 6
-        assert len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements)) == 3
+        assert len(frozenset(members(as_g.stabilizer)) & frozenset(members(H))) == 3
         assert verify_induction(G, p, H, hpair)
 
     def test_s3_from_transposition_subgroup(self):
@@ -258,7 +258,7 @@ class TestInductionLaw:
         hpair = next(q for q in enumerate_pairs(H, p) if q.s_order == 2)
         as_g = build_pair(G, p, hpair.P, hpair.lift)
         assert Fraction(as_g.stabilizer.order,
-                        len(frozenset(as_g.stabilizer.elements) & frozenset(H.elements))) == 1
+                        len(frozenset(members(as_g.stabilizer)) & frozenset(members(H)))) == 1
         assert verify_induction(G, p, H, hpair)
 
 

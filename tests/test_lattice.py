@@ -10,7 +10,7 @@ from ppring.grp import (alternating, close_indices, cyclic, dihedral,
 from ppring.lattice import NotComparable, _all_subgroups, subgroup_lattice
 from ppring.ppelem import (PPElement, default_conductor, ind_elt, linear_characters,
                            make_generator)
-from test_grp import KERNEL_GROUPS, conj, generated_groups, inverse
+from test_grp import KERNEL_GROUPS, conj, generated_groups, inverse, members
 
 
 def brute_force_subgroups(G):
@@ -124,8 +124,8 @@ def assert_conjugators(lat):
         y = lat.conjugator(H)
         assert y in G
         x = elements[y]
-        moved = {inverse(x) * h * x for h in H.elements}
-        assert moved == set(lat.rep_of(H).elements)
+        moved = {inverse(x) * h * x for h in members(H)}
+        assert moved == set(members(lat.rep_of(H)))
 
 
 @pytest.mark.parametrize("name", KERNEL_GROUPS)
@@ -149,7 +149,7 @@ def test_sub_lattices_match_the_search_run_directly(name):
         searched = {K: y for K, y in zip(subgroups, conjugators)}
         for K in subgroups:
             x = H.root.elements[searched[K]]
-            assert {inverse(x) * k * x for k in K.elements} == set(lat.rep_of(K).elements)
+            assert {inverse(x) * k * x for k in members(K)} == set(members(lat.rep_of(K)))
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "S4xC2"])
@@ -192,7 +192,7 @@ class TestAllSubgroups:
     def test_matches_brute_force(self, build):
         G = build()
         lat = subgroup_lattice(G)
-        assert {frozenset(H.elements) for H in lat.subgroups} == brute_force_subgroups(G)
+        assert {frozenset(members(H)) for H in lat.subgroups} == brute_force_subgroups(G)
 
     def test_s4_classical_count(self):
         lat = subgroup_lattice(symmetric(4))
@@ -215,12 +215,12 @@ class TestAllSubgroups:
     def test_contains_extremes_and_conjugates(self):
         G = alternating(4)
         lat = subgroup_lattice(G)
-        sets = {frozenset(H.elements) for H in lat.subgroups}
+        sets = {frozenset(members(H)) for H in lat.subgroups}
         assert frozenset(G.elements[:1]) in sets
         assert frozenset(G.elements) in sets
         for H in lat.subgroups:
             for g in G.elements:
-                assert frozenset(conj(x, g) for x in H.elements) in sets
+                assert frozenset(conj(x, g) for x in members(H)) in sets
 
     def test_deterministic_order(self):
         lat = subgroup_lattice(symmetric(3))

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from ppring.ppelem import (Generator, GroupMismatch, NotPGroup, PPElement,
 from ppring.species import (enumerate_pairs, equal_elements, standard_generators,
                             tau_element)
 from ppring.cli import parse_group_spec
-from test_grp import KERNEL_GROUPS, closure, conj, inverse
+from test_grp import KERNEL_GROUPS, closure, conj, inverse, members
 
 
 def gen_of(G, p, sub_elems, exps=None, n=None):
@@ -28,14 +29,14 @@ def gen_of(G, p, sub_elems, exps=None, n=None):
     if exps is None:
         chi = (0,) * L.order
     else:
-        chi = [exps[x] for x in L.elements]
+        chi = [exps[x] for x in members(L)]
         check_homomorphism(L, chi, n)
     return make_generator(G, L, chi, n)
 
 
 def exps(L, chi):
     """The exponent tuple of a character of L keyed by the elements of L."""
-    return dict(zip(L.elements, chi))
+    return dict(zip(members(L), chi))
 
 
 def single(G, p, gen):
@@ -46,15 +47,15 @@ def reference_make_generator(group, subgroup, chi, n):
     """Permutation-level canonical form: conjugate by every g and keep the
     minimal (image tuples of the sorted elements, exponents aligned to them)."""
     best = best_key = None
-    for g in group.elements:
+    for g in members(group):
         gi = inverse(g)
         moved = {gi * x * g: e % n for x, e in exps(subgroup, chi).items()}
         sub = closure(group, moved.keys())
-        key = (tuple(x.images for x in sub.elements), tuple(moved[x] for x in sub.elements))
+        key = (tuple(x.images for x in members(sub)), tuple(moved[x] for x in members(sub)))
         if best_key is None or key < best_key:
             best_key, best = key, (sub, moved)
     sub, moved = best
-    return Generator(group, sub, tuple(moved[x] for x in sub.elements), n)
+    return Generator(group, sub, tuple(moved[x] for x in members(sub)), n)
 
 
 def reference_tensor(G, genx, geny):
@@ -69,9 +70,9 @@ def reference_tensor(G, genx, geny):
     for g in G.elements:
         if g in covered:
             continue
-        covered |= {a * g * b for a in A.elements for b in B.elements}
-        inter = closure(G, [x for x in A.elements if conj(x, g) in beta])
-        chi = [alpha[x] + beta[conj(x, g)] for x in inter.elements]
+        covered |= {a * g * b for a in members(A) for b in members(B)}
+        inter = closure(G, [x for x in members(A) if conj(x, g) in beta])
+        chi = [alpha[x] + beta[conj(x, g)] for x in members(inter)]
         check_homomorphism(inter, chi, n)
         gen = make_generator(G, inter, chi, n)
         counts[gen] = counts.get(gen, 0) + 1
@@ -119,7 +120,7 @@ class TestLinChar:
             assert list(chars) == sorted(chars)
             for chi in chars:
                 mapping = exps(L, chi)
-                built = tuple(mapping[x] for x in L.elements)
+                built = tuple(mapping[x] for x in members(L))
                 check_homomorphism(L, built, 3)
                 assert built == chi
                 assert all(0 <= e < 3 for e in chi)
@@ -265,7 +266,7 @@ class TestInflation:
         (gen, _), = y.terms.items()
         assert gen.subgroup.order == 6
         assert any(gen.exps)
-        assert all(exps(gen.subgroup, gen.exps)[u] == 0 for u in P.elements)
+        assert all(exps(gen.subgroup, gen.exps)[u] == 0 for u in members(P))
 
     def test_trivial_generator_inflates_to_trivial(self):
         G = symmetric(3)
@@ -342,7 +343,7 @@ class TestBrauer:
     def test_s3_at_sylow3_gives_regular_quotient_module(self):
         G = symmetric(3)
         P = sylow(G, 3)
-        x = single(G, 3, gen_of(G, 3, list(P.elements)))
+        x = single(G, 3, gen_of(G, 3, list(members(P))))
         y = brauer_elt(x, P)
         assert y.group.order == 2
         (gen, coeff), = y.terms.items()
@@ -383,13 +384,14 @@ class TestMackeyCoherence:
 
         # independent expansion straight from the double-coset formula
         L = gen.subgroup
+        one = Cyclotomic.one(n)
         parts = []
         for g in (G.elements[i] for i, _ in double_coset_reps(G, K, L)):
             gi = inverse(g)
-            inter = closure(K, frozenset(K.elements) & {conj(y, gi) for y in L.elements})
-            chi2 = [exps(L, gen.exps)[conj(u, g)] for u in inter.elements]
+            inter = closure(K, frozenset(members(K)) & {conj(y, gi) for y in members(L)})
+            chi2 = [exps(L, gen.exps)[conj(u, g)] for u in members(inter)]
             check_homomorphism(inter, chi2, n)
-            parts.append((make_generator(K, inter, chi2, n), Cyclotomic.one(n), 1))
+            parts.append((make_generator(K, inter, chi2, n), one.num, one.den, 1))
         assert equal_elements(got, collect(K, p, n, parts))
 
     def test_each_expansion_matches_the_permutation_double_cosets(self):
@@ -408,10 +410,10 @@ class TestMackeyCoherence:
                 for g in G.elements:
                     if g in covered:
                         continue
-                    covered |= {h * g * l for h in H.elements for l in L.elements}
-                    meet = closure(H, [x for x in H.elements if conj(x, g) in chi])
+                    covered |= {h * g * l for h in members(H) for l in members(L)}
+                    meet = closure(H, [x for x in members(H) if conj(x, g) in chi])
                     term = reference_make_generator(
-                        H, meet, [chi[conj(x, g)] for x in meet.elements], n)
+                        H, meet, [chi[conj(x, g)] for x in members(meet)], n)
                     key = (term.subgroup.indices, term.exps)
                     expected[key] = expected.get(key, 0) + 1
                 got = {(new.subgroup.indices, new.exps): m
@@ -430,7 +432,7 @@ class TestResInfComposite:
             pytest.skip("needs a nontrivial normal p-subgroup")
         n = default_conductor(H, p)
         Q = quotient(H, P)
-        index = {x: i for i, x in enumerate(H.elements)}
+        index = {x: i for i, x in enumerate(members(H))}
 
         def project(x):
             return Q.group.elements[Q.proj[index[x]]]
@@ -446,10 +448,10 @@ class TestResInfComposite:
                 z = res_elt(x, LPbar)
                 parts = []
                 for gen, coeff in z.terms.items():
-                    pre = closure(L, [l for l in L.elements
-                                       if project(l) in gen.subgroup.elements])
-                    chi2 = [exps(gen.subgroup, gen.exps)[project(l)] for l in pre.elements]
-                    parts.append((make_generator(L, pre, chi2, n), coeff, 1))
+                    pre = closure(L, [l for l in members(L)
+                                       if project(l) in members(gen.subgroup)])
+                    chi2 = [exps(gen.subgroup, gen.exps)[project(l)] for l in members(pre)]
+                    parts.append((make_generator(L, pre, chi2, n), coeff.num, coeff.den, 1))
                 assert equal_elements(lhs, collect(L, p, n, parts))
 
 
@@ -583,7 +585,22 @@ def term_sum(n, parts):
 
 def parts(z, m):
     """The terms of z as ``collect`` parts, each with multiplicity m."""
-    return [(gen, c, m) for gen, c in z.terms.items()]
+    return [(gen, c.num, c.den, m) for gen, c in z.terms.items()]
+
+
+def in_lowest_terms(z):
+    """Whether z's rows are nonzero and its denominator is positive and
+    prime to the numerators taken together."""
+    return (z.den > 0 and math.gcd(z.den, *(c for row in z.rows.values() for c in row)) == 1
+            and all(any(row) for row in z.rows.values()))
+
+
+def same_form(a, b):
+    """Whether a and b have the same rows over the same denominator,
+    checked to agree with the equality of their terms."""
+    same = (a.den, a.rows) == (b.den, b.rows)
+    assert same == (a.terms == b.terms)
+    return same
 
 
 def ref_res(x, H):
@@ -645,17 +662,29 @@ def test_calculus_matches_the_term_by_term_sum(case, data):
     first, second = drawn_terms(data, G, p, n), drawn_terms(data, G, p, n)
     x = PPElement(G, p, n, term_sum(n, first))
     y = PPElement(G, p, n, term_sum(n, second))
-    assert collect(G, p, n, parts(x, 1) + parts(y, 1)).terms == term_sum(n, first + second)
-    assert collect(G, p, n, parts(x, 1) + parts(y, -1)).terms == \
-        term_sum(n, first + [(gen, c * -1) for gen, c in second])
-    assert collect(G, p, n, parts(x, 1) + parts(x, -1)).terms == {}
+    total = collect(G, p, n, parts(x, 1) + parts(y, 1))
+    assert total.terms == term_sum(n, first + second)
+    diff = collect(G, p, n, parts(x, 1) + parts(y, -1))
+    assert diff.terms == term_sum(n, first + [(gen, c * -1) for gen, c in second])
+    zero = collect(G, p, n, parts(x, 1) + parts(x, -1))
+    assert zero.terms == {}
     H = data.draw(st.sampled_from(reps))
-    assert res_elt(x, H).terms == ref_res(x, H)
+    res = res_elt(x, H)
+    assert res.terms == ref_res(x, H)
     P = data.draw(st.sampled_from([P for P in reps if is_p_power(P.order, p)]))
-    assert brauer_elt(x, P).terms == ref_brauer(x, P)
+    brauer = brauer_elt(x, P)
+    assert brauer.terms == ref_brauer(x, P)
     HH = data.draw(st.sampled_from(reps))
     z = PPElement(HH, p, n, term_sum(n, drawn_terms(data, HH, p, n)))
-    assert ind_elt(z, G).terms == ref_ind(z, G)
+    ind = ind_elt(z, G)
+    assert ind.terms == ref_ind(z, G)
+    for w in (x, y, total, diff, zero, res, brauer, z, ind):
+        assert in_lowest_terms(w)
+    assert zero.den == 1
+    assert same_form(total, collect(G, p, n, parts(y, 1) + parts(x, 1)))
+    assert same_form(res, PPElement(H, p, n, ref_res(x, H)))
+    same_form(x, y)  # equal or not, the two equalities must agree
+    same_form(total, diff)
 
 
 def test_restriction_cancels_to_no_terms():

@@ -242,10 +242,11 @@ def test_tau_element_matches_the_term_by_term_sum(case, data):
     gens = standard_generators(G, p, n)
     term = st.tuples(st.integers(0, len(gens) - 1), st.integers(-6, 6),
                      st.integers(1, 12), st.integers(0, n - 1))
-    parts = [(gens[i], zeta_power(n, k) * Fraction(a, b), 1)
-             for i, a, b, k in data.draw(st.lists(term, max_size=6))]
+    coeffs = [(gens[i], zeta_power(n, k) * Fraction(a, b))
+              for i, a, b, k in data.draw(st.lists(term, max_size=6))]
+    parts = [(gen, c.num, c.den, 1) for gen, c in coeffs]
     if data.draw(st.booleans()):  # cancel the first half of the terms
-        parts += [(gen, c, -1) for gen, c, _ in parts[:len(parts) // 2]]
+        parts += [(gen, c.num, c.den, -1) for gen, c in coeffs[:len(coeffs) // 2]]
     x = collect(G, p, n, parts)
     for pair in enumerate_pairs(G, p):
         expected = Cyclotomic.zero(n)
@@ -320,7 +321,7 @@ def combine(*signed):
     ``collect`` of their terms."""
     x = signed[0][1]
     return collect(x.group, x.p, x.conductor,
-                   [(gen, c, m) for m, y in signed for gen, c in y.terms.items()])
+                   [(gen, c.num, c.den, m) for m, y in signed for gen, c in y.terms.items()])
 
 
 def idempotent_relation(G, p):
@@ -338,8 +339,8 @@ def random_elements(G, p):
                      st.integers(1, 4), st.integers(0, n - 1))
 
     def build(terms):
-        return collect(G, p, n, [(gens[i], zeta_power(n, k) * Fraction(a, b), 1)
-                                 for i, a, b, k in terms])
+        coeffs = [(gens[i], zeta_power(n, k) * Fraction(a, b)) for i, a, b, k in terms]
+        return collect(G, p, n, [(gen, c.num, c.den, 1) for gen, c in coeffs])
 
     return st.lists(term, max_size=4).map(build)
 
@@ -398,8 +399,9 @@ def test_formally_equal_elements_skip_the_species(monkeypatch):
     gens = standard_generators(G, p, n)
     x = PPElement(G, p, n, {gens[3]: Cyclotomic.from_rational(n, Fraction(2, 3)),
                             gens[7]: zeta_power(n, 1)})
-    y = collect(G, p, n, [(gens[7], zeta_power(n, 1), 1),
-                          (gens[3], Cyclotomic.from_rational(n, Fraction(1, 3)), 2)])
+    third = Cyclotomic.from_rational(n, Fraction(1, 3))
+    y = collect(G, p, n, [(gens[7], zeta_power(n, 1).num, 1, 1),
+                          (gens[3], third.num, third.den, 2)])
     rel = idempotent_relation(G, p)
     monkeypatch.setattr(species, "tau_element", refuse)
     assert equal_elements(x, y)
